@@ -182,7 +182,7 @@ mod tests {
         cycles: u64,
         seed: u64,
     ) -> [u64; 3] {
-        let mut net = runner::org::build_network(org, cfg.clone());
+        let mut net = runner::AnyNetwork::new(org, cfg.clone());
         let mut gen = TrafficGen::new(cfg.clone(), s.pattern, s.rate, seed)
             .response_fraction(s.response_fraction)
             .injection(s.process);

@@ -5,7 +5,7 @@
 //! workspace needs no external benchmark framework. Run with
 //! `cargo bench`; each case reports mean wall time per iteration.
 
-use bench::{build_network, Organization};
+use bench::{AnyNetwork, Organization};
 use noc::config::NocConfig;
 use noc::network::Network;
 use noc::traffic::{Pattern, TrafficGen};
@@ -33,7 +33,7 @@ fn simulator_throughput() {
     for org in Organization::ALL {
         bench_case("simulate_1k_cycles_uniform_0.05", org.name(), || {
             let cfg = NocConfig::paper();
-            let mut net = build_network(org, cfg.clone());
+            let mut net = AnyNetwork::new(org, cfg.clone());
             let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, 0.05, 7);
             for _ in 0..1_000 {
                 gen.tick(&mut net);
@@ -50,7 +50,7 @@ fn zero_load_delivery() {
     use noc::types::{MessageClass, NodeId, PacketId};
     for org in Organization::ALL {
         bench_case("zero_load_corner_to_corner", org.name(), || {
-            let mut net = build_network(org, NocConfig::paper());
+            let mut net = AnyNetwork::new(org, NocConfig::paper());
             net.inject(Packet::new(
                 PacketId(1),
                 NodeId::new(0),
@@ -75,7 +75,7 @@ fn full_system_cycle() {
     for org in Organization::ALL {
         bench_case("system_500_cycles", org.name(), || {
             let params = SystemParams::paper();
-            let net = build_network(org, params.noc.clone());
+            let net = AnyNetwork::new(org, params.noc.clone());
             let mut sys = System::new(params, net, WorkloadKind::WebSearch, 1);
             sys.run(500);
             sys.committed_instructions()
@@ -92,7 +92,7 @@ fn full_system_cycle() {
 fn obs_overhead() {
     let run = |attach: bool| {
         let cfg = NocConfig::paper();
-        let mut net = build_network(Organization::Mesh, cfg.clone());
+        let mut net = AnyNetwork::new(Organization::Mesh, cfg.clone());
         if attach {
             net.install_obs(niobs::Recorder::default().into_shared());
         }

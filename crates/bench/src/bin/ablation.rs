@@ -5,10 +5,9 @@
 //! L1-miss window for requests (see DESIGN.md §5); the ablation
 //! quantifies each source on Media Streaming.
 
-use bench::{measure_performance, spec_from_env, Organization};
-use pra::network::PraNetwork;
+use bench::{measure_performance, measure_pra_with, spec_from_env, Organization};
 use pra::ControlConfig;
-use sysmodel::{System, SystemParams};
+use sysmodel::SystemParams;
 use workloads::WorkloadKind;
 
 fn run(
@@ -17,15 +16,12 @@ fn run(
     announce_fills: bool,
     spec: &nistats::SampleSpec,
 ) -> f64 {
-    let mut params = SystemParams::paper();
-    params.announce_requests = announce_requests;
-    params.announce_fills = announce_fills;
-    spec.run(|seed| {
-        let net = PraNetwork::with_control(params.noc.clone(), ctrl.clone());
-        let mut sys = System::new(params.clone(), net, WorkloadKind::MediaStreaming, seed);
-        sys.measure(spec.warmup_cycles, spec.measure_cycles)
-    })
-    .mean
+    let params = SystemParams {
+        announce_requests,
+        announce_fills,
+        ..SystemParams::paper()
+    };
+    measure_pra_with(ctrl, &params, WorkloadKind::MediaStreaming, spec).mean
 }
 
 fn main() {

@@ -14,7 +14,7 @@ use noc::network::Network;
 use noc::traffic::{Pattern, TrafficGen};
 use noc::watchdog::Watchdog;
 
-use bench::{build_network, run_grid_budgeted, Organization};
+use bench::{run_grid_budgeted, AnyNetwork, Organization};
 
 const WARMUP: u64 = 1_000;
 const MEASURE: u64 = 5_000;
@@ -41,7 +41,7 @@ fn config_with(ppb: u32) -> NocConfig {
 
 fn run_point(org: Organization, ppb: u32, load: f64, token: noc::cancel::CancelToken) -> Point {
     let cfg = config_with(ppb);
-    let mut net = build_network(org, cfg.clone());
+    let mut net = AnyNetwork::new(org, cfg.clone());
     net.install_cancel(token);
     let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, load, 42);
     let mut wd = Watchdog::default();

@@ -15,7 +15,7 @@ use workloads::WorkloadKind;
 
 fn zero_load(org: Organization, dest: u16, len: u8) -> u64 {
     let cfg = NocConfig::paper();
-    let mut net = bench::build_network(org, cfg);
+    let mut net = bench::AnyNetwork::new(org, cfg);
     let class = if len > 1 {
         MessageClass::Response
     } else {

@@ -7,7 +7,7 @@
 //! plus the zero-load crossover the argument rests on. Points run in
 //! parallel on the runner pool.
 
-use bench::{build_network, run_grid_budgeted, Organization};
+use bench::{run_grid_budgeted, AnyNetwork, Organization};
 use noc::config::NocConfigBuilder;
 use noc::network::Network as _;
 use noc::traffic::{measure_latency, Pattern, TrafficGen};
@@ -26,7 +26,7 @@ fn main() {
             .max_hops_per_cycle(hpc)
             .build()
             .expect("valid config");
-        let mut net = build_network(org, cfg.clone());
+        let mut net = AnyNetwork::new(org, cfg.clone());
         net.install_cancel(token);
         let mut gen = TrafficGen::new(cfg, Pattern::CoreToLlc, 0.02, 5).response_fraction(0.5);
         measure_latency(&mut net, &mut gen, 1_000, 4_000)

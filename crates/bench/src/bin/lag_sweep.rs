@@ -7,6 +7,7 @@
 
 use bench::{measure_performance, measure_pra_with, run_grid, spec_from_env, Organization};
 use pra::ControlConfig;
+use sysmodel::SystemParams;
 use workloads::WorkloadKind;
 
 const LAGS: [u8; 6] = [1, 2, 3, 4, 6, 8];
@@ -24,6 +25,7 @@ fn main() {
                     max_lag: LAGS[i - 2],
                     ..ControlConfig::default()
                 },
+                &SystemParams::paper(),
                 wl,
                 &spec,
             )

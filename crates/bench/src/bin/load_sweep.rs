@@ -3,7 +3,7 @@
 //! figure. Points run in parallel on the runner pool (`NOC_THREADS`);
 //! the rows are byte-identical to the old serial loop.
 
-use bench::{build_network, run_grid_budgeted, Organization};
+use bench::{run_grid_budgeted, AnyNetwork, Organization};
 use noc::network::Network as _;
 use sysmodel::{System, SystemParams};
 use workloads::{WorkloadKind, WorkloadProfileBuilder};
@@ -22,7 +22,7 @@ fn main() {
         let profile = WorkloadProfileBuilder::from(WorkloadKind::MediaStreaming)
             .scale_misses(scale)
             .build();
-        let mut net = build_network(org, params.noc.clone());
+        let mut net = AnyNetwork::new(org, params.noc.clone());
         net.install_cancel(token);
         let mut sys = System::with_profile(params.clone(), net, profile, 1);
         sys.measure(5_000, 15_000)

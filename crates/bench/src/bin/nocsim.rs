@@ -8,7 +8,7 @@
 //!
 //! Run with `--help` for the full option list.
 
-use bench::{build_network, Organization};
+use bench::{AnyNetwork, Organization};
 use niobs::MetricsRegistry;
 use noc::config::{NocConfig, NocConfigBuilder};
 use noc::network::Network;
@@ -413,7 +413,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let mut net = build_network(opts.org, cfg.clone());
+    let mut net = AnyNetwork::new(opts.org, cfg.clone());
     let mut metrics = MetricsRegistry::new();
     #[cfg(feature = "obs")]
     let recorder = opts.trace_out.as_ref().map(|_| {

@@ -16,7 +16,7 @@
 use std::time::Instant;
 
 use bench::gate::Throughputs;
-use bench::{with_network, NetVisitor, Organization};
+use bench::{AnyNetwork, Organization};
 use niobs::MetricsRegistry;
 use nistats::Json;
 use noc::config::{NocConfig, NocConfigBuilder};
@@ -239,95 +239,6 @@ impl RunResult {
     }
 }
 
-/// One organisation's measurement loop, monomorphized per network type
-/// (see [`bench::with_network`]) so the cycles/sec being measured is the
-/// statically-dispatched driver sweeps actually run.
-struct BaselineRun<'a> {
-    name: &'static str,
-    cfg: &'a NocConfig,
-    opts: &'a Options,
-    trace_out: Option<&'a str>,
-}
-
-impl NetVisitor for BaselineRun<'_> {
-    type Out = RunResult;
-
-    fn visit<N: Network>(self, mut net: N) -> RunResult {
-        let (name, cfg, opts, trace_out) = (self.name, self.cfg, self.opts, self.trace_out);
-        #[cfg(feature = "obs")]
-        let recorder = trace_out.map(|_| {
-            let rec = niobs::Recorder::default().into_shared();
-            net.install_obs(rec.clone());
-            rec
-        });
-        #[cfg(not(feature = "obs"))]
-        let _ = trace_out;
-
-        let mut metrics = MetricsRegistry::new();
-        let mut delivered = 0u64;
-        let mut buf: Vec<noc::network::Delivered> = Vec::new();
-        let mut gen = TrafficGen::new(cfg.clone(), Pattern::UniformRandom, opts.rate, opts.seed);
-        let sim_cycles = opts.warmup + opts.cycles;
-        let wall = Instant::now();
-        for _ in 0..opts.warmup {
-            gen.tick(&mut net);
-            net.step();
-            net.drain_delivered_into(&mut buf);
-            for d in buf.drain(..) {
-                delivered += 1;
-                metrics.observe(
-                    "packet.latency_cycles",
-                    d.delivered.saturating_sub(d.packet.created),
-                );
-            }
-        }
-        if !opts.include_warmup {
-            // The measured window opens here; warm-up deliveries are dropped.
-            net.reset_stats();
-            metrics.begin_epoch();
-            delivered = 0;
-        }
-        for _ in 0..opts.cycles {
-            gen.tick(&mut net);
-            net.step();
-            net.drain_delivered_into(&mut buf);
-            for d in buf.drain(..) {
-                delivered += 1;
-                metrics.observe(
-                    "packet.latency_cycles",
-                    d.delivered.saturating_sub(d.packet.created),
-                );
-            }
-        }
-        let wall_seconds = wall.elapsed().as_secs_f64();
-        let window_cycles = if opts.include_warmup {
-            sim_cycles
-        } else {
-            opts.cycles
-        };
-
-        #[cfg(feature = "obs")]
-        if let (Some(path), Some(rec)) = (trace_out, &recorder) {
-            match bench::write_chrome_trace(&rec.borrow(), path) {
-                Ok(()) => eprintln!("trace written to {path}"),
-                Err(e) => {
-                    eprintln!("perf_baseline: cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-
-        RunResult {
-            name,
-            metrics,
-            delivered,
-            window_cycles,
-            sim_cycles,
-            wall_seconds,
-        }
-    }
-}
-
 /// Runs one organisation start-to-finish; `trace_out` (PRA only, `obs`
 /// builds only) additionally captures and writes a Chrome trace.
 fn run_one(
@@ -337,16 +248,78 @@ fn run_one(
     opts: &Options,
     trace_out: Option<&str>,
 ) -> RunResult {
-    with_network(
-        org,
-        cfg.clone(),
-        BaselineRun {
-            name,
-            cfg,
-            opts,
-            trace_out,
-        },
-    )
+    let mut net = AnyNetwork::new(org, cfg.clone());
+    #[cfg(feature = "obs")]
+    let recorder = trace_out.map(|_| {
+        let rec = niobs::Recorder::default().into_shared();
+        net.install_obs(rec.clone());
+        rec
+    });
+    #[cfg(not(feature = "obs"))]
+    let _ = trace_out;
+
+    let mut metrics = MetricsRegistry::new();
+    let mut delivered = 0u64;
+    let mut buf: Vec<noc::network::Delivered> = Vec::new();
+    let mut gen = TrafficGen::new(cfg.clone(), Pattern::UniformRandom, opts.rate, opts.seed);
+    let sim_cycles = opts.warmup + opts.cycles;
+    let wall = Instant::now();
+    for _ in 0..opts.warmup {
+        gen.tick(&mut net);
+        net.step();
+        net.drain_delivered_into(&mut buf);
+        for d in buf.drain(..) {
+            delivered += 1;
+            metrics.observe(
+                "packet.latency_cycles",
+                d.delivered.saturating_sub(d.packet.created),
+            );
+        }
+    }
+    if !opts.include_warmup {
+        // The measured window opens here; warm-up deliveries are dropped.
+        net.reset_stats();
+        metrics.begin_epoch();
+        delivered = 0;
+    }
+    for _ in 0..opts.cycles {
+        gen.tick(&mut net);
+        net.step();
+        net.drain_delivered_into(&mut buf);
+        for d in buf.drain(..) {
+            delivered += 1;
+            metrics.observe(
+                "packet.latency_cycles",
+                d.delivered.saturating_sub(d.packet.created),
+            );
+        }
+    }
+    let wall_seconds = wall.elapsed().as_secs_f64();
+    let window_cycles = if opts.include_warmup {
+        sim_cycles
+    } else {
+        opts.cycles
+    };
+
+    #[cfg(feature = "obs")]
+    if let (Some(path), Some(rec)) = (trace_out, &recorder) {
+        match bench::write_chrome_trace(&rec.borrow(), path) {
+            Ok(()) => eprintln!("trace written to {path}"),
+            Err(e) => {
+                eprintln!("perf_baseline: cannot write {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+
+    RunResult {
+        name,
+        metrics,
+        delivered,
+        window_cycles,
+        sim_cycles,
+        wall_seconds,
+    }
 }
 
 fn main() {

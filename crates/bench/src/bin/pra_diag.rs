@@ -73,7 +73,7 @@ fn main() {
                 "mesh",
                 System::with_profile(
                     params.clone(),
-                    bench::build_network(bench::Organization::Mesh, params.noc.clone()),
+                    bench::AnyNetwork::new(bench::Organization::Mesh, params.noc.clone()),
                     profile,
                     1,
                 ),
@@ -82,7 +82,7 @@ fn main() {
                 "ideal",
                 System::with_profile(
                     params.clone(),
-                    bench::build_network(bench::Organization::Ideal, params.noc.clone()),
+                    bench::AnyNetwork::new(bench::Organization::Ideal, params.noc.clone()),
                     profile,
                     1,
                 ),

@@ -1,6 +1,6 @@
 //! Section V.E: power analysis — NOC power vs core power.
 
-use bench::{build_network, spec_from_env, Organization};
+use bench::{spec_from_env, AnyNetwork, Organization};
 use noc::network::Network;
 use sysmodel::{System, SystemParams};
 use techmodel::{ChipModel, NocPower};
@@ -20,7 +20,7 @@ fn main() {
         Organization::Smart,
         Organization::MeshPra,
     ] {
-        let net = build_network(org, params.noc.clone());
+        let net = AnyNetwork::new(org, params.noc.clone());
         let mut sys = System::new(params.clone(), net, WorkloadKind::WebSearch, 1);
         sys.measure(spec.warmup_cycles, spec.measure_cycles);
         let p = NocPower::from_activity(&params.noc, sys.network().stats(), 2.0);

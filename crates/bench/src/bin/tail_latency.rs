@@ -6,7 +6,7 @@
 //! p99 packet latency includes every unlucky arbitration loss, while
 //! pre-allocated paths are contention-immune by construction.
 
-use bench::{build_network, Organization};
+use bench::{AnyNetwork, Organization};
 use noc::network::Network;
 use noc::types::MessageClass;
 use sysmodel::{System, SystemParams};
@@ -26,7 +26,7 @@ fn main() {
         Organization::Frfc,
         Organization::Ideal,
     ] {
-        let net = build_network(org, params.noc.clone());
+        let net = AnyNetwork::new(org, params.noc.clone());
         let mut sys = System::new(params.clone(), net, WorkloadKind::WebSearch, 1);
         sys.run(20_000);
         let s = sys.network().stats();

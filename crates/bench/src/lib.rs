@@ -9,13 +9,14 @@
 #![warn(missing_debug_implementations)]
 
 use nistats::{geometric_mean, Json, SampleSpec, Summary};
-use noc::network::Network as _;
+use noc::config::NocConfig;
+use noc::network::Network;
 use pra::network::PraNetwork;
 use pra::{ControlConfig, PraStats};
 use sysmodel::{System, SystemParams};
 use workloads::WorkloadKind;
 
-pub use runner::{build_network, with_network, BoxedNet, NetVisitor, Organization};
+pub use runner::{AnyNetwork, Organization};
 
 pub mod gate;
 
@@ -28,44 +29,7 @@ pub mod gate;
 /// the panic message; sweeps that tolerate per-point failure should go
 /// through [`runner::run_points`] instead.
 pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    run_grid_budgeted(count, |i, _| task(i))
-}
-
-/// Wall-clock budget per grid point from `NOC_POINT_WALL_MS` (unset,
-/// unparsable, or 0 = unlimited). Lets CI put a ceiling under every
-/// figure binary without touching their flags.
-pub fn point_wall_budget_ms() -> u64 {
-    std::env::var("NOC_POINT_WALL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-/// [`run_grid`], but each closure receives a [`noc::cancel::CancelToken`]
-/// pre-armed with the `NOC_POINT_WALL_MS` wall-clock budget. Install it
-/// into the point's network (`Network::install_cancel`) and a point that
-/// overruns stops simulating — its remaining cycles free-run to the end
-/// of the loop — instead of wedging the whole binary. Overruns are
-/// reported on stderr; the budget never appears in artifacts.
-pub fn run_grid_budgeted<T: Send>(
-    count: usize,
-    task: impl Fn(usize, noc::cancel::CancelToken) -> T + Sync,
-) -> Vec<T> {
-    let threads = runner::threads_from_env();
-    let budget_ms = point_wall_budget_ms();
-    let budgeted = |i: usize| {
-        let token = noc::cancel::CancelToken::new();
-        let _wall = runner::WallGuard::arm(budget_ms, token.clone());
-        let out = task(i, token.clone());
-        if token.is_cancelled() {
-            eprintln!(
-                "bench: point {i} exceeded the {budget_ms}ms wall budget \
-                 (NOC_POINT_WALL_MS); its row is truncated"
-            );
-        }
-        out
-    };
-    runner::run_tasks(count, threads, budgeted, |_, _| {})
+    runner::run_tasks(count, runner::threads_from_env(), task, |_, _| {})
         .into_iter()
         .map(|outcome| match outcome {
             runner::Outcome::Done(v) => v,
@@ -77,55 +41,64 @@ pub fn run_grid_budgeted<T: Send>(
         .collect()
 }
 
-/// One sample's wall-clock budget: a cancel token installed into the
-/// network plus the watchdog enforcing `NOC_POINT_WALL_MS` on it. Keep
-/// it alive across the measurement; call [`BudgetGuard::report`] after.
-struct BudgetGuard {
-    token: noc::cancel::CancelToken,
-    _wall: runner::WallGuard,
+/// Runs `task` with a [`noc::cancel::CancelToken`] armed with the
+/// wall-clock budget in `NOC_POINT_WALL_MS` (unset, unparsable, or 0 =
+/// unlimited), which lets CI put a ceiling under every figure binary
+/// without touching their flags. The task installs the token into its
+/// network (`Network::install_cancel`); a run that overruns stops
+/// simulating — its remaining cycles free-run to the end of the loop —
+/// instead of wedging the whole binary. Overruns are reported on stderr
+/// under the name `what`; the budget never appears in artifacts.
+fn with_wall_budget<T>(what: &str, task: impl FnOnce(noc::cancel::CancelToken) -> T) -> T {
+    let budget_ms = std::env::var("NOC_POINT_WALL_MS")
+        .ok()
+        .and_then(|v| v.parse::<u64>().ok())
+        .unwrap_or(0);
+    let token = noc::cancel::CancelToken::new();
+    let _wall = runner::WallGuard::arm(budget_ms, token.clone());
+    let out = task(token.clone());
+    if token.is_cancelled() {
+        eprintln!(
+            "bench: {what} exceeded the {budget_ms}ms wall budget \
+             (NOC_POINT_WALL_MS); its result is truncated"
+        );
+    }
+    out
 }
 
-impl BudgetGuard {
-    fn arm<N: noc::network::Network + ?Sized>(net: &mut N) -> BudgetGuard {
-        let token = noc::cancel::CancelToken::new();
-        net.install_cancel(token.clone());
-        BudgetGuard {
-            _wall: runner::WallGuard::arm(point_wall_budget_ms(), token.clone()),
-            token,
-        }
-    }
-
-    fn report(&self, what: &str) {
-        if self.token.is_cancelled() {
-            eprintln!(
-                "bench: {what} exceeded the {}ms wall budget \
-                 (NOC_POINT_WALL_MS); its sample is truncated",
-                point_wall_budget_ms()
-            );
-        }
-    }
+/// [`run_grid`], but each closure runs under the `NOC_POINT_WALL_MS`
+/// budget and receives its armed token (see `with_wall_budget`).
+pub fn run_grid_budgeted<T: Send>(
+    count: usize,
+    task: impl Fn(usize, noc::cancel::CancelToken) -> T + Sync,
+) -> Vec<T> {
+    run_grid(count, |i| {
+        with_wall_budget(&format!("point {i}"), |token| task(i, token))
+    })
 }
 
-/// One sampled system measurement, generic over the concrete network
-/// type so the whole system loop runs with static dispatch (see
-/// [`runner::with_network`]).
-struct SystemSample<'a> {
-    params: &'a SystemParams,
+/// The one sampled full-system measurement loop: per sample, builds the
+/// network with `build`, runs `System::measure` over the spec's windows
+/// under the `NOC_POINT_WALL_MS` budget, then lets `inspect` read the
+/// network's end state. Returns the performance summary over samples.
+fn measure_system<N: Network>(
+    what: &str,
+    params: &SystemParams,
     workload: WorkloadKind,
-    spec: &'a SampleSpec,
-    seed: u64,
-    label: &'static str,
-}
-
-impl NetVisitor for SystemSample<'_> {
-    type Out = f64;
-    fn visit<N: noc::network::Network>(self, mut net: N) -> f64 {
-        let budget = BudgetGuard::arm(&mut net);
-        let mut sys = System::new(self.params.clone(), net, self.workload, self.seed);
-        let out = sys.measure(self.spec.warmup_cycles, self.spec.measure_cycles);
-        budget.report(self.label);
-        out
-    }
+    spec: &SampleSpec,
+    build: impl Fn(NocConfig) -> N,
+    mut inspect: impl FnMut(&N),
+) -> Summary {
+    spec.run(|seed| {
+        let mut net = build(params.noc.clone());
+        with_wall_budget(what, |token| {
+            net.install_cancel(token);
+            let mut sys = System::new(params.clone(), net, workload, seed);
+            let perf = sys.measure(spec.warmup_cycles, spec.measure_cycles);
+            inspect(sys.network());
+            perf
+        })
+    })
 }
 
 /// Measures one `(workload, organisation)` point with the given sampling
@@ -136,33 +109,26 @@ pub fn measure_performance(
     workload: WorkloadKind,
     spec: &SampleSpec,
 ) -> Summary {
-    let params = SystemParams::paper();
-    spec.run(|seed| {
-        with_network(
-            org,
-            params.noc.clone(),
-            SystemSample {
-                params: &params,
-                workload,
-                spec,
-                seed,
-                label: org.name(),
-            },
-        )
-    })
+    measure_system(
+        org.name(),
+        &SystemParams::paper(),
+        workload,
+        spec,
+        |cfg| AnyNetwork::new(org, cfg),
+        |_| {},
+    )
 }
 
-/// Measures Mesh+PRA with explicit control configuration (ablations).
-pub fn measure_pra_with(ctrl: ControlConfig, workload: WorkloadKind, spec: &SampleSpec) -> Summary {
-    let params = SystemParams::paper();
-    spec.run(|seed| {
-        let mut net = PraNetwork::with_control(params.noc.clone(), ctrl.clone());
-        let budget = BudgetGuard::arm(&mut net);
-        let mut sys = System::new(params.clone(), net, workload, seed);
-        let out = sys.measure(spec.warmup_cycles, spec.measure_cycles);
-        budget.report("mesh_pra");
-        out
-    })
+/// Measures Mesh+PRA with explicit control configuration and system
+/// parameters (ablations).
+pub fn measure_pra_with(
+    ctrl: ControlConfig,
+    params: &SystemParams,
+    workload: WorkloadKind,
+    spec: &SampleSpec,
+) -> Summary {
+    let build = |cfg| PraNetwork::with_control(cfg, ctrl.clone());
+    measure_system("mesh_pra", params, workload, spec, build, |_| {})
 }
 
 /// Measures Mesh+PRA and returns `(performance summary, control stats,
@@ -171,20 +137,19 @@ pub fn measure_pra_detail(
     workload: WorkloadKind,
     spec: &SampleSpec,
 ) -> (Summary, PraStats, noc::stats::NetStats) {
-    let params = SystemParams::paper();
     let mut agg_pra = PraStats::new();
     let mut agg_net = noc::stats::NetStats::new();
-    let perf = spec.run(|seed| {
-        let mut net = PraNetwork::with_control(params.noc.clone(), ControlConfig::default());
-        let budget = BudgetGuard::arm(&mut net);
-        let mut sys = System::new(params.clone(), net, workload, seed);
-        let perf = sys.measure(spec.warmup_cycles, spec.measure_cycles);
-        budget.report("mesh_pra detail");
-        let net = sys.into_network();
-        merge_pra(&mut agg_pra, net.pra_stats());
-        merge_net(&mut agg_net, net.stats());
-        perf
-    });
+    let perf = measure_system(
+        "mesh_pra detail",
+        &SystemParams::paper(),
+        workload,
+        spec,
+        |cfg| PraNetwork::with_control(cfg, ControlConfig::default()),
+        |net| {
+            merge_pra(&mut agg_pra, net.pra_stats());
+            merge_net(&mut agg_net, net.stats());
+        },
+    );
     (perf, agg_pra, agg_net)
 }
 

@@ -3,20 +3,20 @@
 //! full-stack `System::attach_obs` path.
 #![cfg(feature = "obs")]
 
-use bench::{build_network, Organization};
+use bench::{AnyNetwork, Organization};
 use nistats::Json;
 use noc::network::Network;
 use noc::traffic::{Pattern, TrafficGen};
 use sysmodel::{System, SystemParams};
 use workloads::WorkloadKind;
 
-/// Runs a small PRA simulation through `BoxedNet` with a recorder
+/// Runs a small PRA simulation through `AnyNetwork` with a recorder
 /// attached and returns the recorder.
 fn recorded_pra_run() -> niobs::Recorder {
     let cfg = noc::config::NocConfigBuilder::new()
         .build()
         .expect("valid config");
-    let mut net = build_network(Organization::MeshPra, cfg.clone());
+    let mut net = AnyNetwork::new(Organization::MeshPra, cfg.clone());
     let shared = niobs::Recorder::default().into_shared();
     net.install_obs(shared.clone());
     let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, 0.03, 5);

@@ -45,7 +45,7 @@ use noc::types::MessageClass;
 use runner::journal::{load_journal, JournalHeader, JournalWriter};
 use runner::org::Organization;
 use runner::protocol::FENCED_EXIT_CODE;
-use runner::supervisor::{SupervisorConfig, WorkerConfig};
+use runner::supervisor::{SupervisorConfig, SupervisorReport, WorkerConfig};
 use runner::{
     diff_csv, run_points_full, run_supervised, run_worker, status_counts, threads_from_env, to_csv,
     to_json, verify_digest_trail, PointOutcome, PointRecord, PointSpec, SweepSpec, WorkerOutcome,
@@ -94,7 +94,8 @@ const USAGE: &str = "usage: sweep --spec FILE [options]
                        crash recovery (requires a journal path; each
                        worker runs its shard serially)
   --cache DIR          content-addressed result cache (entries are
-                       digest-verified; corrupted ones are recomputed)
+                       digest-verified; corrupted ones are recomputed;
+                       requires --workers N > 1)
   --crash-limit K      quarantine a point after it kills K workers in a
                        row (default 3; exit 4 marks partial completion)
   --lease-timeout-ms T declare a worker hung after T ms without a
@@ -347,6 +348,13 @@ fn main() -> ExitCode {
         return run_multiprocess(&opts, &spec, &points, ckpt.as_deref());
     }
 
+    // Only worker processes consult the cache; a single-process run
+    // would silently recompute every point.
+    if opts.cache.is_some() {
+        eprintln!("error: --cache requires --workers N > 1 (the in-process path has no result cache)\n{USAGE}");
+        return ExitCode::from(2);
+    }
+
     if opts.resume && ckpt.is_none() {
         eprintln!("error: --resume needs a journal; pass --ckpt or --csv-out\n{USAGE}");
         return ExitCode::from(2);
@@ -479,41 +487,7 @@ fn main() -> ExitCode {
     if failed > 0 {
         eprintln!("warning: {failed} point(s) failed or timed out (see status column)");
     }
-    if !opts.quiet {
-        let metrics = sweep_metrics(&records);
-        let counts = status_counts(&records);
-        eprintln!(
-            "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={}",
-            metrics.counter("sweep.retries"),
-            metrics.counter("sweep.timeouts"),
-            metrics.counter("sweep.failures"),
-            metrics.counter("sweep.undrained_points"),
-            metrics.counter("sweep.digest_points"),
-        );
-        eprintln!(
-            "status: ok={} failed={} timeout={} poisoned={} retransmits={} \
-             duplicates_suppressed={} escalations={}",
-            counts.ok,
-            counts.failed,
-            counts.timeout,
-            counts.poisoned,
-            metrics.counter("sweep.retransmits"),
-            metrics.counter("sweep.duplicates_suppressed"),
-            metrics.counter("sweep.escalations"),
-        );
-    }
-
-    let code = emit_artifacts(&opts, &spec, &records);
-    if code != ExitCode::SUCCESS {
-        return code;
-    }
-    if opts.check_bounds && check_bounds(&points, &records, opts.quiet) > 0 {
-        return ExitCode::from(5);
-    }
-    if opts.check_delivery && check_delivery(&points, &records, opts.quiet) > 0 {
-        return ExitCode::from(6);
-    }
-    ExitCode::SUCCESS
+    finish(&opts, &spec, &points, &records, None)
 }
 
 /// Gates the sweep against the worst-case latency analysis: every
@@ -723,21 +697,43 @@ fn run_multiprocess(
             records.len(),
             started.elapsed()
         );
-        let metrics = sweep_metrics(&records);
-        let counts = status_counts(&records);
+    }
+    finish(opts, spec, points, &records, Some(&report))
+}
+
+/// The tail shared by the in-process and multi-process paths: the
+/// `metrics:`/`status:` stderr lines, the artifacts and golden check,
+/// then the bound (exit 5) and delivery (exit 6) gates. A supervised run
+/// passes its report, which adds the worker counters to the `metrics:`
+/// line and turns quarantined points into exit 4 — unless an earlier
+/// gate failed: wrong bytes are worse news than missing points.
+fn finish(
+    opts: &Options,
+    spec: &SweepSpec,
+    points: &[PointSpec],
+    records: &[PointRecord],
+    report: Option<&SupervisorReport>,
+) -> ExitCode {
+    if !opts.quiet {
+        let metrics = sweep_metrics(records);
+        let counts = status_counts(records);
+        let supervised = report.map_or_else(String::new, |r| {
+            format!(
+                " worker_crashes={} lease_takeovers={} cache_hits={} cache_corrupt={} quarantined={}",
+                r.crashes,
+                r.takeovers,
+                r.cache_hits,
+                r.cache_corrupt,
+                r.quarantined.len(),
+            )
+        });
         eprintln!(
-            "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={} \
-             worker_crashes={} lease_takeovers={} cache_hits={} cache_corrupt={} quarantined={}",
+            "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={}{supervised}",
             metrics.counter("sweep.retries"),
             metrics.counter("sweep.timeouts"),
             metrics.counter("sweep.failures"),
             metrics.counter("sweep.undrained_points"),
             metrics.counter("sweep.digest_points"),
-            report.crashes,
-            report.takeovers,
-            report.cache_hits,
-            report.cache_corrupt,
-            report.quarantined.len(),
         );
         eprintln!(
             "status: ok={} failed={} timeout={} poisoned={} retransmits={} \
@@ -751,21 +747,21 @@ fn run_multiprocess(
             metrics.counter("sweep.escalations"),
         );
     }
-    let code = emit_artifacts(opts, spec, &records);
+    let code = emit_artifacts(opts, spec, records);
     if code != ExitCode::SUCCESS {
         return code;
     }
-    if opts.check_bounds && check_bounds(points, &records, opts.quiet) > 0 {
+    if opts.check_bounds && check_bounds(points, records, opts.quiet) > 0 {
         return ExitCode::from(5);
     }
-    if opts.check_delivery && check_delivery(points, &records, opts.quiet) > 0 {
+    if opts.check_delivery && check_delivery(points, records, opts.quiet) > 0 {
         return ExitCode::from(6);
     }
-    if !report.quarantined.is_empty() {
+    if let Some(quarantined) = report.map(|r| &r.quarantined).filter(|q| !q.is_empty()) {
         eprintln!(
             "warning: sweep partially complete — {} point(s) quarantined: {:?}",
-            report.quarantined.len(),
-            report.quarantined
+            quarantined.len(),
+            quarantined
         );
         return ExitCode::from(4);
     }

@@ -50,7 +50,7 @@ pub use lease::{
     lease_path, read_lease, worker_journal_path, Beat, Claim, Lease, LeaseError, LeaseHolder,
     LeaseMonitor,
 };
-pub use org::{build_network, with_network, BoxedNet, NetVisitor, Organization};
+pub use org::{AnyNetwork, Organization};
 pub use point::{
     first_divergence, run_point, run_point_full, run_point_full_cancellable, run_points,
     run_points_full, run_points_full_with, verify_digest_trail, ClassLatency, PointOutcome,

@@ -1,14 +1,22 @@
-//! Network organisations and the boxed-network glue.
+//! Network organisations and the one handle that builds and drives any
+//! of them.
 //!
-//! Moved here from the `bench` crate so both the sweep runner and the
-//! figure binaries share one way of naming and building networks
-//! (`bench` re-exports these items for compatibility).
+//! Both the sweep runner and the figure binaries name networks by
+//! [`Organization`] and build them with [`AnyNetwork::new`] (`bench`
+//! re-exports both).
 
+use noc::cancel::CancelToken;
 use noc::config::NocConfig;
+use noc::flit::Packet;
 use noc::ideal::IdealNetwork;
 use noc::mesh::MeshNetwork;
-use noc::network::Network;
+use noc::network::{Delivered, Network};
+use noc::reliable::ReliableStats;
 use noc::smart::SmartNetwork;
+use noc::stats::NetStats;
+use noc::types::Cycle;
+use noc::watchdog::AuditReport;
+use pra::frfc::FrfcNetwork;
 use pra::network::PraNetwork;
 
 /// The network organisations of the evaluation (the paper's four, plus
@@ -71,105 +79,105 @@ impl Organization {
     }
 }
 
-/// Builds a boxed network of the given organisation.
-pub fn build_network(org: Organization, cfg: NocConfig) -> BoxedNet {
-    match org {
-        Organization::Mesh => BoxedNet(Box::new(MeshNetwork::new(cfg))),
-        Organization::Smart => BoxedNet(Box::new(SmartNetwork::new(cfg))),
-        Organization::MeshPra => BoxedNet(Box::new(PraNetwork::new(cfg))),
-        Organization::Ideal => BoxedNet(Box::new(IdealNetwork::new(cfg))),
-        Organization::Frfc => BoxedNet(Box::new(pra::frfc::FrfcNetwork::new(cfg))),
-    }
-}
-
-/// A computation generic over the concrete network type.
+/// The network of one [`Organization`], as a plain enum over the five
+/// concrete types.
 ///
-/// [`with_network`] decodes an [`Organization`] into its concrete type
-/// exactly once and then calls [`NetVisitor::visit`] with that type, so
-/// the whole per-cycle driver loop downstream of the visitor is
-/// monomorphized — no virtual dispatch inside the hot loop. The
-/// enum-to-type match happens per *point*, not per cycle.
-pub trait NetVisitor {
-    /// Result of the computation.
-    type Out;
-    /// Runs the computation on a freshly built network.
-    fn visit<N: Network>(self, net: N) -> Self::Out;
+/// Every [`Network`] method is one `match` on the variant, then a direct
+/// (inlinable) call into the concrete type. The discriminant never
+/// changes after [`AnyNetwork::new`], so inside a driver loop the branch
+/// is perfectly predicted; there is no heap indirection and no vtable.
+/// Adding an organisation means one variant here, one arm in
+/// [`AnyNetwork::new`] and one in the forwarding macro; every match is
+/// exhaustive, so the compiler enforces all three.
+#[derive(Debug)]
+pub enum AnyNetwork {
+    /// Baseline mesh.
+    Mesh(MeshNetwork),
+    /// SMART.
+    Smart(SmartNetwork),
+    /// Mesh + proactive resource allocation.
+    MeshPra(PraNetwork),
+    /// Zero-router-delay ideal network.
+    Ideal(IdealNetwork),
+    /// Flit-reservation flow control.
+    Frfc(FrfcNetwork),
 }
 
-/// Builds the concrete network for `org` and hands it to `visitor`.
-///
-/// This is the single monomorphization boundary between spec decoding
-/// (strings/enums) and the typed driver loop: every organisation added
-/// to [`Organization`] must be wired up here and nowhere else.
-pub fn with_network<V: NetVisitor>(org: Organization, cfg: NocConfig, visitor: V) -> V::Out {
-    match org {
-        Organization::Mesh => visitor.visit(MeshNetwork::new(cfg)),
-        Organization::Smart => visitor.visit(SmartNetwork::new(cfg)),
-        Organization::MeshPra => visitor.visit(PraNetwork::new(cfg)),
-        Organization::Ideal => visitor.visit(IdealNetwork::new(cfg)),
-        Organization::Frfc => visitor.visit(pra::frfc::FrfcNetwork::new(cfg)),
+impl AnyNetwork {
+    /// Builds the network of organisation `org` on `cfg`.
+    pub fn new(org: Organization, cfg: NocConfig) -> AnyNetwork {
+        match org {
+            Organization::Mesh => AnyNetwork::Mesh(MeshNetwork::new(cfg)),
+            Organization::Smart => AnyNetwork::Smart(SmartNetwork::new(cfg)),
+            Organization::MeshPra => AnyNetwork::MeshPra(PraNetwork::new(cfg)),
+            Organization::Ideal => AnyNetwork::Ideal(IdealNetwork::new(cfg)),
+            Organization::Frfc => AnyNetwork::Frfc(FrfcNetwork::new(cfg)),
+        }
     }
 }
 
-/// Wrapper giving `Box<dyn Network>` the `Network` impl generic clients
-/// (e.g. `sysmodel::System`) need.
-pub struct BoxedNet(pub Box<dyn Network>);
-
-impl std::fmt::Debug for BoxedNet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("BoxedNet")
-    }
+/// Forwards one call to whichever concrete network `$self` holds.
+macro_rules! each {
+    ($self:expr, $net:ident => $call:expr) => {
+        match $self {
+            AnyNetwork::Mesh($net) => $call,
+            AnyNetwork::Smart($net) => $call,
+            AnyNetwork::MeshPra($net) => $call,
+            AnyNetwork::Ideal($net) => $call,
+            AnyNetwork::Frfc($net) => $call,
+        }
+    };
 }
 
-impl Network for BoxedNet {
+impl Network for AnyNetwork {
     fn config(&self) -> &NocConfig {
-        self.0.config()
+        each!(self, n => n.config())
     }
-    fn now(&self) -> noc::types::Cycle {
-        self.0.now()
+    fn now(&self) -> Cycle {
+        each!(self, n => n.now())
     }
-    fn inject(&mut self, packet: noc::flit::Packet) {
-        self.0.inject(packet)
+    fn inject(&mut self, packet: Packet) {
+        each!(self, n => n.inject(packet))
     }
     fn step(&mut self) {
-        self.0.step()
+        each!(self, n => n.step())
     }
-    fn drain_delivered(&mut self) -> Vec<noc::network::Delivered> {
-        self.0.drain_delivered()
+    fn drain_delivered(&mut self) -> Vec<Delivered> {
+        each!(self, n => n.drain_delivered())
     }
-    fn drain_delivered_into(&mut self, out: &mut Vec<noc::network::Delivered>) {
-        self.0.drain_delivered_into(out)
+    fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
+        each!(self, n => n.drain_delivered_into(out))
     }
     fn set_skip_ahead(&mut self, enabled: bool) {
-        self.0.set_skip_ahead(enabled)
+        each!(self, n => n.set_skip_ahead(enabled))
     }
     fn in_flight(&self) -> usize {
-        self.0.in_flight()
+        each!(self, n => n.in_flight())
     }
-    fn stats(&self) -> &noc::stats::NetStats {
-        self.0.stats()
+    fn stats(&self) -> &NetStats {
+        each!(self, n => n.stats())
     }
     fn reset_stats(&mut self) {
-        self.0.reset_stats()
+        each!(self, n => n.reset_stats())
     }
-    fn announce(&mut self, packet: &noc::flit::Packet, lead: u32) {
-        self.0.announce(packet, lead)
+    fn announce(&mut self, packet: &Packet, lead: u32) {
+        each!(self, n => n.announce(packet, lead))
     }
-    fn audit(&self) -> Option<noc::watchdog::AuditReport> {
-        self.0.audit()
-    }
-    fn reliable_stats(&self) -> Option<noc::reliable::ReliableStats> {
-        self.0.reliable_stats()
-    }
-    fn install_cancel(&mut self, token: noc::cancel::CancelToken) {
-        self.0.install_cancel(token)
+    fn install_cancel(&mut self, token: CancelToken) {
+        each!(self, n => n.install_cancel(token))
     }
     fn state_digest(&self) -> Option<u64> {
-        self.0.state_digest()
+        each!(self, n => n.state_digest())
+    }
+    fn audit(&self) -> Option<AuditReport> {
+        each!(self, n => n.audit())
+    }
+    fn reliable_stats(&self) -> Option<ReliableStats> {
+        each!(self, n => n.reliable_stats())
     }
     #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
-        self.0.install_obs(sink)
+        each!(self, n => n.install_obs(sink))
     }
 }
 
@@ -192,8 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn boxed_net_forwards_reset() {
-        let mut net = build_network(Organization::Mesh, NocConfig::paper());
+    fn any_network_forwards_reset() {
+        let mut net = AnyNetwork::new(Organization::Mesh, NocConfig::paper());
         net.inject(noc::flit::Packet::new(
             noc::types::PacketId(1),
             noc::types::NodeId::new(0),

@@ -25,7 +25,7 @@ use noc::network::{Delivered, Network};
 use noc::traffic::{InjectionProcess, Pattern, TokenBucketCfg, TrafficGen};
 use noc::types::MessageClass;
 
-use crate::org::{build_network, with_network, NetVisitor, Organization};
+use crate::org::{AnyNetwork, Organization};
 use crate::pool::{panic_message, run_tasks, run_tasks_with, Outcome};
 use crate::seed::derive_seed;
 use crate::spec::{injection_key, pattern_key, FaultSpec, ReliabilitySpec};
@@ -362,7 +362,7 @@ impl Drop for WallGuard {
 
 /// How often the driver polls the wall-clock/external cancel tokens, in
 /// simulated cycles. Those trips land at a nondeterministic cycle anyway
-/// (their rows are zeroed, see [`run_attempt_on`]), so coarse polling
+/// (their rows are zeroed, see [`run_attempt`]), so coarse polling
 /// changes no observable bytes — it only keeps two atomic loads out of
 /// the per-cycle path.
 const CANCEL_POLL_INTERVAL: u64 = 1024;
@@ -424,88 +424,22 @@ impl CycleGate {
     }
 }
 
-/// Monomorphization shim: decodes `p.org` into its concrete network type
-/// once, then runs the whole attempt with static dispatch.
-struct AttemptRunner<'a> {
-    p: &'a PointSpec,
-    cfg: NocConfig,
-    seed: u64,
-    external: Option<&'a CancelToken>,
-}
-
-impl NetVisitor for AttemptRunner<'_> {
-    type Out = PointOutcome;
-    fn visit<N: Network>(self, net: N) -> PointOutcome {
-        run_attempt_on(self.p, self.cfg, self.seed, self.external, net)
-    }
-}
-
 /// Runs one attempt of a point: warm-up, a measured window opened by
 /// `reset_stats`, then a bounded drain, all under the cycle and
 /// wall-clock budgets. Deliveries are counted from the window boundary
 /// onward (including the drain, so slow packets injected inside the
 /// window are not silently censored).
-fn run_attempt(p: &PointSpec, attempt: u32, external: Option<&CancelToken>) -> PointOutcome {
-    let (cfg, seed) = match attempt_setup(p, attempt) {
-        Ok(pair) => pair,
-        Err(outcome) => return *outcome,
-    };
-    with_network(
-        p.org,
-        cfg.clone(),
-        AttemptRunner {
-            p,
-            cfg,
-            seed,
-            external,
-        },
-    )
-}
-
-/// The legacy dyn-dispatch driver: identical to [`run_attempt`] but the
-/// network is a [`BoxedNet`](crate::org::BoxedNet). Kept as the
-/// reference implementation the cross-driver equivalence suite compares
-/// the monomorphized path against.
-fn run_attempt_boxed(p: &PointSpec, attempt: u32, external: Option<&CancelToken>) -> PointOutcome {
-    let (cfg, seed) = match attempt_setup(p, attempt) {
-        Ok(pair) => pair,
-        Err(outcome) => return *outcome,
-    };
-    let net = build_network(p.org, cfg.clone());
-    run_attempt_on(p, cfg, seed, external, net)
-}
-
-/// Validates the config and derives the attempt's seed. The error side
-/// is boxed: it only materialises on the cold invalid-config path, and
-/// boxing keeps the hot `Ok` return register-sized.
-fn attempt_setup(p: &PointSpec, attempt: u32) -> Result<(NocConfig, u64), Box<PointOutcome>> {
+fn run_attempt(p: &PointSpec, seed: u64, external: Option<&CancelToken>) -> PointOutcome {
     let cfg = match p.config() {
         Ok(cfg) => cfg,
         Err(message) => {
-            return Err(Box::new(PointOutcome {
+            return PointOutcome {
                 record: p.failed_record(&message),
                 trail: Vec::new(),
-            }))
+            }
         }
     };
-    let seed = if attempt == 0 {
-        p.seed
-    } else {
-        derive_seed(p.base_seed, p.index as u64, attempt)
-    };
-    Ok((cfg, seed))
-}
-
-/// The driver loop proper, generic over the concrete network type so the
-/// per-cycle path (`gen.tick`, `net.step`, delivery draining, the gate
-/// branch) monomorphizes with no virtual dispatch.
-fn run_attempt_on<N: Network>(
-    p: &PointSpec,
-    cfg: NocConfig,
-    seed: u64,
-    external: Option<&CancelToken>,
-    mut net: N,
-) -> PointOutcome {
+    let mut net = AnyNetwork::new(p.org, cfg.clone());
     let token = CancelToken::new();
     net.install_cancel(token.clone());
     net.set_skip_ahead(p.skip_ahead);
@@ -529,7 +463,7 @@ fn run_attempt_on<N: Network>(
     // The slow path behind the gate: samples the digest on the sampling
     // grid, then reports the budget (if any) that expired.
     let slow_check =
-        |net: &N, trail: &mut Vec<DigestSample>, gate: &mut CycleGate| -> Option<String> {
+        |net: &AnyNetwork, trail: &mut Vec<DigestSample>, gate: &mut CycleGate| -> Option<String> {
             let now = net.now();
             if p.digest_interval > 0 && now.is_multiple_of(p.digest_interval) {
                 if let Some(d) = net.state_digest() {
@@ -561,7 +495,7 @@ fn run_attempt_on<N: Network>(
     let mut delivered: Vec<Delivered> = Vec::new();
     let record_batch = |hist: &mut SparseHistogram,
                         by_class: &mut [SparseHistogram; 3],
-                        net: &mut N,
+                        net: &mut AnyNetwork,
                         buf: &mut Vec<Delivered>| {
         net.drain_delivered_into(buf);
         for d in buf.drain(..) {
@@ -706,16 +640,7 @@ fn backoff_delay_ms(p: &PointSpec, attempt: u32) -> u64 {
 /// also in the `undrained` column, but silence here has historically
 /// hidden censored tails.
 pub fn run_point_full(p: &PointSpec) -> PointOutcome {
-    run_point_full_inner(p, None, run_attempt)
-}
-
-/// Like [`run_point_full`], but every attempt runs on the legacy
-/// dyn-dispatch [`BoxedNet`](crate::org::BoxedNet) driver. Exists so the
-/// cross-driver equivalence suite can pin the monomorphized path to the
-/// reference behaviour byte-for-byte; sweeps should use
-/// [`run_point_full`].
-pub fn run_point_full_boxed(p: &PointSpec) -> PointOutcome {
-    run_point_full_inner(p, None, run_attempt_boxed)
+    run_point_full_inner(p, None)
 }
 
 /// Like [`run_point_full`], but the caller supplies a cancellation
@@ -724,14 +649,10 @@ pub fn run_point_full_boxed(p: &PointSpec) -> PointOutcome {
 /// stats, no digest trail) and the retry ladder does not continue — a
 /// sweep being torn down must not sleep through backoffs.
 pub fn run_point_full_cancellable(p: &PointSpec, cancel: &CancelToken) -> PointOutcome {
-    run_point_full_inner(p, Some(cancel), run_attempt)
+    run_point_full_inner(p, Some(cancel))
 }
 
-fn run_point_full_inner(
-    p: &PointSpec,
-    cancel: Option<&CancelToken>,
-    attempt_fn: impl Fn(&PointSpec, u32, Option<&CancelToken>) -> PointOutcome,
-) -> PointOutcome {
+fn run_point_full_inner(p: &PointSpec, cancel: Option<&CancelToken>) -> PointOutcome {
     let total_attempts = p.max_retries.saturating_add(1);
     let mut last: Option<PointOutcome> = None;
     for attempt in 0..total_attempts {
@@ -743,7 +664,7 @@ fn run_point_full_inner(
         } else {
             derive_seed(p.base_seed, p.index as u64, attempt)
         };
-        let mut outcome = match catch_unwind(AssertUnwindSafe(|| attempt_fn(p, attempt, cancel))) {
+        let mut outcome = match catch_unwind(AssertUnwindSafe(|| run_attempt(p, seed, cancel))) {
             Ok(outcome) => outcome,
             // Name the crash site: "which point, which seed, which
             // attempt" is the difference between a reproducible bug

@@ -14,7 +14,7 @@ use noc::network::Network;
 use noc::trace::{Trace, TracePlayer};
 use noc::traffic::{InjectionProcess, Pattern, TokenBucketCfg, TrafficGen};
 use noc::types::MessageClass;
-use runner::{build_network, run_tasks, to_csv, Organization, Outcome, SweepSpec};
+use runner::{run_tasks, to_csv, AnyNetwork, Organization, Outcome, SweepSpec};
 
 const CYCLES: u64 = 1_500;
 const DIGEST_EVERY: u64 = 100;
@@ -58,7 +58,7 @@ fn snapshot(net: &dyn Network, trail: Vec<u64>) -> Snapshot {
 /// Drives a recorded bursty run and returns its trace plus snapshot.
 /// `shaped` additionally installs a response-class token bucket.
 fn recorded(org: Organization, process: InjectionProcess, shaped: bool) -> (Trace, Snapshot) {
-    let mut net = build_network(org, config());
+    let mut net = AnyNetwork::new(org, config());
     let mut gen = TrafficGen::new(config(), Pattern::Transpose, 0.08, 42)
         .response_fraction(0.5)
         .injection(process)
@@ -91,7 +91,7 @@ fn recorded(org: Organization, process: InjectionProcess, shaped: bool) -> (Trac
 /// Replays `trace` through a fresh network with the identical driving
 /// loop (empty first step, same cycle count, same drain).
 fn replayed(org: Organization, trace: Trace) -> Snapshot {
-    let mut net = build_network(org, config());
+    let mut net = AnyNetwork::new(org, config());
     let mut player = TracePlayer::new(trace);
     net.step();
     let mut trail = Vec::new();

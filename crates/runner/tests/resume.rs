@@ -255,34 +255,48 @@ fn perturbed_digest_trail_is_caught_at_the_offending_cycle() {
     assert_eq!(d.0, expected_cycle);
 }
 
+/// Runs the sweep over the kill spec with `args` and asserts a usage
+/// error: exit 2, `hint` on stderr, and no artifact written.
+fn assert_usage_error(name: &str, args: &[&str], hint: &str) {
+    let dir = tmp_dir(name);
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, KILL_SPEC).expect("write spec");
+    let csv = dir.join("out.csv");
+    let out = sweep_cmd()
+        .args(["--spec", spec_path.to_str().expect("utf8 path")])
+        .args(["--csv-out", csv.to_str().expect("utf8 path"), "--quiet"])
+        .args(args)
+        .output()
+        .expect("run sweep");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {stderr}");
+    assert!(
+        stderr.contains(hint),
+        "the error must say what to do instead"
+    );
+    assert!(!csv.exists(), "a rejected run must not write artifacts");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--verify-digests` without `--resume` has no journal to replay, so
 /// it would vacuously pass over zero points — it must be a usage error
 /// (exit 2), not a fake green determinism gate.
 #[test]
 fn verify_digests_without_resume_is_a_usage_error() {
-    let dir = tmp_dir("verifyusage");
-    let spec_path = dir.join("spec.json");
-    std::fs::write(&spec_path, KILL_SPEC).expect("write spec");
-    let out = sweep_cmd()
-        .args(["--spec", spec_path.to_str().expect("utf8 path")])
-        .args([
-            "--csv-out",
-            dir.join("out.csv").to_str().expect("utf8 path"),
-        ])
-        .args(["--verify-digests", "--quiet"])
-        .output()
-        .expect("run sweep");
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "--verify-digests without --resume must exit 2: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--verify-digests requires --resume"),
-        "the error must say what to do instead"
-    );
-    std::fs::remove_dir_all(&dir).ok();
+    let hint = "--verify-digests requires --resume";
+    assert_usage_error("verifyusage", &["--verify-digests"], hint);
+}
+
+/// Only worker processes consult the result cache, so `--cache` on a
+/// single-process run would recompute every point while looking warm —
+/// it must be a usage error (exit 2).
+#[test]
+fn cache_without_workers_is_a_usage_error() {
+    let cache = std::env::temp_dir().join(format!("noc-cacheusage-{}", std::process::id()));
+    let cache = cache.to_str().expect("utf8 path");
+    let hint = "--cache requires --workers";
+    assert_usage_error("cacheusage", &["--cache", cache], hint);
+    assert_usage_error("cacheusage1", &["--cache", cache, "--workers", "1"], hint);
 }
 
 /// `--check-golden` exits 3 (not 1) on a mismatch and names the first
