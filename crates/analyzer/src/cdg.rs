@@ -127,11 +127,6 @@ impl Cdg {
         self.edges
     }
 
-    /// Number of channels that appear on at least one route.
-    pub fn used_channels(&self) -> usize {
-        self.adj.iter().filter(|d| !d.is_empty()).count()
-    }
-
     /// Ordered pairs the routing function declared unroutable (orphaned
     /// by a turn restriction or a dead endpoint).
     pub fn unroutable_pairs(&self) -> usize {

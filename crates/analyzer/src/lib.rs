@@ -46,6 +46,7 @@
 //! implementation.
 
 pub mod cdg;
+mod explore;
 pub mod faultplans;
 pub mod lag;
 pub mod modelcheck;

@@ -28,6 +28,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use crate::explore::{find_cycle, trace_to, Reached};
 use crate::protocol::{ApplyViolation, Model, ModelBounds, Phase, Semantics, State, Sup};
 
 /// Which of the five protocol invariants a violation falls under.
@@ -103,6 +104,12 @@ struct Node {
     state: State,
     rows: BTreeMap<usize, String>,
     parent: Option<(usize, String)>,
+}
+
+impl Reached for Node {
+    fn parent(&self) -> Option<&(usize, String)> {
+        self.parent.as_ref()
+    }
 }
 
 /// Exhaustively explores the protocol under `semantics` within
@@ -307,56 +314,6 @@ fn classify_terminal(
         report.terminal_completed += 1;
     }
     Ok(())
-}
-
-/// Rebuilds the action trace from the root to `id` (plus an optional
-/// final action).
-fn trace_to(nodes: &[Node], id: usize, last: Option<String>) -> Vec<String> {
-    let mut trace = Vec::new();
-    let mut at = id;
-    while let Some((parent, label)) = &nodes[at].parent {
-        trace.push(label.clone());
-        at = *parent;
-    }
-    trace.reverse();
-    trace.extend(last);
-    trace
-}
-
-/// Iterative three-colour DFS over the explored graph; returns a node
-/// on a cycle if one exists (it never should — every transition grows
-/// something monotone — but termination deserves a proof, not an
-/// argument).
-fn find_cycle(edges: &[Vec<usize>]) -> Option<usize> {
-    const WHITE: u8 = 0;
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut colour = vec![WHITE; edges.len()];
-    for root in 0..edges.len() {
-        if colour[root] != WHITE {
-            continue;
-        }
-        // Stack of (node, next-edge-index) frames.
-        let mut stack = vec![(root, 0usize)];
-        colour[root] = GREY;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if let Some(&child) = edges[node].get(*next) {
-                *next += 1;
-                match colour[child] {
-                    GREY => return Some(child),
-                    WHITE => {
-                        colour[child] = GREY;
-                        stack.push((child, 0));
-                    }
-                    _ => {}
-                }
-            } else {
-                colour[node] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    None
 }
 
 /// Truncates a journal line for counterexample readability.

@@ -37,6 +37,8 @@ use noc::reliable::{
     RetrySemantics,
 };
 
+use crate::explore::{find_cycle, trace_to, Reached};
+
 /// Exploration bounds for the reliable-delivery model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelBounds {
@@ -167,6 +169,12 @@ type State = Vec<PacketModel>;
 struct Node {
     state: State,
     parent: Option<(usize, String)>,
+}
+
+impl Reached for Node {
+    fn parent(&self) -> Option<&(usize, String)> {
+        self.parent.as_ref()
+    }
 }
 
 /// One enabled transition of packet `i` in `state`, as (label, successor).
@@ -414,53 +422,6 @@ fn classify_terminal(
         report.terminal_delivered += 1;
     }
     Ok(())
-}
-
-/// Rebuilds the action trace from the root to `id` (plus an optional
-/// final action).
-fn trace_to(nodes: &[Node], id: usize, last: Option<String>) -> Vec<String> {
-    let mut trace = Vec::new();
-    let mut at = id;
-    while let Some((parent, label)) = &nodes[at].parent {
-        trace.push(label.clone());
-        at = *parent;
-    }
-    trace.reverse();
-    trace.extend(last);
-    trace
-}
-
-/// Iterative three-colour DFS over the explored graph; returns a node
-/// on a cycle if one exists.
-fn find_cycle(edges: &[Vec<usize>]) -> Option<usize> {
-    const WHITE: u8 = 0;
-    const GREY: u8 = 1;
-    const BLACK: u8 = 2;
-    let mut colour = vec![WHITE; edges.len()];
-    for root in 0..edges.len() {
-        if colour[root] != WHITE {
-            continue;
-        }
-        let mut stack = vec![(root, 0usize)];
-        colour[root] = GREY;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if let Some(&child) = edges[node].get(*next) {
-                *next += 1;
-                match colour[child] {
-                    GREY => return Some(child),
-                    WHITE => {
-                        colour[child] = GREY;
-                        stack.push((child, 0));
-                    }
-                    _ => {}
-                }
-            } else {
-                colour[node] = BLACK;
-                stack.pop();
-            }
-        }
-    }
-    None
 }
 
 fn violation(invariant: RelInvariant, detail: String, trace: Vec<String>) -> Box<RelViolation> {

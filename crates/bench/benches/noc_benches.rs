@@ -83,12 +83,9 @@ fn full_system_cycle() {
     }
 }
 
-/// Observability overhead: identical mesh runs with hooks compiled in but
-/// no sink attached (one `Option` branch per hook) versus a full
-/// `Recorder` attached. The hook-free build is a separate compile
-/// (`--no-default-features`); CI smoke-runs it to guard the disabled
-/// path's throughput.
-#[cfg(feature = "obs")]
+/// Observability overhead: identical mesh runs with no sink attached
+/// (the hooks are always compiled in, one `Option` branch each) versus a
+/// full `Recorder` attached.
 fn obs_overhead() {
     let run = |attach: bool| {
         let cfg = NocConfig::paper();
@@ -147,6 +144,5 @@ fn main() {
     zero_load_delivery();
     full_system_cycle();
     driver_poll_overhead();
-    #[cfg(feature = "obs")]
     obs_overhead();
 }

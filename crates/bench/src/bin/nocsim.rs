@@ -124,7 +124,6 @@ USAGE: nocsim [OPTIONS]
   --record FILE      record the synthetic injections to a
                      replayable JSON trace
   --trace-out FILE   write a Chrome/Perfetto trace of the run
-                     (requires the `obs` build feature)
   --help             this text
 ";
 
@@ -387,7 +386,6 @@ fn report(net: &dyn Network, total_cycles: u64, metrics: &MetricsRegistry, windo
     }
 }
 
-#[cfg(feature = "obs")]
 fn write_trace(path: &str, rec: &std::rc::Rc<std::cell::RefCell<niobs::Recorder>>) {
     match bench::write_chrome_trace(&rec.borrow(), path) {
         Ok(()) => println!("trace written to {path}"),
@@ -415,17 +413,11 @@ fn main() {
     };
     let mut net = AnyNetwork::new(opts.org, cfg.clone());
     let mut metrics = MetricsRegistry::new();
-    #[cfg(feature = "obs")]
     let recorder = opts.trace_out.as_ref().map(|_| {
         let rec = niobs::Recorder::default().into_shared();
         net.install_obs(rec.clone());
         rec
     });
-    #[cfg(not(feature = "obs"))]
-    if opts.trace_out.is_some() {
-        eprintln!("nocsim: --trace-out requires a build with the `obs` feature");
-        std::process::exit(2);
-    }
     println!(
         "nocsim: {} on {}x{} mesh, {} flits/VC, {} hops/cycle",
         opts.org.name(),
@@ -458,7 +450,6 @@ fn main() {
         let (delivered, cycles) = replay(&mut net, trace);
         println!("delivered {delivered} packets in {cycles} cycles");
         report(&net, cycles, &metrics, "trace replay, cumulative");
-        #[cfg(feature = "obs")]
         if let (Some(out), Some(rec)) = (&opts.trace_out, &recorder) {
             write_trace(out, rec);
         }
@@ -516,7 +507,6 @@ fn main() {
             }
         }
     }
-    #[cfg(feature = "obs")]
     if let (Some(out), Some(rec)) = (&opts.trace_out, &recorder) {
         write_trace(out, rec);
     }

@@ -4,8 +4,8 @@
 //! uniform-random synthetic traffic, derives exact p50/p95/p99 packet
 //! latency (from the `niobs` metrics registry) and simulator throughput
 //! (simulated cycles per wall-clock second), and emits a machine-readable
-//! `BENCH_pra.json`. Built with the `obs` feature (the default) it also
-//! exports a Chrome/Perfetto `trace_event` JSON of the PRA run.
+//! `BENCH_pra.json`. It also exports a Chrome/Perfetto `trace_event`
+//! JSON of the PRA run.
 //!
 //! ```sh
 //! perf_baseline                         # paper-size run, BENCH_pra.json
@@ -239,8 +239,8 @@ impl RunResult {
     }
 }
 
-/// Runs one organisation start-to-finish; `trace_out` (PRA only, `obs`
-/// builds only) additionally captures and writes a Chrome trace.
+/// Runs one organisation start-to-finish; `trace_out` (PRA only)
+/// additionally captures and writes a Chrome trace.
 fn run_one(
     name: &'static str,
     org: Organization,
@@ -249,14 +249,11 @@ fn run_one(
     trace_out: Option<&str>,
 ) -> RunResult {
     let mut net = AnyNetwork::new(org, cfg.clone());
-    #[cfg(feature = "obs")]
     let recorder = trace_out.map(|_| {
         let rec = niobs::Recorder::default().into_shared();
         net.install_obs(rec.clone());
         rec
     });
-    #[cfg(not(feature = "obs"))]
-    let _ = trace_out;
 
     let mut metrics = MetricsRegistry::new();
     let mut delivered = 0u64;
@@ -301,7 +298,6 @@ fn run_one(
         opts.cycles
     };
 
-    #[cfg(feature = "obs")]
     if let (Some(path), Some(rec)) = (trace_out, &recorder) {
         match bench::write_chrome_trace(&rec.borrow(), path) {
             Ok(()) => eprintln!("trace written to {path}"),
@@ -337,9 +333,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if cfg!(not(feature = "obs")) && opts.trace_out.is_some() {
-        eprintln!("note: built without the `obs` feature; skipping trace export");
-    }
 
     // Both configurations go through the runner pool for uniformity, but
     // pinned to a single worker: cycles/sec against the wall clock IS the

@@ -1,7 +1,6 @@
 //! End-to-end observability pipeline tests: Chrome-trace export
 //! round-trip (serialize → parse → schema-validate), CSV export, and the
 //! full-stack `System::attach_obs` path.
-#![cfg(feature = "obs")]
 
 use bench::{AnyNetwork, Organization};
 use nistats::Json;

@@ -106,7 +106,6 @@ pub struct ControlNetwork {
     next_id: u64,
     stats: PraStats,
     /// Observability handle; detached by default.
-    #[cfg(feature = "obs")]
     obs: niobs::ObsHandle,
 }
 
@@ -119,20 +118,17 @@ impl ControlNetwork {
             packets: Vec::new(),
             next_id: 0,
             stats: PraStats::new(),
-            #[cfg(feature = "obs")]
             obs: niobs::ObsHandle::disabled(),
         }
     }
 
     /// Attaches an observability sink for control-plane events.
-    #[cfg(feature = "obs")]
     pub fn set_obs(&mut self, sink: niobs::SharedSink) {
         self.obs.attach(sink);
     }
 
     /// The control network's observability handle (for co-located
     /// producers such as the LSD scan).
-    #[cfg(feature = "obs")]
     pub fn obs(&self) -> &niobs::ObsHandle {
         &self.obs
     }
@@ -268,22 +264,15 @@ impl ControlNetwork {
         let chunk_of = chunk_positions(&route, self.cfg.max_hops_per_cycle);
         self.next_id += 1;
         self.stats.record_injected(origin);
-        #[cfg(feature = "obs")]
-        {
-            let origin_label = match origin {
+        self.obs.emit(process_at, || niobs::Event::ControlInjected {
+            packet: packet.0,
+            src: route.node_at(&self.cfg, 0).index() as u64,
+            origin: match origin {
                 ControlOrigin::Llc => "llc",
                 ControlOrigin::Lsd => "lsd",
-            };
-            let pkt = packet.0;
-            let src = route.node_at(&self.cfg, 0).index() as u64;
-            let lag_left = u8::try_from(due0 - process_at).unwrap_or(u8::MAX);
-            self.obs.emit(process_at, || niobs::Event::ControlInjected {
-                packet: pkt,
-                src,
-                origin: origin_label,
-                lag: lag_left,
-            });
-        }
+            },
+            lag: u8::try_from(due0 - process_at).unwrap_or(u8::MAX),
+        });
         self.packets.push(ControlPacket {
             id: self.next_id,
             origin,
@@ -339,12 +328,7 @@ impl ControlNetwork {
                     match claim_keys(&self.cfg, &cp.route, cp.origin, cp.pos) {
                         Some(keys) if keys.iter().all(|k| !claims.contains(k)) => {
                             claims.extend(keys);
-                            #[cfg(feature = "obs")]
-                            let stepped =
-                                step_segment(&self.cfg, mesh, cp, t, &mut self.stats, &self.obs);
-                            #[cfg(not(feature = "obs"))]
-                            let stepped = step_segment(&self.cfg, mesh, cp, t, &mut self.stats);
-                            stepped
+                            step_segment(&self.cfg, mesh, cp, t, &mut self.stats, &self.obs)
                         }
                         Some(_) => Some(DropReason::Conflict),
                         None => Some(DropReason::AllocationFailed),
@@ -354,17 +338,11 @@ impl ControlNetwork {
             if let Some(reason) = outcome {
                 let cp = &self.packets[i];
                 self.stats.record_drop(reason, cp.lag);
-                #[cfg(feature = "obs")]
-                {
-                    let pkt = cp.packet.0;
-                    let lag_left = cp.lag;
-                    let label = drop_reason_label(reason);
-                    self.obs.emit(t, || niobs::Event::ControlDropped {
-                        packet: pkt,
-                        reason: label,
-                        lag: lag_left,
-                    });
-                }
+                self.obs.emit(t, || niobs::Event::ControlDropped {
+                    packet: cp.packet.0,
+                    reason: drop_reason_label(reason),
+                    lag: cp.lag,
+                });
                 dropped_ids.push(cp.id);
             }
         }
@@ -408,7 +386,6 @@ fn segment_faulted(cfg: &NocConfig, mesh: &MeshNetwork, cp: &ControlPacket) -> b
 }
 
 /// Stable snake_case label for a [`DropReason`] (event payloads).
-#[cfg(feature = "obs")]
 fn drop_reason_label(reason: DropReason) -> &'static str {
     match reason {
         DropReason::Completed => "completed",
@@ -472,24 +449,17 @@ fn step_segment(
     cp: &mut ControlPacket,
     t: Cycle,
     stats: &mut PraStats,
-    #[cfg(feature = "obs")] obs: &niobs::ObsHandle,
+    obs: &niobs::ObsHandle,
 ) -> Option<DropReason> {
     stats.segments_processed += 1;
     let h = cp.route.hops();
     let (a, b) = segment_positions(&cp.route, cp.pos);
-    #[cfg(feature = "obs")]
-    {
-        let pkt = cp.packet.0;
-        let node = cp.route.node_at(cfg, a).index() as u64;
-        let pos = u8::try_from(a).unwrap_or(u8::MAX);
-        let lag_left = cp.lag;
-        obs.emit(t, || niobs::Event::ControlSegment {
-            packet: pkt,
-            node,
-            pos,
-            lag: lag_left,
-        });
-    }
+    obs.emit(t, || niobs::Event::ControlSegment {
+        packet: cp.packet.0,
+        node: cp.route.node_at(cfg, a).index() as u64,
+        pos: u8::try_from(a).unwrap_or(u8::MAX),
+        lag: cp.lag,
+    });
     let due_a = cp.due0 + cp.chunk_of[a] as Cycle;
     // The data packet has caught up: nothing left to pre-allocate. A latch
     // conversion additionally needs the previous hop's first slot (one
@@ -577,17 +547,11 @@ fn step_segment(
     // Commit: convert the previous landing (ACK), install `a` (+ `b`).
     if let Some(conv) = prev_conversion {
         let prev = cp.prev_hop.as_ref().expect("non-source position");
-        #[cfg(feature = "obs")]
-        {
-            let pkt = cp.packet.0;
-            let node = prev.node.index() as u64;
-            let to_bypass = conv == Landing::Bypass;
-            obs.emit(t, || niobs::Event::Ack {
-                packet: pkt,
-                node,
-                to_bypass,
-            });
-        }
+        obs.emit(t, || niobs::Event::Ack {
+            packet: cp.packet.0,
+            node: prev.node.index() as u64,
+            to_bypass: conv == Landing::Bypass,
+        });
         mesh.convert_landing(
             prev.node,
             prev.out_port,

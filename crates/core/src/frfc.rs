@@ -302,6 +302,10 @@ impl Network for FrfcNetwork {
         self.mesh.stats()
     }
 
+    fn audit(&self) -> Option<noc::watchdog::AuditReport> {
+        self.mesh.audit()
+    }
+
     fn reliable_stats(&self) -> Option<noc::reliable::ReliableStats> {
         self.mesh.reliable_stats()
     }
@@ -316,7 +320,6 @@ impl Network for FrfcNetwork {
         self.mesh.install_cancel(token);
     }
 
-    #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         self.mesh.install_obs(sink);
     }

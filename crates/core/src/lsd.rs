@@ -40,16 +40,11 @@ pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
         for v in 0..mesh.config().vcs_per_port {
             mesh.mark_free_after(node, out_port, v, release);
         }
-        #[cfg(feature = "obs")]
-        {
-            let pkt = flit.packet.0;
-            let at = node.index() as u64;
-            ctrl.obs().emit(t, || niobs::Event::LsdFire {
-                packet: pkt,
-                node: at,
-                release,
-            });
-        }
+        ctrl.obs().emit(t, || niobs::Event::LsdFire {
+            packet: flit.packet.0,
+            node: node.index() as u64,
+            release,
+        });
         ctrl.launch_lsd(
             mesh,
             node,

@@ -200,7 +200,6 @@ impl Network for PraNetwork {
         Some(h.finish())
     }
 
-    #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         self.mesh.install_obs(sink.clone());
         self.ctrl.set_obs(sink);

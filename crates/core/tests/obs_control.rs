@@ -1,7 +1,6 @@
 //! Control-plane observability: announced PRA traffic must emit
 //! control-packet inject/segment events, ACK upgrades (including 2-hop
 //! bypass), and show up as pre-allocated prefixes in flight records.
-#![cfg(feature = "obs")]
 
 use noc::config::NocConfig;
 use noc::flit::Packet;

@@ -176,11 +176,6 @@ impl VcBuffer {
         (0..self.len).map(|i| &self.slots[self.slot(i)])
     }
 
-    /// Number of buffered flits belonging to `packet`.
-    pub fn count_of(&self, packet: PacketId) -> usize {
-        self.iter().filter(|f| f.packet == packet).count()
-    }
-
     /// Removes every flit of `packet` (used by fault purges) and returns
     /// how many were removed. Removing a whole packet keeps the remaining
     /// runs contiguous, so buffer invariants survive. Survivors are
@@ -239,11 +234,6 @@ impl InputUnit {
     /// Panics if `vc` is out of range.
     pub fn vc_mut(&mut self, vc: usize) -> &mut VcBuffer {
         &mut self.vcs[vc]
-    }
-
-    /// Number of virtual channels.
-    pub fn vc_count(&self) -> usize {
-        self.vcs.len()
     }
 
     /// The flit currently held in the latch, if any.
@@ -407,18 +397,6 @@ mod tests {
         assert!(!iu.latch_available(10..11, PacketId(2)));
         iu.latch_expire(11);
         assert!(iu.latch_available(0..100, PacketId(2)));
-    }
-
-    #[test]
-    fn count_of_counts_only_matching_packet() {
-        let mut vc = VcBuffer::new(5);
-        let q = pkt(2, 1);
-        let p = pkt(1, 2);
-        vc.push(q.flit(0)).unwrap();
-        vc.push(p.flit(0)).unwrap();
-        vc.push(p.flit(1)).unwrap();
-        assert_eq!(vc.count_of(PacketId(1)), 2);
-        assert_eq!(vc.count_of(PacketId(2)), 1);
     }
 
     #[test]

@@ -35,7 +35,6 @@ use crate::stats::NetStats;
 use crate::types::{Cycle, Direction, MessageClass, NodeId, PacketId, Port};
 use crate::watchdog::AuditReport;
 
-#[cfg(feature = "obs")]
 use niobs::Event;
 
 use std::collections::BTreeMap;
@@ -386,8 +385,7 @@ pub struct MeshNetwork {
     /// cleared lazily by `inject_from_sources`).
     source_nodes: Vec<bool>,
     /// Observability handle; detached by default (every hook is then a
-    /// single branch). Absent entirely without the `obs` feature.
-    #[cfg(feature = "obs")]
+    /// single branch).
     obs: niobs::ObsHandle,
 }
 
@@ -431,7 +429,6 @@ impl MeshNetwork {
             source_nodes: vec![false; n],
             cfg,
             now: 0,
-            #[cfg(feature = "obs")]
             obs: niobs::ObsHandle::disabled(),
         }
     }
@@ -439,7 +436,6 @@ impl MeshNetwork {
     /// Records an observability event at the current cycle. The closure
     /// runs only when a sink is attached, so hooks cost one branch on
     /// the unobserved path.
-    #[cfg(feature = "obs")]
     #[inline]
     fn emit(&self, make: impl FnOnce() -> niobs::Event) {
         self.obs.emit(self.now, make);
@@ -604,7 +600,6 @@ impl MeshNetwork {
         self.routers[node].guard_mut(p, vc).set(plan.packet);
         self.resv_nodes[node] = true;
         self.idle = false;
-        #[cfg(feature = "obs")]
         self.emit(|| Event::ReservationInstalled {
             packet: plan.packet.0,
             node: node as u64,
@@ -704,21 +699,6 @@ impl MeshNetwork {
     /// The multi-flit guard of `(node, out_port, class)`.
     pub fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> &MultiFlitGuard {
         self.routers[node.index()].guard(out_port.index(), class.vc())
-    }
-
-    /// Snapshot of an input VC's front flit.
-    pub fn vc_front(&self, node: NodeId, in_port: Port, vc: usize) -> Option<Flit> {
-        self.routers[node.index()].inputs[in_port.index()]
-            .vc(vc)
-            .front()
-            .copied()
-    }
-
-    /// Number of flits of `packet` buffered in `(node, in_port, vc)`.
-    pub fn vc_count_of(&self, node: NodeId, in_port: Port, vc: usize, packet: PacketId) -> usize {
-        self.routers[node.index()].inputs[in_port.index()]
-            .vc(vc)
-            .count_of(packet)
     }
 
     /// Reports stalled packets for the Long Stall Detection unit: for each
@@ -836,12 +816,6 @@ impl MeshNetwork {
         q + buf.len()
     }
 
-    /// Exclusive access to the statistics (the PRA control plane adds its
-    /// own counters).
-    pub fn stats_mut(&mut self) -> &mut NetStats {
-        &mut self.stats
-    }
-
     // ------------------------------------------------------------------
     // Cycle execution
     // ------------------------------------------------------------------
@@ -858,8 +832,6 @@ impl MeshNetwork {
         // Armed credit-loss faults each destroy one matching in-flight
         // credit (and fizzle silently when none is travelling that lane
         // this cycle).
-        #[cfg(feature = "obs")]
-        let mut credit_loss_nodes: Vec<u64> = Vec::new();
         if let Some(f) = self.faults.as_mut() {
             for (node, dir, vc) in std::mem::take(&mut f.credit_losses_now) {
                 let victim = returns
@@ -868,31 +840,24 @@ impl MeshNetwork {
                 if let Some(i) = victim {
                     returns.swap_remove(i);
                     f.note_lost_credit(node, dir, vc);
-                    #[cfg(feature = "obs")]
-                    credit_loss_nodes.push(node as u64);
+                    // Field-level borrow: `self.emit` would borrow all of
+                    // `self` while `f` holds `self.faults`.
+                    self.obs.emit(self.now, || Event::FaultApplied {
+                        node: node as u64,
+                        kind: "credit_loss",
+                    });
                 }
             }
-        }
-        #[cfg(feature = "obs")]
-        for n in credit_loss_nodes {
-            self.emit(|| Event::FaultApplied {
-                node: n,
-                kind: "credit_loss",
-            });
         }
         for &cr in &returns {
             self.routers[cr.node]
                 .out_vc_mut(cr.out_port.index(), cr.vc)
                 .return_credit();
-            #[cfg(feature = "obs")]
-            {
-                let (node, port, vci) = (cr.node as u64, cr.out_port.index() as u8, cr.vc as u8);
-                self.emit(|| Event::CreditReturn {
-                    node,
-                    port,
-                    vc: vci,
-                });
-            }
+            self.emit(|| Event::CreditReturn {
+                node: cr.node as u64,
+                port: cr.out_port.index() as u8,
+                vc: cr.vc as u8,
+            });
         }
         returns.clear();
         self.scratch.credits_free = returns;
@@ -907,7 +872,6 @@ impl MeshNetwork {
     /// identity), and a duplicate is suppressed — dropped from the
     /// ledger without touching delivery stats.
     // hot
-    #[cfg_attr(not(feature = "obs"), allow(unused_variables))]
     fn eject_complete(&mut self, head: Flit, node: usize) {
         if self.reliable.is_some() {
             let note = self
@@ -926,7 +890,6 @@ impl MeshNetwork {
                         self.ledger
                             .complete_as(head, original, self.now, hops, &mut self.stats);
                     }
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::PacketEjected {
                         packet: original.0,
                         node: node as u64,
@@ -937,7 +900,6 @@ impl MeshNetwork {
                     // The reassembler already consumed the flits; drop
                     // the copy's ledger entry without a delivery record.
                     let _ = self.ledger.forget(head.packet);
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::DuplicateSuppressed {
                         packet: head.packet.0,
                         node: node as u64,
@@ -954,7 +916,6 @@ impl MeshNetwork {
             .coord(head.src)
             .manhattan(self.cfg.coord(head.dest));
         self.ledger.complete(head, self.now, hops, &mut self.stats);
-        #[cfg(feature = "obs")]
         self.emit(|| Event::PacketEjected {
             packet: head.packet.0,
             node: node as u64,
@@ -1043,17 +1004,15 @@ impl MeshNetwork {
                 }
             };
             read_this_cycle.push((g.node, g.in_port, g.vc));
-            self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit, false);
+            self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit);
         }
         self.scratch.grants_free = grants;
     }
 
-    /// Common tail of a traversal (reactive or forced, single-hop): stages
-    /// the arrival, returns the upstream credit, and releases ownership and
-    /// guards on tails. `forced` selects the stats counter only; resource
-    /// handling is identical. The credit on the downstream VC was already
-    /// consumed (at grant time for reactive traversals, by the caller for
-    /// forced moves).
+    /// Tail of a reactive single-hop traversal: stages the arrival,
+    /// returns the upstream credit, and releases ownership and guards on
+    /// tails. The credit on the downstream VC was already consumed at
+    /// grant time.
     // hot
     fn finish_traversal(
         &mut self,
@@ -1062,13 +1021,8 @@ impl MeshNetwork {
         vc: usize,
         out_port: Port,
         flit: Flit,
-        forced: bool,
     ) {
-        if forced {
-            self.stats.reserved_moves += 1;
-        } else {
-            self.stats.local_grants += 1;
-        }
+        self.stats.local_grants += 1;
         // Credit back to the upstream router for the slot just freed.
         if let Port::Dir(d) = in_port {
             let here = NodeId::new(node as u16);
@@ -1086,13 +1040,12 @@ impl MeshNetwork {
             Port::Dir(d) => {
                 self.stats.link_traversals += 1;
                 self.link_use[node * 4 + d as usize] += 1;
-                #[cfg(feature = "obs")]
                 self.emit(|| Event::LinkTraverse {
                     packet: flit.packet.0,
                     seq: flit.seq,
                     node: node as u64,
                     out_port: out_port.index() as u8,
-                    reserved: forced,
+                    reserved: false,
                 });
                 let here = NodeId::new(node as u16);
                 let next = neighbor(&self.cfg, here, d).expect("route stays on the mesh");
@@ -1368,7 +1321,6 @@ impl MeshNetwork {
             let here = NodeId::new(cur_node as u16);
             let dir = cur_out.direction().expect("non-local checked");
             self.link_use[cur_node * 4 + dir as usize] += 1;
-            #[cfg(feature = "obs")]
             self.emit(|| Event::LinkTraverse {
                 packet: flit.packet.0,
                 seq: flit.seq,
@@ -1389,7 +1341,6 @@ impl MeshNetwork {
                         self.routers[cur_node]
                             .out_vc_mut(cur_out.index(), lvc)
                             .allocate(flit.packet);
-                        #[cfg(feature = "obs")]
                         self.emit(|| Event::VcAllocated {
                             packet: flit.packet.0,
                             node: cur_node as u64,
@@ -1470,7 +1421,6 @@ impl MeshNetwork {
     fn waste_and_cancel(&mut self, node: usize, out_port: Port, cycle: Cycle, resv: Reservation) {
         let (packet, from_seq) = (resv.packet, resv.seq);
         self.stats.wasted_reservations += 1;
-        #[cfg(feature = "obs")]
         self.emit(|| Event::ReservationWasted {
             packet: packet.0,
             node: node as u64,
@@ -1796,7 +1746,6 @@ impl MeshNetwork {
                 out_vc.allocate(flit.packet);
             }
             out_vc.consume_credit(flit.packet);
-            #[cfg(feature = "obs")]
             if allocates {
                 self.emit(|| Event::VcAllocated {
                     packet: flit.packet.0,
@@ -1836,7 +1785,6 @@ impl MeshNetwork {
             packet: flit.packet,
             seq: flit.seq,
         });
-        #[cfg(feature = "obs")]
         self.emit(|| Event::SwitchGrant {
             packet: flit.packet.0,
             seq: flit.seq,
@@ -1868,7 +1816,6 @@ impl MeshNetwork {
                     continue;
                 }
                 self.stats.wasted_reservations += expired.len() as u64;
-                #[cfg(feature = "obs")]
                 for (_, r) in &expired {
                     self.emit(|| Event::ReservationWasted {
                         packet: r.packet.0,
@@ -1936,7 +1883,6 @@ impl MeshNetwork {
         for ev in due {
             match ev {
                 FaultEvent::PermanentLink { node, dir, .. } => {
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::FaultApplied {
                         node: node.index() as u64,
                         kind: "permanent_link",
@@ -1947,7 +1893,6 @@ impl MeshNetwork {
                     }
                 }
                 FaultEvent::RouterDown { node, .. } => {
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::FaultApplied {
                         node: node.index() as u64,
                         kind: "router_down",
@@ -1981,15 +1926,12 @@ impl MeshNetwork {
                         .as_mut()
                         .expect("reliable is on")
                         .mint_copy(original, self.now);
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::PacketRetransmitted {
                         packet: original.0,
                         copy: copy.id.0,
                         node: copy.src.index() as u64,
                         attempt,
                     });
-                    #[cfg(not(feature = "obs"))]
-                    let _ = attempt;
                     if !self.inject_copy(copy) {
                         // The fabric refused the copy (endpoint dead or
                         // unreachable). The attempt stays charged and the
@@ -2008,7 +1950,6 @@ impl MeshNetwork {
                         .as_mut()
                         .expect("reliable is on")
                         .begin_escalation(original, &mut purges);
-                    #[cfg(feature = "obs")]
                     self.emit(|| Event::FaultEscalated {
                         packet: original.0,
                         node: src.index() as u64,
@@ -2074,7 +2015,6 @@ impl MeshNetwork {
         let Some(nb) = neighbor(&self.cfg, src, dir) else {
             return;
         };
-        #[cfg(feature = "obs")]
         self.emit(|| Event::FaultApplied {
             node: src.index() as u64,
             kind: "escalated_link",
@@ -2339,7 +2279,6 @@ impl MeshNetwork {
                     .expect("purges only run under fault injection");
                 f.note_purged_packet(u64::from(p.len_flits));
             }
-            #[cfg(feature = "obs")]
             self.emit(|| Event::PacketDropped {
                 packet: id.0,
                 flits: p.len_flits,
@@ -2646,7 +2585,6 @@ impl Network for MeshNetwork {
                 || (f.degraded() && f.next_hop(packet.src, packet.dest, true).is_none())
             {
                 f.note_injection_refused();
-                #[cfg(feature = "obs")]
                 self.emit(|| Event::InjectionRefused {
                     node: packet.src.index() as u64,
                 });
@@ -2658,7 +2596,6 @@ impl Network for MeshNetwork {
             packet.created = self.now;
         }
         self.stats.record_injected(packet.class);
-        #[cfg(feature = "obs")]
         self.emit(|| Event::PacketInjected {
             packet: packet.id.0,
             src: packet.src.index() as u64,
@@ -2773,7 +2710,6 @@ impl Network for MeshNetwork {
         Some(h.finish())
     }
 
-    #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         self.obs.attach(sink);
     }

@@ -139,7 +139,6 @@ pub trait Network {
     /// emitted into it (see the `niobs` crate). The default
     /// implementation ignores the sink — organisations without
     /// instrumentation hooks simply record nothing.
-    #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         let _ = sink;
     }

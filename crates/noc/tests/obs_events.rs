@@ -2,7 +2,6 @@
 //! exactly one `PacketEjected` or fault-drop `PacketDropped`, even under
 //! random fault plans — cross-checked against the invariant watchdog's
 //! flit-conservation audit counters.
-#![cfg(feature = "obs")]
 
 use noc::config::NocConfigBuilder;
 use noc::faults::{FaultEvent, FaultPlan};

@@ -201,11 +201,6 @@ impl FlightRecorder {
     pub fn discarded(&self) -> u64 {
         self.discarded
     }
-
-    /// Removes and returns the retained finished flights.
-    pub fn take_completed(&mut self) -> Vec<FlightRecord> {
-        std::mem::take(&mut self.completed)
-    }
 }
 
 impl EventSink for FlightRecorder {

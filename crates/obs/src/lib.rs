@@ -1,11 +1,9 @@
 //! # niobs — observability for the near-ideal-noc simulators
 //!
-//! A zero-cost-when-disabled event pipeline. Instrumented crates
-//! (`noc`, `pra`, `sysmodel`) gate their hooks behind an `obs` cargo
-//! feature; with the feature off the hooks do not exist, and with the
-//! feature on but no sink attached each hook is one `Option` branch —
-//! no virtual dispatch and no event construction (see
-//! [`ObsHandle::emit`]).
+//! A near-zero-cost-when-detached event pipeline. Instrumented crates
+//! (`noc`, `pra`, `sysmodel`) always compile their hooks in; with no
+//! sink attached each hook is one `Option` branch — no virtual dispatch
+//! and no event construction (see [`ObsHandle::emit`]).
 //!
 //! The pipeline's stages:
 //!

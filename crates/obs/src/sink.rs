@@ -5,8 +5,7 @@
 //! builds the event. With no sink attached the call is a single
 //! `Option` discriminant test — the closure is never invoked, so event
 //! construction (field widening, label formatting) costs nothing on the
-//! hot path. Compiling the instrumented crates without their `obs`
-//! feature removes the handle and every hook entirely.
+//! hot path.
 
 use std::cell::RefCell;
 use std::fmt;

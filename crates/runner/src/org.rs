@@ -175,7 +175,6 @@ impl Network for AnyNetwork {
     fn reliable_stats(&self) -> Option<ReliableStats> {
         each!(self, n => n.reliable_stats())
     }
-    #[cfg(feature = "obs")]
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         each!(self, n => n.install_obs(sink))
     }

@@ -104,7 +104,6 @@ pub struct System<N: Network> {
     watchdog: Option<Watchdog>,
     /// Observability handle for system-level events (LLC windows);
     /// detached by default.
-    #[cfg(feature = "obs")]
     obs: niobs::ObsHandle,
 }
 
@@ -168,7 +167,6 @@ impl<N: Network> System<N> {
             issue_buf: Vec::new(),
             workload: profile.kind,
             watchdog: None,
-            #[cfg(feature = "obs")]
             obs: niobs::ObsHandle::disabled(),
         }
     }
@@ -176,7 +174,6 @@ impl<N: Network> System<N> {
     /// Attaches an observability sink to the whole stack: the network's
     /// instrumentation hooks (router pipeline, control plane) and the
     /// system model's own LLC-window events all feed `sink`.
-    #[cfg(feature = "obs")]
     pub fn attach_obs(&mut self, sink: niobs::SharedSink) {
         self.network.install_obs(sink.clone());
         self.obs.attach(sink);
@@ -285,21 +282,7 @@ impl<N: Network> System<N> {
                         // announce the fill as far ahead as the access
                         // latency allows.
                         let fill = self.fill_packet(txid, &tx);
-                        self.network.announce(&fill, (ready - t) as u32);
-                        #[cfg(feature = "obs")]
-                        {
-                            let pkt = fill.id.0;
-                            let src = fill.src.index() as u64;
-                            let dst = fill.dest.index() as u64;
-                            let lead = ready - t;
-                            self.obs.emit(t, || niobs::Event::LlcWindow {
-                                packet: pkt,
-                                src,
-                                dest: dst,
-                                lead,
-                                kind: "fill",
-                            });
-                        }
+                        self.announce(t, &fill, ready - t, "fill");
                     }
                     self.events
                         .entry(ready)
@@ -314,20 +297,7 @@ impl<N: Network> System<N> {
                     let tx = self.txs[&txid];
                     let lead = self.params.llc_data_cycles;
                     let resp = self.response_packet(txid, &tx);
-                    self.network.announce(&resp, lead);
-                    #[cfg(feature = "obs")]
-                    {
-                        let pkt = resp.id.0;
-                        let src = resp.src.index() as u64;
-                        let dst = resp.dest.index() as u64;
-                        self.obs.emit(t, || niobs::Event::LlcWindow {
-                            packet: pkt,
-                            src,
-                            dest: dst,
-                            lead: u64::from(lead),
-                            kind: "fill_response",
-                        });
-                    }
+                    self.announce(t, &resp, Cycle::from(lead), "fill_response");
                     self.events
                         .entry(t + lead as Cycle)
                         .or_default()
@@ -354,22 +324,8 @@ impl<N: Network> System<N> {
                 match outcome {
                     TagOutcome::Hit { data_ready } => {
                         let tx = self.txs[&txid];
-                        let lead = (data_ready - t) as u32;
                         let resp = self.response_packet(txid, &tx);
-                        self.network.announce(&resp, lead);
-                        #[cfg(feature = "obs")]
-                        {
-                            let pkt = resp.id.0;
-                            let src = resp.src.index() as u64;
-                            let dst = resp.dest.index() as u64;
-                            self.obs.emit(t, || niobs::Event::LlcWindow {
-                                packet: pkt,
-                                src,
-                                dest: dst,
-                                lead: data_ready - t,
-                                kind: "tag_hit",
-                            });
-                        }
+                        self.announce(t, &resp, data_ready - t, "tag_hit");
                         self.events
                             .entry(data_ready)
                             .or_default()
@@ -484,20 +440,7 @@ impl<N: Network> System<N> {
             // same advance notice the LLC window gives responses.
             let t = self.network.now();
             if self.params.announce_requests {
-                self.network.announce(&req, lead);
-                #[cfg(feature = "obs")]
-                {
-                    let pkt = req.id.0;
-                    let src = req.src.index() as u64;
-                    let dst = req.dest.index() as u64;
-                    self.obs.emit(t, || niobs::Event::LlcWindow {
-                        packet: pkt,
-                        src,
-                        dest: dst,
-                        lead: u64::from(lead),
-                        kind: "request",
-                    });
-                }
+                self.announce(t, &req, Cycle::from(lead), "request");
             }
             self.events
                 .entry(t + lead as Cycle)
@@ -528,6 +471,20 @@ impl<N: Network> System<N> {
             1,
         )
         .with_tag(tag(txid, LEG_REQ))
+    }
+
+    /// Announces `packet` to the network `lead` cycles before it is
+    /// injected, and records that window as an `LlcWindow` event of
+    /// `kind` at cycle `t`.
+    fn announce(&mut self, t: Cycle, packet: &Packet, lead: Cycle, kind: &'static str) {
+        self.network.announce(packet, lead as u32);
+        self.obs.emit(t, || niobs::Event::LlcWindow {
+            packet: packet.id.0,
+            src: packet.src.index() as u64,
+            dest: packet.dest.index() as u64,
+            lead,
+            kind,
+        });
     }
 }
 
@@ -574,18 +531,22 @@ mod tests {
 
     #[test]
     fn watchdog_stays_quiet_on_healthy_mesh() {
-        let p = params();
-        let net = MeshNetwork::new(p.noc.clone());
-        let mut sys = System::new(p, net, WorkloadKind::WebSearch, 2);
-        sys.attach_watchdog(Watchdog::default());
-        sys.run(5_000);
-        let wd = sys.watchdog().expect("attached");
-        assert!(wd.checks_run() > 0, "audits must actually run");
-        assert!(
-            wd.is_quiet(),
-            "healthy mesh must raise no violations: {:?}",
-            wd.violations()
-        );
+        fn check<N: Network>(name: &str, net: N) {
+            let mut sys = System::new(params(), net, WorkloadKind::WebSearch, 2);
+            sys.attach_watchdog(Watchdog::default());
+            sys.run(5_000);
+            let wd = sys.watchdog().expect("attached");
+            assert!(wd.checks_run() > 0, "{name}: audits must actually run");
+            assert!(
+                wd.is_quiet(),
+                "{name}: healthy network must raise no violations: {:?}",
+                wd.violations()
+            );
+        }
+        let cfg = params().noc;
+        check("mesh", MeshNetwork::new(cfg.clone()));
+        check("pra", pra::PraNetwork::new(cfg.clone()));
+        check("frfc", pra::FrfcNetwork::new(cfg));
     }
 
     #[test]
