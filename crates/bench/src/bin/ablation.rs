@@ -5,32 +5,14 @@
 //! L1-miss window for requests (see DESIGN.md §5); the ablation
 //! quantifies each source on Media Streaming.
 
-use bench::{measure_performance, measure_pra_with, spec_from_env, Organization};
+use bench::{measure, spec_from_env, Cell, Organization};
 use pra::ControlConfig;
 use sysmodel::SystemParams;
 use workloads::WorkloadKind;
 
-fn run(
-    ctrl: ControlConfig,
-    announce_requests: bool,
-    announce_fills: bool,
-    spec: &nistats::SampleSpec,
-) -> f64 {
-    let params = SystemParams {
-        announce_requests,
-        announce_fills,
-        ..SystemParams::paper()
-    };
-    measure_pra_with(ctrl, &params, WorkloadKind::MediaStreaming, spec).mean
-}
-
 fn main() {
     let spec = spec_from_env();
-    let mesh = measure_performance(Organization::Mesh, WorkloadKind::MediaStreaming, &spec).mean;
-    let ideal = measure_performance(Organization::Ideal, WorkloadKind::MediaStreaming, &spec).mean;
-    println!("## Ablation — PRA opportunity windows (Media Streaming)\n");
-    println!("{:<44}{:>10}{:>12}", "Configuration", "perf", "vs mesh");
-    println!("{:<44}{:>10.2}{:>11.1}%", "Mesh baseline", mesh, 0.0);
+    let wl = WorkloadKind::MediaStreaming;
     let cases: [(&str, ControlConfig, bool, bool); 5] = [
         (
             "PRA: LLC window only (paper text, no LSD)",
@@ -71,8 +53,26 @@ fn main() {
             true,
         ),
     ];
-    for (name, ctrl, reqs, fills) in cases {
-        let p = run(ctrl, reqs, fills, &spec);
+    // Cells 0/1 are the mesh and ideal anchors; 2.. are the PRA cases.
+    let mut cells = vec![
+        Cell::paper(Organization::Mesh, wl),
+        Cell::paper(Organization::Ideal, wl),
+    ];
+    cells.extend(cases.iter().map(|(_, ctrl, reqs, fills)| Cell {
+        params: SystemParams {
+            announce_requests: *reqs,
+            announce_fills: *fills,
+            ..SystemParams::paper()
+        },
+        ctrl: ctrl.clone(),
+        ..Cell::paper(Organization::MeshPra, wl)
+    }));
+    let perfs: Vec<f64> = measure(&cells, &spec).iter().map(|m| m.perf.mean).collect();
+    let (mesh, ideal) = (perfs[0], perfs[1]);
+    println!("## Ablation — PRA opportunity windows (Media Streaming)\n");
+    println!("{:<44}{:>10}{:>12}", "Configuration", "perf", "vs mesh");
+    println!("{:<44}{:>10.2}{:>11.1}%", "Mesh baseline", mesh, 0.0);
+    for ((name, ..), p) in cases.iter().zip(&perfs[2..]) {
         println!("{:<44}{:>10.2}{:>11.1}%", name, p, (p / mesh - 1.0) * 100.0);
     }
     println!(

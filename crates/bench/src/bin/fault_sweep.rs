@@ -14,7 +14,7 @@ use noc::network::Network;
 use noc::traffic::{Pattern, TrafficGen};
 use noc::watchdog::Watchdog;
 
-use bench::{run_grid_budgeted, AnyNetwork, Organization};
+use bench::{run_grid, AnyNetwork, Organization};
 
 const WARMUP: u64 = 1_000;
 const MEASURE: u64 = 5_000;
@@ -114,7 +114,7 @@ fn main() {
             }
         }
     }
-    let points = run_grid_budgeted(grid.len(), |i, token| {
+    let points = run_grid(grid.len(), |i, token| {
         let (org, ppb, _, load) = grid[i];
         run_point(org, ppb, load, token)
     });

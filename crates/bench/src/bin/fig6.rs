@@ -2,10 +2,7 @@
 //! the six CloudSuite workloads, normalized to the mesh. The 24
 //! (workload, organisation) points run in parallel on the runner pool.
 
-use bench::{
-    format_normalized_table, measure_performance, run_grid, spec_from_env, FigureResults,
-    Organization,
-};
+use bench::{format_normalized_table, measure, spec_from_env, Cell, FigureResults, Organization};
 use workloads::WorkloadKind;
 
 fn main() {
@@ -15,18 +12,12 @@ fn main() {
         spec.warmup_cycles, spec.measure_cycles, spec.samples
     );
     let orgs = Organization::ALL;
-    let summaries = run_grid(WorkloadKind::ALL.len() * orgs.len(), |i| {
-        measure_performance(
-            orgs[i % orgs.len()],
-            WorkloadKind::ALL[i / orgs.len()],
-            &spec,
-        )
-    });
+    let results = measure(&Cell::grid(&WorkloadKind::ALL, &orgs), &spec);
     let mut raw = Vec::new();
     for (w, workload) in WorkloadKind::ALL.iter().enumerate() {
         let mut row = Vec::new();
         for (o, org) in orgs.iter().enumerate() {
-            let s = &summaries[w * orgs.len() + o];
+            let s = &results[w * orgs.len() + o].perf;
             eprintln!(
                 "  {:<16} {:<9} perf {:>7.2} ± {:.2}",
                 workload.name(),

@@ -2,20 +2,19 @@
 //! (Mesh+PRA, all six workloads). Workloads run in parallel on the
 //! runner pool.
 
-use bench::{measure_pra_detail, run_grid, spec_from_env};
+use bench::{measure, spec_from_env, Cell, Measured, Organization};
 use workloads::WorkloadKind;
 
 fn main() {
     let spec = spec_from_env();
-    let details = run_grid(WorkloadKind::ALL.len(), |i| {
-        measure_pra_detail(WorkloadKind::ALL[i], &spec)
-    });
+    let cells = WorkloadKind::ALL.map(|wl| Cell::paper(Organization::MeshPra, wl));
+    let results = measure(&cells, &spec);
     println!("## Figure 7 — control-packet lag at drop time\n");
     println!(
         "{:<16}{:>8}{:>8}{:>8}{:>8}{:>8}",
         "Workload", "Lag0", "Lag1", "Lag2", "Lag3", "Lag4+"
     );
-    for (wl, (_, pra, _)) in WorkloadKind::ALL.iter().zip(&details) {
+    for (wl, Measured { pra, .. }) in WorkloadKind::ALL.iter().zip(&results) {
         let d = pra.lag_distribution(4);
         let lag4plus: f64 =
             d[4] + pra.lag_at_drop[5..].iter().sum::<u64>() as f64 / pra.dropped().max(1) as f64;

@@ -3,8 +3,7 @@
 //! The (workload, organisation) points run in parallel on the runner
 //! pool.
 
-use bench::{measure_performance, run_grid, spec_from_env, Organization};
-use nistats::geometric_mean;
+use bench::{format_normalized_table, measure, spec_from_env, Cell, Organization};
 use noc::config::NocConfig;
 use techmodel::{performance_density, NocAreaBreakdown, NocOrganization};
 use workloads::WorkloadKind;
@@ -19,38 +18,25 @@ fn main() {
         NocAreaBreakdown::compute(NocOrganization::Mesh, &cfg).total_mm2(), // ideal at mesh area
     ];
     let orgs = Organization::ALL;
-    let perfs = run_grid(WorkloadKind::ALL.len() * orgs.len(), |i| {
-        measure_performance(
-            orgs[i % orgs.len()],
-            WorkloadKind::ALL[i / orgs.len()],
-            &spec,
+    let results = measure(&Cell::grid(&WorkloadKind::ALL, &orgs), &spec);
+    let densities: Vec<Vec<f64>> = results
+        .chunks(orgs.len())
+        .map(|row| {
+            let perfs = row.iter().map(|m| m.perf.mean);
+            perfs
+                .zip(areas)
+                .map(|(p, a)| performance_density(p, a))
+                .collect()
+        })
+        .collect();
+    print!(
+        "{}",
+        format_normalized_table(
+            "Figure 9 — performance density (normalized to Mesh)",
+            &WorkloadKind::ALL,
+            &orgs,
+            &densities
         )
-        .mean
-    });
-    println!("## Figure 9 — performance density (normalized to Mesh)\n");
-    println!(
-        "{:<16}{:>10}{:>10}{:>10}{:>10}",
-        "Workload", "Mesh", "SMART", "Mesh+PRA", "Ideal"
     );
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); 4];
-    for (w, wl) in WorkloadKind::ALL.iter().enumerate() {
-        let dens: Vec<f64> = areas
-            .iter()
-            .enumerate()
-            .map(|(o, area)| performance_density(perfs[w * orgs.len() + o], *area))
-            .collect();
-        print!("{:<16}", wl.name());
-        for (i, d) in dens.iter().enumerate() {
-            let r = d / dens[0];
-            ratios[i].push(r);
-            print!("{:>10.3}", r);
-        }
-        println!();
-    }
-    print!("{:<16}", "GMean");
-    for r in &ratios {
-        print!("{:>10.3}", geometric_mean(r));
-    }
-    println!();
     println!("\npaper: Mesh+PRA +14% vs Mesh, +12% vs SMART, −5% vs Ideal");
 }

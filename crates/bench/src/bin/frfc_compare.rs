@@ -6,7 +6,7 @@
 //! length is visible: FRFC's constant-lead wave covers arbitrarily long
 //! paths at 1 cycle/hop, PRA covers up to its lag budget at 0.5).
 
-use bench::{measure_performance, spec_from_env, Organization};
+use bench::{measure, spec_from_env, Cell, Organization};
 use noc::config::NocConfig;
 use noc::flit::Packet;
 use noc::network::Network;
@@ -49,16 +49,21 @@ fn main() {
             zero_load(Organization::Frfc, dest, 1)
         );
     }
-    println!("\nsystem performance (normalized to mesh):");
-    println!("{:<16}{:>10}{:>12}", "Workload", "Mesh+PRA", "Mesh+FRFC");
-    for wl in [
+    let workloads = [
         WorkloadKind::MediaStreaming,
         WorkloadKind::WebSearch,
         WorkloadKind::DataServing,
-    ] {
-        let mesh = measure_performance(Organization::Mesh, wl, &spec).mean;
-        let pra = measure_performance(Organization::MeshPra, wl, &spec).mean;
-        let frfc = measure_performance(Organization::Frfc, wl, &spec).mean;
+    ];
+    let orgs = [
+        Organization::Mesh,
+        Organization::MeshPra,
+        Organization::Frfc,
+    ];
+    let results = measure(&Cell::grid(&workloads, &orgs), &spec);
+    println!("\nsystem performance (normalized to mesh):");
+    println!("{:<16}{:>10}{:>12}", "Workload", "Mesh+PRA", "Mesh+FRFC");
+    for (wl, row) in workloads.iter().zip(results.chunks(orgs.len())) {
+        let [mesh, pra, frfc] = [0, 1, 2].map(|o| row[o].perf.mean);
         println!("{:<16}{:>9.3} {:>11.3}", wl.name(), pra / mesh, frfc / mesh);
     }
     println!("\nFRFC's constant-lead wave wins on long zero-load paths, and cuts");

@@ -1,25 +1,25 @@
 //! Diagnostic: FRFC control-plane effectiveness in the full system
 //! (companion to `pra_diag`).
 
-use noc::network::Network;
-use pra::frfc::FrfcNetwork;
-use sysmodel::{System, SystemParams};
+use bench::{measure, Cell, Organization, QUICK};
+use nistats::SampleSpec;
+use noc::types::MessageClass;
 use workloads::WorkloadKind;
 
 fn main() {
-    let params = SystemParams::paper();
-    let net = FrfcNetwork::new(params.noc.clone());
-    let mut sys = System::new(params, net, WorkloadKind::MediaStreaming, 1);
-    let perf = sys.measure(5_000, 15_000);
-    let net = sys.into_network();
-    let fs = net.frfc_stats();
-    let ns = net.stats();
-    println!("perf {:.2}", perf);
+    let spec = SampleSpec {
+        samples: 1,
+        ..QUICK
+    };
+    let cell = Cell::paper(Organization::Frfc, WorkloadKind::MediaStreaming);
+    let m = &measure(&[cell], &spec)[0];
+    let (fs, ns) = (&m.pra, &m.net);
+    println!("perf {:.2}", m.perf.mean);
     println!(
         "latency {:.1} | req {:.1} resp {:.1}",
         ns.avg_latency(),
-        ns.avg_latency_of(noc::types::MessageClass::Request),
-        ns.avg_latency_of(noc::types::MessageClass::Response)
+        ns.avg_latency_of(MessageClass::Request),
+        ns.avg_latency_of(MessageClass::Response)
     );
     println!(
         "waves injected {} refused {} hops preallocated {}",

@@ -7,7 +7,7 @@
 //! plus the zero-load crossover the argument rests on. Points run in
 //! parallel on the runner pool.
 
-use bench::{run_grid_budgeted, AnyNetwork, Organization};
+use bench::{run_grid, AnyNetwork, Organization};
 use noc::config::NocConfigBuilder;
 use noc::network::Network as _;
 use noc::traffic::{measure_latency, Pattern, TrafficGen};
@@ -20,7 +20,7 @@ const HPCS: [u8; 4] = [1, 2, 3, 4];
 fn main() {
     let wire = WireModel::paper();
     let orgs = Organization::ALL;
-    let lat = run_grid_budgeted(HPCS.len() * orgs.len(), |i, token| {
+    let lat = run_grid(HPCS.len() * orgs.len(), |i, token| {
         let (hpc, org) = (HPCS[i / orgs.len()], orgs[i % orgs.len()]);
         let cfg = NocConfigBuilder::new()
             .max_hops_per_cycle(hpc)

@@ -5,9 +5,8 @@
 //! diminishing returns past the mesh's average hop count and the cost of
 //! shrinking the window. Points run in parallel on the runner pool.
 
-use bench::{measure_performance, measure_pra_with, run_grid, spec_from_env, Organization};
+use bench::{measure, spec_from_env, Cell, Organization};
 use pra::ControlConfig;
-use sysmodel::SystemParams;
 use workloads::WorkloadKind;
 
 const LAGS: [u8; 6] = [1, 2, 3, 4, 6, 8];
@@ -15,23 +14,19 @@ const LAGS: [u8; 6] = [1, 2, 3, 4, 6, 8];
 fn main() {
     let spec = spec_from_env();
     let wl = WorkloadKind::MediaStreaming;
-    // Points 0/1 are the mesh and ideal anchors; 2.. are the lag grid.
-    let perfs = run_grid(2 + LAGS.len(), |i| match i {
-        0 => measure_performance(Organization::Mesh, wl, &spec).mean,
-        1 => measure_performance(Organization::Ideal, wl, &spec).mean,
-        _ => {
-            measure_pra_with(
-                ControlConfig {
-                    max_lag: LAGS[i - 2],
-                    ..ControlConfig::default()
-                },
-                &SystemParams::paper(),
-                wl,
-                &spec,
-            )
-            .mean
-        }
-    });
+    // Cells 0/1 are the mesh and ideal anchors; 2.. are the lag grid.
+    let mut cells = vec![
+        Cell::paper(Organization::Mesh, wl),
+        Cell::paper(Organization::Ideal, wl),
+    ];
+    cells.extend(LAGS.map(|max_lag| Cell {
+        ctrl: ControlConfig {
+            max_lag,
+            ..ControlConfig::default()
+        },
+        ..Cell::paper(Organization::MeshPra, wl)
+    }));
+    let perfs: Vec<f64> = measure(&cells, &spec).iter().map(|m| m.perf.mean).collect();
     let (mesh, ideal) = (perfs[0], perfs[1]);
     println!("## Max-lag sweep (Media Streaming)\n");
     println!(

@@ -3,9 +3,8 @@
 //! figure. Points run in parallel on the runner pool (`NOC_THREADS`);
 //! the rows are byte-identical to the old serial loop.
 
-use bench::{run_grid_budgeted, AnyNetwork, Organization};
-use noc::network::Network as _;
-use sysmodel::{System, SystemParams};
+use bench::{measure, Cell, Organization, QUICK};
+use nistats::SampleSpec;
 use workloads::{WorkloadKind, WorkloadProfileBuilder};
 
 const SCALES: [f64; 5] = [0.4, 0.6, 0.8, 1.0, 1.5];
@@ -16,17 +15,22 @@ const ORGS: [Organization; 3] = [
 ];
 
 fn main() {
-    let params = SystemParams::paper();
-    let perfs = run_grid_budgeted(SCALES.len() * ORGS.len(), |i, token| {
-        let (scale, org) = (SCALES[i / ORGS.len()], ORGS[i % ORGS.len()]);
-        let profile = WorkloadProfileBuilder::from(WorkloadKind::MediaStreaming)
-            .scale_misses(scale)
-            .build();
-        let mut net = AnyNetwork::new(org, params.noc.clone());
-        net.install_cancel(token);
-        let mut sys = System::with_profile(params.clone(), net, profile, 1);
-        sys.measure(5_000, 15_000)
-    });
+    let wl = WorkloadKind::MediaStreaming;
+    let cells: Vec<Cell> = SCALES
+        .iter()
+        .flat_map(|&scale| {
+            let profile = WorkloadProfileBuilder::from(wl).scale_misses(scale).build();
+            ORGS.map(|org| Cell {
+                profile,
+                ..Cell::paper(org, wl)
+            })
+        })
+        .collect();
+    let spec = SampleSpec {
+        samples: 1,
+        ..QUICK
+    };
+    let perfs: Vec<f64> = measure(&cells, &spec).iter().map(|m| m.perf.mean).collect();
     for (s, scale) in SCALES.iter().enumerate() {
         let row = &perfs[s * ORGS.len()..(s + 1) * ORGS.len()];
         println!(

@@ -1,18 +1,19 @@
 //! Section V.B: control packets per data packet and the
 //! reservation-blocking (resource underutilisation) fraction.
 
-use bench::{measure_pra_detail, spec_from_env};
+use bench::{measure, spec_from_env, Cell, Measured, Organization};
 use workloads::WorkloadKind;
 
 fn main() {
     let spec = spec_from_env();
+    let cells = WorkloadKind::ALL.map(|wl| Cell::paper(Organization::MeshPra, wl));
+    let results = measure(&cells, &spec);
     println!("## Section V.B — why is PRA effective?\n");
     println!(
         "{:<16}{:>12}{:>14}{:>16}{:>14}",
         "Workload", "ctrl/data", "prealloc-hops", "blocked-frac", "wasted-frac"
     );
-    for wl in WorkloadKind::ALL {
-        let (_, pra, net) = measure_pra_detail(wl, &spec);
+    for (wl, Measured { pra, net, .. }) in WorkloadKind::ALL.iter().zip(&results) {
         let data = net.delivered();
         println!(
             "{:<16}{:>12.2}{:>14.2}{:>15.4}%{:>13.2}%",

@@ -1,29 +1,31 @@
 //! Section V.E: power analysis — NOC power vs core power.
 
-use bench::{spec_from_env, AnyNetwork, Organization};
-use noc::network::Network;
-use sysmodel::{System, SystemParams};
+use bench::{measure, spec_from_env, Cell, Organization};
+use nistats::SampleSpec;
+use sysmodel::SystemParams;
 use techmodel::{ChipModel, NocPower};
 use workloads::WorkloadKind;
 
 fn main() {
-    let spec = spec_from_env();
+    let spec = SampleSpec {
+        samples: 1,
+        ..spec_from_env()
+    };
     let params = SystemParams::paper();
     let chip = ChipModel::paper();
+    let orgs = [
+        Organization::Mesh,
+        Organization::Smart,
+        Organization::MeshPra,
+    ];
+    let results = measure(&Cell::grid(&[WorkloadKind::WebSearch], &orgs), &spec);
     println!("## Section V.E — power analysis (Web Search)\n");
     println!(
         "{:<10}{:>10}{:>12}{:>12}{:>12}{:>10}",
         "Org", "links W", "buffers W", "xbar W", "leakage W", "total W"
     );
-    for org in [
-        Organization::Mesh,
-        Organization::Smart,
-        Organization::MeshPra,
-    ] {
-        let net = AnyNetwork::new(org, params.noc.clone());
-        let mut sys = System::new(params.clone(), net, WorkloadKind::WebSearch, 1);
-        sys.measure(spec.warmup_cycles, spec.measure_cycles);
-        let p = NocPower::from_activity(&params.noc, sys.network().stats(), 2.0);
+    for (org, m) in orgs.iter().zip(&results) {
+        let p = NocPower::from_activity(&params.noc, &m.net, 2.0);
         println!(
             "{:<10}{:>10.3}{:>12.3}{:>12.3}{:>12.3}{:>10.3}",
             org.name(),

@@ -6,30 +6,32 @@
 //! p99 packet latency includes every unlucky arbitration loss, while
 //! pre-allocated paths are contention-immune by construction.
 
-use bench::{AnyNetwork, Organization};
-use noc::network::Network;
+use bench::{measure, Cell, Organization};
+use nistats::SampleSpec;
 use noc::types::MessageClass;
-use sysmodel::{System, SystemParams};
 use workloads::WorkloadKind;
 
 fn main() {
-    let params = SystemParams::paper();
-    println!("## NoC packet latency distribution (Web Search, 20k cycles)\n");
-    println!(
-        "{:<12}{:>8}{:>8}{:>8}{:>8}{:>10}{:>10}",
-        "Org", "mean", "p50", "p95", "p99", "resp-mean", "max"
-    );
-    for org in [
+    let orgs = [
         Organization::Mesh,
         Organization::Smart,
         Organization::MeshPra,
         Organization::Frfc,
         Organization::Ideal,
-    ] {
-        let net = AnyNetwork::new(org, params.noc.clone());
-        let mut sys = System::new(params.clone(), net, WorkloadKind::WebSearch, 1);
-        sys.run(20_000);
-        let s = sys.network().stats();
+    ];
+    let spec = SampleSpec {
+        warmup_cycles: 0,
+        measure_cycles: 20_000,
+        samples: 1,
+    };
+    let results = measure(&Cell::grid(&[WorkloadKind::WebSearch], &orgs), &spec);
+    println!("## NoC packet latency distribution (Web Search, 20k cycles)\n");
+    println!(
+        "{:<12}{:>8}{:>8}{:>8}{:>8}{:>10}{:>10}",
+        "Org", "mean", "p50", "p95", "p99", "resp-mean", "max"
+    );
+    for (org, m) in orgs.iter().zip(&results) {
+        let s = &m.net;
         println!(
             "{:<12}{:>8.1}{:>8}{:>8}{:>8}{:>10.1}{:>10}",
             org.name(),

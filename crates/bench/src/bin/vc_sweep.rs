@@ -8,7 +8,7 @@
 //! it (the builder rejects depth < packet length). Points run in
 //! parallel on the runner pool.
 
-use bench::{run_grid_budgeted, AnyNetwork, Organization};
+use bench::{run_grid, AnyNetwork, Organization};
 use noc::config::NocConfigBuilder;
 use noc::network::Network as _;
 use noc::traffic::{measure_latency, Pattern, TrafficGen};
@@ -21,7 +21,7 @@ const ORGS: [Organization; 3] = [
 ];
 
 fn main() {
-    let lat = run_grid_budgeted(DEPTHS.len() * ORGS.len(), |i, token| {
+    let lat = run_grid(DEPTHS.len() * ORGS.len(), |i, token| {
         let (depth, org) = (DEPTHS[i / ORGS.len()], ORGS[i % ORGS.len()]);
         let cfg = NocConfigBuilder::new()
             .vc_depth(depth)

@@ -8,28 +8,53 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::env::VarError;
+
 use nistats::{geometric_mean, Json, SampleSpec, Summary};
-use noc::config::NocConfig;
+use noc::cancel::CancelToken;
 use noc::network::Network;
+use noc::stats::NetStats;
 use pra::network::PraNetwork;
 use pra::{ControlConfig, PraStats};
 use sysmodel::{System, SystemParams};
-use workloads::WorkloadKind;
+use workloads::{WorkloadKind, WorkloadProfile};
 
 pub use runner::{AnyNetwork, Organization};
 
 pub mod gate;
 
-/// Runs `count` independent measurement closures across the runner's
-/// work-stealing pool (`NOC_THREADS`, default: all cores) and returns
-/// the results in index order — so a sweep binary prints exactly what
-/// its serial loop printed, just faster. Each closure must be a pure
-/// function of its index (build the network inside it, derive nothing
-/// from shared mutable state). A panicking point aborts the binary with
-/// the panic message; sweeps that tolerate per-point failure should go
+/// Runs `count` independent points across the runner's work-stealing
+/// pool (`NOC_THREADS`, default: all cores) and returns the results in
+/// index order — so a binary prints exactly what its serial loop
+/// printed, just faster. Each task must be a pure function of its index
+/// (build the network inside it, derive nothing from shared mutable
+/// state).
+///
+/// Each task receives a [`CancelToken`] armed with the wall-clock
+/// budget in `NOC_POINT_WALL_MS` (unset or 0 = unlimited), which lets CI
+/// put a ceiling under every binary without touching their flags. The
+/// task installs the token into the networks it builds
+/// (`Network::install_cancel`); a point that overruns stops simulating —
+/// its remaining cycles free-run to the end of the loop — instead of
+/// wedging the whole binary. Overruns are reported on stderr; the budget
+/// never appears in stdout. A panicking point aborts the binary with the
+/// panic message; sweeps that tolerate per-point failure should go
 /// through [`runner::run_points`] instead.
-pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    runner::run_tasks(count, runner::threads_from_env(), task, |_, _| {})
+pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize, CancelToken) -> T + Sync) -> Vec<T> {
+    let budget_ms = wall_budget_from_env();
+    let budgeted = |i| {
+        let token = CancelToken::new();
+        let _wall = runner::WallGuard::arm(budget_ms, token.clone());
+        let out = task(i, token.clone());
+        if token.is_cancelled() {
+            eprintln!(
+                "bench: point {i} exceeded the {budget_ms}ms wall budget \
+                 (NOC_POINT_WALL_MS); its result is truncated"
+            );
+        }
+        out
+    };
+    runner::run_tasks(count, runner::threads_from_env(), budgeted, |_, _| {})
         .into_iter()
         .map(|outcome| match outcome {
             runner::Outcome::Done(v) => v,
@@ -41,150 +66,92 @@ pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize) -> T + Sync) -> Vec<
         .collect()
 }
 
-/// Runs `task` with a [`noc::cancel::CancelToken`] armed with the
-/// wall-clock budget in `NOC_POINT_WALL_MS` (unset, unparsable, or 0 =
-/// unlimited), which lets CI put a ceiling under every figure binary
-/// without touching their flags. The task installs the token into its
-/// network (`Network::install_cancel`); a run that overruns stops
-/// simulating — its remaining cycles free-run to the end of the loop —
-/// instead of wedging the whole binary. Overruns are reported on stderr
-/// under the name `what`; the budget never appears in artifacts.
-fn with_wall_budget<T>(what: &str, task: impl FnOnce(noc::cancel::CancelToken) -> T) -> T {
-    let budget_ms = std::env::var("NOC_POINT_WALL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0);
-    let token = noc::cancel::CancelToken::new();
-    let _wall = runner::WallGuard::arm(budget_ms, token.clone());
-    let out = task(token.clone());
-    if token.is_cancelled() {
-        eprintln!(
-            "bench: {what} exceeded the {budget_ms}ms wall budget \
-             (NOC_POINT_WALL_MS); its result is truncated"
-        );
+/// One full-system measurement point: organisation `org` running
+/// `profile` on the system `params`. `ctrl` only affects Mesh+PRA.
+/// Build one with [`Cell::paper`] plus struct-update syntax.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// The network organisation.
+    pub org: Organization,
+    /// The workload the cores run.
+    pub profile: WorkloadProfile,
+    /// System parameters (NoC configuration, announce switches, …).
+    pub params: SystemParams,
+    /// PRA control-plane configuration (Mesh+PRA only).
+    pub ctrl: ControlConfig,
+}
+
+impl Cell {
+    /// `org` running `workload` on the paper's system with the default
+    /// control plane.
+    pub fn paper(org: Organization, workload: WorkloadKind) -> Cell {
+        Cell {
+            org,
+            profile: workload.profile(),
+            params: SystemParams::paper(),
+            ctrl: ControlConfig::default(),
+        }
     }
-    out
+
+    /// [`Cell::paper`] for every `(workload, org)` pair, workload-major:
+    /// cell `w * orgs.len() + o` is `orgs[o]` running `workloads[w]`.
+    pub fn grid(workloads: &[WorkloadKind], orgs: &[Organization]) -> Vec<Cell> {
+        workloads
+            .iter()
+            .flat_map(|&wl| orgs.iter().map(move |&org| Cell::paper(org, wl)))
+            .collect()
+    }
 }
 
-/// [`run_grid`], but each closure runs under the `NOC_POINT_WALL_MS`
-/// budget and receives its armed token (see `with_wall_budget`).
-pub fn run_grid_budgeted<T: Send>(
-    count: usize,
-    task: impl Fn(usize, noc::cancel::CancelToken) -> T + Sync,
-) -> Vec<T> {
-    run_grid(count, |i| {
-        with_wall_budget(&format!("point {i}"), |token| task(i, token))
-    })
+/// What [`measure`] reports for one [`Cell`].
+#[derive(Debug, Clone)]
+pub struct Measured {
+    /// System performance (committed instructions per cycle) over samples.
+    pub perf: Summary,
+    /// Data-network statistics, summed over samples.
+    pub net: NetStats,
+    /// Control-plane statistics, summed over samples: the PRA control
+    /// network's for Mesh+PRA, FRFC's for FRFC, zero otherwise.
+    pub pra: PraStats,
 }
 
-/// The one sampled full-system measurement loop: per sample, builds the
-/// network with `build`, runs `System::measure` over the spec's windows
-/// under the `NOC_POINT_WALL_MS` budget, then lets `inspect` read the
-/// network's end state. Returns the performance summary over samples.
-fn measure_system<N: Network>(
-    what: &str,
-    params: &SystemParams,
-    workload: WorkloadKind,
-    spec: &SampleSpec,
-    build: impl Fn(NocConfig) -> N,
-    mut inspect: impl FnMut(&N),
-) -> Summary {
-    spec.run(|seed| {
-        let mut net = build(params.noc.clone());
-        with_wall_budget(what, |token| {
-            net.install_cancel(token);
-            let mut sys = System::new(params.clone(), net, workload, seed);
+/// The one full-system measurement path. Runs every cell on the
+/// [`run_grid`] pool; per cell, each of the spec's samples (seeds
+/// `1..=samples`) builds a fresh network under the cell's
+/// `NOC_POINT_WALL_MS` token, runs `System::measure` over the spec's
+/// windows, and folds the network's end state into the cell's
+/// [`Measured`]. Results come back in cell order.
+pub fn measure(cells: &[Cell], spec: &SampleSpec) -> Vec<Measured> {
+    run_grid(cells.len(), |i, token| {
+        let cell = &cells[i];
+        let mut net_stats = NetStats::new();
+        let mut pra_stats = PraStats::new();
+        let perf = spec.run(|seed| {
+            let cfg = cell.params.noc.clone();
+            let mut net = match cell.org {
+                Organization::MeshPra => {
+                    AnyNetwork::MeshPra(PraNetwork::with_control(cfg, cell.ctrl.clone()))
+                }
+                org => AnyNetwork::new(org, cfg),
+            };
+            net.install_cancel(token.clone());
+            let mut sys = System::with_profile(cell.params.clone(), net, cell.profile, seed);
             let perf = sys.measure(spec.warmup_cycles, spec.measure_cycles);
-            inspect(sys.network());
+            let net = sys.into_network();
+            net_stats.merge(net.stats());
+            match &net {
+                AnyNetwork::MeshPra(n) => pra_stats.merge(n.pra_stats()),
+                AnyNetwork::Frfc(n) => pra_stats.merge(n.frfc_stats()),
+                _ => {}
+            }
             perf
-        })
+        });
+        Measured {
+            perf,
+            net: net_stats,
+            pra: pra_stats,
+        }
     })
-}
-
-/// Measures one `(workload, organisation)` point with the given sampling
-/// spec; returns the performance summary over samples. Each sample runs
-/// under the `NOC_POINT_WALL_MS` wall budget when one is set.
-pub fn measure_performance(
-    org: Organization,
-    workload: WorkloadKind,
-    spec: &SampleSpec,
-) -> Summary {
-    measure_system(
-        org.name(),
-        &SystemParams::paper(),
-        workload,
-        spec,
-        |cfg| AnyNetwork::new(org, cfg),
-        |_| {},
-    )
-}
-
-/// Measures Mesh+PRA with explicit control configuration and system
-/// parameters (ablations).
-pub fn measure_pra_with(
-    ctrl: ControlConfig,
-    params: &SystemParams,
-    workload: WorkloadKind,
-    spec: &SampleSpec,
-) -> Summary {
-    let build = |cfg| PraNetwork::with_control(cfg, ctrl.clone());
-    measure_system("mesh_pra", params, workload, spec, build, |_| {})
-}
-
-/// Measures Mesh+PRA and returns `(performance summary, control stats,
-/// data network stats)` for the Figure 7 / Section V.B analyses.
-pub fn measure_pra_detail(
-    workload: WorkloadKind,
-    spec: &SampleSpec,
-) -> (Summary, PraStats, noc::stats::NetStats) {
-    let mut agg_pra = PraStats::new();
-    let mut agg_net = noc::stats::NetStats::new();
-    let perf = measure_system(
-        "mesh_pra detail",
-        &SystemParams::paper(),
-        workload,
-        spec,
-        |cfg| PraNetwork::with_control(cfg, ControlConfig::default()),
-        |net| {
-            merge_pra(&mut agg_pra, net.pra_stats());
-            merge_net(&mut agg_net, net.stats());
-        },
-    );
-    (perf, agg_pra, agg_net)
-}
-
-fn merge_pra(acc: &mut PraStats, s: &PraStats) {
-    acc.injected_llc += s.injected_llc;
-    acc.injected_lsd += s.injected_lsd;
-    acc.refused_at_ni += s.refused_at_ni;
-    for i in 0..acc.lag_at_drop.len() {
-        acc.lag_at_drop[i] += s.lag_at_drop[i];
-    }
-    for i in 0..acc.drops_by_reason.len() {
-        acc.drops_by_reason[i] += s.drops_by_reason[i];
-    }
-    acc.hops_preallocated += s.hops_preallocated;
-    acc.segments_processed += s.segments_processed;
-    for i in 0..acc.alloc_fail_kinds.len() {
-        acc.alloc_fail_kinds[i] += s.alloc_fail_kinds[i];
-    }
-}
-
-fn merge_net(acc: &mut noc::stats::NetStats, s: &noc::stats::NetStats) {
-    acc.total_latency += s.total_latency;
-    acc.total_queue_latency += s.total_queue_latency;
-    acc.total_hops += s.total_hops;
-    acc.blocked_by_reservation_cycles += s.blocked_by_reservation_cycles;
-    acc.reserved_moves += s.reserved_moves;
-    acc.wasted_reservations += s.wasted_reservations;
-    acc.link_traversals += s.link_traversals;
-    acc.local_grants += s.local_grants;
-    for i in 0..3 {
-        acc.packets_delivered[i] += s.packets_delivered[i];
-        acc.packets_injected[i] += s.packets_injected[i];
-        acc.flits_delivered[i] += s.flits_delivered[i];
-    }
-    acc.cycles += s.cycles;
 }
 
 /// Writes a Chrome/Perfetto `trace_event` JSON file assembled from a
@@ -282,20 +249,52 @@ impl FigureResults {
     }
 }
 
+/// The quick windows: the figures' default, and (with one sample) the
+/// fixed windows of the diagnostics and `load_sweep`.
+pub const QUICK: SampleSpec = SampleSpec {
+    warmup_cycles: 5_000,
+    measure_cycles: 15_000,
+    samples: 2,
+};
+
 /// The sampling spec selected by the `NOC_SAMPLES` environment variable:
-/// `full` (paper windows), `mid`, or anything else/unset (quick windows).
+/// `full` (paper windows), `mid`, or `quick` (the default when unset).
+/// Any other value exits with status 2 rather than silently running the
+/// wrong windows.
 pub fn spec_from_env() -> SampleSpec {
     match std::env::var("NOC_SAMPLES").as_deref() {
-        Ok("full") => SampleSpec::paper(),
+        Err(VarError::NotPresent) | Ok("quick") => QUICK,
         Ok("mid") => SampleSpec {
             warmup_cycles: 20_000,
             measure_cycles: 30_000,
             samples: 3,
         },
-        _ => SampleSpec {
-            warmup_cycles: 5_000,
-            measure_cycles: 15_000,
-            samples: 2,
-        },
+        Ok("full") => SampleSpec::paper(),
+        _ => usage_exit("NOC_SAMPLES", "quick, mid or full (unset = quick)"),
     }
+}
+
+/// The per-point wall budget in `NOC_POINT_WALL_MS` (unset = 0 = no
+/// budget); anything but a whole number of milliseconds exits with
+/// status 2.
+fn wall_budget_from_env() -> u64 {
+    match std::env::var("NOC_POINT_WALL_MS")
+        .as_deref()
+        .map(str::parse)
+    {
+        Err(VarError::NotPresent) => 0,
+        Ok(Ok(ms)) => ms,
+        _ => usage_exit(
+            "NOC_POINT_WALL_MS",
+            "a whole number of milliseconds (0 or unset = no budget)",
+        ),
+    }
+}
+
+/// Rejects the value of environment variable `var`: names the `valid`
+/// values on stderr and exits with status 2.
+fn usage_exit(var: &str, valid: &str) -> ! {
+    let got = std::env::var_os(var).unwrap_or_default();
+    eprintln!("bench: {var} must be {valid}, got {got:?}");
+    std::process::exit(2)
 }

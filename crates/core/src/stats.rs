@@ -63,6 +63,30 @@ impl PraStats {
         PraStats::default()
     }
 
+    /// Adds `other` into `self`, as when summing independent samples.
+    /// The destructure is exhaustive, so a new field does not compile
+    /// until it is merged here.
+    pub fn merge(&mut self, other: &PraStats) {
+        let PraStats {
+            injected_llc,
+            injected_lsd,
+            refused_at_ni,
+            lag_at_drop,
+            drops_by_reason,
+            hops_preallocated,
+            segments_processed,
+            alloc_fail_kinds,
+        } = other;
+        self.injected_llc += injected_llc;
+        self.injected_lsd += injected_lsd;
+        self.refused_at_ni += refused_at_ni;
+        add_each(&mut self.lag_at_drop, lag_at_drop);
+        add_each(&mut self.drops_by_reason, drops_by_reason);
+        self.hops_preallocated += hops_preallocated;
+        self.segments_processed += segments_processed;
+        add_each(&mut self.alloc_fail_kinds, alloc_fail_kinds);
+    }
+
     /// Records an injection.
     pub fn record_injected(&mut self, origin: ControlOrigin) {
         match origin {
@@ -118,6 +142,12 @@ impl PraStats {
     }
 }
 
+fn add_each(acc: &mut [u64], other: &[u64]) {
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,6 +175,36 @@ mod tests {
         assert!((dist[0] - 2.0 / 3.0).abs() < 1e-12);
         assert!((dist[2] - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(dist.len(), 5);
+    }
+
+    /// Stats with every field nonzero, scaled by `n`.
+    fn busy(n: u64) -> PraStats {
+        let mut s = PraStats::new();
+        for _ in 0..n {
+            s.record_injected(ControlOrigin::Llc);
+            s.record_injected(ControlOrigin::Lsd);
+            s.record_drop(DropReason::AllocationFailed, 2);
+            s.record_drop(DropReason::Completed, 0);
+        }
+        s.refused_at_ni = 3 * n;
+        s.hops_preallocated = 4 * n;
+        s.segments_processed = 5 * n;
+        s.alloc_fail_kinds = [n, 2 * n, 3 * n, 4 * n, 5 * n, 6 * n];
+        s
+    }
+
+    #[test]
+    fn merge_into_default_reproduces_every_field() {
+        let mut acc = PraStats::new();
+        acc.merge(&busy(3));
+        assert_eq!(format!("{acc:?}"), format!("{:?}", busy(3)));
+    }
+
+    #[test]
+    fn merge_sums_every_counter() {
+        let mut sum = busy(2);
+        sum.merge(&busy(5));
+        assert_eq!(format!("{sum:?}"), format!("{:?}", busy(7)));
     }
 
     #[test]

@@ -68,6 +68,61 @@ impl NetStats {
         *self = NetStats::default();
     }
 
+    /// Adds `other` into `self`, as when summing independent samples:
+    /// counters and histogram buckets are summed, maxima take the larger
+    /// value. The destructure is exhaustive, so a new field does not
+    /// compile until it is merged here.
+    pub fn merge(&mut self, other: &NetStats) {
+        let NetStats {
+            packets_injected,
+            packets_delivered,
+            flits_delivered,
+            total_latency,
+            total_latency_by_class,
+            total_queue_latency,
+            total_hops,
+            max_latency,
+            max_latency_by_class,
+            link_traversals,
+            local_grants,
+            reserved_moves,
+            wasted_reservations,
+            blocked_by_reservation_cycles,
+            cycles,
+            latency_histogram,
+            latency_histogram_by_class,
+        } = other;
+        add_each(&mut self.packets_injected, packets_injected);
+        add_each(&mut self.packets_delivered, packets_delivered);
+        add_each(&mut self.flits_delivered, flits_delivered);
+        self.total_latency += total_latency;
+        add_each(&mut self.total_latency_by_class, total_latency_by_class);
+        self.total_queue_latency += total_queue_latency;
+        self.total_hops += total_hops;
+        self.max_latency = self.max_latency.max(*max_latency);
+        for (acc, max) in self
+            .max_latency_by_class
+            .iter_mut()
+            .zip(max_latency_by_class)
+        {
+            *acc = (*acc).max(*max);
+        }
+        self.link_traversals += link_traversals;
+        self.local_grants += local_grants;
+        self.reserved_moves += reserved_moves;
+        self.wasted_reservations += wasted_reservations;
+        self.blocked_by_reservation_cycles += blocked_by_reservation_cycles;
+        self.cycles += cycles;
+        add_histogram(&mut self.latency_histogram, latency_histogram);
+        for (acc, hist) in self
+            .latency_histogram_by_class
+            .iter_mut()
+            .zip(latency_histogram_by_class)
+        {
+            add_histogram(acc, hist);
+        }
+    }
+
     /// Records an injection of a packet of class `class`.
     pub fn record_injected(&mut self, class: MessageClass) {
         self.packets_injected[class.vc()] += 1;
@@ -215,6 +270,21 @@ impl NetStats {
     }
 }
 
+fn add_each(acc: &mut [u64], other: &[u64]) {
+    for (a, b) in acc.iter_mut().zip(other) {
+        *a += b;
+    }
+}
+
+/// Bucket-wise sum; an empty (never allocated) histogram takes the
+/// other's length.
+fn add_histogram(acc: &mut Vec<u64>, other: &[u64]) {
+    if acc.len() < other.len() {
+        acc.resize(other.len(), 0);
+    }
+    add_each(acc, other);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,6 +397,52 @@ mod tests {
             Some(12)
         );
         assert_eq!(s.max_latency_by_class[MessageClass::Response.vc()], 12);
+    }
+
+    /// Stats with every field nonzero: `n` deliveries per class at
+    /// latencies `lat`, `lat + 1` and `2 * lat`, and resource counters
+    /// proportional to `n`.
+    fn busy(n: u64, lat: u64) -> NetStats {
+        let mut s = NetStats::new();
+        for _ in 0..n {
+            for (class, len, at) in [
+                (MessageClass::Request, 1, lat),
+                (MessageClass::Coherence, 1, lat + 1),
+                (MessageClass::Response, 5, 2 * lat),
+            ] {
+                s.record_injected(class);
+                s.record_delivered(class, len, 0, 2, at, 3);
+            }
+        }
+        s.link_traversals = 10 * n;
+        s.local_grants = 11 * n;
+        s.reserved_moves = 12 * n;
+        s.wasted_reservations = 13 * n;
+        s.blocked_by_reservation_cycles = 14 * n;
+        s.cycles = 1_000 * n;
+        s
+    }
+
+    #[test]
+    fn merge_into_default_reproduces_every_field() {
+        let mut acc = NetStats::new();
+        acc.merge(&busy(3, 40));
+        assert_eq!(format!("{acc:?}"), format!("{:?}", busy(3, 40)));
+    }
+
+    #[test]
+    fn merge_sums_counters_and_keeps_the_larger_maxima() {
+        let mut sum = busy(2, 30);
+        sum.merge(&busy(5, 30));
+        assert_eq!(format!("{sum:?}"), format!("{:?}", busy(7, 30)));
+        let mut m = busy(1, 30);
+        m.merge(&busy(1, 20));
+        assert_eq!(m.max_latency, 60);
+        assert_eq!(m.max_latency_by_class, [30, 31, 60]);
+        assert_eq!(
+            m.latency_percentile_of(MessageClass::Response, 0.5),
+            Some(40)
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::summary::Summary;
 /// The paper's setup: 100 K cycles of detailed warming, then 50 K cycles
 /// of measurement per sample, with enough samples for < 4% error at 95%
 /// confidence. [`SampleSpec::paper`] mirrors those windows; tests and
-/// quick studies use smaller ones.
+/// quick runs build smaller ones as struct literals.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SampleSpec {
     /// Cycles simulated before measurement starts.
@@ -30,15 +30,6 @@ impl SampleSpec {
             warmup_cycles: 100_000,
             measure_cycles: 50_000,
             samples: 3,
-        }
-    }
-
-    /// A fast spec for unit tests and smoke runs.
-    pub fn quick() -> Self {
-        SampleSpec {
-            warmup_cycles: 3_000,
-            measure_cycles: 6_000,
-            samples: 2,
         }
     }
 
