@@ -60,8 +60,33 @@ pub struct IdealNetwork {
     /// start of the next (end-of-cycle latching): `(node, in_port, class,
     /// flit)`.
     arrivals: Vec<(usize, usize, usize, Flit)>,
+    /// Exact activity counters: flits held in each node's input buffers
+    /// and in its NI source queues. A node whose count is zero has no
+    /// front to move and nothing to inject, so the phases skip it.
+    buffered: Vec<usize>,
+    src_pending: Vec<usize>,
+    /// Working buffers of [`IdealNetwork::advance_flits`], reused every
+    /// cycle. Empty between steps, so excluded from the digest.
+    scratch: AdvanceScratch,
     stats: NetStats,
     cancel: CancelToken,
+}
+
+/// Reusable per-cycle working state of [`IdealNetwork::advance_flits`].
+#[derive(Debug, Default)]
+struct AdvanceScratch {
+    /// Candidate fronts `(created, packet, seq, node, port, class)`.
+    candidates: Vec<(Cycle, u64, u8, usize, usize, usize)>,
+    /// `link_busy[node * 4 + dir]`: the link carried a flit this cycle.
+    link_busy: Vec<bool>,
+    /// Arrivals staged this cycle per `(node, in_port, class)` buffer:
+    /// count and the last staged flit, so same-cycle landings respect
+    /// capacity and packet contiguity.
+    staged: Vec<Option<(usize, Flit)>>,
+    /// Indices of `staged` entries touched this cycle, to reset them.
+    staged_touched: Vec<usize>,
+    /// The hop plan of the flit being moved.
+    path: Vec<(usize, Direction)>,
 }
 
 impl IdealNetwork {
@@ -89,6 +114,13 @@ impl IdealNetwork {
             reasm: (0..n).map(|_| Reassembly::new()).collect(),
             ledger: DeliveryLedger::new(),
             arrivals: Vec::new(),
+            buffered: vec![0; n],
+            src_pending: vec![0; n],
+            scratch: AdvanceScratch {
+                link_busy: vec![false; n * 4],
+                staged: vec![None; n * Port::COUNT * cfg.vcs_per_port],
+                ..AdvanceScratch::default()
+            },
             stats: NetStats::new(),
             cancel: CancelToken::new(),
             cfg,
@@ -96,9 +128,10 @@ impl IdealNetwork {
         }
     }
 
+    // hot
     fn deliver_arrivals(&mut self) {
-        let arrivals = std::mem::take(&mut self.arrivals);
-        for (node, port, class, flit) in arrivals {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for (node, port, class, flit) in arrivals.drain(..) {
             if flit.dest.index() == node {
                 if let Some(head) = self.reasm[node].accept(flit) {
                     let hops = self
@@ -111,12 +144,18 @@ impl IdealNetwork {
                 self.buffers[node][port][class]
                     .push(flit)
                     .unwrap_or_else(|e| panic!("ideal arrival invariant violated: {e}"));
+                self.buffered[node] += 1;
             }
         }
+        self.arrivals = arrivals;
     }
 
+    // hot
     fn inject_from_sources(&mut self) {
         for node in 0..self.cfg.nodes() {
+            if self.src_pending[node] == 0 {
+                continue;
+            }
             for class in 0..self.cfg.vcs_per_port {
                 let Some(front) = self.sources[node].queues[class].front() else {
                     continue;
@@ -133,39 +172,43 @@ impl IdealNetwork {
                 self.buffers[node][Port::Local.index()][class]
                     .push(flit)
                     .expect("space and contiguity checked");
+                self.src_pending[node] -= 1;
+                self.buffered[node] += 1;
             }
         }
     }
 
     /// Moves every front flit up to `max_hops_per_cycle` hops, oldest
     /// packet first, subject to link availability and buffer space.
+    // hot
     fn advance_flits(&mut self) {
+        let mut s = std::mem::take(&mut self.scratch);
         // Candidate fronts, sorted by age for deterministic oldest-first
         // service (ideal arbitration).
-        let mut candidates: Vec<(Cycle, u64, u8, usize, usize, usize)> = Vec::new();
         for node in 0..self.cfg.nodes() {
+            if self.buffered[node] == 0 {
+                continue;
+            }
             for port in 0..Port::COUNT {
                 for class in 0..self.cfg.vcs_per_port {
                     if let Some(f) = self.buffers[node][port][class].front() {
-                        candidates.push((f.created, f.packet.0, f.seq, node, port, class));
+                        s.candidates
+                            .push((f.created, f.packet.0, f.seq, node, port, class));
                     }
                 }
             }
         }
-        candidates.sort_unstable();
+        s.candidates.sort_unstable();
 
         // One flit per link per cycle; links are identified by
         // (node, direction). One buffer read per (node, class) per cycle is
         // implicit (only the front flit is considered).
-        let mut link_busy = vec![false; self.cfg.nodes() * 4];
         let busy_idx = |node: usize, d: Direction| node * 4 + d as usize;
-        // Arrivals staged *this* cycle, per (node, in_port, class): count
-        // and the last staged flit, so same-cycle landings respect
-        // capacity and packet contiguity.
-        let mut staged: std::collections::BTreeMap<(usize, usize, usize), (usize, Flit)> =
-            std::collections::BTreeMap::new();
+        let staged_idx = |node: usize, port: usize, class: usize| {
+            (node * Port::COUNT + port) * self.cfg.vcs_per_port + class
+        };
 
-        for (_, _, _, node, port, class) in candidates {
+        for &(_, _, _, node, port, class) in &s.candidates {
             let Some(&flit) = self.buffers[node][port][class].front() else {
                 continue;
             };
@@ -176,6 +219,7 @@ impl IdealNetwork {
                 let flit = self.buffers[node][port][class]
                     .pop()
                     .expect("front checked");
+                self.buffered[node] -= 1;
                 self.stats.local_grants += 1;
                 self.arrivals.push((node, port, class, flit));
                 continue;
@@ -184,21 +228,22 @@ impl IdealNetwork {
             // Plan up to max_hops_per_cycle hops along the XY route,
             // stopping early at busy links, occupied pass-through routers,
             // or the destination.
-            let mut path: Vec<(usize, Direction)> = Vec::new();
+            let path = &mut s.path;
+            path.clear();
             let mut at = here;
             while path.len() < usize::from(self.cfg.max_hops_per_cycle) {
                 let port = route_port(&self.cfg, at, flit.dest);
                 let Some(dir) = port.direction() else {
                     break; // at the destination
                 };
-                if link_busy[busy_idx(at.index(), dir)] {
+                if s.link_busy[busy_idx(at.index(), dir)] {
                     break;
                 }
                 if at != here {
                     // Passing through `at`: the buffer this flit would
                     // otherwise land in must be empty, or it would
                     // overtake queued traffic of its own class.
-                    let in_port = incoming_port(&path);
+                    let in_port = incoming_port(path);
                     if !self.buffers[at.index()][in_port][class].is_empty() {
                         break;
                     }
@@ -219,9 +264,9 @@ impl IdealNetwork {
                 }
                 let in_port = Port::Dir(d0.opposite()).index();
                 let buf = &self.buffers[landing.index()][in_port][class];
-                let key = (landing.index(), in_port, class);
-                let (staged_n, follow_ok) = match staged.get(&key) {
-                    Some(&(n, last)) => (
+                let k = staged_idx(landing.index(), in_port, class);
+                let (staged_n, follow_ok) = match s.staged[k] {
+                    Some((n, last)) => (
                         n,
                         last.is_tail() || (last.packet == flit.packet && flit.seq == last.seq + 1),
                     ),
@@ -238,25 +283,48 @@ impl IdealNetwork {
             let landing = neighbor(&self.cfg, NodeId::new(n_last as u16), d_last).expect("on mesh");
             let land_port = Port::Dir(d_last.opposite()).index();
             // Commit: claim links, move the flit.
-            for &(n, d) in &path {
-                link_busy[busy_idx(n, d)] = true;
+            for &(n, d) in path.iter() {
+                s.link_busy[busy_idx(n, d)] = true;
                 self.stats.link_traversals += 1;
             }
             let flit = self.buffers[node][port][class]
                 .pop()
                 .expect("front checked above");
+            self.buffered[node] -= 1;
             self.stats.local_grants += 1;
             if landing != flit.dest {
-                staged
-                    .entry((landing.index(), land_port, class))
-                    .and_modify(|(n, last)| {
-                        *n += 1;
-                        *last = flit;
-                    })
-                    .or_insert((1, flit));
+                let k = staged_idx(landing.index(), land_port, class);
+                let staged_n = match s.staged[k] {
+                    Some((n, _)) => n,
+                    None => {
+                        s.staged_touched.push(k);
+                        0
+                    }
+                };
+                s.staged[k] = Some((staged_n + 1, flit));
             }
             self.arrivals
                 .push((landing.index(), land_port, class, flit));
+        }
+
+        s.candidates.clear();
+        s.link_busy.fill(false);
+        for k in s.staged_touched.drain(..) {
+            s.staged[k] = None;
+        }
+        self.scratch = s;
+    }
+
+    /// Debug-build check that the activity counters are exact: each
+    /// node's `buffered` count equals the flits in its input buffers and
+    /// its `src_pending` count the flits in its NI source queues.
+    #[cfg(debug_assertions)]
+    fn assert_activity_counters(&self) {
+        for n in 0..self.cfg.nodes() {
+            let held: usize = self.buffers[n].iter().flatten().map(VcBuffer::len).sum();
+            debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
+            let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
+            debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
         }
     }
 }
@@ -294,9 +362,11 @@ impl Network for IdealNetwork {
         }
         self.stats.record_injected(packet.class);
         self.ledger.register(packet);
+        self.src_pending[packet.src.index()] += usize::from(packet.len_flits);
         self.sources[packet.src.index()].enqueue_packet(&packet);
     }
 
+    // hot
     fn step(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
@@ -306,10 +376,16 @@ impl Network for IdealNetwork {
         self.deliver_arrivals();
         self.inject_from_sources();
         self.advance_flits();
+        #[cfg(debug_assertions)]
+        self.assert_activity_counters();
     }
 
     fn drain_delivered(&mut self) -> Vec<Delivered> {
         self.ledger.drain()
+    }
+
+    fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
+        self.ledger.drain_into(out);
     }
 
     fn in_flight(&self) -> usize {
@@ -506,6 +582,23 @@ mod tests {
             "ideal ({}) should be far below mesh ({})",
             lat[1],
             lat[0]
+        );
+    }
+
+    /// Busy paths the benchmark does not reach (see
+    /// [`crate::traffic::assert_busy_pins`]). The pins were recorded
+    /// before the step loop gained its activity counters and scratch
+    /// reuse.
+    #[test]
+    fn busy_paths_match_pinned_fingerprints() {
+        crate::traffic::assert_busy_pins(
+            IdealNetwork::new,
+            [
+                (2559, 15434998910776717908),
+                (297, 16494255736890123369),
+                (5716, 4348967998049097892),
+                (378, 15128530651851071632),
+            ],
         );
     }
 }

@@ -64,7 +64,7 @@ struct SsrRequest {
 }
 
 /// An established multi-hop path streaming one flit per cycle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Transfer {
     node: usize,
     port: usize,
@@ -72,12 +72,44 @@ struct Transfer {
     packet: PacketId,
     next_seq: u8,
     remaining: u8,
-    /// Links held for the duration of the transfer.
-    links: Vec<(usize, Direction)>,
+    /// The straight run of links held for the duration of the transfer:
+    /// `hops` links leaving `node` in direction `dir` (SMART-1D paths
+    /// never turn). `None` for an ejection into the local NI.
+    path: Option<(Direction, u8)>,
     /// Landing `(node, input port)`.
     landing: (usize, usize),
-    /// Ejection into the local NI instead of a downstream buffer.
-    eject: bool,
+}
+
+/// Index of the link leaving `node` in direction `dir` in
+/// [`SmartNetwork::held`].
+fn link_index(node: usize, dir: Direction) -> usize {
+    node * 4 + dir as usize
+}
+
+/// The node `hops` straight steps from `from` in direction `dir`.
+fn straight_from(cfg: &NocConfig, from: usize, dir: Direction, hops: usize) -> usize {
+    let mut at = NodeId::new(from as u16);
+    for _ in 0..hops {
+        at = neighbor(cfg, at, dir).expect("straight path stays on the mesh");
+    }
+    at.index()
+}
+
+/// Marks the `hops` links of the straight path leaving `from` in
+/// direction `dir` as held (`value == true`) or released.
+fn mark_path(
+    held: &mut [bool],
+    cfg: &NocConfig,
+    from: usize,
+    dir: Direction,
+    hops: u8,
+    value: bool,
+) {
+    let mut at = from;
+    for _ in 0..hops {
+        held[link_index(at, dir)] = value;
+        at = straight_from(cfg, at, dir, 1);
+    }
 }
 
 /// The SMART network.
@@ -116,6 +148,21 @@ pub struct SmartNetwork {
     transfers: Vec<Transfer>,
     arrivals: Vec<(usize, usize, usize, Flit, bool)>,
     sa_rr: Vec<RoundRobin>,
+    /// Exact activity counters: flits held in each node's input buffers
+    /// and in its NI source queues. A node whose count is zero has no
+    /// fronts to bid with and nothing to inject, so the phases skip it
+    /// without changing any grant.
+    buffered: Vec<usize>,
+    src_pending: Vec<usize>,
+    /// `held[link_index(node, dir)]`: the link is part of an established
+    /// transfer's path. Set when the path is set up, cleared when the
+    /// transfer completes; paths never share a link.
+    held: Vec<bool>,
+    /// Switch-allocation request mask of one node, `Port::COUNT` rows of
+    /// `Port::COUNT * vcs_per_port` slots, reused every cycle.
+    want: Vec<bool>,
+    /// Indices of transfers completing this cycle, reused every cycle.
+    done: Vec<usize>,
     stats: NetStats,
     cancel: CancelToken,
 }
@@ -129,6 +176,7 @@ impl SmartNetwork {
     pub fn new(cfg: NocConfig) -> Self {
         cfg.validate().expect("invalid NoC configuration");
         let n = cfg.nodes();
+        let slots = Port::COUNT * cfg.vcs_per_port;
         SmartNetwork {
             bufs: (0..n)
                 .map(|_| {
@@ -152,9 +200,12 @@ impl SmartNetwork {
             ssr_stage: Vec::new(),
             transfers: Vec::new(),
             arrivals: Vec::new(),
-            sa_rr: (0..n * 5)
-                .map(|_| RoundRobin::new(Port::COUNT * cfg.vcs_per_port))
-                .collect(),
+            sa_rr: (0..n * 5).map(|_| RoundRobin::new(slots)).collect(),
+            buffered: vec![0; n],
+            src_pending: vec![0; n],
+            held: vec![false; n * 4],
+            want: vec![false; Port::COUNT * slots],
+            done: Vec::new(),
             stats: NetStats::new(),
             cancel: CancelToken::new(),
             cfg,
@@ -162,9 +213,10 @@ impl SmartNetwork {
         }
     }
 
+    // hot
     fn deliver_arrivals(&mut self) {
-        let arrivals = std::mem::take(&mut self.arrivals);
-        for (node, port, class, flit, eject) in arrivals {
+        let mut arrivals = std::mem::take(&mut self.arrivals);
+        for (node, port, class, flit, eject) in arrivals.drain(..) {
             if eject {
                 if let Some(head) = self.reasm[node].accept(flit) {
                     let hops = self
@@ -179,12 +231,18 @@ impl SmartNetwork {
                 buf.fifo
                     .push(flit)
                     .unwrap_or_else(|e| panic!("SMART arrival invariant violated: {e}"));
+                self.buffered[node] += 1;
             }
         }
+        self.arrivals = arrivals;
     }
 
+    // hot
     fn inject_from_sources(&mut self) {
         for node in 0..self.cfg.nodes() {
+            if self.src_pending[node] == 0 {
+                continue;
+            }
             for class in 0..self.cfg.vcs_per_port {
                 let Some(front) = self.sources[node].queues[class].front() else {
                     continue;
@@ -203,14 +261,16 @@ impl SmartNetwork {
                 flit.injected = self.now;
                 self.sources[node].queues[class].pop_front();
                 buf.fifo.push(flit).expect("space and contiguity checked");
+                self.src_pending[node] -= 1;
+                self.buffered[node] += 1;
             }
         }
     }
 
     /// Moves one flit per active transfer (the single-cycle multi-tile
     /// traversal stage). Completed transfers release their links.
+    // hot
     fn advance_transfers(&mut self) {
-        let mut done: Vec<usize> = Vec::new();
         for (i, t) in self.transfers.iter_mut().enumerate() {
             let buf = &mut self.bufs[t.node][t.port][t.class];
             let front_ok = matches!(
@@ -221,77 +281,72 @@ impl SmartNetwork {
                 continue; // upstream flits not here yet; hold the path
             }
             let flit = buf.fifo.pop().expect("front checked");
+            self.buffered[t.node] -= 1;
             if flit.is_tail() && buf.owner == Some(t.packet) {
                 buf.owner = None;
             }
-            self.stats.link_traversals += t.links.len() as u64;
+            let hops = t.path.map_or(0, |(_, hops)| hops);
+            self.stats.link_traversals += u64::from(hops);
             self.stats.local_grants += 1;
             self.arrivals
-                .push((t.landing.0, t.landing.1, t.class, flit, t.eject));
+                .push((t.landing.0, t.landing.1, t.class, flit, t.path.is_none()));
             t.next_seq += 1;
             t.remaining -= 1;
             if t.remaining == 0 {
-                done.push(i);
+                self.done.push(i);
                 self.bufs[t.node][t.port][t.class].busy = false;
+                if let Some((dir, hops)) = t.path {
+                    mark_path(&mut self.held, &self.cfg, t.node, dir, hops, false);
+                }
             }
         }
-        for i in done.into_iter().rev() {
+        while let Some(i) = self.done.pop() {
             self.transfers.swap_remove(i);
         }
-    }
-
-    /// Links currently held by active transfers.
-    fn held_links(&self) -> Vec<(usize, Direction)> {
-        self.transfers
-            .iter()
-            .flat_map(|t| t.links.iter().copied())
-            .collect()
     }
 
     /// Processes SSRs queued by the previous cycle's switch allocation:
     /// tries to establish a path of up to `max_hops_per_cycle` straight
     /// hops, falling back to a single hop, else back to SA.
+    // hot
     fn process_ssrs(&mut self) {
-        let reqs = std::mem::take(&mut self.ssr_stage);
-        let mut held = self.held_links();
-        for r in reqs {
-            let here = NodeId::new(r.node as u16);
+        let mut reqs = std::mem::take(&mut self.ssr_stage);
+        for r in reqs.drain(..) {
             let in_port = Port::Dir(r.dir.opposite()).index();
             // Longest straight extension within the wire budget: the route
             // must continue in `r.dir` through every bypassed router
-            // (SMART-1D) with all links free and the landing able to hold
-            // the whole packet. Try the farthest stop first.
-            let mut straight: Vec<NodeId> = Vec::new();
-            let mut at = here;
-            while straight.len() < usize::from(self.cfg.max_hops_per_cycle) {
-                if !straight.is_empty() && route_port(&self.cfg, at, r.dest) != Port::Dir(r.dir) {
+            // (SMART-1D) and the landing must be able to hold the whole
+            // packet. `free` counts the leading links not held by another
+            // transfer: a stop is usable only if every link up to it is
+            // free, so the farthest candidate is `free` hops away.
+            let mut reach = 0u8;
+            let mut free = 0u8;
+            let mut at = NodeId::new(r.node as u16);
+            while reach < self.cfg.max_hops_per_cycle {
+                if reach > 0 && route_port(&self.cfg, at, r.dest) != Port::Dir(r.dir) {
                     break; // the route turns (or ends) at `at`
                 }
                 let Some(next) = neighbor(&self.cfg, at, r.dir) else {
                     break;
                 };
-                straight.push(next);
+                if free == reach && !self.held[link_index(at.index(), r.dir)] {
+                    free += 1;
+                }
+                reach += 1;
                 at = next;
                 if next == r.dest {
                     break;
                 }
             }
-            let mut landing = None;
-            for stop in (1..=straight.len()).rev() {
-                let links: Vec<(usize, Direction)> = std::iter::once((r.node, r.dir))
-                    .chain(straight[..stop - 1].iter().map(|n| (n.index(), r.dir)))
-                    .collect();
-                let land = straight[stop - 1];
-                if links.iter().all(|l| !held.contains(l))
-                    && self.can_land(land.index(), in_port, r.class, r.packet, r.len)
-                {
-                    landing = Some((land.index(), links));
-                    break;
-                }
-            }
+            // Try the farthest stop first.
+            let landing = (1..=free).rev().find_map(|stop: u8| {
+                let land = straight_from(&self.cfg, r.node, r.dir, usize::from(stop));
+                self.can_land(land, in_port, r.class, r.packet, r.len)
+                    .then_some((land, stop))
+            });
             match landing {
-                Some((land, links)) => {
-                    held.extend(links.iter().copied());
+                Some((land, stop)) => {
+                    mark_path(&mut self.held, &self.cfg, r.node, r.dir, stop, true);
                     let lb = &mut self.bufs[land][in_port][r.class];
                     lb.reserved += r.len;
                     if r.len > 1 {
@@ -304,9 +359,8 @@ impl SmartNetwork {
                         packet: r.packet,
                         next_seq: 0,
                         remaining: r.len,
-                        links,
+                        path: Some((r.dir, stop)),
                         landing: (land, in_port),
-                        eject: false,
                     });
                 }
                 None => {
@@ -315,6 +369,7 @@ impl SmartNetwork {
                 }
             }
         }
+        self.ssr_stage = reqs;
     }
 
     fn can_land(&self, node: usize, port: usize, class: usize, packet: PacketId, len: u8) -> bool {
@@ -332,14 +387,20 @@ impl SmartNetwork {
     /// Switch allocation: fronts bid for their output direction; one
     /// winner per (node, direction); winners enter the SSR stage. Ejection
     /// transfers are established directly (no multi-tile setup needed).
+    // hot
     fn allocate(&mut self) {
-        let slots = Port::COUNT * self.cfg.vcs_per_port;
+        let vcs = self.cfg.vcs_per_port;
+        let slots = Port::COUNT * vcs;
         for node in 0..self.cfg.nodes() {
+            if self.buffered[node] == 0 {
+                // No fronts, no requests: the arbiters would not rotate.
+                continue;
+            }
             let here = NodeId::new(node as u16);
             // Collect per-output-direction requests over (in_port, class).
-            let mut want: Vec<Vec<bool>> = vec![vec![false; slots]; 5];
+            self.want.fill(false);
             for in_port in 0..Port::COUNT {
-                for class in 0..self.cfg.vcs_per_port {
+                for class in 0..vcs {
                     let buf = &self.bufs[node][in_port][class];
                     if buf.busy {
                         continue;
@@ -353,11 +414,11 @@ impl SmartNetwork {
                         continue;
                     }
                     let port = route_port(&self.cfg, here, front.dest);
-                    want[port.index()][in_port * self.cfg.vcs_per_port + class] = true;
+                    self.want[port.index() * slots + in_port * vcs + class] = true;
                 }
             }
             for port in Port::ALL {
-                let requests = &want[port.index()];
+                let requests = &self.want[port.index() * slots..][..slots];
                 if !requests.iter().any(|r| *r) {
                     continue;
                 }
@@ -365,7 +426,7 @@ impl SmartNetwork {
                 let Some(slot) = rr.grant(requests) else {
                     continue;
                 };
-                let (in_port, class) = (slot / self.cfg.vcs_per_port, slot % self.cfg.vcs_per_port);
+                let (in_port, class) = (slot / vcs, slot % vcs);
                 let front = *self.bufs[node][in_port][class]
                     .fifo
                     .front()
@@ -381,9 +442,8 @@ impl SmartNetwork {
                             packet: front.packet,
                             next_seq: 0,
                             remaining: front.len_flits,
-                            links: Vec::new(),
+                            path: None,
                             landing: (node, in_port),
-                            eject: true,
                         });
                     }
                     Port::Dir(dir) => {
@@ -399,6 +459,19 @@ impl SmartNetwork {
                     }
                 }
             }
+        }
+    }
+
+    /// Debug-build check that the activity counters are exact: each
+    /// node's `buffered` count equals the flits in its input buffers and
+    /// its `src_pending` count the flits in its NI source queues.
+    #[cfg(debug_assertions)]
+    fn assert_activity_counters(&self) {
+        for n in 0..self.cfg.nodes() {
+            let held: usize = self.bufs[n].iter().flatten().map(|b| b.fifo.len()).sum();
+            debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
+            let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
+            debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
         }
     }
 }
@@ -419,9 +492,11 @@ impl Network for SmartNetwork {
         }
         self.stats.record_injected(packet.class);
         self.ledger.register(packet);
+        self.src_pending[packet.src.index()] += usize::from(packet.len_flits);
         self.sources[packet.src.index()].enqueue_packet(&packet);
     }
 
+    // hot
     fn step(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;
@@ -433,10 +508,16 @@ impl Network for SmartNetwork {
         self.advance_transfers();
         self.process_ssrs();
         self.allocate();
+        #[cfg(debug_assertions)]
+        self.assert_activity_counters();
     }
 
     fn drain_delivered(&mut self) -> Vec<Delivered> {
         self.ledger.drain()
+    }
+
+    fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
+        self.ledger.drain_into(out);
     }
 
     fn in_flight(&self) -> usize {
@@ -580,6 +661,22 @@ mod tests {
         let d = n.run_to_drain(20_000);
         assert_eq!(d.len(), 16);
     }
+    /// Busy paths the benchmark does not reach (see
+    /// [`crate::traffic::assert_busy_pins`]). The pins were recorded
+    /// before the step loop gained its activity counters and scratch
+    /// reuse.
+    #[test]
+    fn busy_paths_match_pinned_fingerprints() {
+        crate::traffic::assert_busy_pins(
+            SmartNetwork::new,
+            [
+                (2559, 2833338445734779565),
+                (297, 15868701454008393786),
+                (5716, 16170916981559044712),
+                (378, 411894068991206282),
+            ],
+        );
+    }
 }
 
 #[cfg(test)]
@@ -631,8 +728,8 @@ mod stress_tests {
             );
             eprintln!("active transfers: {}", n.transfers.len());
             for t in &n.transfers {
-                eprintln!("  transfer pkt {:?} at node {} port {} class {} next_seq {} remaining {} landing {:?} eject {} links {:?}",
-                    t.packet, t.node, t.port, t.class, t.next_seq, t.remaining, t.landing, t.eject, t.links);
+                eprintln!("  transfer pkt {:?} at node {} port {} class {} next_seq {} remaining {} landing {:?} path {:?}",
+                    t.packet, t.node, t.port, t.class, t.next_seq, t.remaining, t.landing, t.path);
                 let buf = &n.bufs[t.node][t.port][t.class];
                 eprintln!(
                     "    src buf: front {:?} len {} reserved {} owner {:?} busy {}",

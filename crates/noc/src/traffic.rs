@@ -637,6 +637,55 @@ pub fn measure_latency<N: Network + ?Sized>(
     }
 }
 
+/// Checks an organisation against fingerprints pinned on busy paths:
+/// radix 4 and 6, one- and three-hop wire budgets, uniform and hotspot
+/// traffic with half multi-flit responses. Each case runs 2 000 cycles
+/// of traffic, drains, and folds `format!("{:?}", stats)` and every
+/// delivery record, in order, into one hash; `pins` holds the delivered
+/// count and that hash per case. A refactor of a step loop that changes
+/// any simulated byte changes a pin.
+#[cfg(test)]
+pub(crate) fn assert_busy_pins<N: Network>(
+    build: impl Fn(NocConfig) -> N,
+    pins: [(usize, u64); 4],
+) {
+    use crate::config::NocConfigBuilder;
+    let cases = [
+        (4, 1, Pattern::UniformRandom, 0.08),
+        (4, 3, Pattern::Hotspot(NodeId::new(5)), 0.01),
+        (6, 3, Pattern::UniformRandom, 0.08),
+        (6, 1, Pattern::Hotspot(NodeId::new(14)), 0.005),
+    ];
+    for (seed, ((radix, hops, pattern, rate), pin)) in (1u64..).zip(cases.into_iter().zip(pins)) {
+        let cfg = NocConfigBuilder::new()
+            .radix(radix)
+            .max_hops_per_cycle(hops)
+            .build()
+            .expect("valid config");
+        let mut net = build(cfg.clone());
+        let mut gen = TrafficGen::new(cfg, pattern, rate, seed);
+        let mut delivered = Vec::new();
+        for _ in 0..2_000 {
+            gen.tick(&mut net);
+            net.step();
+            net.drain_delivered_into(&mut delivered);
+        }
+        delivered.extend(net.run_to_drain(50_000));
+        let mut h = StateHasher::new();
+        h.write_bytes(format!("{:?}", net.stats()).as_bytes());
+        for d in &delivered {
+            d.packet.digest_state(&mut h);
+            h.write_u64(d.delivered);
+            h.write_u32(d.hops);
+        }
+        assert_eq!(
+            (delivered.len(), h.finish()),
+            pin,
+            "case {seed}: radix {radix}, {hops} hops/cycle, {pattern:?}"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,12 +1,12 @@
-//! Proof that the per-cycle path performs **zero heap allocations** in
-//! steady state.
+//! Proof that the per-cycle paths of the mesh, SMART and the ideal
+//! network perform **zero heap allocations** in steady state.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! count is armed only around the measured stepping loop. The network
 //! first runs real traffic to a full drain, so every reusable buffer
 //! (scratch vectors, arrival/credit queues, VC rings) has reached its
 //! steady-state capacity. After that, stepping the fabric — with the
-//! quiescent fast path disabled, so the full phase pipeline executes
+//! mesh's quiescent fast path disabled, so the full phase pipeline executes
 //! every cycle — must never touch the allocator: any `Box::new`,
 //! `vec!`, or growth re-introduced into the hot loop fails this test
 //! with an exact allocation count.
@@ -19,7 +19,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use noc::config::NocConfig;
+use noc::ideal::IdealNetwork;
+use noc::mesh::MeshNetwork;
 use noc::network::Network;
+use noc::smart::SmartNetwork;
 use noc::traffic::{Pattern, TrafficGen};
 
 struct CountingAlloc;
@@ -55,9 +58,27 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_stepping_never_allocates() {
     let cfg = NocConfig::paper();
-    let mut net = noc::mesh::MeshNetwork::new(cfg.clone());
-    // Exhaustive stepping: the fast path would turn quiescent cycles
-    // into an early return and prove nothing about the phase pipeline.
+    let counts = [
+        ("mesh", idle_allocations(MeshNetwork::new(cfg.clone()))),
+        ("SMART", idle_allocations(SmartNetwork::new(cfg.clone()))),
+        ("ideal", idle_allocations(IdealNetwork::new(cfg))),
+    ];
+    for (org, count) in counts {
+        assert_eq!(
+            count, 0,
+            "{org}: steady-state stepping performed {count} heap allocations; \
+             the hot loop must reuse its buffers (see StepScratch in mesh.rs)"
+        );
+    }
+}
+
+/// Warms `net` up with real traffic, drains it, then counts the heap
+/// allocations of 10 000 idle cycles.
+fn idle_allocations<N: Network>(mut net: N) -> u64 {
+    let cfg = net.config().clone();
+    // Exhaustive stepping: the mesh's fast path would turn quiescent
+    // cycles into an early return and prove nothing about the phase
+    // pipeline (the other organisations have no fast path).
     net.set_skip_ahead(false);
 
     // Warm up with real traffic so every internal buffer grows to its
@@ -95,11 +116,5 @@ fn steady_state_stepping_never_allocates() {
         delivered.clear();
     }
     ARMED.store(false, Ordering::SeqCst);
-
-    let count = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        count, 0,
-        "steady-state stepping performed {count} heap allocations; the \
-         hot loop must reuse its buffers (see StepScratch in mesh.rs)"
-    );
+    ALLOCATIONS.load(Ordering::SeqCst)
 }
