@@ -31,13 +31,15 @@
 use std::ops::Range;
 
 use noc::config::NocConfig;
-use noc::mesh::{HopPlan, InstallError, MeshNetwork};
+use noc::mesh::{HopPlan, InstallError, MeshNetwork, StalledHead};
 use noc::network::Network as _;
 use noc::reserve::{FlitSource, Landing};
 use noc::routing::Route;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
-use crate::schedule::{chunk_positions, claim_keys, priority_rank, segment_positions, ClaimKey};
+use crate::schedule::{
+    chunk_positions_into, claim_keys, priority_rank, route_nodes_into, segment_positions, ClaimKey,
+};
 use crate::stats::{ControlOrigin, DropReason, PraStats};
 
 /// Tunables of the control plane (ablation switches live here).
@@ -80,6 +82,9 @@ struct ControlPacket {
     class: MessageClass,
     len: u8,
     route: Route,
+    /// Router at each route position ([`crate::schedule::route_nodes`]) —
+    /// derived from `route`, excluded from the digest.
+    nodes: Vec<NodeId>,
     /// Chunk index (single-cycle data traversal number) per position.
     chunk_of: Vec<usize>,
     /// Next route position (out-port index along the route) to allocate.
@@ -97,14 +102,46 @@ struct ControlPacket {
     first_source: FlitSource,
 }
 
+/// Buckets of the control network's due wheel (see
+/// [`ControlNetwork::due`]); packets come due at most two cycles ahead.
+const DUE_WHEEL: usize = 8;
+
+/// Reusable buffers of [`ControlNetwork::process`], the LSD scan and
+/// launches. Every buffer is emptied before it is put back, so the
+/// scratch never carries state between cycles and is excluded from the
+/// digest.
+#[derive(Debug, Default)]
+struct ControlScratch {
+    /// Packets due this cycle: `(priority rank, id, index in packets)`.
+    due: Vec<(u8, u64, usize)>,
+    /// Control latches claimed so far this cycle.
+    claims: Vec<ClaimKey>,
+    /// Ids of the packets dropped this cycle.
+    dropped: Vec<u64>,
+    /// Stalled heads reported to the LSD scan.
+    stalled: Vec<StalledHead>,
+    /// Position tables (`chunk_of`, `nodes`) of retired packets, kept for
+    /// their capacity so a launch does not allocate them afresh.
+    spare: Vec<(Vec<usize>, Vec<NodeId>)>,
+}
+
 /// The control network: in-flight control packets plus statistics.
 #[derive(Debug)]
 pub struct ControlNetwork {
     cfg: NocConfig,
     ctrl: ControlConfig,
+    /// In-flight packets in launch order, which is ascending `id` order
+    /// (the digest writes them in this order).
     packets: Vec<ControlPacket>,
+    /// `(process_at, id)` of every in-flight packet, in bucket
+    /// `process_at % DUE_WHEEL` — derived state, excluded from the
+    /// digest. `process` reads one bucket instead of every packet.
+    due: Vec<Vec<(Cycle, u64)>>,
     next_id: u64,
     stats: PraStats,
+    /// Boxed, so the buffers add one pointer to `PraNetwork`, which the
+    /// runner moves around as a variant of its organisation enum.
+    scratch: Box<ControlScratch>,
     /// Observability handle; detached by default.
     obs: niobs::ObsHandle,
 }
@@ -116,8 +153,10 @@ impl ControlNetwork {
             cfg,
             ctrl,
             packets: Vec::new(),
+            due: vec![Vec::new(); DUE_WHEEL],
             next_id: 0,
             stats: PraStats::new(),
+            scratch: Box::default(),
             obs: niobs::ObsHandle::disabled(),
         }
     }
@@ -157,6 +196,23 @@ impl ControlNetwork {
     /// Whether a control packet for `packet` is in flight.
     pub fn has_packet_for(&self, packet: PacketId) -> bool {
         self.packets.iter().any(|c| c.packet == packet)
+    }
+
+    /// Lends the LSD scan its stalled-head buffer (empty); hand it back
+    /// with [`ControlNetwork::return_stalled`].
+    pub(crate) fn take_stalled(&mut self) -> Vec<StalledHead> {
+        std::mem::take(&mut self.scratch.stalled)
+    }
+
+    /// Takes back the buffer lent by [`ControlNetwork::take_stalled`].
+    pub(crate) fn return_stalled(&mut self, mut stalled: Vec<StalledHead>) {
+        stalled.clear();
+        self.scratch.stalled = stalled;
+    }
+
+    /// Files packet `id` to come due at `process_at`.
+    fn file_due(&mut self, process_at: Cycle, id: u64) {
+        self.due[(process_at % DUE_WHEEL as Cycle) as usize].push((process_at, id));
     }
 
     /// Launches a control packet for a future LLC response: `data` will be
@@ -261,12 +317,14 @@ impl ControlNetwork {
         process_at: Cycle,
         first_source: FlitSource,
     ) {
-        let chunk_of = chunk_positions(&route, self.cfg.max_hops_per_cycle);
+        let (mut chunk_of, mut nodes) = self.scratch.spare.pop().unwrap_or_default();
+        chunk_positions_into(&route, self.cfg.max_hops_per_cycle, &mut chunk_of);
+        route_nodes_into(&self.cfg, &route, &mut nodes);
         self.next_id += 1;
         self.stats.record_injected(origin);
         self.obs.emit(process_at, || niobs::Event::ControlInjected {
             packet: packet.0,
-            src: route.node_at(&self.cfg, 0).index() as u64,
+            src: route.src().index() as u64,
             origin: match origin {
                 ControlOrigin::Llc => "llc",
                 ControlOrigin::Lsd => "lsd",
@@ -280,6 +338,7 @@ impl ControlNetwork {
             class,
             len,
             route,
+            nodes,
             chunk_of,
             pos: 0,
             due0,
@@ -290,29 +349,38 @@ impl ControlNetwork {
             prev_hop: None,
             first_source,
         });
+        self.file_due(process_at, self.next_id);
     }
 
     /// Processes every control packet due this cycle (`mesh.now() + 1`,
     /// the cycle the subsequent `mesh.step()` will execute). Call exactly
     /// once per cycle, before stepping the mesh.
+    // hot
     pub fn process(&mut self, mesh: &mut MeshNetwork) {
         let t = mesh.now() + 1;
-        let mut due: Vec<usize> = (0..self.packets.len())
-            .filter(|&i| self.packets[i].process_at == t)
-            .collect();
+        let mut due = std::mem::take(&mut self.scratch.due);
+        let mut claims = std::mem::take(&mut self.scratch.claims);
+        let mut dropped = std::mem::take(&mut self.scratch.dropped);
+        let packets = &self.packets;
+        self.due[(t % DUE_WHEEL as Cycle) as usize].retain(|&(at, id)| {
+            if at != t {
+                return true;
+            }
+            // `packets` is in ascending id order.
+            let i = packets
+                .binary_search_by_key(&id, |c| c.id)
+                .expect("a filed packet is in flight");
+            due.push((priority_rank(packets[i].pos > 0, packets[i].origin), id, i));
+            false
+        });
         // Static priority: continuing segments first (they sit in the
         // closest multi-drop latches), then fresh LLC injections (NI
         // latch), then LSD injections (lowest priority). The rank
         // function is shared with the static analyzer, which proves it a
         // strict total order (unique ids break ties).
-        due.sort_by_key(|&i| {
-            let c = &self.packets[i];
-            (priority_rank(c.pos > 0, c.origin), c.id)
-        });
+        due.sort_unstable();
 
-        let mut claims: Vec<ClaimKey> = Vec::new();
-        let mut dropped_ids: Vec<u64> = Vec::new();
-        for &i in &due {
+        for &(_, id, i) in &due {
             let outcome = {
                 let cp = &mut self.packets[i];
                 if cp.lag == 0 {
@@ -321,36 +389,48 @@ impl ControlNetwork {
                     // carry lag ≥ 1 — the boundary the analyzer's
                     // `Guarded` lag model verifies.
                     Some(DropReason::LagExhausted)
-                } else if segment_faulted(&self.cfg, mesh, cp) {
+                } else if segment_faulted(mesh, cp) {
                     mesh.note_control_drop();
                     Some(DropReason::Fault)
                 } else {
-                    match claim_keys(&self.cfg, &cp.route, cp.origin, cp.pos) {
+                    match claim_keys(&cp.route, &cp.nodes, cp.origin, cp.pos) {
                         Some(keys) if keys.iter().all(|k| !claims.contains(k)) => {
-                            claims.extend(keys);
-                            step_segment(&self.cfg, mesh, cp, t, &mut self.stats, &self.obs)
+                            claims.extend_from_slice(&keys);
+                            step_segment(mesh, cp, t, &mut self.stats, &self.obs)
                         }
                         Some(_) => Some(DropReason::Conflict),
                         None => Some(DropReason::AllocationFailed),
                     }
                 }
             };
-            if let Some(reason) = outcome {
-                let cp = &self.packets[i];
-                self.stats.record_drop(reason, cp.lag);
-                self.obs.emit(t, || niobs::Event::ControlDropped {
-                    packet: cp.packet.0,
-                    reason: drop_reason_label(reason),
-                    lag: cp.lag,
-                });
-                dropped_ids.push(cp.id);
+            match outcome {
+                Some(reason) => {
+                    let cp = &self.packets[i];
+                    self.stats.record_drop(reason, cp.lag);
+                    self.obs.emit(t, || niobs::Event::ControlDropped {
+                        packet: cp.packet.0,
+                        reason: drop_reason_label(reason),
+                        lag: cp.lag,
+                    });
+                    dropped.push(id);
+                }
+                None => self.file_due(self.packets[i].process_at, id),
             }
         }
         // Remove every drop in one order-preserving pass (ids are unique,
         // so membership is exact even with several drops per cycle).
-        if !dropped_ids.is_empty() {
-            self.packets.retain(|c| !dropped_ids.contains(&c.id));
+        if !dropped.is_empty() {
+            let retired = self.packets.extract_if(.., |c| dropped.contains(&c.id));
+            self.scratch
+                .spare
+                .extend(retired.map(|c| (c.chunk_of, c.nodes)));
         }
+        due.clear();
+        claims.clear();
+        dropped.clear();
+        self.scratch.due = due;
+        self.scratch.claims = claims;
+        self.scratch.dropped = dropped;
     }
 }
 
@@ -360,18 +440,18 @@ impl ControlNetwork {
 /// the data packet keeps whatever prefix was already reserved and
 /// continues reactively on the (rerouted) mesh. Always `false` when fault
 /// injection is off.
-fn segment_faulted(cfg: &NocConfig, mesh: &MeshNetwork, cp: &ControlPacket) -> bool {
+fn segment_faulted(mesh: &MeshNetwork, cp: &ControlPacket) -> bool {
     if !mesh.faults_enabled() {
         return false;
     }
     let (a, b) = segment_positions(&cp.route, cp.pos);
     let check = |k: usize| -> bool {
-        let node = cp.route.node_at(cfg, k);
+        let node = cp.nodes[k];
         if !mesh.node_alive(node) || mesh.control_fault_at(node) {
             return true;
         }
         if k > 0 {
-            let prev = cp.route.node_at(cfg, k - 1);
+            let prev = cp.nodes[k - 1];
             let dir_in = cp.route.dir_at(k - 1).expect("position on route");
             if !mesh.link_alive(prev, dir_in) {
                 return true;
@@ -409,8 +489,8 @@ fn install_error_index(e: InstallError) -> usize {
 }
 
 /// Builds the hop plan for route position `k` with the given landing.
-fn plan_for(cfg: &NocConfig, cp: &ControlPacket, k: usize, landing: Landing) -> HopPlan {
-    let node = cp.route.node_at(cfg, k);
+fn plan_for(cp: &ControlPacket, k: usize, landing: Landing) -> HopPlan {
+    let node = cp.nodes[k];
     let dir = cp.route.dir_at(k).expect("position on route");
     let source = if k == 0 {
         cp.first_source
@@ -443,8 +523,8 @@ fn plan_for(cfg: &NocConfig, cp: &ControlPacket, k: usize, landing: Landing) -> 
 
 /// Processes one multi-drop segment for `cp` at cycle `t`. Returns
 /// `Some(reason)` when the control packet must be dropped.
+// hot
 fn step_segment(
-    cfg: &NocConfig,
     mesh: &mut MeshNetwork,
     cp: &mut ControlPacket,
     t: Cycle,
@@ -456,7 +536,7 @@ fn step_segment(
     let (a, b) = segment_positions(&cp.route, cp.pos);
     obs.emit(t, || niobs::Event::ControlSegment {
         packet: cp.packet.0,
-        node: cp.route.node_at(cfg, a).index() as u64,
+        node: cp.nodes[a].index() as u64,
         pos: u8::try_from(a).unwrap_or(u8::MAX),
         lag: cp.lag,
     });
@@ -495,7 +575,7 @@ fn step_segment(
             // the arrival window of the previous chunk.
             let from = cp.route.dir_at(a - 1).expect("on route").opposite();
             if !mesh.latch_available(
-                cp.route.node_at(cfg, a),
+                cp.nodes[a],
                 Port::Dir(from),
                 prev.window.start..prev.window.end + 1,
                 cp.packet,
@@ -511,7 +591,7 @@ fn step_segment(
 
     // Try to allocate `b` first (its success decides `a`'s landing).
     let provisional = Landing::Vc(cp.class.vc());
-    let b_plan = b.map(|b| plan_for(cfg, cp, b, provisional));
+    let b_plan = b.map(|b| plan_for(cp, b, provisional));
     let b_ok = b_plan
         .as_ref()
         .map(|p| mesh.check_hop(p).is_ok())
@@ -527,22 +607,20 @@ fn step_segment(
             Landing::Latch
         }
     });
-    let mut installed_b = false;
-    let a_plan = if b_ok {
-        let with_b = plan_for(cfg, cp, a, a_landing_with_b.expect("b exists"));
-        if mesh.check_hop(&with_b).is_ok() {
-            installed_b = true;
-            with_b
-        } else {
-            plan_for(cfg, cp, a, provisional)
+    let with_b = b_ok.then(|| plan_for(cp, a, a_landing_with_b.expect("b exists")));
+    let installed_b = with_b.is_some_and(|plan| mesh.check_hop(&plan).is_ok());
+    let a_plan = match with_b {
+        // Just checked: nothing changed since.
+        Some(plan) if installed_b => plan,
+        _ => {
+            let plan = plan_for(cp, a, provisional);
+            if let Err(e) = mesh.check_hop(&plan) {
+                stats.alloc_fail_kinds[install_error_index(e)] += 1;
+                return Some(DropReason::AllocationFailed);
+            }
+            plan
         }
-    } else {
-        plan_for(cfg, cp, a, provisional)
     };
-    if let Err(e) = mesh.check_hop(&a_plan) {
-        stats.alloc_fail_kinds[install_error_index(e)] += 1;
-        return Some(DropReason::AllocationFailed);
-    }
 
     // Commit: convert the previous landing (ACK), install `a` (+ `b`).
     if let Some(conv) = prev_conversion {
@@ -562,13 +640,13 @@ fn step_segment(
             cp.class,
         );
     }
-    mesh.install_hop(&a_plan).expect("checked plan installs");
+    mesh.commit_hop(&a_plan);
     stats.hops_preallocated += 1;
     let mut last_plan = a_plan;
     let mut last_pos = a;
     if installed_b {
         let plan = b_plan.expect("b was checked");
-        mesh.install_hop(&plan).expect("checked plan installs");
+        mesh.commit_hop(&plan);
         stats.hops_preallocated += 1;
         last_plan = plan;
         last_pos = b.expect("b exists");
@@ -624,6 +702,7 @@ fn step_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::chunk_positions;
     use noc::types::Direction;
 
     fn route(src: u16, dest: u16) -> Route {

@@ -35,7 +35,7 @@ use noc::flit::Packet;
 use noc::mesh::{HopPlan, MeshNetwork};
 use noc::network::{Delivered, Network};
 use noc::reserve::{FlitSource, Landing};
-use noc::routing::Route;
+use noc::routing::{neighbor, Route};
 use noc::stats::NetStats;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
@@ -50,6 +50,8 @@ struct Wave {
     route: Route,
     /// Next route position to reserve.
     pos: usize,
+    /// Router at route position `pos`.
+    node: NodeId,
     /// Earliest cycle the data's head flit can use the next position's
     /// output port (advances with each reserved hop, including any slot
     /// shifts absorbed in buffers).
@@ -123,6 +125,7 @@ impl FrfcNetwork {
         &self.mesh
     }
 
+    // hot
     fn start_due_waves(&mut self) {
         let t = self.mesh.now() + 1;
         let mut i = 0;
@@ -147,6 +150,7 @@ impl FrfcNetwork {
                 len: p.len,
                 route,
                 pos: 0,
+                node: p.src,
                 due_next: p.due0,
                 process_at: t,
                 dead: false,
@@ -161,14 +165,15 @@ impl FrfcNetwork {
 
     /// Advances every wave by one position (FRFC control flits move one
     /// hop per cycle, reserving the earliest available slots as they go).
+    // hot
     fn advance_waves(&mut self) {
         let t = self.mesh.now() + 1;
+        let mut retired = false;
         for w in &mut self.waves {
             if w.dead || w.process_at != t {
                 continue;
             }
-            let cfg = self.mesh.config().clone();
-            let node = w.route.node_at(&cfg, w.pos);
+            let node = w.node;
             let dir = w.route.dir_at(w.pos).expect("position on route");
             let source = if w.pos == 0 {
                 FlitSource::Vc {
@@ -211,6 +216,7 @@ impl FrfcNetwork {
             }
             let Some(start) = installed else {
                 w.dead = true;
+                retired = true;
                 self.stats.alloc_fail_kinds[0] += 1;
                 self.stats
                     .record_drop(crate::stats::DropReason::AllocationFailed, 0);
@@ -219,6 +225,7 @@ impl FrfcNetwork {
             self.stats.hops_preallocated += 1;
             self.stats.segments_processed += 1;
             w.pos += 1;
+            w.node = neighbor(self.mesh.config(), node, dir).expect("route stays on the mesh");
             w.due_next = start + 1;
             if w.pos >= w.route.hops() {
                 // Reserve the ejection port too, then retire the wave.
@@ -246,13 +253,16 @@ impl FrfcNetwork {
                     self.stats.hops_preallocated += 1;
                 }
                 w.dead = true;
+                retired = true;
                 self.stats
                     .record_drop(crate::stats::DropReason::Completed, 0);
             } else {
                 w.process_at = t + 1;
             }
         }
-        self.waves.retain(|w| !w.dead);
+        if retired {
+            self.waves.retain(|w| !w.dead);
+        }
     }
 }
 

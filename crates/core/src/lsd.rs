@@ -18,46 +18,55 @@ use crate::control::ControlNetwork;
 /// control packets for them (at most one per router per cycle — each
 /// router has a single LSD unit). Call once per cycle before
 /// [`ControlNetwork::process`].
+// hot
 pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
     if !ctrl.control_config().lsd {
         return;
     }
     let max_lag = ctrl.control_config().max_lag as Cycle;
     let t = mesh.now() + 1;
-    let mut launched_at: Vec<u16> = Vec::new();
-    for (node, in_port, vc, flit, out_port, _blocker, finish) in mesh.stalled_heads() {
-        let Some(release) = finish else { continue };
-        if release <= t || release - t > max_lag {
-            continue;
-        }
-        if launched_at.contains(&(node.index() as u16)) {
+    // Only stalls whose port frees within the lag budget can be
+    // pre-allocated in time.
+    let mut stalled = ctrl.take_stalled();
+    mesh.stalled_heads_into(t + max_lag, &mut stalled);
+    // Stalls arrive grouped by router, so the router of the last launch
+    // is the only one that can already have fired this cycle.
+    let mut launched_at = None;
+    for s in &stalled {
+        let release = s.release;
+        debug_assert!(release > t, "a blocked port frees after the coming cycle");
+        if launched_at == Some(s.node) {
             continue; // one LSD injection per router per cycle
         }
-        if mesh.has_reservations(flit.packet) || ctrl.has_packet_for(flit.packet) {
+        if mesh.has_reservations(s.flit.packet) || ctrl.has_packet_for(s.flit.packet) {
             continue; // pre-allocation already under way
         }
         // Let the allocator reserve slots past the draining stream.
         for v in 0..mesh.config().vcs_per_port {
-            mesh.mark_free_after(node, out_port, v, release);
+            mesh.mark_free_after(s.node, s.out_port, v, release);
         }
         ctrl.obs().emit(t, || niobs::Event::LsdFire {
-            packet: flit.packet.0,
-            node: node.index() as u64,
+            packet: s.flit.packet.0,
+            node: s.node.index() as u64,
             release,
         });
         ctrl.launch_lsd(
             mesh,
-            node,
-            flit.dest,
-            flit.packet,
-            flit.class,
-            flit.len_flits,
-            FlitSource::Vc { port: in_port, vc },
+            s.node,
+            s.flit.dest,
+            s.flit.packet,
+            s.flit.class,
+            s.flit.len_flits,
+            FlitSource::Vc {
+                port: s.in_port,
+                vc: s.vc,
+            },
             t,
             release,
         );
-        launched_at.push(node.index() as u16);
+        launched_at = Some(s.node);
     }
+    ctrl.return_stalled(stalled);
 }
 
 #[cfg(test)]

@@ -73,7 +73,19 @@ pub struct PraNetwork {
     mesh: MeshNetwork,
     ctrl: ControlNetwork,
     pending: Vec<PendingAnnounce>,
+    /// How many `pending` announces launch at a cycle congruent to each
+    /// bucket index — derived state, excluded from the digest. A zero
+    /// count for the coming cycle proves nothing launches, so the scan
+    /// over `pending` runs only on cycles with a launch due.
+    launches: Vec<u32>,
     cancel: CancelToken,
+}
+
+/// Buckets of [`PraNetwork::launches`].
+const LAUNCH_WHEEL: usize = 64;
+
+fn launch_bucket(cycle: Cycle) -> usize {
+    (cycle % LAUNCH_WHEEL as Cycle) as usize
 }
 
 impl PraNetwork {
@@ -90,6 +102,7 @@ impl PraNetwork {
             mesh: MeshNetwork::new(cfg.clone()),
             ctrl: ControlNetwork::new(cfg, ctrl),
             pending: Vec::new(),
+            launches: vec![0; LAUNCH_WHEEL],
             cancel: CancelToken::new(),
         }
     }
@@ -104,12 +117,17 @@ impl PraNetwork {
         &self.mesh
     }
 
+    // hot
     fn fire_pending(&mut self) {
         let t = self.mesh.now() + 1;
+        if self.launches[launch_bucket(t)] == 0 {
+            return;
+        }
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].launch_at == t {
                 let p = self.pending.swap_remove(i);
+                self.launches[launch_bucket(t)] -= 1;
                 self.ctrl.launch_llc(
                     &self.mesh,
                     p.src,
@@ -220,6 +238,7 @@ impl Network for PraNetwork {
         let due0 = now + lead as Cycle + 1;
         let lag = (lead as Cycle).min(max_lag);
         let launch_at = (due0 - lag).max(now + 1);
+        self.launches[launch_bucket(launch_at)] += 1;
         self.pending.push(PendingAnnounce {
             src: packet.src,
             dest: packet.dest,

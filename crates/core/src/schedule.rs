@@ -14,8 +14,8 @@
 //! per cycle, resolved by static priority ([`priority_rank`]).
 
 use noc::config::NocConfig;
-use noc::routing::Route;
-use noc::types::Cycle;
+use noc::routing::{neighbor, Route};
+use noc::types::{Cycle, NodeId};
 
 use crate::stats::ControlOrigin;
 
@@ -46,8 +46,16 @@ pub enum ClaimKey {
 /// assert_eq!(chunk_positions(&r, 2), vec![0, 0, 1, 1, 2, 2]);
 /// ```
 pub fn chunk_positions(route: &Route, hpc: u8) -> Vec<usize> {
+    let mut chunk_of = Vec::with_capacity(route.hops());
+    chunk_positions_into(route, hpc, &mut chunk_of);
+    chunk_of
+}
+
+/// [`chunk_positions`] written into `chunk_of` (cleared first), reusing
+/// its capacity.
+pub fn chunk_positions_into(route: &Route, hpc: u8, chunk_of: &mut Vec<usize>) {
     let dirs = route.dirs();
-    let mut chunk_of = Vec::with_capacity(dirs.len());
+    chunk_of.clear();
     let mut chunk = 0usize;
     let mut in_chunk = 0u8;
     for (i, d) in dirs.iter().enumerate() {
@@ -58,7 +66,6 @@ pub fn chunk_positions(route: &Route, hpc: u8) -> Vec<usize> {
         chunk_of.push(chunk);
         in_chunk += 1;
     }
-    chunk_of
 }
 
 /// The route positions a segment processes when the packet's next
@@ -78,33 +85,72 @@ pub fn segment_positions(route: &Route, pos: usize) -> (usize, Option<usize>) {
     }
 }
 
+/// The router at every route position, source first: `nodes[k]` is
+/// `route.node_at(cfg, k)`, computed in one walk instead of one per
+/// position.
+pub fn route_nodes(cfg: &NocConfig, route: &Route) -> Vec<NodeId> {
+    let mut nodes = Vec::with_capacity(route.hops() + 1);
+    route_nodes_into(cfg, route, &mut nodes);
+    nodes
+}
+
+/// [`route_nodes`] written into `nodes` (cleared first), reusing its
+/// capacity.
+pub fn route_nodes_into(cfg: &NocConfig, route: &Route, nodes: &mut Vec<NodeId>) {
+    nodes.clear();
+    let mut here = route.src();
+    nodes.push(here);
+    for &dir in route.dirs() {
+        here = neighbor(cfg, here, dir).expect("route stays on the mesh");
+        nodes.push(here);
+    }
+}
+
+/// The control-latch claims of one segment: one per processed router,
+/// so at most two, held inline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentClaims {
+    keys: [ClaimKey; 2],
+    len: usize,
+}
+
+impl std::ops::Deref for SegmentClaims {
+    type Target = [ClaimKey];
+
+    fn deref(&self) -> &[ClaimKey] {
+        &self.keys[..self.len]
+    }
+}
+
 /// The control-latch claims the segment at `pos` needs, or `None` when
 /// the route is malformed (a non-source position with no inbound
-/// direction).
+/// direction). `nodes` is the route's [`route_nodes`].
 pub fn claim_keys(
-    cfg: &NocConfig,
     route: &Route,
+    nodes: &[NodeId],
     origin: ControlOrigin,
     pos: usize,
-) -> Option<Vec<ClaimKey>> {
+) -> Option<SegmentClaims> {
     let (a, b) = segment_positions(route, pos);
-    let node_a = route.node_at(cfg, a);
-    let mut keys = Vec::with_capacity(2);
-    if a == 0 {
-        keys.push(match origin {
-            ControlOrigin::Llc => ClaimKey::Ni(node_a.index() as u16),
-            ControlOrigin::Lsd => ClaimKey::Lsd(node_a.index() as u16),
-        });
+    let node_a = nodes[a].index() as u16;
+    let first = if a == 0 {
+        match origin {
+            ControlOrigin::Llc => ClaimKey::Ni(node_a),
+            ControlOrigin::Lsd => ClaimKey::Lsd(node_a),
+        }
     } else {
-        let dir_in = route.dir_at(a - 1)?;
-        keys.push(ClaimKey::MultiDrop(node_a.index() as u16, dir_in as usize));
-    }
+        ClaimKey::MultiDrop(node_a, route.dir_at(a - 1)? as usize)
+    };
+    let mut claims = SegmentClaims {
+        keys: [first; 2],
+        len: 1,
+    };
     if let Some(b) = b {
-        let node_b = route.node_at(cfg, b);
         let dir_in = route.dir_at(b - 1)?;
-        keys.push(ClaimKey::MultiDrop(node_b.index() as u16, dir_in as usize));
+        claims.keys[1] = ClaimKey::MultiDrop(nodes[b].index() as u16, dir_in as usize);
+        claims.len = 2;
     }
-    Some(keys)
+    Some(claims)
 }
 
 /// The static priority rank of a control packet contending for a latch:
@@ -142,12 +188,13 @@ pub struct SegmentStep {
 /// holds for every prefix the runtime can execute.
 pub fn segment_schedule(cfg: &NocConfig, route: &Route, origin: ControlOrigin) -> Vec<SegmentStep> {
     let h = route.hops();
+    let nodes = route_nodes(cfg, route);
     let mut steps = Vec::new();
     let mut pos = 0usize;
     let mut step = 0usize;
     while pos < h {
         let positions = segment_positions(route, pos);
-        let claims = claim_keys(cfg, route, origin, pos).unwrap_or_default();
+        let claims = claim_keys(route, &nodes, origin, pos).map_or_else(Vec::new, |c| c.to_vec());
         steps.push(SegmentStep {
             step,
             process_offset: 2 * step as Cycle,
@@ -170,13 +217,27 @@ mod tests {
     }
 
     #[test]
+    fn route_nodes_walk_matches_node_at() {
+        let cfg = NocConfig::paper();
+        for (src, dest) in [(0u16, 63u16), (27, 0), (9, 9), (40, 17)] {
+            let r = route(src, dest);
+            let nodes = route_nodes(&cfg, &r);
+            assert_eq!(nodes.len(), r.hops() + 1);
+            for (k, node) in nodes.iter().enumerate() {
+                assert_eq!(*node, r.node_at(&cfg, k), "{src}->{dest} position {k}");
+            }
+        }
+    }
+
+    #[test]
     fn source_step_claims_injection_latch() {
         let cfg = NocConfig::paper();
         let r = route(0, 5);
-        let llc = claim_keys(&cfg, &r, ControlOrigin::Llc, 0).expect("valid source claims");
-        assert_eq!(llc, vec![ClaimKey::Ni(0)]);
-        let lsd = claim_keys(&cfg, &r, ControlOrigin::Lsd, 0).expect("valid source claims");
-        assert_eq!(lsd, vec![ClaimKey::Lsd(0)]);
+        let nodes = route_nodes(&cfg, &r);
+        let llc = claim_keys(&r, &nodes, ControlOrigin::Llc, 0).expect("valid source claims");
+        assert_eq!(*llc, [ClaimKey::Ni(0)]);
+        let lsd = claim_keys(&r, &nodes, ControlOrigin::Lsd, 0).expect("valid source claims");
+        assert_eq!(*lsd, [ClaimKey::Lsd(0)]);
     }
 
     #[test]

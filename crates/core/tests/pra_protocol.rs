@@ -331,3 +331,58 @@ fn lsd_and_llc_windows_compose_on_one_packet_lifetime() {
     );
     assert_eq!(s.injected(), s.dropped(), "every control accounted for");
 }
+
+/// Sparse announced traffic with long and mistimed leads: the fabric
+/// goes quiescent between packets while reservations come and go, and
+/// skipping the quiescent cycles must not change one simulated byte.
+#[test]
+fn skip_ahead_is_byte_identical_with_announcements() {
+    fn run(skip: bool) -> (Vec<u64>, String, Vec<(u64, Cycle)>) {
+        use nistats::rng::Rng;
+        let mut net = PraNetwork::new(NocConfig::paper());
+        net.set_skip_ahead(skip);
+        let mut rng = Rng::new(9);
+        let mut queue: Vec<(Cycle, Packet)> = Vec::new();
+        let mut delivered = Vec::new();
+        let mut trail = Vec::new();
+        for cycle in 0..6_000u64 {
+            if rng.gen_bool(0.05) {
+                let src = rng.gen_range_u16(0, 64);
+                let dest = (src + rng.gen_range_u16(1, 64)) % 64;
+                let p = pkt(cycle + 1, src, dest, MessageClass::Response, 5);
+                let lead = 1 + rng.below(30);
+                net.announce(&p, lead as u32);
+                let late = if rng.gen_bool(0.1) { 3 } else { 0 };
+                queue.push((net.now() + lead + late, p));
+            }
+            let now = net.now();
+            let mut i = 0;
+            while i < queue.len() {
+                if queue[i].0 == now {
+                    let (_, p) = queue.remove(i);
+                    net.inject(p.at(now));
+                } else {
+                    i += 1;
+                }
+            }
+            net.step();
+            net.drain_delivered_into(&mut delivered);
+            if cycle % 7 == 0 {
+                trail.push(net.state_digest().expect("Mesh+PRA digests its state"));
+            }
+        }
+        delivered.extend(net.run_to_drain(10_000));
+        let ids = delivered
+            .iter()
+            .map(|d| (d.packet.id.0, d.delivered))
+            .collect();
+        (
+            trail,
+            format!("{:?} {:?}", net.stats(), net.pra_stats()),
+            ids,
+        )
+    }
+    let fast = run(true);
+    assert!(!fast.2.is_empty());
+    assert_eq!(fast, run(false));
+}

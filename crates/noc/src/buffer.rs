@@ -200,6 +200,9 @@ impl VcBuffer {
 #[derive(Debug, Clone)]
 pub struct InputUnit {
     vcs: Vec<VcBuffer>,
+    /// Flits buffered across all VCs: derived from `vcs`, kept in step by
+    /// the unit's own push, pop and purge, and excluded from the digest.
+    buffered: usize,
     /// Single-flit temporary storage used by pre-allocated multi-hop paths.
     /// A flit written here during cycle `c` is read during cycle `c + 1`.
     latch: Option<Flit>,
@@ -213,6 +216,7 @@ impl InputUnit {
     pub fn new(vcs: usize, depth: usize) -> Self {
         InputUnit {
             vcs: (0..vcs).map(|_| VcBuffer::new(depth)).collect(),
+            buffered: 0,
             latch: None,
             latch_claims: VecDeque::new(),
         }
@@ -227,13 +231,42 @@ impl InputUnit {
         &self.vcs[vc]
     }
 
-    /// Exclusive access to virtual channel `vc`.
+    /// Enqueues `flit` on virtual channel `vc` (see [`VcBuffer::push`]).
+    ///
+    /// # Errors
+    ///
+    /// The [`BufferError`] of [`VcBuffer::push`]; nothing is enqueued.
     ///
     /// # Panics
     ///
     /// Panics if `vc` is out of range.
-    pub fn vc_mut(&mut self, vc: usize) -> &mut VcBuffer {
-        &mut self.vcs[vc]
+    pub fn push(&mut self, vc: usize, flit: Flit) -> Result<(), BufferError> {
+        self.vcs[vc].push(flit)?;
+        self.buffered += 1;
+        Ok(())
+    }
+
+    /// Dequeues the front flit of virtual channel `vc`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn pop(&mut self, vc: usize) -> Option<Flit> {
+        let flit = self.vcs[vc].pop();
+        self.buffered -= usize::from(flit.is_some());
+        flit
+    }
+
+    /// Removes every flit of `packet` from virtual channel `vc` (see
+    /// [`VcBuffer::remove_packet`]); returns how many were removed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vc` is out of range.
+    pub fn remove_packet(&mut self, vc: usize, packet: PacketId) -> usize {
+        let removed = self.vcs[vc].remove_packet(packet);
+        self.buffered -= removed;
+        removed
     }
 
     /// The flit currently held in the latch, if any.
@@ -298,7 +331,11 @@ impl InputUnit {
 
     /// Total flits buffered across all VCs (latch excluded).
     pub fn buffered_flits(&self) -> usize {
-        self.vcs.iter().map(VcBuffer::len).sum()
+        debug_assert_eq!(
+            self.buffered,
+            self.vcs.iter().map(VcBuffer::len).sum::<usize>()
+        );
+        self.buffered
     }
 }
 

@@ -29,7 +29,7 @@ use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueue
 use crate::reliable::{
     escalation_action, EjectNote, EscalationAction, RelOrder, ReliableLayer, ReliableStats,
 };
-use crate::reserve::{FlitSource, Landing, OutputSchedule, Reservation};
+use crate::reserve::{DueEntry, DueIndex, FlitSource, Landing, OutputSchedule, Reservation};
 use crate::routing::{neighbor, route_port, Route};
 use crate::stats::NetStats;
 use crate::types::{Cycle, Direction, MessageClass, NodeId, PacketId, Port};
@@ -84,6 +84,11 @@ struct Router {
     /// proves no stream holds an output port, which lets the LSD stall
     /// scan skip the router without reading any buffer fronts.
     active_count: u16,
+    /// Cycle each input VC's front was last read by a reactive grant,
+    /// flattened `in_port * vcs + vc` — derived state, excluded from the
+    /// digest. A forced move may not read a buffer a grant already read
+    /// in the same cycle.
+    grant_read_at: Vec<Cycle>,
 }
 
 impl Router {
@@ -108,6 +113,7 @@ impl Router {
                 .collect(),
             vcs,
             active_count: 0,
+            grant_read_at: vec![0; Port::COUNT * vcs],
         }
     }
 
@@ -216,6 +222,22 @@ enum ChainCheck {
     Faulted,
 }
 
+/// Sort key of a reservation chain head at `(node, out_port)`: the
+/// tuple `(seq, packet, node, port)` packed into one integer with the
+/// same order.
+fn head_key(r: &Reservation, node: usize, out_port: Port) -> u128 {
+    (u128::from(r.seq) << 120)
+        | (u128::from(r.packet.0) << 56)
+        | ((node as u128) << 8)
+        | out_port.index() as u128
+}
+
+/// The `(node, out_port)` packed into a [`head_key`].
+fn head_location(key: u128) -> (usize, Port) {
+    let node = ((key >> 8) & ((1 << 48) - 1)) as usize;
+    (node, Port::from_index((key & 0xff) as usize))
+}
+
 /// Location of an installed reservation, kept for cancellation.
 #[derive(Debug, Clone, Copy)]
 struct ResvLoc {
@@ -237,16 +259,43 @@ struct StepScratch {
     arrivals_free: Vec<Arrival>,
     /// Empty buffer ping-ponged with [`MeshNetwork::grants`].
     grants_free: Vec<Grant>,
-    /// `(node, in_port, vc)` buffers read by a grant this cycle.
-    read_this_cycle: Vec<(usize, Port, usize)>,
-    /// Reservation chain heads pending execution this cycle.
-    heads: Vec<(u8, u64, usize, Port)>,
+    /// Reservation chain heads pending execution this cycle, packed by
+    /// [`head_key`] so they sort as plain integers.
+    heads: Vec<u128>,
+    /// Slots removed by one expiry or cancellation, before release.
+    removed: Vec<(Cycle, Reservation)>,
+    /// Lanes of the current cycle still holding work after its chains
+    /// ran, handed from the reservation phase to the expiry phase (which
+    /// leaves it empty).
+    leftover: Vec<DueEntry>,
     /// Stage-1 switch-allocation bids: `(in_port, vc, out_port, flit)`.
     bids: Vec<(Port, usize, Port, Flit)>,
     /// Per-VC eligibility mask, sized `vcs_per_port`.
     eligible: Vec<bool>,
     /// Per-VC bid targets, sized `vcs_per_port`.
     targets: Vec<Option<(Port, Flit)>>,
+}
+
+/// A head flit stalled behind another packet's multi-flit stream, as
+/// reported to the Long Stall Detection unit by
+/// [`MeshNetwork::stalled_heads_into`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StalledHead {
+    /// Router holding the stalled flit.
+    pub node: NodeId,
+    /// Input port of the stalled flit.
+    pub in_port: Port,
+    /// Virtual channel of the stalled flit.
+    pub vc: usize,
+    /// The stalled head flit.
+    pub flit: Flit,
+    /// Output port it waits for.
+    pub out_port: Port,
+    /// Packet currently streaming through that port.
+    pub blocker: PacketId,
+    /// First cycle the port is free for traversals: the blocking stream
+    /// drains deterministically until then.
+    pub release: Cycle,
 }
 
 /// Description of one hop of a proactively allocated path, installed by
@@ -342,6 +391,19 @@ pub struct MeshNetwork {
     arrivals: Vec<Arrival>,
     credit_returns: Vec<CreditReturn>,
     resv_index: BTreeMap<PacketId, Vec<ResvLoc>>,
+    /// Emptied `resv_index` location lists, kept for their capacity so a
+    /// pre-allocated packet reuses a retired packet's list.
+    loc_pool: Vec<Vec<ResvLoc>>,
+    /// Which `(router, lane)` pairs hold reserved slots or latch claims
+    /// at which cycle — derived state, excluded from the digest. Every
+    /// slot and latch claim is filed here when it is installed, so the
+    /// reservation phases visit only the lanes with work due.
+    due: DueIndex,
+    /// Lanes holding work at or before the current cycle — slots no
+    /// chain consumed, latch claims, anything booked behind the clock —
+    /// for the next step's expiry pass. Derived state, excluded from the
+    /// digest.
+    expiring: Vec<DueEntry>,
     /// Flit traversals per directed link, indexed `node * 4 + direction`.
     link_use: Vec<u64>,
     stats: NetStats,
@@ -378,9 +440,6 @@ pub struct MeshNetwork {
     /// holds no buffered flits (while `true` may be stale). Skipping a
     /// `false` node is therefore bit-exact, never a behaviour change.
     buffered_nodes: Vec<bool>,
-    /// Same contract for output-schedule entries plus latch claims
-    /// (set on install, cleared lazily by `expire_reservations`).
-    resv_nodes: Vec<bool>,
     /// Same contract for NI source-queue occupancy (set on inject,
     /// cleared lazily by `inject_from_sources`).
     source_nodes: Vec<bool>,
@@ -418,6 +477,9 @@ impl MeshNetwork {
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
             resv_index: BTreeMap::new(),
+            loc_pool: Vec::new(),
+            due: DueIndex::new(),
+            expiring: Vec::new(),
             link_use: vec![0; n * 4],
             stats: NetStats::new(),
             cancel: CancelToken::new(),
@@ -425,7 +487,6 @@ impl MeshNetwork {
             skip_ahead: true,
             idle: false,
             buffered_nodes: vec![false; n],
-            resv_nodes: vec![false; n],
             source_nodes: vec![false; n],
             cfg,
             now: 0,
@@ -474,10 +535,7 @@ impl MeshNetwork {
         // A reactive grant may already hold the port for the very next
         // cycle (grants are only ever pending for one cycle ahead).
         if window.contains(&self.upcoming_cycle())
-            && self
-                .grants
-                .iter()
-                .any(|g| g.node == node && g.out_port == plan.out_port && g.packet != plan.packet)
+            && self.port_granted_to_other(node, plan.out_port, plan.packet)
         {
             return Err(InstallError::PortCommitted);
         }
@@ -542,6 +600,45 @@ impl MeshNetwork {
         }
     }
 
+    /// Whether a pending reactive grant holds `(node, out_port)` for a
+    /// packet other than `packet`. The allocator commits grants in
+    /// ascending node order and purges remove them in place, so `grants`
+    /// stays sorted by node and the node's grants are found by binary
+    /// search.
+    fn port_granted_to_other(&self, node: usize, out_port: Port, packet: PacketId) -> bool {
+        let first = self.grants.partition_point(|g| g.node < node);
+        self.grants[first..]
+            .iter()
+            .take_while(|g| g.node == node)
+            .any(|g| g.out_port == out_port && g.packet != packet)
+    }
+
+    /// Files a slot or latch claim in the due index. Work booked at or
+    /// behind the clock can never execute; it goes straight to the next
+    /// expiry pass.
+    fn note_due(&mut self, e: DueEntry) {
+        if e.cycle <= self.now {
+            self.expiring.push(e);
+        } else {
+            self.due.file(e);
+        }
+    }
+
+    /// Claims the latch of `(node, in_port)` for `packet` over `window`,
+    /// filing one due-index entry per claimed cycle for expiry.
+    fn claim_latch(
+        &mut self,
+        node: usize,
+        in_port: Port,
+        window: std::ops::Range<Cycle>,
+        packet: PacketId,
+    ) {
+        self.routers[node].inputs[in_port.index()].latch_claim(window.clone(), packet);
+        for cycle in window {
+            self.note_due(DueEntry::latch_at(cycle, node, in_port));
+        }
+    }
+
     /// Installs `plan`, reserving timeslots, downstream buffer credits,
     /// latch claims and the multi-flit guard.
     ///
@@ -551,14 +648,33 @@ impl MeshNetwork {
     /// nothing is modified on failure.
     pub fn install_hop(&mut self, plan: &HopPlan) -> Result<(), InstallError> {
         self.check_hop(plan)?;
+        self.commit_hop(plan);
+        Ok(())
+    }
+
+    /// Installs `plan` without checking it again: the caller has just
+    /// passed it through [`MeshNetwork::check_hop`] and changed nothing
+    /// the check reads since (the control plane's segment step checks
+    /// both routers of a segment before committing either).
+    pub fn commit_hop(&mut self, plan: &HopPlan) {
+        debug_assert_eq!(
+            self.check_hop(plan),
+            Ok(()),
+            "committed hop must pass its check"
+        );
         let node = plan.node.index();
         let p = plan.out_port.index();
         let vc = plan.class.vc();
         let window = plan.start..plan.start + plan.len as Cycle;
 
+        let locs = self
+            .resv_index
+            .entry(plan.packet)
+            .or_insert_with(|| self.loc_pool.pop().unwrap_or_default());
         for s in 0..plan.len {
+            let cycle = plan.start + s as Cycle;
             let ok = self.routers[node].schedules[p].try_insert(
-                plan.start + s as Cycle,
+                cycle,
                 Reservation {
                     packet: plan.packet,
                     seq: s,
@@ -567,14 +683,14 @@ impl MeshNetwork {
                 },
             );
             debug_assert!(ok, "checked slot must insert");
-            self.resv_index
-                .entry(plan.packet)
-                .or_default()
-                .push(ResvLoc {
-                    node,
-                    out_port: plan.out_port,
-                    cycle: plan.start + s as Cycle,
-                });
+            locs.push(ResvLoc {
+                node,
+                out_port: plan.out_port,
+                cycle,
+            });
+        }
+        for cycle in window.clone() {
+            self.note_due(DueEntry::slot_at(cycle, node, plan.out_port));
         }
         match plan.landing {
             Landing::Vc(lvc) if plan.out_port != Port::Local => {
@@ -591,14 +707,16 @@ impl MeshNetwork {
                 let in_port = Port::Dir(dir.opposite());
                 // Occupied from each flit's store cycle through its read in
                 // the following cycle.
-                self.routers[next.index()].inputs[in_port.index()]
-                    .latch_claim(window.start..window.end + 1, plan.packet);
-                self.resv_nodes[next.index()] = true;
+                self.claim_latch(
+                    next.index(),
+                    in_port,
+                    window.start..window.end + 1,
+                    plan.packet,
+                );
             }
             _ => {}
         }
         self.routers[node].guard_mut(p, vc).set(plan.packet);
-        self.resv_nodes[node] = true;
         self.idle = false;
         self.emit(|| Event::ReservationInstalled {
             packet: plan.packet.0,
@@ -607,7 +725,6 @@ impl MeshNetwork {
             start: plan.start,
             len: plan.len,
         });
-        Ok(())
     }
 
     /// Converts a previously installed full-buffer landing into `landing`
@@ -645,9 +762,7 @@ impl MeshNetwork {
             let in_port = Port::Dir(dir.opposite());
             // The latch is occupied from the store cycle through the read
             // cycle of the last flit: one cycle beyond the write window.
-            self.routers[next.index()].inputs[in_port.index()]
-                .latch_claim(window.start..window.end + 1, packet);
-            self.resv_nodes[next.index()] = true;
+            self.claim_latch(next.index(), in_port, window.start..window.end + 1, packet);
         }
     }
 
@@ -679,10 +794,7 @@ impl MeshNetwork {
         packet: PacketId,
         window: std::ops::Range<Cycle>,
     ) -> usize {
-        self.routers[node.index()].schedules[out_port.index()]
-            .iter()
-            .filter(|(c, r)| window.contains(c) && r.packet == packet)
-            .count()
+        self.routers[node.index()].schedules[out_port.index()].count_of(packet, window)
     }
 
     /// Read access to an output schedule (for the control plane's
@@ -701,17 +813,13 @@ impl MeshNetwork {
         self.routers[node.index()].guard(out_port.index(), class.vc())
     }
 
-    /// Reports stalled packets for the Long Stall Detection unit: for each
-    /// input VC whose front is a head flit that wants an output port
-    /// currently streaming another packet, returns
-    /// `(node, in_port, vc, head flit, out_port, blocker, blocker_finish)`
-    /// where `blocker_finish` is `Some(cycle)` when the blocking stream
-    /// drains deterministically (all its remaining flits buffered here with
-    /// enough downstream credits); the port is free for traversals at
-    /// cycles `>= cycle`.
-    #[allow(clippy::type_complexity)]
-    pub fn stalled_heads(&self) -> Vec<(NodeId, Port, usize, Flit, Port, PacketId, Option<Cycle>)> {
-        let mut out = Vec::new();
+    /// Appends the packets stalled for the Long Stall Detection unit to
+    /// `out`, in ascending node order: one [`StalledHead`] for each input
+    /// VC whose front is a head flit that wants an output port currently
+    /// streaming another packet, when that stream drains deterministically
+    /// (all its remaining flits buffered here with enough downstream
+    /// credits) and frees the port by cycle `horizon`.
+    pub fn stalled_heads_into(&self, horizon: Cycle, out: &mut Vec<StalledHead>) {
         for (n, router) in self.routers.iter().enumerate() {
             // `buffered_nodes[n] == false` proves the router holds no
             // flits, hence no fronts and no stalls; `active_count == 0`
@@ -721,6 +829,38 @@ impl MeshNetwork {
                 continue;
             }
             let here = NodeId::new(n as u16);
+            // The first stream (in input-port, VC order) holding each
+            // output port, and the first one after it of a different
+            // packet: a front never waits behind its own packet, so one
+            // of the two is its blocker. Each comes with its release
+            // cycle when that is due by `horizon`.
+            type Blocker = Option<(ActiveStream, Option<Cycle>)>;
+            let mut first: [Blocker; Port::COUNT] = [None; Port::COUNT];
+            let mut other: [Blocker; Port::COUNT] = [None; Port::COUNT];
+            let mut any_due = false;
+            for ip in 0..Port::COUNT {
+                for v in 0..self.cfg.vcs_per_port {
+                    let Some(st) = router.active(ip, v) else {
+                        continue;
+                    };
+                    let p = st.out_port.index();
+                    let slot = match first[p] {
+                        None => &mut first[p],
+                        Some((f, _)) if other[p].is_none() && f.packet != st.packet => {
+                            &mut other[p]
+                        }
+                        Some(_) => continue,
+                    };
+                    let release = self
+                        .deterministic_finish(here, v, st, st.out_port)
+                        .filter(|&c| c <= horizon);
+                    any_due |= release.is_some();
+                    *slot = Some((st, release));
+                }
+            }
+            if !any_due {
+                continue;
+            }
             for in_port in Port::ALL {
                 if router.inputs[in_port.index()].buffered_flits() == 0 {
                     continue;
@@ -740,28 +880,25 @@ impl MeshNetwork {
                         continue;
                     }
                     let p = out_port.index();
-                    // Find the stream currently holding that port (any input
-                    // VC actively sending to it).
-                    let mut blocking: Option<(usize, ActiveStream)> = None;
-                    'scan: for ip in 0..Port::COUNT {
-                        for v in 0..self.cfg.vcs_per_port {
-                            if let Some(st) = router.active(ip, v) {
-                                if st.out_port.index() == p && st.packet != front.packet {
-                                    blocking = Some((v, st));
-                                    break 'scan;
-                                }
-                            }
-                        }
-                    }
-                    let Some((blk_vc, stream)) = blocking else {
+                    let blocking = match first[p] {
+                        Some((st, _)) if st.packet == front.packet => other[p],
+                        found => found,
+                    };
+                    let Some((stream, Some(release))) = blocking else {
                         continue;
                     };
-                    let finish = self.deterministic_finish(here, blk_vc, stream, out_port);
-                    out.push((here, in_port, vc, *front, out_port, stream.packet, finish));
+                    out.push(StalledHead {
+                        node: here,
+                        in_port,
+                        vc,
+                        flit: *front,
+                        out_port,
+                        blocker: stream.packet,
+                        release,
+                    });
                 }
             }
         }
-        out
     }
 
     /// Predicts when the blocking `stream` frees `out_port`. The paper's
@@ -936,8 +1073,7 @@ impl MeshNetwork {
                 }
             } else {
                 self.routers[a.node].inputs[a.in_port.index()]
-                    .vc_mut(a.vc)
-                    .push(a.flit)
+                    .push(a.vc, a.flit)
                     .unwrap_or_else(|e| {
                         panic!(
                             "arrival at n{} port {} vc {} violated buffer invariants: {e}",
@@ -973,8 +1109,7 @@ impl MeshNetwork {
                 flit.injected = self.now;
                 self.sources[node].queues[class].pop_front();
                 self.routers[node].inputs[Port::Local.index()]
-                    .vc_mut(class)
-                    .push(flit)
+                    .push(class, flit)
                     .expect("free slot was checked");
                 self.buffered_nodes[node] = true;
                 remaining |= !self.sources[node].queues[class].is_empty();
@@ -985,17 +1120,17 @@ impl MeshNetwork {
 
     /// Executes reactive grants decided in the previous cycle.
     // hot
-    fn execute_grants(&mut self, read_this_cycle: &mut Vec<(usize, Port, usize)>) {
+    fn execute_grants(&mut self) {
         let mut grants = std::mem::replace(
             &mut self.grants,
             std::mem::take(&mut self.scratch.grants_free),
         );
         for g in grants.drain(..) {
             let flit = {
-                let buf = self.routers[g.node].inputs[g.in_port.index()].vc_mut(g.vc);
-                match buf.front() {
+                let iu = &mut self.routers[g.node].inputs[g.in_port.index()];
+                match iu.vc(g.vc).front() {
                     Some(f) if f.packet == g.packet && f.seq == g.seq => {
-                        buf.pop().expect("front exists")
+                        iu.pop(g.vc).expect("front exists")
                     }
                     _ => panic!(
                         "granted flit {}#{} vanished from n{} {}:{}",
@@ -1003,7 +1138,9 @@ impl MeshNetwork {
                     ),
                 }
             };
-            read_this_cycle.push((g.node, g.in_port, g.vc));
+            let router = &mut self.routers[g.node];
+            let i = router.pv(g.in_port.index(), g.vc);
+            router.grant_read_at[i] = self.now;
             self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit);
         }
         self.scratch.grants_free = grants;
@@ -1078,39 +1215,53 @@ impl MeshNetwork {
     /// Executes reservations scheduled for the current cycle (the PRA
     /// arbiter's cycle: preset crossbars, up to `max_hops_per_cycle` hops).
     // hot
-    fn execute_reservations(&mut self, read_this_cycle: &[(usize, Port, usize)]) {
+    fn execute_reservations(&mut self) {
         // Collect chain heads: reservations at `now` whose source is not a
         // bypass (bypass slots are consumed as chain continuations).
         // Executed in ascending flit-sequence order: within a packet the
         // chain that READS a latch moves flit `s` while the upstream chain
         // WRITES flit `s + 1` into the same latch this cycle, so the read
         // must come first.
+        // Only ports filed in the due index for `now` can hold a slot
+        // now; a port filed twice yields the same head twice, and the
+        // sort brings the copies together for `dedup`.
         let mut heads = std::mem::take(&mut self.scratch.heads);
-        for (n, router) in self.routers.iter().enumerate() {
-            if !self.resv_nodes[n] {
+        for e in self.due.at(self.now) {
+            let Some(out_port) = e.slot() else {
                 continue;
-            }
-            for out_port in Port::ALL {
-                let sched = &router.schedules[out_port.index()];
-                if sched.is_empty() {
-                    continue;
-                }
-                if let Some(r) = sched.get(self.now) {
-                    if !matches!(r.source, FlitSource::Bypass { .. }) {
-                        heads.push((r.seq, r.packet.0, n, out_port));
-                    }
+            };
+            let node = usize::from(e.node);
+            if let Some(r) = self.routers[node].schedules[out_port.index()].get(self.now) {
+                if !matches!(r.source, FlitSource::Bypass { .. }) {
+                    heads.push(head_key(r, node, out_port));
                 }
             }
         }
         heads.sort_unstable();
-        for &(_, _, node, out_port) in &heads {
+        heads.dedup();
+        for &key in &heads {
+            let (node, out_port) = head_location(key);
             let Some(resv) = self.routers[node].schedules[out_port.index()].take(self.now) else {
                 continue; // consumed by an earlier chain this cycle
             };
-            self.execute_chain(node, out_port, resv, read_this_cycle);
+            self.execute_chain(node, out_port, resv);
         }
         heads.clear();
         self.scratch.heads = heads;
+        // Lanes of this cycle that still hold work (a slot no chain
+        // consumed, a latch claim) expire next step; the rest are done.
+        // Checked now, while the lanes are still in cache: nothing until
+        // the expiry pass adds work at or before this cycle.
+        let mut leftover = std::mem::take(&mut self.scratch.leftover);
+        self.due.take(self.now, &mut leftover);
+        leftover.retain(|e| {
+            let router = &self.routers[usize::from(e.node)];
+            match e.slot() {
+                Some(p) => router.schedules[p.index()].holds_before(self.now + 1),
+                None => router.inputs[e.latch().expect("latch lane").index()].has_latch_claims(),
+            }
+        });
+        self.scratch.leftover = leftover;
     }
 
     /// Read-only validation that the **entire remaining pre-allocated
@@ -1141,7 +1292,7 @@ impl MeshNetwork {
         let mut landing = resv.landing;
         let mut cycle = self.now;
         let (packet, seq) = (resv.packet, resv.seq);
-        let Some(dest) = self.find_resv_dest(packet) else {
+        let Some(dest) = self.find_resv_dest(node, resv) else {
             return ChainCheck::Unsound;
         };
         loop {
@@ -1217,18 +1368,23 @@ impl MeshNetwork {
         }
     }
 
-    /// Destination of `packet`, looked up from the delivery ledger.
-    fn find_resv_dest(&self, packet: PacketId) -> Option<NodeId> {
-        self.ledger.dest_of(packet)
+    /// Destination of the packet behind `resv` at `node`, or `None` when
+    /// the packet is no longer in flight. The expected flit usually waits
+    /// at the front of its buffer and carries the destination; only
+    /// otherwise is the delivery ledger searched.
+    fn find_resv_dest(&self, node: usize, resv: &Reservation) -> Option<NodeId> {
+        if let FlitSource::Vc { port, vc } = resv.source {
+            if let Some(f) = self.routers[node].inputs[port.index()].vc(vc).front() {
+                if f.packet == resv.packet {
+                    debug_assert_eq!(self.ledger.dest_of(f.packet), Some(f.dest));
+                    return Some(f.dest);
+                }
+            }
+        }
+        self.ledger.dest_of(resv.packet)
     }
 
-    fn execute_chain(
-        &mut self,
-        node: usize,
-        out_port: Port,
-        resv: Reservation,
-        read_this_cycle: &[(usize, Port, usize)],
-    ) {
+    fn execute_chain(&mut self, node: usize, out_port: Port, resv: Reservation) {
         match self.chain_check(node, out_port, &resv) {
             ChainCheck::Ok => {}
             verdict => {
@@ -1244,11 +1400,12 @@ impl MeshNetwork {
         // 1. Fetch the expected flit.
         let fetched: Option<(Flit, Port, usize)> = match resv.source {
             FlitSource::Vc { port, vc } => {
-                let already_read = read_this_cycle.contains(&(node, port, vc));
-                let buf = self.routers[node].inputs[port.index()].vc_mut(vc);
-                match buf.front() {
+                let router = &self.routers[node];
+                let already_read = router.grant_read_at[router.pv(port.index(), vc)] == self.now;
+                let iu = &mut self.routers[node].inputs[port.index()];
+                match iu.vc(vc).front() {
                     Some(f) if f.packet == resv.packet && f.seq == resv.seq && !already_read => {
-                        let f = buf.pop().expect("front exists");
+                        let f = iu.pop(vc).expect("front exists");
                         Some((f, port, vc))
                     }
                     _ => None,
@@ -1435,43 +1592,62 @@ impl MeshNetwork {
         let cancelled = self.cancel_packet_from(packet, from_seq, self.now + 1);
         self.stats.wasted_reservations += cancelled as u64;
         // Also drop this router's remaining same-cycle slots for >= seq.
-        let removed = self.routers[node].schedules[out_port.index()]
-            .cancel_packet(packet, from_seq, self.now);
-        self.stats.wasted_reservations += removed.len() as u64;
+        let mut removed = std::mem::take(&mut self.scratch.removed);
+        let n = self.routers[node].schedules[out_port.index()].cancel_packet(
+            packet,
+            from_seq,
+            self.now,
+            &mut removed,
+        );
+        self.stats.wasted_reservations += n as u64;
         self.release_cancelled(node, out_port, packet, &removed);
+        removed.clear();
+        self.scratch.removed = removed;
     }
 
     /// Cancels `packet`'s reservations for flits `>= from_seq` at cycles
     /// `>= from_cycle` everywhere, releasing reserved credits, latch claims
     /// and guards. Used on waste and on packet completion (as a safety
     /// net — normally all slots are consumed).
+    ///
+    /// Every schedule named by a location at or after `from_cycle` is
+    /// purged whole from `from_cycle` on. A schedule named again later in
+    /// the list has nothing left to remove, so only consecutive repeats
+    /// (one hop's flits) are skipped and the walk needs no side table.
     pub fn cancel_packet_from(
         &mut self,
         packet: PacketId,
         from_seq: u8,
         from_cycle: Cycle,
     ) -> usize {
-        let Some(locs) = self.resv_index.get(&packet).cloned() else {
+        let Some(locs) = self.resv_index.get_mut(&packet) else {
             return 0;
         };
-        let mut touched: Vec<(usize, Port)> = Vec::new();
-        for loc in &locs {
-            if loc.cycle >= from_cycle && !touched.contains(&(loc.node, loc.out_port)) {
-                touched.push((loc.node, loc.out_port));
-            }
-        }
+        let mut locs = std::mem::take(locs);
+        let mut removed = std::mem::take(&mut self.scratch.removed);
         let mut total = 0;
-        for (node, out_port) in touched {
-            let removed = self.routers[node].schedules[out_port.index()]
-                .cancel_packet(packet, from_seq, from_cycle);
-            total += removed.len();
-            self.release_cancelled(node, out_port, packet, &removed);
-        }
-        if let Some(locs) = self.resv_index.get_mut(&packet) {
-            locs.retain(|l| l.cycle < from_cycle);
-            if locs.is_empty() {
-                self.resv_index.remove(&packet);
+        let mut last = None;
+        for loc in &locs {
+            if loc.cycle < from_cycle || last == Some((loc.node, loc.out_port)) {
+                continue;
             }
+            last = Some((loc.node, loc.out_port));
+            total += self.routers[loc.node].schedules[loc.out_port.index()].cancel_packet(
+                packet,
+                from_seq,
+                from_cycle,
+                &mut removed,
+            );
+            self.release_cancelled(loc.node, loc.out_port, packet, &removed);
+            removed.clear();
+        }
+        self.scratch.removed = removed;
+        locs.retain(|l| l.cycle < from_cycle);
+        if locs.is_empty() {
+            self.resv_index.remove(&packet);
+            self.loc_pool.push(locs);
+        } else {
+            self.resv_index.insert(packet, locs);
         }
         total
     }
@@ -1793,51 +1969,56 @@ impl MeshNetwork {
         });
     }
 
-    /// Expires past reservations (waste) and stale latch claims.
+    /// Expires past reservations (waste) and stale latch claims, then
+    /// hands the lanes [`MeshNetwork::execute_reservations`] found still
+    /// holding work to the next step's pass.
+    ///
+    /// Every step expires everything before its own cycle, so only the
+    /// lanes gathered by the previous step can hold expired work. Each is
+    /// visited in ascending router, then lane, order — the order of a
+    /// scan over every router — and a lane the current cycle's chains
+    /// left empty is never visited again.
     // hot
     fn expire_reservations(&mut self) {
-        for node in 0..self.cfg.nodes() {
-            // Expiry only has work where schedules or latch claims exist;
-            // the lazily-cleared flag (set on every install) turns the
-            // common reservation-free router into a single byte test.
-            if !self.resv_nodes[node] {
+        let mut lanes = std::mem::take(&mut self.expiring);
+        let mut expired = std::mem::take(&mut self.scratch.removed);
+        lanes.sort_unstable_by_key(|e| e.key());
+        lanes.dedup_by_key(|e| e.key());
+        for e in &lanes {
+            let node = usize::from(e.node);
+            let Some(out_port) = e.slot() else {
+                let in_port = e.latch().expect("a lane is a slot or a latch");
+                self.routers[node].inputs[in_port.index()].latch_expire(self.now);
+                continue;
+            };
+            self.routers[node].schedules[out_port.index()].expire(self.now, &mut expired);
+            if expired.is_empty() {
                 continue;
             }
-            let router = &self.routers[node];
-            let quiet = router.schedules.iter().all(OutputSchedule::is_empty)
-                && router.inputs.iter().all(|iu| !iu.has_latch_claims());
-            if quiet {
-                self.resv_nodes[node] = false;
-                continue;
+            self.stats.wasted_reservations += expired.len() as u64;
+            for (_, r) in &expired {
+                self.emit(|| Event::ReservationWasted {
+                    packet: r.packet.0,
+                    node: node as u64,
+                });
             }
-            for out_port in Port::ALL {
-                let expired = self.routers[node].schedules[out_port.index()].expire(self.now);
-                if expired.is_empty() {
-                    continue;
-                }
-                self.stats.wasted_reservations += expired.len() as u64;
-                for (_, r) in &expired {
-                    self.emit(|| Event::ReservationWasted {
-                        packet: r.packet.0,
-                        node: node as u64,
-                    });
-                }
-                let by_packet: Vec<PacketId> = expired.iter().map(|(_, r)| r.packet).collect();
-                self.release_cancelled(node, out_port, by_packet[0], &expired);
-                // release_cancelled handles credits/latches per entry but
-                // guards per packet; cover remaining packets.
-                for pk in by_packet {
-                    if !self.routers[node].schedules[out_port.index()].has_packet(pk) {
-                        for vc in 0..self.cfg.vcs_per_port {
-                            self.routers[node].guard_mut(out_port.index(), vc).clear(pk);
-                        }
+            self.release_cancelled(node, out_port, expired[0].1.packet, &expired);
+            // release_cancelled handles credits/latches per entry but
+            // guards per packet; cover remaining packets.
+            for (_, r) in &expired {
+                if !self.routers[node].schedules[out_port.index()].has_packet(r.packet) {
+                    for vc in 0..self.cfg.vcs_per_port {
+                        self.routers[node]
+                            .guard_mut(out_port.index(), vc)
+                            .clear(r.packet);
                     }
                 }
             }
-            for in_port in Port::ALL {
-                self.routers[node].inputs[in_port.index()].latch_expire(self.now);
-            }
+            expired.clear();
         }
+        lanes.clear();
+        self.expiring = std::mem::replace(&mut self.scratch.leftover, lanes);
+        self.scratch.removed = expired;
     }
 
     // ------------------------------------------------------------------
@@ -2208,9 +2389,7 @@ impl MeshNetwork {
             let here = NodeId::new(n as u16);
             for in_port in Port::ALL {
                 for vc in 0..self.cfg.vcs_per_port {
-                    let removed = self.routers[n].inputs[in_port.index()]
-                        .vc_mut(vc)
-                        .remove_packet(id);
+                    let removed = self.routers[n].inputs[in_port.index()].remove_packet(vc, id);
                     if removed > 0 {
                         if let Port::Dir(e) = in_port {
                             let up = neighbor(&self.cfg, here, e)
@@ -2503,20 +2682,38 @@ impl MeshNetwork {
 
     /// Debug-build check of the activity-flag contract: a cleared flag
     /// must *prove* the absence of the state it gates (a stale `true`
-    /// is allowed, a wrong `false` would silently skip work).
+    /// is allowed, a wrong `false` would silently skip work). The same
+    /// holds for the due index (a stale entry is allowed, a missing one
+    /// is not) and for the node order of `grants` that
+    /// [`MeshNetwork::port_granted_to_other`] searches.
     #[cfg(debug_assertions)]
     fn assert_activity_flags(&self) {
+        debug_assert!(
+            self.grants.windows(2).all(|w| w[0].node <= w[1].node),
+            "grants out of node order"
+        );
         for (n, r) in self.routers.iter().enumerate() {
             debug_assert!(
                 self.buffered_nodes[n] || !r.has_buffered_input(),
                 "buffered_nodes[{n}] cleared while input VCs hold flits"
             );
-            let resv_quiet = r.schedules.iter().all(OutputSchedule::is_empty)
-                && r.inputs.iter().all(|iu| !iu.has_latch_claims());
-            debug_assert!(
-                self.resv_nodes[n] || resv_quiet,
-                "resv_nodes[{n}] cleared while schedules or latch claims exist"
-            );
+            // The next step executes the slots at `now + 1` and expires
+            // those at or before `now`: each must be filed for its pass
+            // or it would silently never run (or never expire).
+            for (port, sched) in Port::ALL.into_iter().zip(&r.schedules) {
+                let next = DueEntry::slot_at(self.now + 1, n, port);
+                debug_assert!(
+                    !sched.is_reserved(self.now + 1)
+                        || self.due.at(self.now + 1).any(|e| e == next),
+                    "slot at n{n} {port} cycle {} missing from the due index",
+                    self.now + 1
+                );
+                debug_assert!(
+                    !sched.holds_before(self.now + 1)
+                        || self.expiring.iter().any(|e| e.key() == next.key()),
+                    "passed slot at n{n} {port} missing from the expiry list"
+                );
+            }
             debug_assert!(
                 self.source_nodes[n]
                     || self.sources[n]
@@ -2635,11 +2832,8 @@ impl Network for MeshNetwork {
         self.apply_credit_returns();
         self.deliver_arrivals();
         self.inject_from_sources();
-        let mut read_this_cycle = std::mem::take(&mut self.scratch.read_this_cycle);
-        self.execute_grants(&mut read_this_cycle);
-        self.execute_reservations(&read_this_cycle);
-        read_this_cycle.clear();
-        self.scratch.read_this_cycle = read_this_cycle;
+        self.execute_grants();
+        self.execute_reservations();
         self.allocate();
         self.expire_reservations();
         #[cfg(debug_assertions)]
@@ -2655,6 +2849,7 @@ impl Network for MeshNetwork {
         out
     }
 
+    // hot
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
         let start = out.len();
         self.ledger.drain_into(out);
@@ -3197,17 +3392,18 @@ mod tests {
         n.inject(pkt(2, 1, 5, MessageClass::Request, 1));
         let mut seen = false;
         let mut predicted: Option<(Cycle, Cycle)> = None; // (observed_at, finish)
+        let mut stalled = Vec::new();
         for _ in 0..60 {
             n.step();
-            for (node, in_port, _, flit, out_port, blocker, finish) in n.stalled_heads() {
-                if flit.packet == PacketId(2) && blocker == PacketId(1) {
-                    assert_eq!(out_port, Port::Dir(Direction::East));
-                    assert_eq!(node, NodeId::new(1));
-                    assert_eq!(in_port, Port::Local);
-                    if let Some(f) = finish {
-                        seen = true;
-                        predicted.get_or_insert((n.now(), f));
-                    }
+            stalled.clear();
+            n.stalled_heads_into(Cycle::MAX, &mut stalled);
+            for s in &stalled {
+                if s.flit.packet == PacketId(2) && s.blocker == PacketId(1) {
+                    assert_eq!(s.out_port, Port::Dir(Direction::East));
+                    assert_eq!(s.node, NodeId::new(1));
+                    assert_eq!(s.in_port, Port::Local);
+                    seen = true;
+                    predicted.get_or_insert((n.now(), s.release));
                 }
             }
         }

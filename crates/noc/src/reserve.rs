@@ -1,17 +1,22 @@
-//! Per-output-port timeslot reservation tables.
+//! Per-output-port timeslot reservation tables and their due index.
 //!
 //! These tables are the software analogue of the paper's per-output-port
 //! bit vectors (*Valid*, *Input Select*, *Local VC Select*, *Downstream VC
-//! Select*, Figure 4). Hardware shifts the vectors left each cycle; the
-//! simulator instead keys a sparse map by absolute cycle and prunes expired
-//! entries, which is behaviourally identical and much cheaper to model.
+//! Select*, Figure 4). Hardware shifts the vectors left each cycle, so a
+//! router only ever reads the slot at the head of each vector. The
+//! simulator keeps each port's outstanding slots in a short vector sorted
+//! by absolute cycle: passed slots form a prefix that expiry drains in
+//! one move, and the slot of the current cycle sits at (or right behind)
+//! the front. A due index — a timing wheel keyed by cycle — records
+//! which `(router, port)` pairs hold a slot or a latch claim at which
+//! cycle, so the datapath visits only the ports with work due instead of
+//! scanning every router. Both are behaviourally identical to shifting
+//! bit vectors and much cheaper to model.
 //!
 //! The tables are pure mechanism: the PRA control network (in the `pra`
 //! crate) decides *what* to reserve; the mesh datapath in this crate only
 //! executes reservations and refuses to grant reactive traffic on reserved
 //! timeslots.
-
-use std::collections::BTreeMap;
 
 use crate::types::{Cycle, Direction, PacketId, Port};
 
@@ -90,7 +95,10 @@ pub struct Reservation {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct OutputSchedule {
-    slots: BTreeMap<Cycle, Reservation>,
+    /// Outstanding slots, strictly ascending by cycle. The vector keeps
+    /// its capacity as slots come and go, so a busy port stops touching
+    /// the allocator once it has seen its deepest booking.
+    slots: Vec<(Cycle, Reservation)>,
 }
 
 impl OutputSchedule {
@@ -99,29 +107,70 @@ impl OutputSchedule {
         OutputSchedule::default()
     }
 
+    /// Index of the first slot at or after `cycle`. Schedules are short
+    /// and lookups cluster at the front (the current and the next cycle),
+    /// so a forward scan beats a binary search.
+    fn lower_bound(&self, cycle: Cycle) -> usize {
+        self.slots
+            .iter()
+            .position(|&(c, _)| c >= cycle)
+            .unwrap_or(self.slots.len())
+    }
+
+    /// Position of `cycle`'s slot, or where it would be inserted.
+    fn find(&self, cycle: Cycle) -> Result<usize, usize> {
+        let i = self.lower_bound(cycle);
+        match self.slots.get(i) {
+            Some(&(c, _)) if c == cycle => Ok(i),
+            _ => Err(i),
+        }
+    }
+
+    /// The slots at cycles in `cycles`, in cycle order.
+    fn range(&self, cycles: std::ops::Range<Cycle>) -> &[(Cycle, Reservation)] {
+        let lo = self.lower_bound(cycles.start);
+        let len = self.slots[lo..]
+            .iter()
+            .take_while(|&&(c, _)| c < cycles.end)
+            .count();
+        &self.slots[lo..lo + len]
+    }
+
     /// Whether any packet holds `cycle`.
     pub fn is_reserved(&self, cycle: Cycle) -> bool {
-        self.slots.contains_key(&cycle)
+        self.find(cycle).is_ok()
     }
 
     /// The reservation at `cycle`, if any.
     pub fn get(&self, cycle: Cycle) -> Option<&Reservation> {
-        self.slots.get(&cycle)
+        self.find(cycle).ok().map(|i| &self.slots[i].1)
+    }
+
+    /// How many slots in `cycles` `packet` holds.
+    pub fn count_of(&self, packet: PacketId, cycles: std::ops::Range<Cycle>) -> usize {
+        self.range(cycles)
+            .iter()
+            .filter(|(_, r)| r.packet == packet)
+            .count()
     }
 
     /// Whether every cycle in `cycles` is free (or already held by
     /// `packet`, which never conflicts with itself).
     pub fn range_free(&self, cycles: std::ops::Range<Cycle>, packet: PacketId) -> bool {
-        self.slots.range(cycles).all(|(_, r)| r.packet == packet)
+        self.range(cycles).iter().all(|(_, r)| r.packet == packet)
     }
 
     /// Inserts a reservation; fails (returning `false`) if the slot is held
     /// by a different packet.
     pub fn try_insert(&mut self, cycle: Cycle, r: Reservation) -> bool {
-        match self.slots.get(&cycle) {
-            Some(existing) if existing.packet != r.packet => false,
-            _ => {
-                self.slots.insert(cycle, r);
+        match self.find(cycle) {
+            Ok(i) if self.slots[i].1.packet != r.packet => false,
+            Ok(i) => {
+                self.slots[i].1 = r;
+                true
+            }
+            Err(i) => {
+                self.slots.insert(i, (cycle, r));
                 true
             }
         }
@@ -129,7 +178,7 @@ impl OutputSchedule {
 
     /// Removes and returns the reservation at `cycle`.
     pub fn take(&mut self, cycle: Cycle) -> Option<Reservation> {
-        self.slots.remove(&cycle)
+        self.find(cycle).ok().map(|i| self.slots.remove(i).1)
     }
 
     /// Updates the landing of `packet`'s reservations at every cycle in
@@ -142,8 +191,12 @@ impl OutputSchedule {
         packet: PacketId,
         landing: Landing,
     ) -> usize {
+        let lo = self.lower_bound(cycles.start);
         let mut n = 0;
-        for (_, r) in self.slots.range_mut(cycles) {
+        for (_, r) in self.slots[lo..]
+            .iter_mut()
+            .take_while(|(c, _)| *c < cycles.end)
+        {
             if r.packet == packet {
                 r.landing = landing;
                 n += 1;
@@ -153,42 +206,53 @@ impl OutputSchedule {
     }
 
     /// Removes all reservations of `packet` for flits with sequence number
-    /// `>= from_seq` at cycles `>= from_cycle`; returns the removed
-    /// entries. Used when a forced move finds its flit missing: earlier
-    /// flits already in the pre-allocated path keep their slots so they can
+    /// `>= from_seq` at cycles `>= from_cycle`, appending the removed
+    /// entries to `removed` in cycle order; returns how many it removed.
+    /// Used when a forced move finds its flit missing: earlier flits
+    /// already in the pre-allocated path keep their slots so they can
     /// drain, later flits fall back to reactive routing.
     pub fn cancel_packet(
         &mut self,
         packet: PacketId,
         from_seq: u8,
         from_cycle: Cycle,
-    ) -> Vec<(Cycle, Reservation)> {
-        let doomed: Vec<Cycle> = self
-            .slots
-            .range(from_cycle..)
-            .filter(|(_, r)| r.packet == packet && r.seq >= from_seq)
-            .map(|(c, _)| *c)
-            .collect();
-        doomed
-            .into_iter()
-            .map(|c| (c, self.slots.remove(&c).expect("slot exists")))
-            .collect()
+        removed: &mut Vec<(Cycle, Reservation)>,
+    ) -> usize {
+        let doomed = |&(c, r): &(Cycle, Reservation)| {
+            c >= from_cycle && r.packet == packet && r.seq >= from_seq
+        };
+        // Most calls (the purge after delivery) find nothing to remove.
+        if !self.slots.iter().any(doomed) {
+            return 0;
+        }
+        let before = removed.len();
+        self.slots.retain(|slot| {
+            let gone = doomed(slot);
+            if gone {
+                removed.push(*slot);
+            }
+            !gone
+        });
+        removed.len() - before
     }
 
-    /// Drops reservations strictly before `now` (already in the past);
-    /// returns the expired entries. Executed slots are removed by
-    /// [`OutputSchedule::take`], so anything left to expire was wasted.
-    pub fn expire(&mut self, now: Cycle) -> Vec<(Cycle, Reservation)> {
-        let doomed: Vec<Cycle> = self.slots.range(..now).map(|(c, _)| *c).collect();
-        doomed
-            .into_iter()
-            .map(|c| (c, self.slots.remove(&c).expect("slot exists")))
-            .collect()
+    /// Drops reservations strictly before `now` (already in the past),
+    /// appending them to `expired` in cycle order. Executed slots are
+    /// removed by [`OutputSchedule::take`], so anything left to expire was
+    /// wasted.
+    pub fn expire(&mut self, now: Cycle, expired: &mut Vec<(Cycle, Reservation)>) {
+        let passed = self.lower_bound(now);
+        expired.extend(self.slots.drain(..passed));
+    }
+
+    /// Whether a slot at a cycle before `cycle` is outstanding.
+    pub fn holds_before(&self, cycle: Cycle) -> bool {
+        self.slots.first().is_some_and(|&(c, _)| c < cycle)
     }
 
     /// Whether `packet` holds any outstanding slot in this schedule.
     pub fn has_packet(&self, packet: PacketId) -> bool {
-        self.slots.values().any(|r| r.packet == packet)
+        self.slots.iter().any(|(_, r)| r.packet == packet)
     }
 
     /// Number of outstanding reserved slots.
@@ -204,6 +268,114 @@ impl OutputSchedule {
     /// Iterates over `(cycle, reservation)` pairs in cycle order.
     pub fn iter(&self) -> impl Iterator<Item = (Cycle, &Reservation)> {
         self.slots.iter().map(|(c, r)| (*c, r))
+    }
+}
+
+/// One [`DueIndex`] entry: router `node` holds work due at `cycle` in
+/// one of its lanes — an output port's schedule or an input port's latch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DueEntry {
+    /// Cycle the work is due.
+    pub cycle: Cycle,
+    /// Router holding it.
+    pub node: u16,
+    /// `0..Port::COUNT`: the schedule of output port `lane`;
+    /// `Port::COUNT..2 * Port::COUNT`: the latch of input port
+    /// `lane - Port::COUNT`.
+    lane: u8,
+}
+
+impl DueEntry {
+    /// A slot on output `port` of router `node` at `cycle`.
+    pub(crate) fn slot_at(cycle: Cycle, node: usize, port: Port) -> Self {
+        Self::new(cycle, node, port.index())
+    }
+
+    /// A claim on the latch of input `port` of router `node` at `cycle`.
+    pub(crate) fn latch_at(cycle: Cycle, node: usize, port: Port) -> Self {
+        Self::new(cycle, node, Port::COUNT + port.index())
+    }
+
+    fn new(cycle: Cycle, node: usize, lane: usize) -> Self {
+        DueEntry {
+            cycle,
+            node: u16::try_from(node).expect("node index fits the NodeId range"),
+            lane: lane as u8,
+        }
+    }
+
+    /// The output port whose schedule holds a slot.
+    pub(crate) fn slot(self) -> Option<Port> {
+        let lane = usize::from(self.lane);
+        (lane < Port::COUNT).then(|| Port::from_index(lane))
+    }
+
+    /// The input port whose latch is claimed.
+    pub(crate) fn latch(self) -> Option<Port> {
+        let lane = usize::from(self.lane);
+        (lane >= Port::COUNT).then(|| Port::from_index(lane - Port::COUNT))
+    }
+
+    /// Sort key grouping entries by router, then lane.
+    pub(crate) fn key(self) -> (u16, u8) {
+        (self.node, self.lane)
+    }
+}
+
+/// Which `(router, lane)` pairs hold reserved slots or latch claims at
+/// which cycle: a timing wheel whose bucket `c % WHEEL` lists the entries
+/// of every cycle congruent to `c`, so a lookup for one cycle reads one
+/// short bucket whatever the booking horizon.
+///
+/// Entries are hints, never promises: the datapath always re-reads the
+/// schedule or latch an entry points to, so an entry left behind by a
+/// slot that was taken or cancelled early costs one lookup and changes
+/// nothing, and a lane filed twice is visited once after deduplication.
+/// The index is derived state and is excluded from the digest.
+#[derive(Debug)]
+pub(crate) struct DueIndex {
+    buckets: Vec<Vec<DueEntry>>,
+}
+
+impl DueIndex {
+    /// Buckets in the wheel: a power of two above every booking lead the
+    /// control planes use, so a bucket rarely holds a later cycle.
+    const WHEEL: usize = 64;
+
+    /// Creates an empty index.
+    pub(crate) fn new() -> Self {
+        DueIndex {
+            buckets: vec![Vec::new(); Self::WHEEL],
+        }
+    }
+
+    fn bucket(cycle: Cycle) -> usize {
+        (cycle % Self::WHEEL as Cycle) as usize
+    }
+
+    /// Files `e` in the bucket of its cycle.
+    pub(crate) fn file(&mut self, e: DueEntry) {
+        self.buckets[Self::bucket(e.cycle)].push(e);
+    }
+
+    /// The entries filed for exactly `cycle`, in filing order.
+    pub(crate) fn at(&self, cycle: Cycle) -> impl Iterator<Item = DueEntry> + '_ {
+        self.buckets[Self::bucket(cycle)]
+            .iter()
+            .copied()
+            .filter(move |e| e.cycle == cycle)
+    }
+
+    /// Removes the entries of `cycle`'s bucket filed for `cycle` or
+    /// earlier, appending them to `out` in filing order.
+    pub(crate) fn take(&mut self, cycle: Cycle, out: &mut Vec<DueEntry>) {
+        self.buckets[Self::bucket(cycle)].retain(|&e| {
+            let done = e.cycle <= cycle;
+            if done {
+                out.push(e);
+            }
+            !done
+        });
     }
 }
 
@@ -252,7 +424,12 @@ mod tests {
             s.try_insert(c, resv(P, seq));
         }
         // Cancel flits >= seq 2 from cycle 11 on: removes (12,2), (13,3).
-        assert_eq!(s.cancel_packet(P, 2, 11).len(), 2);
+        let mut removed = Vec::new();
+        assert_eq!(s.cancel_packet(P, 2, 11, &mut removed), 2);
+        assert_eq!(
+            removed.iter().map(|&(c, _)| c).collect::<Vec<_>>(),
+            [12, 13]
+        );
         assert!(s.is_reserved(10));
         assert!(s.is_reserved(11));
         assert!(!s.is_reserved(12));
@@ -263,7 +440,8 @@ mod tests {
         let mut s = OutputSchedule::new();
         s.try_insert(3, resv(P, 0));
         s.try_insert(7, resv(P, 1));
-        let expired = s.expire(5);
+        let mut expired = Vec::new();
+        s.expire(5, &mut expired);
         assert_eq!(expired.len(), 1);
         assert_eq!(expired[0].0, 3);
         assert_eq!(s.len(), 1);
@@ -279,6 +457,42 @@ mod tests {
         assert_eq!(n, 1);
         assert_eq!(s.get(5).unwrap().landing, Landing::Latch);
         assert_eq!(s.get(6).unwrap().landing, Landing::Vc(2));
+    }
+
+    #[test]
+    fn due_index_files_by_cycle_and_keeps_later_cycles() {
+        let mut due = DueIndex::new();
+        due.file(DueEntry::slot_at(70, 3, Port::Local));
+        due.file(DueEntry::latch_at(6, 3, Port::Local)); // same bucket as 70
+        assert_eq!(due.at(70).count(), 1);
+        assert_eq!(due.at(6).count(), 1);
+        let mut passed = Vec::new();
+        due.take(6, &mut passed);
+        assert_eq!(passed.len(), 1);
+        assert_eq!(passed[0].latch(), Some(Port::Local));
+        assert_eq!(passed[0].slot(), None);
+        assert_eq!(due.at(70).count(), 1, "later cycles stay filed");
+        assert_eq!(
+            due.at(70).next().and_then(DueEntry::slot),
+            Some(Port::Local)
+        );
+    }
+
+    #[test]
+    fn schedule_stays_sorted_and_expires_a_prefix() {
+        let mut s = OutputSchedule::new();
+        for c in [9, 4, 7, 5] {
+            assert!(s.try_insert(c, resv(P, 0)));
+        }
+        let cycles: Vec<Cycle> = s.iter().map(|(c, _)| c).collect();
+        assert_eq!(cycles, [4, 5, 7, 9]);
+        assert!(s.holds_before(5));
+        assert!(!s.holds_before(4));
+        assert_eq!(s.count_of(P, 5..9), 2);
+        let mut expired = Vec::new();
+        s.expire(7, &mut expired);
+        assert_eq!(expired.iter().map(|&(c, _)| c).collect::<Vec<_>>(), [4, 5]);
+        assert_eq!(s.get(7).map(|r| r.packet), Some(P));
     }
 
     #[test]
@@ -298,8 +512,8 @@ mod digest_impls {
     impl StateDigest for OutputSchedule {
         fn digest_state(&self, h: &mut StateHasher) {
             h.write_usize(self.slots.len());
-            for (&cycle, r) in &self.slots {
-                h.write_u64(cycle);
+            for (cycle, r) in &self.slots {
+                h.write_u64(*cycle);
                 r.digest_state(h);
             }
         }

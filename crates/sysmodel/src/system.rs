@@ -19,7 +19,7 @@
 use std::collections::BTreeMap;
 
 use noc::flit::Packet;
-use noc::network::Network;
+use noc::network::{Delivered, Network};
 use noc::types::{Cycle, MessageClass, NodeId, PacketId};
 use noc::watchdog::Watchdog;
 use workloads::{CoreStream, WorkloadKind};
@@ -98,6 +98,8 @@ pub struct System<N: Network> {
     next_tx: u64,
     next_packet: u64,
     issue_buf: Vec<CoreIssue>,
+    /// Reused delivery buffer, empty between cycles.
+    delivered: Vec<Delivered>,
     workload: WorkloadKind,
     /// Optional invariant watchdog; observes network audits at its own
     /// check interval. `None` (the default) costs nothing per cycle.
@@ -165,6 +167,7 @@ impl<N: Network> System<N> {
             next_tx: 0,
             next_packet: 0,
             issue_buf: Vec::new(),
+            delivered: Vec::new(),
             workload: profile.kind,
             watchdog: None,
             obs: niobs::ObsHandle::disabled(),
@@ -261,7 +264,9 @@ impl<N: Network> System<N> {
     }
 
     fn dispatch_deliveries(&mut self, t: Cycle) {
-        for d in self.network.drain_delivered() {
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.network.drain_delivered_into(&mut delivered);
+        for d in delivered.drain(..) {
             let (txid, leg) = untag(d.packet.tag);
             match leg {
                 LEG_REQ => {
@@ -316,6 +321,7 @@ impl<N: Network> System<N> {
                 _ => unreachable!("unknown message leg"),
             }
         }
+        self.delivered = delivered;
     }
 
     fn tag_completions(&mut self, t: Cycle) {
