@@ -65,6 +65,48 @@ impl RoundRobin {
         None
     }
 
+    /// [`RoundRobin::grant`] over a request bit vector, the form a
+    /// hardware arbiter reads: requester `i` asks iff bit `i` of `mask`
+    /// is set. Picks exactly `grant`'s winner and leaves exactly its
+    /// rotation. Rotating `mask` right by `next` puts the requesters at
+    /// or after `next` in the low bits, ahead of the wrapped-around
+    /// ones, so the lowest set bit is the winner's offset.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc::arbiter::RoundRobin;
+    ///
+    /// let mut rr = RoundRobin::new(4);
+    /// assert_eq!(rr.grant_mask(0b0101), Some(0));
+    /// assert_eq!(rr.grant_mask(0b0101), Some(2));
+    /// assert_eq!(rr.grant_mask(0b0101), Some(0));
+    /// assert_eq!(rr.grant_mask(0), None);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if the arbiter has more than 32 requesters or
+    /// `mask` has a bit at or above `self.len()`.
+    // hot
+    #[inline]
+    pub fn grant_mask(&mut self, mask: u32) -> Option<usize> {
+        debug_assert!(
+            self.n <= 32 && (self.n == 32 || mask >> self.n == 0),
+            "request mask wider than the arbiter"
+        );
+        if mask == 0 {
+            return None;
+        }
+        // `next < n <= 32`, so the shift is in range and the offset of
+        // a wrapped requester is at least `32 - next`, past every
+        // unwrapped one.
+        let offset = mask.rotate_right(self.next as u32).trailing_zeros() as usize;
+        let i = (self.next + offset) % 32;
+        self.next = if i + 1 == self.n { 0 } else { i + 1 };
+        Some(i)
+    }
+
     /// Like [`RoundRobin::grant`] but without rotating the priority.
     /// Useful for speculative queries.
     pub fn peek(&self, requests: &[bool]) -> Option<usize> {
@@ -162,6 +204,40 @@ mod tests {
         assert_eq!(rr.grant(&[false; 3]), None);
         // Priority unchanged by a no-grant round.
         assert_eq!(rr.grant(&[true, false, false]), Some(0));
+    }
+
+    /// `grant_mask` against `grant` for every arbiter size up to 8,
+    /// every starting priority and every request mask: same winner,
+    /// same rotation.
+    #[test]
+    fn grant_mask_matches_grant_exhaustively() {
+        for n in 1..=8usize {
+            for next in 0..n {
+                for mask in 0u32..(1 << n) {
+                    let requests: Vec<bool> = (0..n).map(|i| mask >> i & 1 == 1).collect();
+                    let mut by_vec = RoundRobin { n, next };
+                    let mut by_mask = RoundRobin { n, next };
+                    assert_eq!(
+                        by_mask.grant_mask(mask),
+                        by_vec.grant(&requests),
+                        "n {n}, next {next}, mask {mask:#b}"
+                    );
+                    assert_eq!(
+                        by_mask.next, by_vec.next,
+                        "n {n}, next {next}, mask {mask:#b}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grant_mask_covers_a_full_width_arbiter() {
+        let mut rr = RoundRobin::new(32);
+        assert_eq!(rr.grant_mask(1 << 31), Some(31));
+        assert_eq!(rr.next, 0);
+        assert_eq!(rr.grant_mask(u32::MAX), Some(0));
+        assert_eq!(rr.grant_mask(1), Some(0));
     }
 
     #[test]

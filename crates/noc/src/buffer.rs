@@ -200,9 +200,6 @@ impl VcBuffer {
 #[derive(Debug, Clone)]
 pub struct InputUnit {
     vcs: Vec<VcBuffer>,
-    /// Flits buffered across all VCs: derived from `vcs`, kept in step by
-    /// the unit's own push, pop and purge, and excluded from the digest.
-    buffered: usize,
     /// Single-flit temporary storage used by pre-allocated multi-hop paths.
     /// A flit written here during cycle `c` is read during cycle `c + 1`.
     latch: Option<Flit>,
@@ -216,7 +213,6 @@ impl InputUnit {
     pub fn new(vcs: usize, depth: usize) -> Self {
         InputUnit {
             vcs: (0..vcs).map(|_| VcBuffer::new(depth)).collect(),
-            buffered: 0,
             latch: None,
             latch_claims: VecDeque::new(),
         }
@@ -241,9 +237,7 @@ impl InputUnit {
     ///
     /// Panics if `vc` is out of range.
     pub fn push(&mut self, vc: usize, flit: Flit) -> Result<(), BufferError> {
-        self.vcs[vc].push(flit)?;
-        self.buffered += 1;
-        Ok(())
+        self.vcs[vc].push(flit)
     }
 
     /// Dequeues the front flit of virtual channel `vc`.
@@ -252,9 +246,7 @@ impl InputUnit {
     ///
     /// Panics if `vc` is out of range.
     pub fn pop(&mut self, vc: usize) -> Option<Flit> {
-        let flit = self.vcs[vc].pop();
-        self.buffered -= usize::from(flit.is_some());
-        flit
+        self.vcs[vc].pop()
     }
 
     /// Removes every flit of `packet` from virtual channel `vc` (see
@@ -264,9 +256,7 @@ impl InputUnit {
     ///
     /// Panics if `vc` is out of range.
     pub fn remove_packet(&mut self, vc: usize, packet: PacketId) -> usize {
-        let removed = self.vcs[vc].remove_packet(packet);
-        self.buffered -= removed;
-        removed
+        self.vcs[vc].remove_packet(packet)
     }
 
     /// The flit currently held in the latch, if any.
@@ -331,11 +321,7 @@ impl InputUnit {
 
     /// Total flits buffered across all VCs (latch excluded).
     pub fn buffered_flits(&self) -> usize {
-        debug_assert_eq!(
-            self.buffered,
-            self.vcs.iter().map(VcBuffer::len).sum::<usize>()
-        );
-        self.buffered
+        self.vcs.iter().map(VcBuffer::len).sum()
     }
 }
 

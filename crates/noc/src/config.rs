@@ -7,7 +7,15 @@
 
 use crate::faults::FaultPlan;
 use crate::reliable::ReliabilityConfig;
-use crate::types::{Coord, NodeId};
+use crate::types::{Coord, MessageClass, NodeId, Port};
+
+/// Fewest virtual channels per port a network can run: a flit travels
+/// on the VC of its message class, so every class needs its own.
+pub const MIN_VCS_PER_PORT: usize = MessageClass::ALL.len();
+
+/// Most virtual channels per port a mesh router can run: its input-VC
+/// occupancy mask is a `u32` with one bit per `(port, VC)`.
+pub const MAX_VCS_PER_PORT: usize = u32::BITS as usize / Port::COUNT;
 
 /// Errors produced when validating a [`NocConfig`].
 #[must_use]
@@ -17,6 +25,9 @@ pub enum ConfigError {
     RadixTooSmall(u16),
     /// The mesh radix must fit node ids in `u16`.
     RadixTooLarge(u16),
+    /// Virtual channels per port must lie in
+    /// [`MIN_VCS_PER_PORT`]`..=`[`MAX_VCS_PER_PORT`].
+    BadVcsPerPort(usize),
     /// VC depth must cover at least one flit.
     ZeroVcDepth,
     /// Packets may pass at most this many hops per cycle; must be ≥ 1.
@@ -42,6 +53,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::RadixTooLarge(r) => {
                 write!(f, "mesh radix {r} exceeds the supported maximum of 255")
             }
+            ConfigError::BadVcsPerPort(v) => write!(
+                f,
+                "{v} virtual channels per port is outside \
+                 {MIN_VCS_PER_PORT}..={MAX_VCS_PER_PORT}"
+            ),
             ConfigError::ZeroVcDepth => {
                 f.write_str("virtual channel depth must be at least 1 flit")
             }
@@ -162,6 +178,9 @@ impl NocConfig {
         }
         if self.radix > 255 {
             return Err(ConfigError::RadixTooLarge(self.radix));
+        }
+        if !(MIN_VCS_PER_PORT..=MAX_VCS_PER_PORT).contains(&self.vcs_per_port) {
+            return Err(ConfigError::BadVcsPerPort(self.vcs_per_port));
         }
         if self.vc_depth == 0 {
             return Err(ConfigError::ZeroVcDepth);
@@ -375,6 +394,46 @@ mod tests {
             .unwrap();
     }
 
+    /// Zero VCs would panic building the arbiters, one or two would
+    /// index past the VCs once a response is injected, and more than
+    /// [`MAX_VCS_PER_PORT`] would not fit the mesh occupancy mask: all
+    /// are refused up front.
+    #[test]
+    fn vcs_per_port_outside_the_supported_range_is_rejected() {
+        use crate::flit::Packet;
+        use crate::mesh::MeshNetwork;
+        use crate::network::Network;
+        use crate::types::PacketId;
+
+        for vcs in [0, 1, 2, MAX_VCS_PER_PORT + 1, 64] {
+            assert_eq!(
+                NocConfigBuilder::new().vcs_per_port(vcs).build(),
+                Err(ConfigError::BadVcsPerPort(vcs)),
+                "{vcs} VCs per port"
+            );
+        }
+        assert_eq!(MIN_VCS_PER_PORT, 3);
+        assert_eq!(MAX_VCS_PER_PORT, 6);
+        for vcs in MIN_VCS_PER_PORT..=MAX_VCS_PER_PORT {
+            let cfg = NocConfigBuilder::new()
+                .vcs_per_port(vcs)
+                .build()
+                .expect("supported VC count");
+            let mut net = MeshNetwork::new(cfg);
+            for (id, class) in (1u64..).zip(MessageClass::ALL) {
+                let len = if class == MessageClass::Response {
+                    5
+                } else {
+                    1
+                };
+                let dest = NodeId::new(63);
+                net.inject(Packet::new(PacketId(id), NodeId::new(0), dest, class, len));
+            }
+            let delivered = net.run_to_drain(1_000);
+            assert_eq!(delivered.len(), 3, "{vcs} VCs per port");
+        }
+    }
+
     #[test]
     fn bounds_checking() {
         let cfg = NocConfig::paper();
@@ -390,6 +449,7 @@ mod tests {
         for e in [
             ConfigError::RadixTooSmall(1),
             ConfigError::RadixTooLarge(999),
+            ConfigError::BadVcsPerPort(0),
             ConfigError::ZeroVcDepth,
             ConfigError::ZeroHopsPerCycle,
             ConfigError::BadMaxPacketLen {

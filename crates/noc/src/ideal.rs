@@ -593,6 +593,7 @@ mod tests {
     fn busy_paths_match_pinned_fingerprints() {
         crate::traffic::assert_busy_pins(
             IdealNetwork::new,
+            |_, _| {},
             [
                 (2559, 15434998910776717908),
                 (297, 16494255736890123369),

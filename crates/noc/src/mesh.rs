@@ -18,9 +18,9 @@
 //! cycle through preset crossbars, with no allocation cycles at all.
 
 use crate::arbiter::RoundRobin;
-use crate::buffer::InputUnit;
+use crate::buffer::{BufferError, InputUnit};
 use crate::cancel::CancelToken;
-use crate::config::NocConfig;
+use crate::config::{NocConfig, MAX_VCS_PER_PORT};
 use crate::credit::{MultiFlitGuard, OutVc};
 use crate::digest::{StateDigest, StateHasher};
 use crate::faults::{FaultEvent, FaultState, FaultStats};
@@ -79,11 +79,19 @@ struct Router {
     sa_out: Vec<RoundRobin>,
     /// VCs per port, the stride of the flattened per-(port, VC) arrays.
     vcs: usize,
-    /// Number of `Some` entries in `active_out` — derived state (kept in
-    /// sync by [`Router::set_active`], excluded from the digest). Zero
-    /// proves no stream holds an output port, which lets the LSD stall
-    /// scan skip the router without reading any buffer fronts.
-    active_count: u16,
+    /// Input-VC occupancy mask: bit `port * vcs + vc` is set iff that
+    /// VC buffers a flit — derived state, kept exact by
+    /// [`Router::push`], [`Router::pop`] and [`Router::remove_packet`]
+    /// (the only ways a flit enters or leaves an input VC) and excluded
+    /// from the digest. Switch allocation and the LSD stall scan visit
+    /// only its set bits, the request vector a hardware arbiter reads.
+    occ: u32,
+    /// Active-stream mask: bit `in_port * vcs + vc` is set iff
+    /// `active_out` holds a stream for that VC — derived state, kept in
+    /// sync by [`Router::set_active`] and excluded from the digest.
+    /// Zero proves no stream holds an output port, which lets the LSD
+    /// stall scan skip the router without reading any buffer fronts.
+    streams: u32,
     /// Cycle each input VC's front was last read by a reactive grant,
     /// flattened `in_port * vcs + vc` — derived state, excluded from the
     /// digest. A forced move may not read a buffer a grant already read
@@ -112,7 +120,8 @@ impl Router {
                 .map(|_| RoundRobin::new(Port::COUNT))
                 .collect(),
             vcs,
-            active_count: 0,
+            occ: 0,
+            streams: 0,
             grant_read_at: vec![0; Port::COUNT * vcs],
         }
     }
@@ -153,21 +162,118 @@ impl Router {
     #[inline(always)]
     fn set_active(&mut self, in_port: usize, vc: usize, stream: Option<ActiveStream>) {
         let i = self.pv(in_port, vc);
-        self.active_count += u16::from(stream.is_some());
-        self.active_count -= u16::from(self.active_out[i].is_some());
+        if stream.is_some() {
+            self.streams |= 1 << i;
+        } else {
+            self.streams &= !(1 << i);
+        }
         self.active_out[i] = stream;
     }
 
-    /// Whether any input VC on this router buffers a flit. Routers with
-    /// empty input buffers are skipped by switch allocation entirely:
-    /// with no fronts, every VC is ineligible, the per-input arbiter
-    /// finds no requests (and provably does not rotate — see
-    /// [`RoundRobin::grant`]), and no output sees a bid, so the full
-    /// allocation pass over such a router is a no-op.
-    #[inline]
-    fn has_buffered_input(&self) -> bool {
-        self.inputs.iter().any(|iu| iu.buffered_flits() > 0)
+    /// The bits of per-(port, VC) `mask` that belong to `port`, shifted
+    /// down so bit `vc` is that port's VC `vc`.
+    // hot
+    #[inline(always)]
+    fn port_bits(&self, mask: u32, port: usize) -> u32 {
+        (mask >> (port * self.vcs)) & ((1 << self.vcs) - 1)
     }
+
+    /// Sets or clears the occupancy bit of `(port, vc)` from its buffer.
+    // hot
+    #[inline(always)]
+    fn sync_occ(&mut self, port: usize, vc: usize) {
+        let bit = 1 << self.pv(port, vc);
+        if self.inputs[port].vc(vc).is_empty() {
+            self.occ &= !bit;
+        } else {
+            self.occ |= bit;
+        }
+    }
+
+    /// Enqueues `flit` on input VC `(port, vc)` (see [`InputUnit::push`]).
+    // hot
+    #[inline]
+    fn push(&mut self, port: usize, vc: usize, flit: Flit) -> Result<(), BufferError> {
+        self.inputs[port].push(vc, flit)?;
+        self.occ |= 1 << self.pv(port, vc);
+        Ok(())
+    }
+
+    /// Dequeues the front flit of input VC `(port, vc)`.
+    // hot
+    #[inline]
+    fn pop(&mut self, port: usize, vc: usize) -> Option<Flit> {
+        let flit = self.inputs[port].pop(vc);
+        self.sync_occ(port, vc);
+        flit
+    }
+
+    /// Removes every flit of `packet` from input VC `(port, vc)`;
+    /// returns how many were removed.
+    fn remove_packet(&mut self, port: usize, vc: usize, packet: PacketId) -> usize {
+        let removed = self.inputs[port].remove_packet(vc, packet);
+        self.sync_occ(port, vc);
+        removed
+    }
+}
+
+/// Indices of the set bits of `mask`, in ascending order.
+// hot
+#[inline]
+fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
+/// A set of routers as a bitset, one bit per node, walked word by word
+/// with [`ones`].
+#[derive(Debug)]
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(nodes: usize) -> Self {
+        NodeSet {
+            words: vec![0; nodes.div_ceil(64)],
+        }
+    }
+
+    #[inline(always)]
+    fn insert(&mut self, node: usize) {
+        self.words[node / 64] |= 1 << (node % 64);
+    }
+
+    #[inline(always)]
+    fn remove(&mut self, node: usize) {
+        self.words[node / 64] &= !(1 << (node % 64));
+    }
+
+    #[cfg(debug_assertions)]
+    fn contains(&self, node: usize) -> bool {
+        self.words[node / 64] >> (node % 64) & 1 == 1
+    }
+}
+
+/// The members of request `mask` whose class ranks highest under
+/// `prio` — the class-priority filter of both allocation stages. Member
+/// `i` carries class (VC) `class_of(i)`; a class `prio` does not list
+/// ranks 0. An empty mask stays empty.
+// hot
+#[inline]
+fn top_priority(mask: u32, prio: &[u8; 3], class_of: impl Fn(usize) -> usize) -> u32 {
+    let rank = |i: usize| *prio.get(class_of(i)).unwrap_or(&0);
+    let Some(best) = ones(u64::from(mask)).map(rank).max() else {
+        return 0;
+    };
+    ones(u64::from(mask))
+        .filter(|&i| rank(i) == best)
+        .fold(0, |top, i| top | 1 << i)
 }
 
 /// A packet currently streaming from an input VC to an output port.
@@ -268,12 +374,6 @@ struct StepScratch {
     /// ran, handed from the reservation phase to the expiry phase (which
     /// leaves it empty).
     leftover: Vec<DueEntry>,
-    /// Stage-1 switch-allocation bids: `(in_port, vc, out_port, flit)`.
-    bids: Vec<(Port, usize, Port, Flit)>,
-    /// Per-VC eligibility mask, sized `vcs_per_port`.
-    eligible: Vec<bool>,
-    /// Per-VC bid targets, sized `vcs_per_port`.
-    targets: Vec<Option<(Port, Flit)>>,
 }
 
 /// A head flit stalled behind another packet's multi-flit stream, as
@@ -433,16 +533,16 @@ pub struct MeshNetwork {
     /// provably idle (see [`MeshNetwork::is_quiescent`]); cleared by
     /// every operation that introduces new work.
     idle: bool,
-    /// Conservative per-node activity flags — derived state, excluded
-    /// from the digest. `buffered_nodes[n]` is set whenever a flit
-    /// enters one of node `n`'s input VCs and cleared lazily when a
-    /// scan finds the router drained, so `false` *proves* the router
-    /// holds no buffered flits (while `true` may be stale). Skipping a
-    /// `false` node is therefore bit-exact, never a behaviour change.
-    buffered_nodes: Vec<bool>,
-    /// Same contract for NI source-queue occupancy (set on inject,
-    /// cleared lazily by `inject_from_sources`).
-    source_nodes: Vec<bool>,
+    /// Conservative per-node activity set — derived state, excluded
+    /// from the digest. Node `n` is inserted whenever a flit enters one
+    /// of its input VCs and removed lazily when a scan finds the router
+    /// drained, so absence *proves* the router holds no buffered flits
+    /// (while presence may be stale). Skipping an absent node is
+    /// therefore bit-exact, never a behaviour change.
+    buffered_nodes: NodeSet,
+    /// Same contract for NI source-queue occupancy (inserted on inject,
+    /// removed lazily by `inject_from_sources`).
+    source_nodes: NodeSet,
     /// Observability handle; detached by default (every hook is then a
     /// single branch).
     obs: niobs::ObsHandle,
@@ -459,11 +559,6 @@ impl MeshNetwork {
         let n = cfg.nodes();
         let faults = cfg.faults.clone().map(|plan| FaultState::new(plan, &cfg));
         let reliable = cfg.reliability.map(|rc| ReliableLayer::new(rc, n));
-        let scratch = StepScratch {
-            eligible: vec![false; cfg.vcs_per_port],
-            targets: vec![None; cfg.vcs_per_port],
-            ..StepScratch::default()
-        };
         MeshNetwork {
             faults,
             reliable,
@@ -483,11 +578,11 @@ impl MeshNetwork {
             link_use: vec![0; n * 4],
             stats: NetStats::new(),
             cancel: CancelToken::new(),
-            scratch,
+            scratch: StepScratch::default(),
             skip_ahead: true,
             idle: false,
-            buffered_nodes: vec![false; n],
-            source_nodes: vec![false; n],
+            buffered_nodes: NodeSet::new(n),
+            source_nodes: NodeSet::new(n),
             cfg,
             now: 0,
             obs: niobs::ObsHandle::disabled(),
@@ -819,84 +914,90 @@ impl MeshNetwork {
     /// streaming another packet, when that stream drains deterministically
     /// (all its remaining flits buffered here with enough downstream
     /// credits) and frees the port by cycle `horizon`.
+    // hot
     pub fn stalled_heads_into(&self, horizon: Cycle, out: &mut Vec<StalledHead>) {
-        for (n, router) in self.routers.iter().enumerate() {
-            // `buffered_nodes[n] == false` proves the router holds no
-            // flits, hence no fronts and no stalls; `active_count == 0`
-            // proves no stream holds an output port, so nothing can
-            // block a front. Skipping either case is exact.
-            if !self.buffered_nodes[n] || router.active_count == 0 {
-                continue;
+        for (w, &word) in self.buffered_nodes.words.iter().enumerate() {
+            // A node outside `buffered_nodes` holds no flits, hence no
+            // fronts and no stalls.
+            for n in ones(word).map(|b| w * 64 + b) {
+                self.stalled_heads_at(n, horizon, out);
             }
-            let here = NodeId::new(n as u16);
-            // The first stream (in input-port, VC order) holding each
-            // output port, and the first one after it of a different
-            // packet: a front never waits behind its own packet, so one
-            // of the two is its blocker. Each comes with its release
-            // cycle when that is due by `horizon`.
-            type Blocker = Option<(ActiveStream, Option<Cycle>)>;
-            let mut first: [Blocker; Port::COUNT] = [None; Port::COUNT];
-            let mut other: [Blocker; Port::COUNT] = [None; Port::COUNT];
-            let mut any_due = false;
-            for ip in 0..Port::COUNT {
-                for v in 0..self.cfg.vcs_per_port {
-                    let Some(st) = router.active(ip, v) else {
-                        continue;
-                    };
-                    let p = st.out_port.index();
-                    let slot = match first[p] {
-                        None => &mut first[p],
-                        Some((f, _)) if other[p].is_none() && f.packet != st.packet => {
-                            &mut other[p]
-                        }
-                        Some(_) => continue,
-                    };
-                    let release = self
-                        .deterministic_finish(here, v, st, st.out_port)
-                        .filter(|&c| c <= horizon);
-                    any_due |= release.is_some();
-                    *slot = Some((st, release));
-                }
+        }
+    }
+
+    /// [`MeshNetwork::stalled_heads_into`] for router `n`, walking only
+    /// its active streams and occupied input VCs.
+    // hot
+    fn stalled_heads_at(&self, n: usize, horizon: Cycle, out: &mut Vec<StalledHead>) {
+        let router = &self.routers[n];
+        // An empty `occ` leaves no front to stall; an empty `streams`
+        // leaves no stream holding an output port, so nothing can
+        // block a front. Skipping either case is exact.
+        if router.occ == 0 || router.streams == 0 {
+            return;
+        }
+        let here = NodeId::new(n as u16);
+        // The first stream (in input-port, VC order) holding each output
+        // port, and the first one after it of a different packet: a
+        // front never waits behind its own packet, so one of the two is
+        // its blocker. Each comes with its release cycle when that is
+        // due by `horizon`.
+        type Blocker = Option<(ActiveStream, Option<Cycle>)>;
+        let mut first: [Blocker; Port::COUNT] = [None; Port::COUNT];
+        let mut other: [Blocker; Port::COUNT] = [None; Port::COUNT];
+        let mut any_due = false;
+        for ip in 0..Port::COUNT {
+            for v in ones(u64::from(router.port_bits(router.streams, ip))) {
+                let st = router.active(ip, v).expect("stream mask is exact");
+                let p = st.out_port.index();
+                let slot = match first[p] {
+                    None => &mut first[p],
+                    Some((f, _)) if other[p].is_none() && f.packet != st.packet => &mut other[p],
+                    Some(_) => continue,
+                };
+                let release = self
+                    .deterministic_finish(here, v, st, st.out_port)
+                    .filter(|&c| c <= horizon);
+                any_due |= release.is_some();
+                *slot = Some((st, release));
             }
-            if !any_due {
-                continue;
-            }
-            for in_port in Port::ALL {
-                if router.inputs[in_port.index()].buffered_flits() == 0 {
+        }
+        if !any_due {
+            return;
+        }
+        for in_port in Port::ALL {
+            let ip = in_port.index();
+            for vc in ones(u64::from(router.port_bits(router.occ, ip))) {
+                let front = router.inputs[ip]
+                    .vc(vc)
+                    .front()
+                    .expect("occupancy is exact");
+                if !front.is_head() {
                     continue;
                 }
-                for vc in 0..self.cfg.vcs_per_port {
-                    let Some(front) = router.inputs[in_port.index()].vc(vc).front() else {
-                        continue;
-                    };
-                    if !front.is_head() {
-                        continue;
-                    }
-                    let Some(out_port) = self.route_out(here, front.dest, west_ok_from(in_port))
-                    else {
-                        continue;
-                    };
-                    if out_port == Port::Local {
-                        continue;
-                    }
-                    let p = out_port.index();
-                    let blocking = match first[p] {
-                        Some((st, _)) if st.packet == front.packet => other[p],
-                        found => found,
-                    };
-                    let Some((stream, Some(release))) = blocking else {
-                        continue;
-                    };
-                    out.push(StalledHead {
-                        node: here,
-                        in_port,
-                        vc,
-                        flit: *front,
-                        out_port,
-                        blocker: stream.packet,
-                        release,
-                    });
+                let Some(out_port) = self.route_out(here, front.dest, west_ok_from(in_port)) else {
+                    continue;
+                };
+                if out_port == Port::Local {
+                    continue;
                 }
+                let p = out_port.index();
+                let blocking = match first[p] {
+                    Some((st, _)) if st.packet == front.packet => other[p],
+                    found => found,
+                };
+                let Some((stream, Some(release))) = blocking else {
+                    continue;
+                };
+                out.push(StalledHead {
+                    node: here,
+                    in_port,
+                    vc,
+                    flit: *front,
+                    out_port,
+                    blocker: stream.packet,
+                    release,
+                });
             }
         }
     }
@@ -1072,15 +1173,15 @@ impl MeshNetwork {
                     self.eject_complete(head, a.node);
                 }
             } else {
-                self.routers[a.node].inputs[a.in_port.index()]
-                    .push(a.vc, a.flit)
+                self.routers[a.node]
+                    .push(a.in_port.index(), a.vc, a.flit)
                     .unwrap_or_else(|e| {
                         panic!(
                             "arrival at n{} port {} vc {} violated buffer invariants: {e}",
                             a.node, a.in_port, a.vc
                         )
                     });
-                self.buffered_nodes[a.node] = true;
+                self.buffered_nodes.insert(a.node);
             }
         }
         self.scratch.arrivals_free = arrivals;
@@ -1091,30 +1192,31 @@ impl MeshNetwork {
     /// their own port into the router's local input unit).
     // hot
     fn inject_from_sources(&mut self) {
-        for node in 0..self.cfg.nodes() {
-            if !self.source_nodes[node] {
-                continue;
-            }
-            let mut remaining = false;
-            for class in 0..3 {
-                let Some(front) = self.sources[node].queues[class].front() else {
-                    continue;
-                };
-                let vc = self.routers[node].inputs[Port::Local.index()].vc(class);
-                if vc.free() == 0 {
-                    remaining = true;
-                    continue;
+        for w in 0..self.source_nodes.words.len() {
+            for node in ones(self.source_nodes.words[w]).map(|b| w * 64 + b) {
+                let mut remaining = false;
+                for class in 0..3 {
+                    let Some(front) = self.sources[node].queues[class].front() else {
+                        continue;
+                    };
+                    let vc = self.routers[node].inputs[Port::Local.index()].vc(class);
+                    if vc.free() == 0 {
+                        remaining = true;
+                        continue;
+                    }
+                    let mut flit = *front;
+                    flit.injected = self.now;
+                    self.sources[node].queues[class].pop_front();
+                    self.routers[node]
+                        .push(Port::Local.index(), class, flit)
+                        .expect("free slot was checked");
+                    self.buffered_nodes.insert(node);
+                    remaining |= !self.sources[node].queues[class].is_empty();
                 }
-                let mut flit = *front;
-                flit.injected = self.now;
-                self.sources[node].queues[class].pop_front();
-                self.routers[node].inputs[Port::Local.index()]
-                    .push(class, flit)
-                    .expect("free slot was checked");
-                self.buffered_nodes[node] = true;
-                remaining |= !self.sources[node].queues[class].is_empty();
+                if !remaining {
+                    self.source_nodes.remove(node);
+                }
             }
-            self.source_nodes[node] = remaining;
         }
     }
 
@@ -1126,20 +1228,17 @@ impl MeshNetwork {
             std::mem::take(&mut self.scratch.grants_free),
         );
         for g in grants.drain(..) {
-            let flit = {
-                let iu = &mut self.routers[g.node].inputs[g.in_port.index()];
-                match iu.vc(g.vc).front() {
-                    Some(f) if f.packet == g.packet && f.seq == g.seq => {
-                        iu.pop(g.vc).expect("front exists")
-                    }
-                    _ => panic!(
-                        "granted flit {}#{} vanished from n{} {}:{}",
-                        g.packet, g.seq, g.node, g.in_port, g.vc
-                    ),
-                }
-            };
             let router = &mut self.routers[g.node];
-            let i = router.pv(g.in_port.index(), g.vc);
+            let ip = g.in_port.index();
+            match router.inputs[ip].vc(g.vc).front() {
+                Some(f) if f.packet == g.packet && f.seq == g.seq => {}
+                _ => panic!(
+                    "granted flit {}#{} vanished from n{} {}:{}",
+                    g.packet, g.seq, g.node, g.in_port, g.vc
+                ),
+            }
+            let flit = router.pop(ip, g.vc).expect("front exists");
+            let i = router.pv(ip, g.vc);
             router.grant_read_at[i] = self.now;
             self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit);
         }
@@ -1400,12 +1499,11 @@ impl MeshNetwork {
         // 1. Fetch the expected flit.
         let fetched: Option<(Flit, Port, usize)> = match resv.source {
             FlitSource::Vc { port, vc } => {
-                let router = &self.routers[node];
+                let router = &mut self.routers[node];
                 let already_read = router.grant_read_at[router.pv(port.index(), vc)] == self.now;
-                let iu = &mut self.routers[node].inputs[port.index()];
-                match iu.vc(vc).front() {
+                match router.inputs[port.index()].vc(vc).front() {
                     Some(f) if f.packet == resv.packet && f.seq == resv.seq && !already_read => {
-                        let f = iu.pop(vc).expect("front exists");
+                        let f = router.pop(port.index(), vc).expect("front exists");
                         Some((f, port, vc))
                     }
                     _ => None,
@@ -1686,128 +1784,89 @@ impl MeshNetwork {
 
     /// Route computation, VC allocation and (speculative) switch allocation
     /// for traversals in the next cycle.
+    ///
+    /// Both stages are round-robin arbiters reading request bit vectors,
+    /// as in hardware: stage 1 builds, per input port, the mask of VCs
+    /// whose front may bid, walking only the router's occupancy bits;
+    /// stage 2 builds, per output port, the mask of input ports bidding
+    /// for it.
     // hot
     fn allocate(&mut self) {
         let next_cycle = self.now + 1;
-        // Working buffers come out of the scratch for the whole pass
-        // (they cannot live in `self` across the `&mut self` call to
-        // `eligible_front`), and go back cleared at the end.
-        let mut bids = std::mem::take(&mut self.scratch.bids);
-        let mut eligible = std::mem::take(&mut self.scratch.eligible);
-        let mut targets = std::mem::take(&mut self.scratch.targets);
-        for node in 0..self.cfg.nodes() {
-            // An idle router allocates nothing and rotates no arbiter;
-            // skipping it outright is bit-exact (see
-            // [`Router::has_buffered_input`]). The lazily-cleared flag
-            // makes the skip a single byte test instead of a five-unit
-            // scan across the whole fabric every cycle.
-            if !self.buffered_nodes[node] {
-                continue;
-            }
-            if !self.routers[node].has_buffered_input() {
-                self.buffered_nodes[node] = false;
-                continue;
-            }
-            let here = NodeId::new(node as u16);
-            // Stage 1: each input port nominates one VC.
-            bids.clear();
-            for in_port in Port::ALL {
-                // An empty input unit yields no fronts, so its arbiter
-                // sees an all-false mask and does not rotate: skipping
-                // it is bit-exact, exactly as for the whole-router skip.
-                if self.routers[node].inputs[in_port.index()].buffered_flits() == 0 {
+        // Stage-1 targets by VC and stage-2 bids by input port. An entry
+        // is read only under a mask bit set after writing it for the
+        // current input port (targets) or router (bids), so entries left
+        // over from earlier ports and routers are never read.
+        let mut targets: [Option<(Port, Flit)>; MAX_VCS_PER_PORT] = [None; MAX_VCS_PER_PORT];
+        let mut bids: [Option<(usize, Port, Flit)>; Port::COUNT] = [None; Port::COUNT];
+        for w in 0..self.buffered_nodes.words.len() {
+            for node in ones(self.buffered_nodes.words[w]).map(|b| w * 64 + b) {
+                // A router with no buffered flit requests nothing, and an
+                // all-zero request mask rotates no arbiter (see
+                // [`RoundRobin::grant_mask`]): dropping it from the set
+                // is bit-exact.
+                let occ = self.routers[node].occ;
+                if occ == 0 {
+                    self.buffered_nodes.remove(node);
                     continue;
                 }
-                eligible.fill(false);
-                targets.fill(None);
-                for vc in 0..self.cfg.vcs_per_port {
-                    if let Some((out_port, flit)) = Self::eligible_front_at(
-                        &self.cfg,
-                        &mut self.faults,
-                        &mut self.stats,
-                        &self.routers[node],
-                        here,
-                        in_port,
-                        vc,
-                        next_cycle,
-                    ) {
-                        eligible[vc] = true;
-                        targets[vc] = Some((out_port, flit));
-                    }
-                }
-                // Class priority (when configured) masks the bid set to
-                // the highest-priority class with an eligible flit;
-                // round-robin breaks ties inside the class. The default
-                // `None` leaves the historical class-oblivious arbiter
-                // untouched.
-                if let Some(prio) = self.cfg.class_priority {
-                    let best = eligible
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, e)| **e)
-                        .map(|(vc, _)| *prio.get(vc).unwrap_or(&0))
-                        .max();
-                    if let Some(best) = best {
-                        for (vc, e) in eligible.iter_mut().enumerate() {
-                            if *e && *prio.get(vc).unwrap_or(&0) < best {
-                                *e = false;
-                            }
+                let here = NodeId::new(node as u16);
+                // Stage 1: each input port nominates one VC and joins the
+                // request mask of that bid's output port.
+                let mut requests = [0u32; Port::COUNT];
+                for in_port in Port::ALL {
+                    let ip = in_port.index();
+                    let mut eligible = 0u32;
+                    for vc in ones(u64::from(self.routers[node].port_bits(occ, ip))) {
+                        if let Some(target) = Self::eligible_front_at(
+                            &self.cfg,
+                            &mut self.faults,
+                            &mut self.stats,
+                            &self.routers[node],
+                            here,
+                            in_port,
+                            vc,
+                            next_cycle,
+                        ) {
+                            eligible |= 1 << vc;
+                            targets[vc] = Some(target);
                         }
                     }
-                }
-                let router = &mut self.routers[node];
-                if let Some(vc) = router.sa_in[in_port.index()].grant(&eligible) {
+                    // Class priority (when configured) narrows the bids to
+                    // the highest-priority class with an eligible flit;
+                    // round-robin breaks ties inside the class. The
+                    // default `None` keeps the class-oblivious arbiter.
+                    if let Some(prio) = &self.cfg.class_priority {
+                        eligible = top_priority(eligible, prio, |vc| vc);
+                    }
+                    let Some(vc) = self.routers[node].sa_in[ip].grant_mask(eligible) else {
+                        continue;
+                    };
                     let (out_port, flit) = targets[vc].expect("eligible target");
-                    bids.push((in_port, vc, out_port, flit));
+                    bids[ip] = Some((vc, out_port, flit));
+                    requests[out_port.index()] |= 1 << ip;
                 }
-            }
-            // Stage 2: each output port grants one input. With no bids
-            // every output sees an all-false request mask and skips
-            // before touching its arbiter, so the pass is a no-op.
-            if bids.is_empty() {
-                continue;
-            }
-            for out_port in Port::ALL {
-                let mut requests = [false; Port::COUNT];
-                for (in_port, _, op, _) in &bids {
-                    if *op == out_port {
-                        requests[in_port.index()] = true;
+                // Stage 2: each requested output port grants one input,
+                // with the same class-priority narrowing.
+                for out_port in Port::ALL {
+                    let op = out_port.index();
+                    let mut req = requests[op];
+                    if req == 0 {
+                        continue;
                     }
-                }
-                // Same masking at the output stage: only the
-                // best-priority class competing for this port may win.
-                if let Some(prio) = self.cfg.class_priority {
-                    let best = bids
-                        .iter()
-                        .filter(|(_, _, op, _)| *op == out_port)
-                        .map(|(_, _, _, flit)| *prio.get(flit.class.vc()).unwrap_or(&0))
-                        .max();
-                    if let Some(best) = best {
-                        for (in_port, _, op, flit) in &bids {
-                            if *op == out_port && *prio.get(flit.class.vc()).unwrap_or(&0) < best {
-                                requests[in_port.index()] = false;
-                            }
-                        }
+                    if let Some(prio) = &self.cfg.class_priority {
+                        req = top_priority(req, prio, |ip| {
+                            bids[ip].expect("requester bid").2.class.vc()
+                        });
                     }
+                    let Some(win) = self.routers[node].sa_out[op].grant_mask(req) else {
+                        continue;
+                    };
+                    let (vc, _, flit) = bids[win].expect("winner bid");
+                    self.commit_grant(node, Port::from_index(win), vc, out_port, flit);
                 }
-                if !requests.iter().any(|r| *r) {
-                    continue;
-                }
-                let router = &mut self.routers[node];
-                let Some(win_in) = router.sa_out[out_port.index()].grant(&requests) else {
-                    continue;
-                };
-                let (in_port, vc, _, flit) = *bids
-                    .iter()
-                    .find(|(ip, _, op, _)| ip.index() == win_in && *op == out_port)
-                    .expect("winner came from the bid list");
-                self.commit_grant(node, in_port, vc, out_port, flit);
             }
         }
-        bids.clear();
-        self.scratch.bids = bids;
-        self.scratch.eligible = eligible;
-        self.scratch.targets = targets;
     }
 
     /// Whether the front flit of `(here, in_port, vc)` may bid for a
@@ -2168,7 +2227,7 @@ impl MeshNetwork {
         }
         self.idle = false;
         self.ledger.register(copy);
-        self.source_nodes[copy.src.index()] = true;
+        self.source_nodes.insert(copy.src.index());
         self.sources[copy.src.index()].enqueue_packet(&copy);
         true
     }
@@ -2389,7 +2448,7 @@ impl MeshNetwork {
             let here = NodeId::new(n as u16);
             for in_port in Port::ALL {
                 for vc in 0..self.cfg.vcs_per_port {
-                    let removed = self.routers[n].inputs[in_port.index()].remove_packet(vc, id);
+                    let removed = self.routers[n].remove_packet(in_port.index(), vc, id);
                     if removed > 0 {
                         if let Port::Dir(e) = in_port {
                             let up = neighbor(&self.cfg, here, e)
@@ -2680,12 +2739,14 @@ impl MeshNetwork {
         violations
     }
 
-    /// Debug-build check of the activity-flag contract: a cleared flag
-    /// must *prove* the absence of the state it gates (a stale `true`
-    /// is allowed, a wrong `false` would silently skip work). The same
-    /// holds for the due index (a stale entry is allowed, a missing one
-    /// is not) and for the node order of `grants` that
-    /// [`MeshNetwork::port_granted_to_other`] searches.
+    /// Debug-build check of the activity-flag contract: a node missing
+    /// from `buffered_nodes` or `source_nodes` must *prove* the absence
+    /// of the state it gates (a stale member is allowed, a wrong absence
+    /// would silently skip work). The same holds for the due index (a
+    /// stale entry is allowed, a missing one is not) and for the node
+    /// order of `grants` that [`MeshNetwork::port_granted_to_other`]
+    /// searches. The per-router `occ` and `streams` masks allow no
+    /// slack at all: every bit must equal the state it mirrors.
     #[cfg(debug_assertions)]
     fn assert_activity_flags(&self) {
         debug_assert!(
@@ -2693,9 +2754,28 @@ impl MeshNetwork {
             "grants out of node order"
         );
         for (n, r) in self.routers.iter().enumerate() {
+            for port in 0..Port::COUNT {
+                for vc in 0..r.vcs {
+                    let bit = 1 << r.pv(port, vc);
+                    debug_assert_eq!(
+                        r.occ & bit != 0,
+                        !r.inputs[port].vc(vc).is_empty(),
+                        "occupancy bit of n{n} port {port} vc {vc} is wrong"
+                    );
+                    debug_assert_eq!(
+                        r.streams & bit != 0,
+                        r.active(port, vc).is_some(),
+                        "stream bit of n{n} port {port} vc {vc} is wrong"
+                    );
+                }
+            }
             debug_assert!(
-                self.buffered_nodes[n] || !r.has_buffered_input(),
-                "buffered_nodes[{n}] cleared while input VCs hold flits"
+                r.occ >> (Port::COUNT * r.vcs) == 0 && r.streams >> (Port::COUNT * r.vcs) == 0,
+                "n{n} masks hold bits past the last VC"
+            );
+            debug_assert!(
+                self.buffered_nodes.contains(n) || r.occ == 0,
+                "n{n} missing from buffered_nodes while input VCs hold flits"
             );
             // The next step executes the slots at `now + 1` and expires
             // those at or before `now`: each must be filed for its pass
@@ -2715,12 +2795,12 @@ impl MeshNetwork {
                 );
             }
             debug_assert!(
-                self.source_nodes[n]
+                self.source_nodes.contains(n)
                     || self.sources[n]
                         .queues
                         .iter()
                         .all(std::collections::VecDeque::is_empty),
-                "source_nodes[{n}] cleared while NI queues hold flits"
+                "n{n} missing from source_nodes while NI queues hold flits"
             );
         }
     }
@@ -2802,7 +2882,7 @@ impl Network for MeshNetwork {
         });
         self.idle = false;
         self.ledger.register(packet);
-        self.source_nodes[packet.src.index()] = true;
+        self.source_nodes.insert(packet.src.index());
         self.sources[packet.src.index()].enqueue_packet(&packet);
         if let Some(rel) = self.reliable.as_mut() {
             rel.track(&packet, self.now);
@@ -3011,6 +3091,7 @@ impl StateDigest for MeshNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
     use crate::types::Direction;
 
     fn net() -> MeshNetwork {
@@ -3417,6 +3498,88 @@ mod tests {
         d.extend(n.run_to_drain(1_000));
         assert_eq!(d.len(), 2);
     }
+
+    /// Folds the end state the stats and delivery records miss into a
+    /// busy-path pin: the full state digest (every arbiter's rotation
+    /// included) and, under a fault plan, the fault counters.
+    fn mesh_extra(net: &MeshNetwork, h: &mut StateHasher) {
+        h.write_u64(net.state_digest().expect("the mesh digests its state"));
+        if let Some(f) = net.fault_stats() {
+            h.write_bytes(format!("{f:?}").as_bytes());
+        }
+    }
+
+    /// Busy paths of the plain mesh (see
+    /// [`crate::traffic::assert_busy_pins`]). This and the two pins
+    /// below were recorded before switch allocation moved to occupancy
+    /// masks and mask arbiters.
+    #[test]
+    fn busy_paths_match_pinned_fingerprints() {
+        crate::traffic::assert_busy_pins(MeshNetwork::new, mesh_extra, PLAIN_PINS);
+    }
+
+    /// Class priority under contention: requests outrank the multi-flit
+    /// responses, so both allocation stages filter their request masks.
+    #[test]
+    fn busy_paths_with_class_priority_match_pinned_fingerprints() {
+        crate::traffic::assert_busy_pins(
+            |cfg| {
+                MeshNetwork::new(NocConfig {
+                    class_priority: Some([2, 1, 0]),
+                    ..cfg
+                })
+            },
+            mesh_extra,
+            PRIORITY_PINS,
+        );
+    }
+
+    /// A permanent link fault plus background transients: routing
+    /// detours through the fault tables and transiently dead links
+    /// refuse bids (`note_blocked_by_fault`).
+    #[test]
+    fn busy_paths_under_link_faults_match_pinned_fingerprints() {
+        crate::traffic::assert_busy_pins(
+            |cfg| {
+                let plan = FaultPlan::new(11).transient_rate_ppb(2_000_000).with_event(
+                    FaultEvent::PermanentLink {
+                        at: 300,
+                        node: NodeId::new(5),
+                        dir: Direction::West,
+                    },
+                );
+                MeshNetwork::new(NocConfig {
+                    faults: Some(plan),
+                    ..cfg
+                })
+            },
+            |net, h| {
+                let f = net.fault_stats().expect("fault plan installed");
+                assert!(f.blocked_by_fault_cycles > 0, "transients must refuse bids");
+                mesh_extra(net, h);
+            },
+            FAULT_PINS,
+        );
+    }
+
+    const PLAIN_PINS: [(usize, u64); 4] = [
+        (2559, 18276081516595770879),
+        (297, 14265907887167176119),
+        (5716, 8108190813454915246),
+        (378, 15278827083741911937),
+    ];
+    const PRIORITY_PINS: [(usize, u64); 4] = [
+        (2559, 14104705882949697648),
+        (297, 1477205336352991189),
+        (5716, 1072783811859058789),
+        (378, 6471689217937632131),
+    ];
+    const FAULT_PINS: [(usize, u64); 4] = [
+        (2459, 13992717410304218158),
+        (297, 1560309950318003056),
+        (5604, 15106254427201822874),
+        (371, 14680951035633648172),
+    ];
 
     #[test]
     fn source_backlog_visibility() {

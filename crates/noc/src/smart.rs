@@ -669,6 +669,7 @@ mod tests {
     fn busy_paths_match_pinned_fingerprints() {
         crate::traffic::assert_busy_pins(
             SmartNetwork::new,
+            |_, _| {},
             [
                 (2559, 2833338445734779565),
                 (297, 15868701454008393786),

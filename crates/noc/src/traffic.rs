@@ -643,10 +643,13 @@ pub fn measure_latency<N: Network + ?Sized>(
 /// of traffic, drains, and folds `format!("{:?}", stats)` and every
 /// delivery record, in order, into one hash; `pins` holds the delivered
 /// count and that hash per case. A refactor of a step loop that changes
-/// any simulated byte changes a pin.
+/// any simulated byte changes a pin. `extra` folds organisation-specific
+/// end state (a state digest, fault counters) into the same hash after
+/// the drain; a no-op `extra` leaves the hash as it always was.
 #[cfg(test)]
 pub(crate) fn assert_busy_pins<N: Network>(
     build: impl Fn(NocConfig) -> N,
+    extra: impl Fn(&N, &mut StateHasher),
     pins: [(usize, u64); 4],
 ) {
     use crate::config::NocConfigBuilder;
@@ -678,6 +681,7 @@ pub(crate) fn assert_busy_pins<N: Network>(
             h.write_u64(d.delivered);
             h.write_u32(d.hops);
         }
+        extra(&net, &mut h);
         assert_eq!(
             (delivered.len(), h.finish()),
             pin,
