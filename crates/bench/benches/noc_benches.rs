@@ -1,5 +1,7 @@
-//! Micro-benchmarks: simulator throughput per organisation and zero-load
-//! packet latency (simulation speed, not modelled latency).
+//! Micro-benchmarks that perfbench does not cover: zero-load packet
+//! delivery per organisation, observability overhead and driver-loop
+//! polling overhead (simulation speed, not modelled latency). Simulator
+//! throughput per organisation is perfbench's `*.cycles_per_s`.
 //!
 //! A plain `std::time::Instant` harness (`harness = false`) so the
 //! workspace needs no external benchmark framework. Run with
@@ -29,22 +31,6 @@ fn bench_case(group: &str, name: &str, mut f: impl FnMut() -> u64) {
     );
 }
 
-fn simulator_throughput() {
-    for org in Organization::ALL {
-        bench_case("simulate_1k_cycles_uniform_0.05", org.name(), || {
-            let cfg = NocConfig::paper();
-            let mut net = AnyNetwork::new(org, cfg.clone());
-            let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, 0.05, 7);
-            for _ in 0..1_000 {
-                gen.tick(&mut net);
-                net.step();
-                net.drain_delivered();
-            }
-            net.stats().delivered()
-        });
-    }
-}
-
 fn zero_load_delivery() {
     use noc::flit::Packet;
     use noc::types::{MessageClass, NodeId, PacketId};
@@ -65,20 +51,6 @@ fn zero_load_delivery() {
                 out.extend(net.drain_delivered());
             }
             out.len() as u64
-        });
-    }
-}
-
-fn full_system_cycle() {
-    use sysmodel::{System, SystemParams};
-    use workloads::WorkloadKind;
-    for org in Organization::ALL {
-        bench_case("system_500_cycles", org.name(), || {
-            let params = SystemParams::paper();
-            let net = AnyNetwork::new(org, params.noc.clone());
-            let mut sys = System::new(params, net, WorkloadKind::WebSearch, 1);
-            sys.run(500);
-            sys.committed_instructions()
         });
     }
 }
@@ -140,9 +112,7 @@ fn driver_poll_overhead() {
 }
 
 fn main() {
-    simulator_throughput();
     zero_load_delivery();
-    full_system_cycle();
     driver_poll_overhead();
     obs_overhead();
 }

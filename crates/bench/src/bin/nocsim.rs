@@ -386,8 +386,14 @@ fn report(net: &dyn Network, total_cycles: u64, metrics: &MetricsRegistry, windo
     }
 }
 
+/// Writes a Chrome/Perfetto `trace_event` JSON file assembled from the
+/// recorder's completed flights plus the control-plane instants still in
+/// its ring log.
 fn write_trace(path: &str, rec: &std::rc::Rc<std::cell::RefCell<niobs::Recorder>>) {
-    match bench::write_chrome_trace(&rec.borrow(), path) {
+    let rec = rec.borrow();
+    let instants: Vec<niobs::TimedEvent> = rec.log.iter().cloned().collect();
+    let doc = niobs::chrome_trace(rec.flights.completed(), &instants);
+    match std::fs::write(path, doc.to_string()) {
         Ok(()) => println!("trace written to {path}"),
         Err(e) => {
             eprintln!("nocsim: cannot write {path}: {e}");

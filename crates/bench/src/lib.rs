@@ -21,8 +21,6 @@ use workloads::{WorkloadKind, WorkloadProfile};
 
 pub use runner::{AnyNetwork, Organization};
 
-pub mod gate;
-
 /// Runs `count` independent points across the runner's work-stealing
 /// pool (`NOC_THREADS`, default: all cores) and returns the results in
 /// index order — so a binary prints exactly what its serial loop
@@ -152,15 +150,6 @@ pub fn measure(cells: &[Cell], spec: &SampleSpec) -> Vec<Measured> {
             pra: pra_stats,
         }
     })
-}
-
-/// Writes a Chrome/Perfetto `trace_event` JSON file assembled from a
-/// recorder's completed flights plus the control-plane instants still in
-/// its ring log.
-pub fn write_chrome_trace(rec: &niobs::Recorder, path: &str) -> std::io::Result<()> {
-    let instants: Vec<niobs::TimedEvent> = rec.log.iter().cloned().collect();
-    let doc = niobs::chrome_trace(rec.flights.completed(), &instants);
-    std::fs::write(path, doc.to_string())
 }
 
 /// Formats a normalized-performance table (rows = workloads + GMean,

@@ -1,7 +1,9 @@
 //! Command-line contract of the `nocsim` binary: unknown flags are
-//! rejected with a nonzero exit, and the default report covers the
+//! rejected with a nonzero exit, the default report covers the
 //! measured window (warm-up excluded) unless `--include-warmup` asks
-//! for the old cumulative behaviour.
+//! for the old cumulative behaviour, the default run's Mesh and
+//! Mesh+PRA results are pinned, and `--trace-out` writes a valid
+//! Chrome trace.
 
 use std::process::Command;
 
@@ -79,4 +81,64 @@ fn include_warmup_restores_cumulative_stats() {
         cum > win,
         "cumulative ({cum}) must exceed the measured window ({win})"
     );
+}
+
+/// The default run (8x8, uniform 0.02, 50% responses, 2k warm-up plus
+/// 20k measured cycles, seed 1) is the paper's server-load comparison of
+/// Mesh+PRA against the baseline mesh. Its deterministic results are
+/// pinned line by line.
+#[test]
+fn default_run_known_answers_for_mesh_and_pra() {
+    let cases = [
+        (
+            "mesh",
+            [
+                "packets delivered      25509",
+                "avg packet latency     16.34 cycles",
+                "latency p50/p95/p99    16 / 27 / 32 cycles",
+                "max latency            53 cycles",
+            ],
+        ),
+        (
+            "pra",
+            [
+                "packets delivered      25508",
+                "avg packet latency     16.12 cycles",
+                "latency p50/p95/p99    15 / 27 / 31 cycles",
+                "max latency            53 cycles",
+            ],
+        ),
+    ];
+    for (org, expected) in cases {
+        let out = nocsim(&["--org", org]);
+        assert!(out.status.success(), "nocsim --org {org} must succeed");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        for line in expected {
+            assert!(
+                stdout.lines().any(|l| l == line),
+                "--org {org}: missing '{line}' in:\n{stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn trace_out_writes_a_valid_chrome_trace() {
+    let dir = std::env::temp_dir().join(format!("nocsim_trace_out_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("pra.trace.json");
+    let path_str = path.to_str().expect("utf-8 temp path");
+    let out = nocsim(&["--org", "pra", "--cycles", "2000", "--trace-out", path_str]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&path).expect("--trace-out must write the file");
+    std::fs::remove_dir_all(&dir).ok();
+    let doc = nistats::Json::parse(&text).expect("trace must be well-formed JSON");
+    let summary =
+        niobs::validate_chrome_trace(&doc).expect("trace must satisfy the trace_event schema");
+    assert!(summary.events > 2, "more than the two metadata events");
+    assert!(summary.tracks > 1, "per-packet tracks plus metadata");
 }
