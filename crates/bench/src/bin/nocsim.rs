@@ -127,6 +127,16 @@ USAGE: nocsim [OPTIONS]
   --help             this text
 ";
 
+/// Parses `value` as a probability, the range `TrafficGen` accepts for
+/// injection rates and response fractions.
+fn probability(flag: &str, value: &str) -> Result<f64, String> {
+    value
+        .parse::<f64>()
+        .ok()
+        .filter(|p| (0.0..=1.0).contains(p))
+        .ok_or_else(|| format!("bad {flag} '{value}' (valid values: 0..=1)"))
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options::default();
     let mut args = std::env::args().skip(1);
@@ -187,12 +197,8 @@ fn parse_args() -> Result<Options, String> {
                 }
                 opts.class_priority = Some(prio);
             }
-            "--rate" => opts.rate = value.parse().map_err(|_| "bad --rate".to_string())?,
-            "--response-frac" => {
-                opts.response_fraction = value
-                    .parse()
-                    .map_err(|_| "bad --response-frac".to_string())?
-            }
+            "--rate" => opts.rate = probability(&flag, &value)?,
+            "--response-frac" => opts.response_fraction = probability(&flag, &value)?,
             "--warmup" => opts.warmup = value.parse().map_err(|_| "bad --warmup".to_string())?,
             "--cycles" => opts.cycles = value.parse().map_err(|_| "bad --cycles".to_string())?,
             "--seed" => opts.seed = value.parse().map_err(|_| "bad --seed".to_string())?,

@@ -139,7 +139,7 @@ pub fn measure(cells: &[Cell], spec: &SampleSpec) -> Vec<Measured> {
             net_stats.merge(net.stats());
             match &net {
                 AnyNetwork::MeshPra(n) => pra_stats.merge(n.pra_stats()),
-                AnyNetwork::Frfc(n) => pra_stats.merge(n.frfc_stats()),
+                AnyNetwork::Frfc(n) => pra_stats.merge(n.pra_stats()),
                 _ => {}
             }
             perf

@@ -61,7 +61,7 @@ fn reference(cell: &Cell) -> Measured {
             || PraNetwork::with_control(cfg(), cell.ctrl.clone()),
             |n| n.pra_stats().clone(),
         ),
-        Organization::Frfc => by_hand(cell, || FrfcNetwork::new(cfg()), |n| n.frfc_stats().clone()),
+        Organization::Frfc => by_hand(cell, || FrfcNetwork::new(cfg()), |n| n.pra_stats().clone()),
     }
 }
 

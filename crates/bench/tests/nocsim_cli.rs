@@ -2,8 +2,8 @@
 //! rejected with a nonzero exit, the default report covers the
 //! measured window (warm-up excluded) unless `--include-warmup` asks
 //! for the old cumulative behaviour, the default run's Mesh and
-//! Mesh+PRA results are pinned, and `--trace-out` writes a valid
-//! Chrome trace.
+//! Mesh+PRA results are pinned, rates and response fractions outside
+//! `0..=1` exit 2, and `--trace-out` writes a valid Chrome trace.
 
 use std::process::Command;
 
@@ -31,6 +31,24 @@ fn flag_missing_its_value_is_rejected() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("missing value for --rate"), "{stderr}");
+}
+
+#[test]
+fn probabilities_outside_the_unit_interval_are_rejected() {
+    for (flag, value) in [
+        ("--rate", "1.5"),
+        ("--rate", "-0.1"),
+        ("--rate", "NaN"),
+        ("--response-frac", "2"),
+    ] {
+        let out = nocsim(&[flag, value]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("bad {flag} '{value}' (valid values: 0..=1)")),
+            "stderr must name the flag and the valid range: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -31,12 +31,15 @@
 use std::ops::Range;
 
 use noc::config::NocConfig;
+use noc::digest::StateDigest;
 use noc::mesh::{HopPlan, InstallError, MeshNetwork, StalledHead};
 use noc::network::Network as _;
 use noc::reserve::{FlitSource, Landing};
 use noc::routing::Route;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
+use crate::lsd;
+use crate::network::{ejection_after, Announce, ControlPlane};
 use crate::schedule::{
     chunk_positions_into, claim_keys, priority_rank, route_nodes_into, segment_positions, ClaimKey,
 };
@@ -161,11 +164,6 @@ impl ControlNetwork {
         }
     }
 
-    /// Attaches an observability sink for control-plane events.
-    pub fn set_obs(&mut self, sink: niobs::SharedSink) {
-        self.obs.attach(sink);
-    }
-
     /// The control network's observability handle (for co-located
     /// producers such as the LSD scan).
     pub fn obs(&self) -> &niobs::ObsHandle {
@@ -175,17 +173,6 @@ impl ControlNetwork {
     /// The control-plane configuration.
     pub fn control_config(&self) -> &ControlConfig {
         &self.ctrl
-    }
-
-    /// Accumulated statistics.
-    pub fn stats(&self) -> &PraStats {
-        &self.stats
-    }
-
-    /// Zeroes the control-plane statistics (measurement-window boundary);
-    /// in-flight control packets are untouched.
-    pub fn reset_stats(&mut self) {
-        self.stats = PraStats::new();
     }
 
     /// Control packets currently in flight.
@@ -215,37 +202,26 @@ impl ControlNetwork {
         self.due[(process_at % DUE_WHEEL as Cycle) as usize].push((process_at, id));
     }
 
-    /// Launches a control packet for a future LLC response: `data` will be
-    /// injected such that its head flit can first traverse the source
-    /// router's output port at cycle `due0`; `process_at` is the cycle the
-    /// source router processes the control packet (must satisfy
-    /// `due0 - process_at <= max_lag`).
+    /// Launches a control packet for a future LLC response: the data
+    /// packet will be injected such that its head flit can first traverse
+    /// the source router's output port at cycle `a.due0`; `a.launch_at` is
+    /// the cycle the source router processes the control packet (must
+    /// satisfy `due0 - launch_at <= max_lag`).
     ///
     /// Returns `false` (recording the refusal) when the source NI has
     /// backlog that would make the injection time unpredictable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_llc(
-        &mut self,
-        mesh: &MeshNetwork,
-        src: NodeId,
-        dest: NodeId,
-        packet: PacketId,
-        class: MessageClass,
-        len: u8,
-        process_at: Cycle,
-        due0: Cycle,
-    ) -> bool {
-        debug_assert!(due0 >= process_at && due0 - process_at <= self.ctrl.max_lag as Cycle);
+    pub(crate) fn launch_llc(&mut self, mesh: &MeshNetwork, a: &Announce) -> bool {
+        debug_assert!(a.due0 >= a.launch_at && a.due0 - a.launch_at <= self.ctrl.max_lag as Cycle);
         if !self.ctrl.llc_window {
             return false;
         }
-        if mesh.source_backlog(src, class) != 0 {
+        if mesh.source_backlog(a.src, a.class) != 0 {
             self.stats.refused_at_ni += 1;
             return false;
         }
         // Fault-aware: under degraded routing this follows the BFS detour
         // tables; `None` means the destination is unreachable (or dead).
-        let Some(route) = mesh.compute_route(src, dest) else {
+        let Some(route) = mesh.compute_route(a.src, a.dest) else {
             return false;
         };
         if route.hops() == 0 {
@@ -253,41 +229,29 @@ impl ControlNetwork {
         }
         self.push_packet(
             ControlOrigin::Llc,
-            packet,
-            class,
-            len,
+            a.packet,
+            a.class,
+            a.len,
             route,
-            due0,
-            process_at,
+            a.due0,
+            a.launch_at,
             FlitSource::Vc {
                 port: Port::Local,
-                vc: class.vc(),
+                vc: a.class.vc(),
             },
         );
         true
     }
 
-    /// Launches a control packet for a packet stalled at `node` behind a
-    /// deterministically draining multi-flit transmission; the blocked
-    /// output port frees at `due0`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_lsd(
-        &mut self,
-        mesh: &MeshNetwork,
-        node: NodeId,
-        dest: NodeId,
-        packet: PacketId,
-        class: MessageClass,
-        len: u8,
-        source: FlitSource,
-        process_at: Cycle,
-        due0: Cycle,
-    ) {
+    /// Launches a control packet for the head `s` stalled behind a
+    /// deterministically draining multi-flit transmission, processed at
+    /// its router at `process_at`; the blocked output port frees at
+    /// `s.release`. Only the LSD scan calls this, and only with the LSD
+    /// window enabled.
+    pub(crate) fn launch_lsd(&mut self, mesh: &MeshNetwork, s: &StalledHead, process_at: Cycle) {
+        let due0 = s.release;
         debug_assert!(due0 >= process_at && due0 - process_at <= self.ctrl.max_lag as Cycle);
-        if !self.ctrl.lsd {
-            return;
-        }
-        let Some(route) = mesh.compute_route(node, dest) else {
+        let Some(route) = mesh.compute_route(s.node, s.flit.dest) else {
             return;
         };
         if route.hops() == 0 {
@@ -295,13 +259,16 @@ impl ControlNetwork {
         }
         self.push_packet(
             ControlOrigin::Lsd,
-            packet,
-            class,
-            len,
+            s.flit.packet,
+            s.flit.class,
+            s.flit.len_flits,
             route,
             due0,
             process_at,
-            source,
+            FlitSource::Vc {
+                port: s.in_port,
+                vc: s.vc,
+            },
         );
     }
 
@@ -431,6 +398,42 @@ impl ControlNetwork {
         self.scratch.due = due;
         self.scratch.claims = claims;
         self.scratch.dropped = dropped;
+    }
+}
+
+/// The PRA plane of [`crate::network::PraNetwork`]: an announce launches
+/// an LLC control packet, and each cycle runs the LSD scan and then
+/// processes the due control packets.
+impl ControlPlane for ControlNetwork {
+    fn max_lag(&self) -> Cycle {
+        self.ctrl.max_lag as Cycle
+    }
+
+    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce) {
+        self.launch_llc(mesh, a);
+    }
+
+    // hot
+    fn step(&mut self, mesh: &mut MeshNetwork) {
+        lsd::scan_and_launch(mesh, self);
+        self.process(mesh);
+    }
+
+    fn stats(&self) -> &PraStats {
+        &self.stats
+    }
+
+    /// In-flight control packets are untouched.
+    fn reset_stats(&mut self) {
+        self.stats = PraStats::new();
+    }
+
+    fn set_obs(&mut self, sink: niobs::SharedSink) {
+        self.obs.attach(sink);
+    }
+
+    fn digested(&self) -> Option<&dyn StateDigest> {
+        Some(self)
     }
 }
 
@@ -663,22 +666,7 @@ fn step_segment(
         // port so the packet flows straight into the NI without a final
         // reactive switch allocation (best effort — on failure the packet
         // simply ejects reactively from the destination's buffer).
-        let dest = cp.route.dest();
-        let in_dir = cp.route.dir_at(h - 1).expect("non-empty route").opposite();
-        let eject = HopPlan {
-            node: dest,
-            out_port: Port::Local,
-            start: last_plan.start + 1,
-            packet: cp.packet,
-            len: cp.len,
-            class: cp.class,
-            source: FlitSource::Vc {
-                port: Port::Dir(in_dir),
-                vc: cp.class.vc(),
-            },
-            landing: Landing::Vc(cp.class.vc()),
-            reserve: cp.len,
-        };
+        let eject = ejection_after(&last_plan, cp.route.dest(), cp.len);
         if mesh.install_hop(&eject).is_ok() {
             stats.hops_preallocated += 1;
         }
@@ -704,6 +692,27 @@ mod tests {
     use super::*;
     use crate::schedule::chunk_positions;
     use noc::types::Direction;
+
+    /// The announce of an LLC response launching at `launch_at`.
+    fn llc(
+        src: u16,
+        dest: u16,
+        packet: u64,
+        class: MessageClass,
+        len: u8,
+        launch_at: Cycle,
+        due0: Cycle,
+    ) -> Announce {
+        Announce {
+            src: NodeId::new(src),
+            dest: NodeId::new(dest),
+            packet: PacketId(packet),
+            class,
+            len,
+            launch_at,
+            due0,
+        }
+    }
 
     fn route(src: u16, dest: u16) -> Route {
         Route::compute(&NocConfig::paper(), NodeId::new(src), NodeId::new(dest))
@@ -750,16 +759,7 @@ mod tests {
         let cfg = NocConfig::paper();
         let mesh = MeshNetwork::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg, ControlConfig::default());
-        let ok = ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(5),
-            PacketId(1),
-            MessageClass::Response,
-            5,
-            1,
-            5,
-        );
+        let ok = ctrl.launch_llc(&mesh, &llc(0, 5, 1, MessageClass::Response, 5, 1, 5));
         assert!(ok);
         assert_eq!(ctrl.in_flight(), 1);
         assert!(ctrl.has_packet_for(PacketId(1)));
@@ -773,16 +773,7 @@ mod tests {
         let cfg = NocConfig::paper();
         let mut mesh = MeshNetwork::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
-        assert!(ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(4),
-            PacketId(1),
-            MessageClass::Response,
-            5,
-            1,
-            5,
-        ));
+        assert!(ctrl.launch_llc(&mesh, &llc(0, 4, 1, MessageClass::Response, 5, 1, 5)));
         // The corresponding data packet arrives per the announce protocol.
         mesh.inject(noc::flit::Packet::new(
             PacketId(1),
@@ -809,16 +800,7 @@ mod tests {
         let mut mesh = MeshNetwork::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         // 14-hop route with lag 4: allocation must stop early.
-        assert!(ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(63),
-            PacketId(1),
-            MessageClass::Response,
-            5,
-            1,
-            5,
-        ));
+        assert!(ctrl.launch_llc(&mesh, &llc(0, 63, 1, MessageClass::Response, 5, 1, 5)));
         mesh.inject(noc::flit::Packet::new(
             PacketId(1),
             NodeId::new(0),
@@ -855,16 +837,7 @@ mod tests {
             let mut mesh = MeshNetwork::new(cfg.clone());
             let mut ctrl = ControlNetwork::new(cfg, ControlConfig::default());
             // Straight 7-hop route so no lag in {0,1,2} can complete it.
-            assert!(ctrl.launch_llc(
-                &mesh,
-                NodeId::new(0),
-                NodeId::new(7),
-                PacketId(1),
-                MessageClass::Response,
-                5,
-                1,
-                1 + lag,
-            ));
+            assert!(ctrl.launch_llc(&mesh, &llc(0, 7, 1, MessageClass::Response, 5, 1, 1 + lag)));
             for _ in 0..12 {
                 ctrl.process(&mut mesh);
                 mesh.step();
@@ -892,26 +865,8 @@ mod tests {
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         // Two LLC launches from the same node in the same cycle: the NI
         // latch fits one; the second is dropped on conflict.
-        assert!(ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(5),
-            PacketId(1),
-            MessageClass::Response,
-            5,
-            1,
-            5,
-        ));
-        assert!(ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(9),
-            PacketId(2),
-            MessageClass::Request,
-            1,
-            1,
-            5,
-        ));
+        assert!(ctrl.launch_llc(&mesh, &llc(0, 5, 1, MessageClass::Response, 5, 1, 5)));
+        assert!(ctrl.launch_llc(&mesh, &llc(0, 9, 2, MessageClass::Request, 1, 1, 5)));
         ctrl.process(&mut mesh);
         assert_eq!(
             ctrl.stats().drops_by_reason[DropReason::Conflict as usize],
@@ -933,13 +888,7 @@ mod tests {
         for (src, id) in [(0u16, 1u64), (0, 2), (1, 3), (1, 4)] {
             assert!(ctrl.launch_llc(
                 &mesh,
-                NodeId::new(src),
-                NodeId::new(src + 40),
-                PacketId(id),
-                MessageClass::Response,
-                5,
-                1,
-                5,
+                &llc(src, src + 40, id, MessageClass::Response, 5, 1, 5)
             ));
         }
         ctrl.process(&mut mesh);
@@ -965,16 +914,7 @@ mod tests {
                 ..ControlConfig::default()
             },
         );
-        assert!(!ctrl.launch_llc(
-            &mesh,
-            NodeId::new(0),
-            NodeId::new(5),
-            PacketId(1),
-            MessageClass::Response,
-            5,
-            1,
-            5,
-        ));
+        assert!(!ctrl.launch_llc(&mesh, &llc(0, 5, 1, MessageClass::Response, 5, 1, 5)));
         assert_eq!(ctrl.in_flight(), 0);
     }
 }

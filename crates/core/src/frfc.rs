@@ -12,11 +12,14 @@
 //!   reserved data, so the lead never shrinks: FRFC can cover arbitrarily
 //!   long paths, while PRA's lag budget bounds coverage at ~7 hops.
 //!
-//! This implementation reuses the reservation-table datapath of
-//! [`noc::mesh::MeshNetwork`] with single-hop chunks: each reserved hop
-//! reads from the local VC and lands in the next router's VC, eliminating
-//! the allocation stage (1 cycle/hop instead of 2) but never bypassing a
-//! router. Waves book the *earliest available* slots (shifting by up to
+//! This implementation is the [`Waves`] control plane of the shared
+//! [`ReservingMesh`] shell, over the same reservation datapath as
+//! [`PraNetwork`], with single-hop chunks: each reserved hop reads from
+//! the local VC and lands in the next router's VC, eliminating the
+//! allocation stage (1 cycle/hop instead of 2) but never bypassing a
+//! router. Its lag is unbounded, so an announce launches its wave on the
+//! next cycle and the wave stays `lead` cycles ahead of the data. Waves
+//! book the *earliest available* slots (shifting by up to
 //! [`FrfcNetwork::MAX_SHIFT`] cycles, with data waiting in buffers) —
 //! FRFC's flit-granular flexibility.
 //!
@@ -31,15 +34,14 @@
 //! [`PraNetwork`]: crate::network::PraNetwork
 
 use noc::config::NocConfig;
-use noc::flit::Packet;
 use noc::mesh::{HopPlan, MeshNetwork};
-use noc::network::{Delivered, Network};
+use noc::network::Network as _;
 use noc::reserve::{FlitSource, Landing};
 use noc::routing::{neighbor, Route};
-use noc::stats::NetStats;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
-use crate::stats::{ControlOrigin, PraStats};
+use crate::network::{ejection_after, Announce, ControlPlane, ReservingMesh};
+use crate::stats::{ControlOrigin, DropReason, PraStats};
 
 /// An in-flight FRFC reservation wave: one position reserved per cycle.
 #[derive(Debug)]
@@ -63,16 +65,13 @@ struct Wave {
     dead: bool,
 }
 
-/// A packet announced but not yet reserving (waiting for its lead window).
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    src: NodeId,
-    dest: NodeId,
-    packet: PacketId,
-    class: MessageClass,
-    len: u8,
-    start_at: Cycle,
-    due0: Cycle,
+/// The FRFC control plane: the in-flight reservation waves and their
+/// statistics (reservations installed, waves dropped). Its state is not
+/// digested.
+#[derive(Debug, Default)]
+pub struct Waves {
+    waves: Vec<Wave>,
+    stats: PraStats,
 }
 
 /// The mesh + flit-reservation flow control organisation.
@@ -94,80 +93,59 @@ struct Pending {
 /// net.inject(p);
 /// assert_eq!(net.run_to_drain(500).len(), 1);
 /// ```
-#[derive(Debug)]
-pub struct FrfcNetwork {
-    mesh: MeshNetwork,
-    waves: Vec<Wave>,
-    pending: Vec<Pending>,
-    stats: PraStats,
-    cancel: noc::cancel::CancelToken,
-}
+pub type FrfcNetwork = ReservingMesh<Waves>;
 
 impl FrfcNetwork {
     /// Builds a mesh with FRFC reservation support.
     pub fn new(cfg: NocConfig) -> Self {
-        FrfcNetwork {
-            mesh: MeshNetwork::new(cfg),
-            waves: Vec::new(),
-            pending: Vec::new(),
-            stats: PraStats::new(),
-            cancel: noc::cancel::CancelToken::new(),
-        }
-    }
-
-    /// Control-plane statistics (reservations installed, waves dropped).
-    pub fn frfc_stats(&self) -> &PraStats {
-        &self.stats
-    }
-
-    /// Read access to the underlying data network.
-    pub fn mesh(&self) -> &MeshNetwork {
-        &self.mesh
-    }
-
-    // hot
-    fn start_due_waves(&mut self) {
-        let t = self.mesh.now() + 1;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].start_at != t {
-                i += 1;
-                continue;
-            }
-            let p = self.pending.swap_remove(i);
-            if self.mesh.source_backlog(p.src, p.class) != 0 {
-                self.stats.refused_at_ni += 1;
-                continue;
-            }
-            let route = Route::compute(self.mesh.config(), p.src, p.dest);
-            if route.hops() == 0 {
-                continue;
-            }
-            self.stats.record_injected(ControlOrigin::Llc);
-            self.waves.push(Wave {
-                packet: p.packet,
-                class: p.class,
-                len: p.len,
-                route,
-                pos: 0,
-                node: p.src,
-                due_next: p.due0,
-                process_at: t,
-                dead: false,
-            });
-        }
+        ReservingMesh::with_plane(cfg, Waves::default())
     }
 
     /// How far a wave may shift a hop's reservation past its earliest
     /// possible cycle before giving up (the data waits the shift out in
     /// the hop's input buffer — FRFC's flit-granular flexibility).
     pub const MAX_SHIFT: Cycle = 6;
+}
+
+impl ControlPlane for Waves {
+    /// FRFC control flits leave as soon as the transfer is known; with a
+    /// lead of `l` cycles they stay `l` cycles ahead of the data the whole
+    /// way (both move one hop per cycle).
+    fn max_lag(&self) -> Cycle {
+        Cycle::MAX
+    }
+
+    /// Starts the wave of `a`, unless the source NI's backlog makes the
+    /// injection time unpredictable.
+    // hot
+    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce) {
+        if mesh.source_backlog(a.src, a.class) != 0 {
+            self.stats.refused_at_ni += 1;
+            return;
+        }
+        let route = Route::compute(mesh.config(), a.src, a.dest);
+        if route.hops() == 0 {
+            return;
+        }
+        self.stats.record_injected(ControlOrigin::Llc);
+        self.waves.push(Wave {
+            packet: a.packet,
+            class: a.class,
+            len: a.len,
+            route,
+            pos: 0,
+            node: a.src,
+            due_next: a.due0,
+            process_at: a.launch_at,
+            dead: false,
+        });
+    }
 
     /// Advances every wave by one position (FRFC control flits move one
     /// hop per cycle, reserving the earliest available slots as they go).
     // hot
-    fn advance_waves(&mut self) {
-        let t = self.mesh.now() + 1;
+    fn step(&mut self, mesh: &mut MeshNetwork) {
+        let t = mesh.now() + 1;
         let mut retired = false;
         for w in &mut self.waves {
             if w.dead || w.process_at != t {
@@ -191,7 +169,7 @@ impl FrfcNetwork {
             // can be there.
             let desired = w.due_next.max(t);
             let mut installed = None;
-            for shift in 0..=Self::MAX_SHIFT {
+            for shift in 0..=FrfcNetwork::MAX_SHIFT {
                 let start = desired + shift;
                 // Data flits park in the input buffer while waiting for a
                 // shifted slot; reserve that extra occupancy.
@@ -209,53 +187,32 @@ impl FrfcNetwork {
                     landing: Landing::Vc(w.class.vc()),
                     reserve: occupancy,
                 };
-                if self.mesh.install_hop(&plan).is_ok() {
-                    installed = Some(start);
+                if mesh.install_hop(&plan).is_ok() {
+                    installed = Some(plan);
                     break;
                 }
             }
-            let Some(start) = installed else {
+            let Some(plan) = installed else {
                 w.dead = true;
                 retired = true;
                 self.stats.alloc_fail_kinds[0] += 1;
-                self.stats
-                    .record_drop(crate::stats::DropReason::AllocationFailed, 0);
+                self.stats.record_drop(DropReason::AllocationFailed, 0);
                 continue;
             };
             self.stats.hops_preallocated += 1;
             self.stats.segments_processed += 1;
             w.pos += 1;
-            w.node = neighbor(self.mesh.config(), node, dir).expect("route stays on the mesh");
-            w.due_next = start + 1;
+            w.node = neighbor(mesh.config(), node, dir).expect("route stays on the mesh");
+            w.due_next = plan.start + 1;
             if w.pos >= w.route.hops() {
                 // Reserve the ejection port too, then retire the wave.
-                let dest = w.route.dest();
-                let in_dir = w
-                    .route
-                    .dir_at(w.route.hops() - 1)
-                    .expect("non-empty route")
-                    .opposite();
-                let eject = HopPlan {
-                    node: dest,
-                    out_port: Port::Local,
-                    start: start + 1,
-                    packet: w.packet,
-                    len: w.len,
-                    class: w.class,
-                    source: FlitSource::Vc {
-                        port: Port::Dir(in_dir),
-                        vc: w.class.vc(),
-                    },
-                    landing: Landing::Vc(w.class.vc()),
-                    reserve: w.len.min(2),
-                };
-                if self.mesh.install_hop(&eject).is_ok() {
+                let eject = ejection_after(&plan, w.route.dest(), w.len.min(2));
+                if mesh.install_hop(&eject).is_ok() {
                     self.stats.hops_preallocated += 1;
                 }
                 w.dead = true;
                 retired = true;
-                self.stats
-                    .record_drop(crate::stats::DropReason::Completed, 0);
+                self.stats.record_drop(DropReason::Completed, 0);
             } else {
                 w.process_at = t + 1;
             }
@@ -264,95 +221,13 @@ impl FrfcNetwork {
             self.waves.retain(|w| !w.dead);
         }
     }
-}
 
-impl Network for FrfcNetwork {
-    fn config(&self) -> &NocConfig {
-        self.mesh.config()
-    }
-
-    fn now(&self) -> Cycle {
-        self.mesh.now()
-    }
-
-    fn inject(&mut self, packet: Packet) {
-        self.mesh.inject(packet);
-    }
-
-    fn step(&mut self) {
-        if self.cancel.is_cancelled() {
-            // The mesh advances the clock and skips its own work too.
-            self.mesh.step();
-            return;
-        }
-        self.start_due_waves();
-        self.advance_waves();
-        self.mesh.step();
-    }
-
-    fn drain_delivered(&mut self) -> Vec<Delivered> {
-        self.mesh.drain_delivered()
-    }
-
-    fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
-        self.mesh.drain_delivered_into(out);
-    }
-
-    // Safe to forward: FRFC wave bookkeeping runs before `mesh.step()`
-    // and mutates the mesh only through idle-invalidating entry points.
-    fn set_skip_ahead(&mut self, enabled: bool) {
-        self.mesh.set_skip_ahead(enabled);
-    }
-
-    fn in_flight(&self) -> usize {
-        self.mesh.in_flight()
-    }
-
-    fn stats(&self) -> &NetStats {
-        self.mesh.stats()
-    }
-
-    fn audit(&self) -> Option<noc::watchdog::AuditReport> {
-        self.mesh.audit()
-    }
-
-    fn reliable_stats(&self) -> Option<noc::reliable::ReliableStats> {
-        self.mesh.reliable_stats()
+    fn stats(&self) -> &PraStats {
+        &self.stats
     }
 
     fn reset_stats(&mut self) {
-        self.mesh.reset_stats();
         self.stats = PraStats::new();
-    }
-
-    fn install_cancel(&mut self, token: noc::cancel::CancelToken) {
-        self.cancel = token.clone();
-        self.mesh.install_cancel(token);
-    }
-
-    fn install_obs(&mut self, sink: niobs::SharedSink) {
-        self.mesh.install_obs(sink);
-    }
-
-    /// FRFC control flits leave as soon as the transfer is known; with a
-    /// lead of `l` cycles they stay `l` cycles ahead of the data the whole
-    /// way (both move one hop per cycle).
-    fn announce(&mut self, packet: &Packet, lead: u32) {
-        if lead == 0 || packet.src == packet.dest {
-            return;
-        }
-        let now = self.mesh.now();
-        let due0 = now + lead as Cycle + 1;
-        // Start reserving right away; the wave stays ahead by `lead`.
-        self.pending.push(Pending {
-            src: packet.src,
-            dest: packet.dest,
-            packet: packet.id,
-            class: packet.class,
-            len: packet.len_flits,
-            start_at: now + 1,
-            due0,
-        });
     }
 }
 
@@ -367,6 +242,8 @@ pub fn frfc_latency(cfg: &NocConfig, src: NodeId, dest: NodeId, len_flits: u8) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc::flit::Packet;
+    use noc::network::Network;
     use noc::zeroload::{mesh_latency, pra_best_latency};
 
     fn pkt(id: u64, src: u16, dest: u16, class: MessageClass, len: u8) -> Packet {

@@ -12,14 +12,16 @@
 //!
 //! The crate provides:
 //!
-//! * [`control`] — the narrow bufferless control network of 2-hop
-//!   multi-drop segments that carries pre-allocation requests (lag
-//!   bookkeeping, ACK conversions, static-priority drops);
+//! * [`network`] — [`network::ReservingMesh`], the one shell (mesh,
+//!   announce queue, [`noc::network::Network`] impl) of both reserving
+//!   organisations, generic over its [`network::ControlPlane`];
+//! * [`control`] — PRA's plane: the narrow bufferless control network of
+//!   2-hop multi-drop segments (lag bookkeeping, ACK conversions,
+//!   static-priority drops), making [`network::PraNetwork`] (Mesh+PRA);
+//! * [`lsd`] — the Long Stall Detection scan, part of PRA's plane;
 //! * [`frfc`] — flit-reservation flow control (Peh & Dally, HPCA 2000),
-//!   the closest prior work, implemented as a comparison organisation;
-//! * [`lsd`] — the Long Stall Detection scan;
-//! * [`network::PraNetwork`] — the complete Mesh+PRA organisation,
-//!   implementing [`noc::network::Network`];
+//!   the closest prior work: a one-hop-per-cycle wave plane, making
+//!   [`frfc::FrfcNetwork`], a comparison organisation;
 //! * [`stats`] — control-plane statistics (Figure 7, Section V.B).
 //!
 //! ## Quick start

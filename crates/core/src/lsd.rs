@@ -9,7 +9,6 @@
 
 use noc::mesh::MeshNetwork;
 use noc::network::Network as _;
-use noc::reserve::FlitSource;
 use noc::types::Cycle;
 
 use crate::control::ControlNetwork;
@@ -50,20 +49,7 @@ pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
             node: s.node.index() as u64,
             release,
         });
-        ctrl.launch_lsd(
-            mesh,
-            s.node,
-            s.flit.dest,
-            s.flit.packet,
-            s.flit.class,
-            s.flit.len_flits,
-            FlitSource::Vc {
-                port: s.in_port,
-                vc: s.vc,
-            },
-            t,
-            release,
-        );
+        ctrl.launch_lsd(mesh, s, t);
         launched_at = Some(s.node);
     }
     ctrl.return_stalled(stalled);
@@ -73,6 +59,7 @@ pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
 mod tests {
     use super::*;
     use crate::control::ControlConfig;
+    use crate::network::ControlPlane as _;
     use noc::config::NocConfig;
     use noc::flit::Packet;
     use noc::network::Network;

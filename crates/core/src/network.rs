@@ -1,43 +1,87 @@
-//! The Mesh+PRA network: the paper's proposal.
+//! The reserving network: Mesh+PRA, the paper's proposal, and FRFC, its
+//! closest prior work, over one shell.
 //!
-//! [`PraNetwork`] couples the PRA-capable mesh datapath
-//! ([`noc::mesh::MeshNetwork`], Figure 4 of the paper) with the
-//! [`ControlNetwork`] (Figure 5) and the per-router LSD units. It
-//! implements [`Network`], so system models and benchmarks can swap it in
-//! for any other organisation.
+//! Both organisations drive the same reservation datapath of
+//! [`noc::mesh::MeshNetwork`] (Figure 4 of the paper) through
+//! [`noc::mesh::HopPlan`]s. They differ only in how their control plane
+//! books routers (Section VI): PRA's [`ControlNetwork`] (Figure 5) and
+//! per-router LSD units book bounded multi-hop segments, FRFC's
+//! [`Waves`] one hop per cycle. [`ReservingMesh`] is the shell they share
+//! and implements [`Network`], so system models and benchmarks can swap
+//! either in for any other organisation; a [`ControlPlane`] supplies what
+//! differs. [`PraNetwork`] and [`FrfcNetwork`] name the two instances.
 //!
 //! The [`Network::announce`] hook is the LLC integration point: a slice
 //! that knows at *tag-hit* time that a response will be ready once the
 //! data lookup completes calls `announce(&packet, lead)`, and the control
 //! plane launches a control packet timed so that the data packet rides a
 //! pre-allocated path the moment it is injected.
+//!
+//! [`Waves`]: crate::frfc::Waves
+//! [`FrfcNetwork`]: crate::frfc::FrfcNetwork
 
 use noc::cancel::CancelToken;
 use noc::config::NocConfig;
 use noc::digest::{StateDigest, StateHasher};
 use noc::flit::Packet;
-use noc::mesh::MeshNetwork;
+use noc::mesh::{HopPlan, MeshNetwork};
 use noc::network::{Delivered, Network};
+use noc::reserve::{FlitSource, Landing};
 use noc::stats::NetStats;
-use noc::types::{Cycle, MessageClass, NodeId, PacketId};
+use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
 use crate::control::{ControlConfig, ControlNetwork};
-use crate::lsd;
 use crate::stats::PraStats;
 
-/// An announced packet awaiting its control-packet launch.
+/// An announced packet awaiting its control-plane launch.
 #[derive(Debug, Clone, Copy)]
-struct PendingAnnounce {
-    src: NodeId,
-    dest: NodeId,
-    packet: PacketId,
-    class: MessageClass,
-    len: u8,
-    /// Cycle at which the control packet is processed at the source.
-    launch_at: Cycle,
+pub struct Announce {
+    /// Router the data packet is injected at.
+    pub src: NodeId,
+    /// Destination of the data packet.
+    pub dest: NodeId,
+    /// The data packet.
+    pub packet: PacketId,
+    /// Message class of the data packet.
+    pub class: MessageClass,
+    /// Length of the data packet in flits.
+    pub len: u8,
+    /// Cycle at which the control plane launches at the source.
+    pub launch_at: Cycle,
     /// Cycle at which the data's head flit can first use the source
     /// router's output port.
-    due0: Cycle,
+    pub due0: Cycle,
+}
+
+/// What a control plane adds to the shared [`ReservingMesh`]: how far
+/// ahead of the data it may launch, the launch itself, its per-cycle work
+/// and its statistics.
+pub trait ControlPlane {
+    /// The largest lead, in cycles, a launch may keep over the data; the
+    /// shell delays the launch of a longer announce to stay within it.
+    fn max_lag(&self) -> Cycle;
+
+    /// Launches the control packet of `a` (due this cycle).
+    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce);
+
+    /// The plane's work for the coming cycle, `mesh.now() + 1`, before
+    /// the mesh steps.
+    fn step(&mut self, mesh: &mut MeshNetwork);
+
+    /// Control-plane statistics.
+    fn stats(&self) -> &PraStats;
+
+    /// Zeroes the statistics (measurement-window boundary).
+    fn reset_stats(&mut self);
+
+    /// Attaches an observability sink for control-plane events.
+    fn set_obs(&mut self, _sink: niobs::SharedSink) {}
+
+    /// The plane state the network's digest covers; `None` leaves the
+    /// whole network undigested.
+    fn digested(&self) -> Option<&dyn StateDigest> {
+        None
+    }
 }
 
 /// The paper's Mesh+PRA organisation.
@@ -68,11 +112,14 @@ struct PendingAnnounce {
 /// let d = net.run_to_drain(100);
 /// assert_eq!(d.len(), 1);
 /// ```
+pub type PraNetwork = ReservingMesh<ControlNetwork>;
+
+/// A mesh whose reservation datapath is booked by the control plane `P`.
 #[derive(Debug)]
-pub struct PraNetwork {
+pub struct ReservingMesh<P> {
     mesh: MeshNetwork,
-    ctrl: ControlNetwork,
-    pending: Vec<PendingAnnounce>,
+    plane: P,
+    pending: Vec<Announce>,
     /// How many `pending` announces launch at a cycle congruent to each
     /// bucket index — derived state, excluded from the digest. A zero
     /// count for the coming cycle proves nothing launches, so the scan
@@ -81,7 +128,28 @@ pub struct PraNetwork {
     cancel: CancelToken,
 }
 
-/// Buckets of [`PraNetwork::launches`].
+/// The booking of the ejection port at `dest` for a packet whose last
+/// reserved hop is `last`. Both planes end a fully reserved path with it.
+pub(crate) fn ejection_after(last: &HopPlan, dest: NodeId, reserve: u8) -> HopPlan {
+    let in_dir = last
+        .out_port
+        .direction()
+        .expect("a hop leaves through a mesh port");
+    HopPlan {
+        node: dest,
+        out_port: Port::Local,
+        start: last.start + 1,
+        source: FlitSource::Vc {
+            port: Port::Dir(in_dir.opposite()),
+            vc: last.class.vc(),
+        },
+        landing: Landing::Vc(last.class.vc()),
+        reserve,
+        ..*last
+    }
+}
+
+/// Buckets of [`ReservingMesh::launches`].
 const LAUNCH_WHEEL: usize = 64;
 
 fn launch_bucket(cycle: Cycle) -> usize {
@@ -98,9 +166,16 @@ impl PraNetwork {
     /// Builds a Mesh+PRA network with an explicit control configuration
     /// (ablation studies switch the opportunity windows individually).
     pub fn with_control(cfg: NocConfig, ctrl: ControlConfig) -> Self {
-        PraNetwork {
-            mesh: MeshNetwork::new(cfg.clone()),
-            ctrl: ControlNetwork::new(cfg, ctrl),
+        ReservingMesh::with_plane(cfg.clone(), ControlNetwork::new(cfg, ctrl))
+    }
+}
+
+impl<P: ControlPlane> ReservingMesh<P> {
+    /// Builds the mesh of `cfg` under the control plane `plane`.
+    pub(crate) fn with_plane(cfg: NocConfig, plane: P) -> Self {
+        ReservingMesh {
+            mesh: MeshNetwork::new(cfg),
+            plane,
             pending: Vec::new(),
             launches: vec![0; LAUNCH_WHEEL],
             cancel: CancelToken::new(),
@@ -109,7 +184,7 @@ impl PraNetwork {
 
     /// Control-plane statistics (Figure 7 and Section V.B).
     pub fn pra_stats(&self) -> &PraStats {
-        self.ctrl.stats()
+        self.plane.stats()
     }
 
     /// Read access to the underlying data network.
@@ -126,18 +201,9 @@ impl PraNetwork {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].launch_at == t {
-                let p = self.pending.swap_remove(i);
+                let a = self.pending.swap_remove(i);
                 self.launches[launch_bucket(t)] -= 1;
-                self.ctrl.launch_llc(
-                    &self.mesh,
-                    p.src,
-                    p.dest,
-                    p.packet,
-                    p.class,
-                    p.len,
-                    p.launch_at,
-                    p.due0,
-                );
+                self.plane.launch(&self.mesh, &a);
             } else {
                 i += 1;
             }
@@ -145,7 +211,7 @@ impl PraNetwork {
     }
 }
 
-impl Network for PraNetwork {
+impl<P: ControlPlane> Network for ReservingMesh<P> {
     fn config(&self) -> &NocConfig {
         self.mesh.config()
     }
@@ -165,8 +231,7 @@ impl Network for PraNetwork {
             return;
         }
         self.fire_pending();
-        lsd::scan_and_launch(&mut self.mesh, &mut self.ctrl);
-        self.ctrl.process(&mut self.mesh);
+        self.plane.step(&mut self.mesh);
         self.mesh.step();
     }
 
@@ -178,10 +243,10 @@ impl Network for PraNetwork {
         self.mesh.drain_delivered_into(out);
     }
 
-    // Safe to forward: all PRA control-plane work (pending announces,
-    // LSD scans, control-packet processing) mutates the mesh *before*
-    // `mesh.step()` in [`PraNetwork::step`], through entry points that
-    // invalidate the mesh's idle flag.
+    // Safe to forward: all control-plane work (pending announces and the
+    // plane's step) mutates the mesh *before* `mesh.step()` in
+    // [`ReservingMesh::step`], through entry points that invalidate the
+    // mesh's idle flag.
     fn set_skip_ahead(&mut self, enabled: bool) {
         self.mesh.set_skip_ahead(enabled);
     }
@@ -196,7 +261,7 @@ impl Network for PraNetwork {
 
     fn reset_stats(&mut self) {
         self.mesh.reset_stats();
-        self.ctrl.reset_stats();
+        self.plane.reset_stats();
     }
 
     fn audit(&self) -> Option<noc::watchdog::AuditReport> {
@@ -213,33 +278,44 @@ impl Network for PraNetwork {
     }
 
     fn state_digest(&self) -> Option<u64> {
+        let plane = self.plane.digested()?;
         let mut h = StateHasher::new();
-        self.digest_state(&mut h);
+        self.mesh.digest_state(&mut h);
+        plane.digest_state(&mut h);
+        h.write_usize(self.pending.len());
+        for a in &self.pending {
+            h.write_usize(a.src.index());
+            h.write_usize(a.dest.index());
+            h.write_u64(a.packet.0);
+            h.write_usize(a.class.vc());
+            h.write_u8(a.len);
+            h.write_u64(a.launch_at);
+            h.write_u64(a.due0);
+        }
         Some(h.finish())
     }
 
     fn install_obs(&mut self, sink: niobs::SharedSink) {
         self.mesh.install_obs(sink.clone());
-        self.ctrl.set_obs(sink);
+        self.plane.set_obs(sink);
     }
 
     /// The LLC window: `packet` will be injected after `lead` more cycles
-    /// (the remaining data-lookup time). A lead longer than the maximum
-    /// lag delays the control launch so the lag stays within range; a
+    /// (the remaining data-lookup time). A lead longer than the plane's
+    /// maximum lag delays the launch so the lag stays within range; a
     /// zero lead is useless and ignored.
     fn announce(&mut self, packet: &Packet, lead: u32) {
         if lead == 0 || packet.src == packet.dest {
             return;
         }
-        let max_lag = self.ctrl.control_config().max_lag as Cycle;
         let now = self.mesh.now();
         // The data head can first use the source router's port one cycle
         // after injection (source queue -> local VC during that cycle).
         let due0 = now + lead as Cycle + 1;
-        let lag = (lead as Cycle).min(max_lag);
+        let lag = (lead as Cycle).min(self.plane.max_lag());
         let launch_at = (due0 - lag).max(now + 1);
         self.launches[launch_bucket(launch_at)] += 1;
-        self.pending.push(PendingAnnounce {
+        self.pending.push(Announce {
             src: packet.src,
             dest: packet.dest,
             packet: packet.id,
@@ -248,23 +324,6 @@ impl Network for PraNetwork {
             launch_at,
             due0,
         });
-    }
-}
-
-impl StateDigest for PraNetwork {
-    fn digest_state(&self, h: &mut StateHasher) {
-        self.mesh.digest_state(h);
-        self.ctrl.digest_state(h);
-        h.write_usize(self.pending.len());
-        for p in &self.pending {
-            h.write_usize(p.src.index());
-            h.write_usize(p.dest.index());
-            h.write_u64(p.packet.0);
-            h.write_usize(p.class.vc());
-            h.write_u8(p.len);
-            h.write_u64(p.launch_at);
-            h.write_u64(p.due0);
-        }
     }
 }
 

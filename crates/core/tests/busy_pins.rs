@@ -242,7 +242,7 @@ fn frfc_busy_paths_match_pins() {
                 case.rate,
                 seed,
                 |n| n.mesh().state_digest().expect("the mesh digests its state"),
-                |n| n.frfc_stats().clone(),
+                |n| n.pra_stats().clone(),
             );
             assert!(
                 o.pra.hops_preallocated > 0,

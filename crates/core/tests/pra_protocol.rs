@@ -6,7 +6,8 @@ use noc::flit::Packet;
 use noc::network::Network;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId};
 use noc::zeroload::{mesh_latency, pra_best_latency};
-use pra::network::PraNetwork;
+use pra::frfc::FrfcNetwork;
+use pra::network::{ControlPlane, PraNetwork, ReservingMesh};
 use pra::{ControlConfig, DropReason};
 
 fn pkt(id: u64, src: u16, dest: u16, class: MessageClass, len: u8) -> Packet {
@@ -385,4 +386,57 @@ fn skip_ahead_is_byte_identical_with_announcements() {
     let fast = run(true);
     assert!(!fast.2.is_empty());
     assert_eq!(fast, run(false));
+}
+
+/// Announces one packet per cycle with leads of 1..=130 cycles, so
+/// launches run the 64-bucket launch wheel around more than twice and
+/// share buckets with launches a lap away. `launch_at(now, lead)` is the
+/// cycle the plane must launch at; the launch count is checked after
+/// every step, so each announce launches exactly once and on time. No
+/// data is injected, so no source backlog refuses a launch.
+fn assert_each_announce_launches_once<P: ControlPlane>(
+    mut net: ReservingMesh<P>,
+    launch_at: impl Fn(Cycle, u32) -> Cycle,
+) {
+    let mut due = Vec::new();
+    for lead in 1..=130u32 {
+        let now = net.now();
+        let src = (lead % 32) as u16;
+        let dest = 32 + (lead * 5 % 32) as u16;
+        let p = pkt(lead as u64, src, dest, MessageClass::Response, 5);
+        net.announce(&p, lead);
+        due.push(launch_at(now, lead));
+        net.step();
+        let launched = due.iter().filter(|&&at| at <= net.now()).count();
+        assert_eq!(
+            net.pra_stats().injected(),
+            launched as u64,
+            "cycle {}",
+            net.now()
+        );
+    }
+    while net.now() < 300 {
+        net.step();
+        let launched = due.iter().filter(|&&at| at <= net.now()).count();
+        assert_eq!(
+            net.pra_stats().injected(),
+            launched as u64,
+            "cycle {}",
+            net.now()
+        );
+    }
+    assert_eq!(net.pra_stats().injected(), 130);
+}
+
+#[test]
+fn announces_past_the_launch_wheel_launch_once_on_both_planes() {
+    // Mesh+PRA launches `min(lead, max_lag)` cycles before the data head
+    // is due at the source port, and never before the next cycle.
+    let max_lag = ControlConfig::default().max_lag as Cycle;
+    assert_each_announce_launches_once(PraNetwork::new(NocConfig::paper()), |now, lead| {
+        let due0 = now + lead as Cycle + 1;
+        (due0 - (lead as Cycle).min(max_lag)).max(now + 1)
+    });
+    // FRFC's lag is unbounded: every wave starts on the next cycle.
+    assert_each_announce_launches_once(FrfcNetwork::new(NocConfig::paper()), |now, _| now + 1);
 }

@@ -892,20 +892,9 @@ impl MeshNetwork {
         self.routers[node.index()].schedules[out_port.index()].count_of(packet, window)
     }
 
-    /// Read access to an output schedule (for the control plane's
-    /// conflict checks and for tests).
-    pub fn schedule(&self, node: NodeId, out_port: Port) -> &OutputSchedule {
-        &self.routers[node.index()].schedules[out_port.index()]
-    }
-
     /// Read access to downstream-VC credit state.
     pub fn out_vc(&self, node: NodeId, out_port: Port, vc: usize) -> &OutVc {
         self.routers[node.index()].out_vc(out_port.index(), vc)
-    }
-
-    /// The multi-flit guard of `(node, out_port, class)`.
-    pub fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> &MultiFlitGuard {
-        self.routers[node.index()].guard(out_port.index(), class.vc())
     }
 
     /// Appends the packets stalled for the Long Stall Detection unit to
@@ -2626,7 +2615,7 @@ impl MeshNetwork {
     /// counts every flit the fabric should hold against the flits it
     /// actually holds, and closes the credit-conservation sum on every
     /// live link VC.
-    pub fn audit_now(&self) -> AuditReport {
+    fn audit_now(&self) -> AuditReport {
         let mut expected_flits = 0u64;
         let mut oldest_packet_age = 0u64;
         for p in self.ledger.iter_in_flight() {
@@ -3093,6 +3082,18 @@ mod tests {
     use super::*;
     use crate::faults::FaultPlan;
     use crate::types::Direction;
+
+    impl MeshNetwork {
+        /// Read access to an output schedule.
+        fn schedule(&self, node: NodeId, out_port: Port) -> &OutputSchedule {
+            &self.routers[node.index()].schedules[out_port.index()]
+        }
+
+        /// The multi-flit guard of `(node, out_port, class)`.
+        fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> &MultiFlitGuard {
+            self.routers[node.index()].guard(out_port.index(), class.vc())
+        }
+    }
 
     fn net() -> MeshNetwork {
         MeshNetwork::new(NocConfig::paper())
