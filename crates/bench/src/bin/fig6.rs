@@ -2,7 +2,7 @@
 //! the six CloudSuite workloads, normalized to the mesh. The 24
 //! (workload, organisation) points run in parallel on the runner pool.
 
-use bench::{format_normalized_table, measure, spec_from_env, Cell, FigureResults, Organization};
+use bench::{format_normalized_table, measure, spec_from_env, Cell, Organization};
 use workloads::WorkloadKind;
 
 fn main() {
@@ -38,11 +38,4 @@ fn main() {
             &raw
         )
     );
-    FigureResults {
-        figure: "fig6".into(),
-        rows: WorkloadKind::ALL.iter().map(|w| w.name().into()).collect(),
-        columns: orgs.iter().map(|o| o.name().into()).collect(),
-        values: raw,
-    }
-    .write_if_requested();
 }

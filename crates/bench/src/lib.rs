@@ -10,7 +10,7 @@
 
 use std::env::VarError;
 
-use nistats::{geometric_mean, Json, SampleSpec, Summary};
+use nistats::{geometric_mean, SampleSpec, Summary};
 use noc::cancel::CancelToken;
 use noc::network::Network;
 use noc::stats::NetStats;
@@ -37,7 +37,7 @@ pub use runner::{AnyNetwork, Organization};
 /// wedging the whole binary. Overruns are reported on stderr; the budget
 /// never appears in stdout. A panicking point aborts the binary with the
 /// panic message; sweeps that tolerate per-point failure should go
-/// through [`runner::run_points`] instead.
+/// through [`runner::run_points_full_with`] instead.
 pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize, CancelToken) -> T + Sync) -> Vec<T> {
     let budget_ms = wall_budget_from_env();
     let budgeted = |i| {
@@ -52,7 +52,7 @@ pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize, CancelToken) -> T + 
         }
         out
     };
-    runner::run_tasks(count, runner::threads_from_env(), budgeted, |_, _| {})
+    runner::run_tasks(count, runner::threads_from_env(), budgeted, |_, _, _, _| {})
         .into_iter()
         .map(|outcome| match outcome {
             runner::Outcome::Done(v) => v,
@@ -183,59 +183,6 @@ pub fn format_normalized_table(
     }
     out.push('\n');
     out
-}
-
-/// A machine-readable record of one figure's results, written next to the
-/// human-readable table when `NOC_RESULTS_JSON` names a file.
-#[derive(Debug, Clone)]
-pub struct FigureResults {
-    /// Figure identifier (e.g. "fig6").
-    pub figure: String,
-    /// Row labels (workloads).
-    pub rows: Vec<String>,
-    /// Column labels (organisations).
-    pub columns: Vec<String>,
-    /// Raw values, `values[row][column]`.
-    pub values: Vec<Vec<f64>>,
-}
-
-impl FigureResults {
-    /// Writes the record as JSON to the path in `NOC_RESULTS_JSON`
-    /// (appending a `.{figure}.json` suffix); does nothing when the
-    /// variable is unset. IO errors are reported to stderr, not fatal —
-    /// the human-readable output already went to stdout.
-    pub fn write_if_requested(&self) {
-        let Ok(base) = std::env::var("NOC_RESULTS_JSON") else {
-            return;
-        };
-        let path = format!("{base}.{}.json", self.figure);
-        let json = self.to_json().to_string_pretty(2);
-        if let Err(e) = std::fs::write(&path, json) {
-            eprintln!("warning: cannot write {path}: {e}");
-        } else {
-            eprintln!("results written to {path}");
-        }
-    }
-
-    /// The record as a JSON tree.
-    pub fn to_json(&self) -> Json {
-        let strings =
-            |xs: &[String]| Json::Array(xs.iter().map(|s| Json::from(s.as_str())).collect());
-        Json::object(vec![
-            ("figure".into(), Json::from(self.figure.as_str())),
-            ("rows".into(), strings(&self.rows)),
-            ("columns".into(), strings(&self.columns)),
-            (
-                "values".into(),
-                Json::Array(
-                    self.values
-                        .iter()
-                        .map(|row| Json::Array(row.iter().map(|&v| Json::Float(v)).collect()))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// The quick windows: the figures' default, and (with one sample) the

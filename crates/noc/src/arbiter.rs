@@ -3,8 +3,7 @@
 //! The routers use separable allocation: a per-input round-robin stage picks
 //! one candidate VC per input port, then a per-output round-robin stage
 //! picks one input per output port. [`RoundRobin`] provides the rotating
-//! priority; [`MatrixArbiter`] offers a least-recently-served alternative
-//! used in ablation studies.
+//! priority.
 
 /// A rotating-priority arbiter over `n` requesters.
 ///
@@ -117,64 +116,6 @@ impl RoundRobin {
     }
 }
 
-/// A matrix (least-recently-served) arbiter over `n` requesters.
-///
-/// Keeps a full precedence matrix; the winner's precedence over every other
-/// requester is cleared, making it the lowest priority until others win.
-#[derive(Debug, Clone)]
-pub struct MatrixArbiter {
-    n: usize,
-    /// `prec[i * n + j]` is true when `i` beats `j`.
-    prec: Vec<bool>,
-}
-
-impl MatrixArbiter {
-    /// Creates a matrix arbiter where lower indices initially win.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "arbiter needs at least one requester");
-        let mut prec = vec![false; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                prec[i * n + j] = true;
-            }
-        }
-        MatrixArbiter { n, prec }
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the arbiter has no requesters (never true; see [`MatrixArbiter::new`]).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Grants the requester that beats every other active requester.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != self.len()`.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector size mismatch");
-        let winner = (0..self.n).find(|&i| {
-            requests[i] && (0..self.n).all(|j| j == i || !requests[j] || self.prec[i * self.n + j])
-        })?;
-        for j in 0..self.n {
-            if j != winner {
-                self.prec[winner * self.n + j] = false;
-                self.prec[j * self.n + winner] = true;
-            }
-        }
-        Some(winner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,29 +193,6 @@ mod tests {
     fn wrong_request_size_panics() {
         let mut rr = RoundRobin::new(3);
         let _ = rr.grant(&[true; 4]);
-    }
-
-    #[test]
-    fn matrix_is_least_recently_served() {
-        let mut m = MatrixArbiter::new(3);
-        assert_eq!(m.grant(&[true; 3]), Some(0));
-        assert_eq!(m.grant(&[true; 3]), Some(1));
-        assert_eq!(m.grant(&[true; 3]), Some(2));
-        assert_eq!(m.grant(&[true; 3]), Some(0));
-        // After 0 wins, a lone request from 0 still wins.
-        assert_eq!(m.grant(&[true, false, false]), Some(0));
-        // But with 1 active, 1 beats 0 (0 served more recently).
-        assert_eq!(m.grant(&[true, true, false]), Some(1));
-    }
-
-    #[test]
-    fn matrix_fairness_under_full_load() {
-        let mut m = MatrixArbiter::new(4);
-        let mut counts = [0usize; 4];
-        for _ in 0..400 {
-            counts[m.grant(&[true; 4]).unwrap()] += 1;
-        }
-        assert_eq!(counts, [100; 4]);
     }
 }
 

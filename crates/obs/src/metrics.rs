@@ -1,11 +1,10 @@
 //! Named counters, gauges, and exact histograms, snapshotable mid-run.
 //!
-//! Unlike `nistats::Histogram` (fixed bucket count with an overflow
-//! bucket, so large percentiles are lower bounds), the histograms here
-//! are sparse maps keyed by exact value: percentiles are exact at any
-//! scale, at the cost of one `BTreeMap` node per distinct value — fine
-//! for sink-side use, where updates are already off the simulator's
-//! zero-cost path.
+//! Unlike a fixed-bucket histogram with an overflow bucket (where large
+//! percentiles are lower bounds), the histograms here are sparse maps
+//! keyed by exact value: percentiles are exact at any scale, at the cost
+//! of one `BTreeMap` node per distinct value — fine for sink-side use,
+//! where updates are already off the simulator's zero-cost path.
 
 use std::collections::BTreeMap;
 
@@ -249,7 +248,7 @@ mod tests {
 
     #[test]
     fn exact_beyond_bounded_histogram_range() {
-        // nistats::Histogram would clamp values past its overflow
+        // A fixed-bucket histogram would clamp values past its overflow
         // bucket; the sparse histogram must stay exact at any scale.
         let mut h = SparseHistogram::new();
         for _ in 0..99 {

@@ -2,18 +2,24 @@
 //! work pool, and emits byte-stable CSV (stdout or `--csv-out`) plus an
 //! optional merged JSON artifact.
 //!
-//! Crash safety: with a checkpoint path (explicit `--ckpt`, or implied
-//! by `--csv-out`), every completed point is journaled and fsync'd as
-//! it lands. After a crash, `--resume` replays the journal, refuses it
-//! if the spec changed underneath it, skips every completed point, and
-//! produces artifacts byte-identical to an uninterrupted run.
+//! One executor (`runner::supervisor`) runs every sweep; only the
+//! placement of points differs: a thread pool in this process
+//! (`--threads N`), or `--workers N` worker processes, one shard each,
+//! under a supervising parent (lease-based shard claiming, crash
+//! recovery, quarantine of points that repeatedly kill their worker).
+//! Artifacts are byte-identical either way, and everything else works
+//! the same in both placements:
 //!
-//! Multi-process mode: `--workers N` splits the grid into N shards and
-//! runs each in its own worker process under a supervising parent
-//! (lease-based shard claiming, crash recovery, quarantine of points
-//! that repeatedly kill their worker, optional result cache) — see
-//! `runner::supervisor`. Artifacts stay byte-identical to a
-//! single-process run.
+//! * Crash safety: with a checkpoint path (explicit `--ckpt`, or implied
+//!   by `--csv-out`), every completed point is journaled and fsync'd as
+//!   it lands. After a crash, `--resume` replays the journal — plus any
+//!   shard journals a killed `--workers` run left behind — refuses it if
+//!   the spec changed underneath it, skips every completed point, and
+//!   produces artifacts byte-identical to an uninterrupted run.
+//! * `--cache DIR` serves digest-verified rows from a content-addressed
+//!   result cache instead of re-simulating them.
+//! * `--verify-digests` re-runs every resumed point with a digest trail
+//!   and fails on the first architectural-state divergence.
 //!
 //! QoS gate: `--check-bounds` re-derives the worst-case wormhole
 //! latency bound (`noc::wcla`) for every fault-free `ok` mesh point
@@ -42,12 +48,11 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use noc::types::MessageClass;
-use runner::journal::{load_journal, JournalHeader, JournalWriter};
 use runner::org::Organization;
 use runner::protocol::FENCED_EXIT_CODE;
 use runner::supervisor::{SupervisorConfig, SupervisorReport, WorkerConfig};
 use runner::{
-    diff_csv, run_points_full, run_supervised, run_worker, status_counts, threads_from_env, to_csv,
+    diff_csv, prepare, run_supervised, run_worker, status_counts, threads_from_env, to_csv,
     to_json, verify_digest_trail, PointOutcome, PointRecord, PointSpec, SweepSpec, WorkerOutcome,
     CSV_HEADER,
 };
@@ -94,8 +99,7 @@ const USAGE: &str = "usage: sweep --spec FILE [options]
                        crash recovery (requires a journal path; each
                        worker runs its shard serially)
   --cache DIR          content-addressed result cache (entries are
-                       digest-verified; corrupted ones are recomputed;
-                       requires --workers N > 1)
+                       digest-verified; corrupted ones are recomputed)
   --crash-limit K      quarantine a point after it kills K workers in a
                        row (default 3; exit 4 marks partial completion)
   --lease-timeout-ms T declare a worker hung after T ms without a
@@ -229,41 +233,6 @@ fn ckpt_path(opts: &Options) -> Option<String> {
         .or_else(|| opts.csv_out.as_ref().map(|p| format!("{p}.ckpt")))
 }
 
-/// Loads the journal and validates its header against the current spec;
-/// a mismatch means the journal describes a *different* experiment and
-/// resuming would silently mix grids. Returns the completed points and
-/// the trusted-prefix length for reopening the journal in append mode.
-fn load_resume_state(
-    path: &str,
-    spec: &SweepSpec,
-    count: usize,
-) -> Result<(BTreeMap<usize, PointOutcome>, u64), String> {
-    let loaded = load_journal(path).map_err(|e| e.to_string())?;
-    let header = loaded.header;
-    let expect = JournalHeader {
-        spec_hash: spec.spec_hash(),
-        base_seed: spec.base_seed,
-        count,
-        name: spec.name.clone(),
-    };
-    if header != expect {
-        return Err(format!(
-            "checkpoint {path} was written by a different sweep \
-             (journal: name={:?} spec_hash={:016x} base_seed={} count={}; \
-             current: name={:?} spec_hash={:016x} base_seed={} count={})",
-            header.name,
-            header.spec_hash,
-            header.base_seed,
-            header.count,
-            expect.name,
-            expect.spec_hash,
-            expect.base_seed,
-            expect.count,
-        ));
-    }
-    Ok((loaded.done, loaded.valid_len))
-}
-
 /// Re-runs every journaled point with a digest trail and reports the
 /// first architectural-state divergence. Returns the number of
 /// mismatching points.
@@ -344,23 +313,16 @@ fn main() -> ExitCode {
         };
     }
 
-    if opts.workers > 1 {
-        return run_multiprocess(&opts, &spec, &points, ckpt.as_deref());
-    }
-
-    // Only worker processes consult the cache; a single-process run
-    // would silently recompute every point.
-    if opts.cache.is_some() {
-        eprintln!("error: --cache requires --workers N > 1 (the in-process path has no result cache)\n{USAGE}");
-        return ExitCode::from(2);
-    }
-
     if opts.resume && ckpt.is_none() {
         eprintln!("error: --resume needs a journal; pass --ckpt or --csv-out\n{USAGE}");
         return ExitCode::from(2);
     }
-    // Without a journal to replay, 'completed' is empty and the check
-    // would vacuously pass — refuse instead of minting a fake green.
+    if opts.workers > 1 && ckpt.is_none() {
+        eprintln!("error: --workers needs a journal; pass --ckpt or --csv-out\n{USAGE}");
+        return ExitCode::from(2);
+    }
+    // Without a journal to replay, 'done' is empty and the check would
+    // vacuously pass — refuse instead of minting a fake green.
     if opts.verify_digests && !opts.resume {
         eprintln!(
             "error: --verify-digests requires --resume (no journal, nothing to verify)\n{USAGE}"
@@ -368,126 +330,76 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Resume: replay the journal (validating it against this spec) and
-    // keep only points that still need to run.
-    let mut completed: BTreeMap<usize, PointOutcome> = BTreeMap::new();
-    let mut journal_valid_len: u64 = 0;
-    if opts.resume {
-        let path = ckpt.as_deref().unwrap_or_default();
-        match load_resume_state(path, &spec, points.len()) {
-            Ok((done, valid_len)) => {
-                completed = done;
-                journal_valid_len = valid_len;
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                return ExitCode::from(2);
-            }
+    // One preparation for both placements: a fresh journal, or the
+    // resumed one consolidated with every harvested shard journal.
+    let prepared = match prepare(&spec, ckpt.as_deref(), opts.resume) {
+        Ok(prepared) => prepared,
+        Err(e) => {
+            eprintln!("error: {e}");
+            // An unusable resume journal is a usage error; anything
+            // else is operational.
+            let usage = e.message.starts_with("--resume:");
+            return ExitCode::from(if usage { 2 } else { 1 });
         }
-        if !opts.quiet {
-            eprintln!(
-                "resume: {} of {} point(s) already journaled in {path}",
-                completed.len(),
-                points.len()
-            );
-        }
-    }
-
-    if opts.verify_digests {
-        let mismatches = verify_digests(&points, &completed, opts.quiet);
-        if mismatches > 0 {
-            return ExitCode::from(3);
-        }
-    }
-
-    let remaining: Vec<PointSpec> = points
-        .iter()
-        .filter(|p| !completed.contains_key(&p.index))
-        .cloned()
-        .collect();
-    if !opts.quiet {
+    };
+    if opts.resume && !opts.quiet {
         eprintln!(
-            "sweep '{}': {} points on {} thread(s)",
-            spec.name,
-            remaining.len(),
-            opts.threads
+            "resume: {} of {} point(s) already journaled in {}",
+            prepared.done.len(),
+            points.len(),
+            ckpt.as_deref().unwrap_or_default()
         );
     }
+    if opts.verify_digests && verify_digests(&points, &prepared.done, opts.quiet) > 0 {
+        return ExitCode::from(3);
+    }
 
-    // Open the journal: fresh header on a new run, append on resume.
-    let mut writer: Option<JournalWriter> = match &ckpt {
-        Some(path) if opts.resume => match JournalWriter::append_to(path, journal_valid_len) {
-            Ok(w) => Some(w),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        Some(path) => {
-            let header = JournalHeader {
-                spec_hash: spec.spec_hash(),
-                base_seed: spec.base_seed,
-                count: points.len(),
-                name: spec.name.clone(),
-            };
-            match JournalWriter::create(path, &header) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
+    if !opts.quiet {
+        let placement = if opts.workers > 1 {
+            format!("across {} worker process(es)", opts.workers)
+        } else {
+            format!("on {} thread(s)", opts.threads)
+        };
+        eprintln!(
+            "sweep '{}': {} points {placement}",
+            spec.name,
+            points.len() - prepared.done.len()
+        );
+    }
+    let cfg = SupervisorConfig {
+        spec_path: opts.spec.clone(),
+        threads: opts.threads,
+        workers: opts.workers,
+        cache_dir: opts.cache.clone(),
+        crash_limit: opts.crash_limit,
+        lease_timeout_ms: opts.lease_timeout_ms,
+        quiet: opts.quiet,
     };
-
     // det:allow(no-wallclock) — stderr elapsed-time report only.
     let started = Instant::now();
-    let quiet = opts.quiet;
-    let mut journal_err: Option<String> = None;
-    let fresh = run_points_full(&remaining, opts.threads, |_, outcome, done, total| {
-        if let Some(w) = writer.as_mut() {
-            if journal_err.is_none() {
-                if let Err(e) = w.append(outcome) {
-                    journal_err = Some(e.to_string());
-                }
-            }
+    let report = match run_supervised(&spec, &cfg, prepared) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-        if !quiet {
-            eprint!("\r[{done}/{total}]");
-        }
-    });
-    let elapsed = started.elapsed();
-    if let Some(message) = journal_err {
-        // The sweep itself finished; a dead journal only threatens a
-        // *future* resume, so warn loudly but still emit artifacts.
-        eprintln!("warning: checkpoint journal failed mid-run: {message}");
-    }
-    if !opts.quiet {
-        eprintln!("\rdone: {} points in {:.2?}", fresh.len(), elapsed);
-    }
-
-    // Merge journaled and fresh outcomes back into grid order.
-    for outcome in fresh {
-        completed.insert(outcome.record.index, outcome);
-    }
+    };
     let records: Vec<PointRecord> = points
         .iter()
-        .filter_map(|p| completed.get(&p.index).map(|o| o.record.clone()))
+        .filter_map(|p| report.outcomes.get(&p.index).map(|o| o.record.clone()))
         .collect();
-    if records.len() != points.len() {
+    if !opts.quiet {
         eprintln!(
-            "error: {} of {} points have no outcome (journal from a partial grid?)",
-            points.len() - records.len(),
-            points.len()
+            "\rdone: {} points in {:.2?}",
+            records.len(),
+            started.elapsed()
         );
-        return ExitCode::FAILURE;
     }
     let failed = records.iter().filter(|r| r.status != "ok").count();
     if failed > 0 {
-        eprintln!("warning: {failed} point(s) failed or timed out (see status column)");
+        eprintln!("warning: {failed} point(s) did not finish ok (see status column)");
     }
-    finish(&opts, &spec, &points, &records, None)
+    finish(&opts, &spec, &points, &records, &report)
 }
 
 /// Gates the sweep against the worst-case latency analysis: every
@@ -627,113 +539,33 @@ fn check_delivery(points: &[runner::PointSpec], records: &[PointRecord], quiet: 
     violations
 }
 
-/// Runs the sweep across worker processes (the `--workers N` path) and
-/// emits the same artifacts as the in-process path. Exit 4 flags
-/// partial completion (quarantined points) — unless the golden check
-/// failed, in which case the determinism exit 3 wins: wrong bytes are
-/// worse news than missing points.
-fn run_multiprocess(
-    opts: &Options,
-    spec: &SweepSpec,
-    points: &[PointSpec],
-    ckpt: Option<&str>,
-) -> ExitCode {
-    let Some(journal) = ckpt else {
-        eprintln!("error: --workers needs a journal; pass --ckpt or --csv-out\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    if opts.verify_digests {
-        eprintln!("error: --verify-digests is not supported with --workers (run it single-process)\n{USAGE}");
-        return ExitCode::from(2);
-    }
-    let cfg = SupervisorConfig {
-        spec_path: opts.spec.clone(),
-        journal_path: journal.to_string(),
-        workers: opts.workers,
-        cache_dir: opts.cache.clone(),
-        crash_limit: opts.crash_limit,
-        lease_timeout_ms: opts.lease_timeout_ms,
-        resume: opts.resume,
-        quiet: opts.quiet,
-    };
-    if !opts.quiet {
-        eprintln!(
-            "sweep '{}': {} points across {} worker process(es)",
-            spec.name,
-            points.len(),
-            opts.workers
-        );
-    }
-    // det:allow(no-wallclock) — stderr elapsed-time report only.
-    let started = Instant::now();
-    let report = match run_supervised(spec, &cfg) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: {e}");
-            // A mismatched/unreadable resume journal is a usage error,
-            // same as in the single-process path; everything else is
-            // operational.
-            if e.message.starts_with("--resume:") {
-                return ExitCode::from(2);
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    let records: Vec<PointRecord> = points
-        .iter()
-        .filter_map(|p| report.outcomes.get(&p.index).map(|o| o.record.clone()))
-        .collect();
-    if records.len() != points.len() {
-        eprintln!(
-            "error: {} of {} points have no outcome",
-            points.len() - records.len(),
-            points.len()
-        );
-        return ExitCode::FAILURE;
-    }
-    if !opts.quiet {
-        eprintln!(
-            "\rdone: {} points in {:.2?}",
-            records.len(),
-            started.elapsed()
-        );
-    }
-    finish(opts, spec, points, &records, Some(&report))
-}
-
-/// The tail shared by the in-process and multi-process paths: the
-/// `metrics:`/`status:` stderr lines, the artifacts and golden check,
-/// then the bound (exit 5) and delivery (exit 6) gates. A supervised run
-/// passes its report, which adds the worker counters to the `metrics:`
-/// line and turns quarantined points into exit 4 — unless an earlier
-/// gate failed: wrong bytes are worse news than missing points.
+/// The tail of every sweep: the `metrics:`/`status:` stderr lines, the
+/// artifacts and golden check, then the bound (exit 5) and delivery
+/// (exit 6) gates. Quarantined points turn into exit 4 — unless an
+/// earlier gate failed: wrong bytes are worse news than missing points.
 fn finish(
     opts: &Options,
     spec: &SweepSpec,
     points: &[PointSpec],
     records: &[PointRecord],
-    report: Option<&SupervisorReport>,
+    report: &SupervisorReport,
 ) -> ExitCode {
     if !opts.quiet {
         let metrics = sweep_metrics(records);
         let counts = status_counts(records);
-        let supervised = report.map_or_else(String::new, |r| {
-            format!(
-                " worker_crashes={} lease_takeovers={} cache_hits={} cache_corrupt={} quarantined={}",
-                r.crashes,
-                r.takeovers,
-                r.cache_hits,
-                r.cache_corrupt,
-                r.quarantined.len(),
-            )
-        });
         eprintln!(
-            "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={}{supervised}",
+            "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={} \
+             worker_crashes={} lease_takeovers={} cache_hits={} cache_corrupt={} quarantined={}",
             metrics.counter("sweep.retries"),
             metrics.counter("sweep.timeouts"),
             metrics.counter("sweep.failures"),
             metrics.counter("sweep.undrained_points"),
             metrics.counter("sweep.digest_points"),
+            report.crashes,
+            report.takeovers,
+            report.cache.hits,
+            report.cache.corrupt,
+            report.quarantined.len(),
         );
         eprintln!(
             "status: ok={} failed={} timeout={} poisoned={} retransmits={} \
@@ -757,20 +589,18 @@ fn finish(
     if opts.check_delivery && check_delivery(points, records, opts.quiet) > 0 {
         return ExitCode::from(6);
     }
-    if let Some(quarantined) = report.map(|r| &r.quarantined).filter(|q| !q.is_empty()) {
+    if !report.quarantined.is_empty() {
         eprintln!(
             "warning: sweep partially complete — {} point(s) quarantined: {:?}",
-            quarantined.len(),
-            quarantined
+            report.quarantined.len(),
+            report.quarantined
         );
         return ExitCode::from(4);
     }
     ExitCode::SUCCESS
 }
 
-/// Writes the CSV/JSON artifacts and runs the golden check. Shared by
-/// the in-process and multi-process paths so the bytes cannot drift
-/// between them.
+/// Writes the CSV/JSON artifacts and runs the golden check.
 fn emit_artifacts(opts: &Options, spec: &SweepSpec, records: &[PointRecord]) -> ExitCode {
     let csv = to_csv(records);
     if let Some(path) = &opts.csv_out {

@@ -15,8 +15,12 @@
 //! (bit rot, torn write from a crashed writer, truncation) reads as
 //! [`CacheLookup::Corrupt`]; the caller recomputes the point and the
 //! store overwrites the bad entry. Rows whose status depends on
-//! wall-clock — `timeout(wall>...)`, `timeout(cancelled)` — are never
-//! cached, because they are not a pure function of the key.
+//! wall-clock — `timeout(wall>...)` — are never cached, because they
+//! are not a pure function of the key.
+//!
+//! [`run_point_cached`] is the one point task of a sweep: the in-process
+//! thread pool and every worker process run their points through it, so
+//! a cache warmed by either placement serves the other.
 //!
 //! Entry format, two lines:
 //!
@@ -31,7 +35,7 @@ use std::io::Write as _;
 use noc::digest::StateHasher;
 
 use crate::journal::fsync_parent_dir;
-use crate::point::{PointOutcome, PointRecord};
+use crate::point::{run_point_full, PointOutcome, PointRecord, PointSpec};
 use crate::protocol::{parse_point_line, point_line};
 
 /// A cache directory that cannot be created or written.
@@ -128,10 +132,10 @@ impl ResultCache {
     }
 
     /// Whether a record may be cached at all: rows whose status encodes
-    /// a wall-clock or cancellation event are not pure functions of the
-    /// cache key and must always be recomputed.
+    /// a wall-clock event are not pure functions of the cache key and
+    /// must always be recomputed.
     pub fn cacheable(record: &PointRecord) -> bool {
-        record.status != "timeout(cancelled)" && !record.status.starts_with("timeout(wall>")
+        !record.status.starts_with("timeout(wall>")
     }
 
     /// Probes the cache. Never fails: an unreadable or unverifiable
@@ -204,6 +208,57 @@ impl ResultCache {
     }
 }
 
+/// What the cache contributed to a run of points.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Points served from a verified entry.
+    pub hits: u64,
+    /// Entries that failed verification, or described another point,
+    /// and were recomputed.
+    pub corrupt: u64,
+}
+
+impl std::ops::AddAssign for CacheCounts {
+    fn add_assign(&mut self, other: CacheCounts) {
+        self.hits += other.hits;
+        self.corrupt += other.corrupt;
+    }
+}
+
+/// Runs point `p` of the sweep whose spec hashes to `spec_hash`, through
+/// `cache` when there is one: a verified entry naming this very point
+/// is served as is; a miss, a corrupted entry or an entry for another
+/// point is recomputed with [`run_point_full`] and stored. Returns the
+/// outcome plus what the cache contributed.
+pub fn run_point_cached(
+    cache: Option<&ResultCache>,
+    spec_hash: u64,
+    p: &PointSpec,
+) -> (PointOutcome, CacheCounts) {
+    let mut counts = CacheCounts::default();
+    let Some(cache) = cache else {
+        return (run_point_full(p), counts);
+    };
+    let key = ResultCache::key(spec_hash, p.index, p.seed, 0);
+    match cache.lookup(&key) {
+        // Trust a verified entry only if it describes this exact point —
+        // a key collision must degrade to a recompute, not a wrong row.
+        CacheLookup::Hit(o) if o.record.index == p.index && o.record.seed == p.seed => {
+            counts.hits = 1;
+            return (*o, counts);
+        }
+        CacheLookup::Miss => {}
+        CacheLookup::Hit(_) | CacheLookup::Corrupt => counts.corrupt = 1,
+    }
+    let fresh = run_point_full(p);
+    if let Err(e) = cache.store(&key, &fresh) {
+        // Cache writes are an optimisation; losing one must not kill the
+        // sweep.
+        eprintln!("warning: {e}");
+    }
+    (fresh, counts)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,14 +320,12 @@ mod tests {
     #[test]
     fn wall_clock_rows_are_never_cached() {
         let cache = tmp_cache("wallclock");
-        for status in ["timeout(wall>1000ms)", "timeout(cancelled)"] {
-            let key = ResultCache::key(2, 1, 9, 0);
-            let mut outcome = sample_outcome(1);
-            outcome.record.status = status.to_string();
-            assert!(!ResultCache::cacheable(&outcome.record));
-            cache.store(&key, &outcome).expect("store is a no-op");
-            assert_eq!(cache.lookup(&key), CacheLookup::Miss, "{status}");
-        }
+        let key = ResultCache::key(2, 1, 9, 0);
+        let mut outcome = sample_outcome(1);
+        outcome.record.status = "timeout(wall>1000ms)".to_string();
+        assert!(!ResultCache::cacheable(&outcome.record));
+        cache.store(&key, &outcome).expect("store is a no-op");
+        assert_eq!(cache.lookup(&key), CacheLookup::Miss);
         // Deterministic cycle-budget timeouts, by contrast, are pure
         // functions of the key and are cached.
         let mut outcome = sample_outcome(1);

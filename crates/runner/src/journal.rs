@@ -21,17 +21,18 @@
 //! simply dropped — even when the tear lands inside a multi-byte UTF-8
 //! character in an escaped field; everything before it is trusted,
 //! because each append is flushed with `sync_data` before the runner
-//! moves on. [`load_journal`] reports the byte length of that trusted
-//! prefix, and [`JournalWriter::append_to`] truncates the file to it
-//! before appending, so a journal can be killed and resumed arbitrarily
-//! often without a torn tail ever swallowing the next record.
+//! moves on. A resume never appends behind a torn tail: it rewrites the
+//! trusted rows into a fresh journal and renames it over the old one
+//! (`runner::supervisor::prepare`), so a journal can be killed and
+//! resumed arbitrarily often without a torn tail ever swallowing the
+//! next record.
 //!
 //! All decisions — serialisation, trusted-prefix computation, torn-tail
 //! vs corruption — live in the pure [`crate::protocol`] module, which
 //! the `analyzer` crate's model checker explores directly. This module
 //! only does the reads, writes, and fsyncs.
 
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write as _;
 
 use crate::point::PointOutcome;
@@ -125,37 +126,6 @@ impl JournalWriter {
         Ok(JournalWriter { file })
     }
 
-    /// Reopens an existing journal for appending (the resume path).
-    ///
-    /// `valid_len` is the trusted-prefix length reported by
-    /// [`load_journal`]; anything past it is a torn tail from the crash
-    /// that ended the previous run, and is truncated away before the
-    /// first append so new records never concatenate onto partial ones.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O failure opening, truncating, or syncing the file.
-    pub fn append_to(path: &str, valid_len: u64) -> Result<JournalWriter, JournalError> {
-        let file = match OpenOptions::new().append(true).open(path) {
-            Ok(file) => file,
-            Err(e) => return err(format!("cannot reopen {path} for append: {e}")),
-        };
-        let len = match file.metadata() {
-            Ok(m) => m.len(),
-            Err(e) => return err(format!("cannot stat {path}: {e}")),
-        };
-        if len > valid_len {
-            if let Err(e) = file.set_len(valid_len).and_then(|()| file.sync_data()) {
-                return err(format!("cannot drop torn tail of {path}: {e}"));
-            }
-            // The truncation changed the file's metadata; sync the
-            // directory so the shorter length survives a power loss the
-            // same way the appends themselves do.
-            fsync_parent_dir(path)?;
-        }
-        Ok(JournalWriter { file })
-    }
-
     /// Appends a `start` marker: point `index` is about to run in this
     /// process. Synced before the point starts, so a crash mid-point
     /// leaves a dangling marker naming the culprit — this is how the
@@ -204,10 +174,6 @@ pub struct LoadedJournal {
     pub header: JournalHeader,
     /// Every fully-written point, keyed by grid index.
     pub done: BTreeMap<usize, PointOutcome>,
-    /// Byte length of the trusted prefix: just past the newline of the
-    /// last fully-synced line. Pass to [`JournalWriter::append_to`] so
-    /// the resume truncates any torn tail before appending.
-    pub valid_len: u64,
 }
 
 /// A replayed worker shard journal: the completed points plus the
@@ -256,7 +222,6 @@ pub fn load_journal(path: &str) -> Result<LoadedJournal, JournalError> {
     Ok(LoadedJournal {
         header: replay.header,
         done: replay.done,
-        valid_len: replay.valid_len,
     })
 }
 
@@ -327,8 +292,6 @@ mod tests {
         assert_eq!(j.done.len(), 2);
         assert_eq!(j.done[&0], a, "bit-exact round-trip, floats included");
         assert_eq!(j.done[&2], b);
-        let len = std::fs::metadata(&path).expect("stat").len();
-        assert_eq!(j.valid_len, len, "a clean journal is trusted in full");
     }
 
     #[test]
@@ -338,7 +301,6 @@ mod tests {
         w.append(&sample_outcome(0)).expect("append");
         w.append(&sample_outcome(1)).expect("append");
         drop(w);
-        let full = std::fs::metadata(&path).expect("stat").len();
         // Simulate a crash mid-append: cut the file mid-way through the
         // last line.
         let text = std::fs::read_to_string(&path).expect("read");
@@ -347,10 +309,6 @@ mod tests {
         let j = load_journal(&path).expect("torn tail tolerated");
         assert_eq!(j.done.len(), 1, "only the fully-synced point survives");
         assert!(j.done.contains_key(&0));
-        assert!(
-            j.valid_len < cut as u64 && j.valid_len < full,
-            "the trusted prefix must stop before the torn line"
-        );
     }
 
     #[test]
@@ -378,36 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_truncates_the_torn_tail_arbitrarily_often() {
-        let path = tmp("truncate");
-        let mut w = JournalWriter::create(&path, &header()).expect("create");
-        w.append(&sample_outcome(0)).expect("append");
-        drop(w);
-        // Crash, resume, crash, resume: each cycle tears the tail,
-        // reopens at the trusted prefix, and re-journals the lost point
-        // plus one more. Every load in between must stay clean.
-        for round in 1..=3usize {
-            let bytes = std::fs::read(&path).expect("read");
-            std::fs::write(&path, &bytes[..bytes.len() - 9]).expect("tear");
-            let j = load_journal(&path).expect("torn tail tolerated");
-            assert_eq!(j.done.len(), round - 1, "the tear drops exactly one point");
-            let mut w = JournalWriter::append_to(&path, j.valid_len).expect("reopen");
-            w.append(&sample_outcome(round - 1))
-                .expect("re-journal the lost point");
-            w.append(&sample_outcome(round))
-                .expect("journal a new point");
-            drop(w);
-            let j = load_journal(&path).expect("clean after resume");
-            assert_eq!(j.done.len(), round + 1, "round {round}");
-            assert_eq!(
-                j.valid_len,
-                std::fs::metadata(&path).expect("stat").len(),
-                "no stray bytes survive a resume"
-            );
-        }
-    }
-
-    #[test]
     fn mid_file_corruption_is_an_error_not_a_skip() {
         let path = tmp("corrupt");
         let mut w = JournalWriter::create(&path, &header()).expect("create");
@@ -428,20 +356,6 @@ mod tests {
         let path = tmp("badheader");
         std::fs::write(&path, "not a journal\n").expect("write");
         assert!(load_journal(&path).is_err());
-    }
-
-    #[test]
-    fn append_to_continues_an_existing_journal() {
-        let path = tmp("reopen");
-        let mut w = JournalWriter::create(&path, &header()).expect("create");
-        w.append(&sample_outcome(0)).expect("append");
-        drop(w);
-        let valid_len = load_journal(&path).expect("load").valid_len;
-        let mut w = JournalWriter::append_to(&path, valid_len).expect("reopen");
-        w.append(&sample_outcome(1)).expect("append after reopen");
-        drop(w);
-        let j = load_journal(&path).expect("load");
-        assert_eq!(j.done.len(), 2);
     }
 
     #[test]

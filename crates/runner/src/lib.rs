@@ -9,13 +9,18 @@
 //!   channels (no external dependencies): workers claim task indices
 //!   from an atomic counter, panics are isolated per task, and results
 //!   reassemble in index order.
-//! * [`point::run_point`] — one simulation point with the measured-window
-//!   methodology: warm-up, [`noc::network::Network::reset_stats`] at the
-//!   boundary, a measured interval, then a bounded drain.
+//! * [`point::run_point_full`] — one simulation point with the
+//!   measured-window methodology: warm-up,
+//!   [`noc::network::Network::reset_stats`] at the boundary, a measured
+//!   interval, then a bounded drain.
 //! * [`report`] — byte-stable CSV/JSON artifacts.
 //! * [`journal`] — an append-only, fsync'd checkpoint journal written as
 //!   points complete, so an interrupted sweep resumes (`sweep --resume`)
 //!   and still emits byte-identical artifacts.
+//! * [`supervisor`] — the one sweep executor: [`supervisor::prepare`]
+//!   consolidates the journal, then [`supervisor::run_supervised`] runs
+//!   the missing points through the result cache ([`cache`]) on a thread
+//!   pool or across crash-tolerant worker processes.
 //!
 //! The load-bearing invariant, enforced by `tests/determinism.rs` and
 //! `tests/resume.rs`: a sweep's result rows are **byte-identical at any
@@ -41,7 +46,7 @@ pub mod seed;
 pub mod spec;
 pub mod supervisor;
 
-pub use cache::{CacheLookup, ResultCache};
+pub use cache::{run_point_cached, CacheCounts, CacheLookup, ResultCache};
 pub use journal::{
     load_journal, load_worker_journal, JournalError, JournalHeader, JournalWriter, LoadedJournal,
     WorkerJournal,
@@ -52,11 +57,10 @@ pub use lease::{
 };
 pub use org::{AnyNetwork, Organization};
 pub use point::{
-    first_divergence, run_point, run_point_full, run_point_full_cancellable, run_points,
-    run_points_full, run_points_full_with, verify_digest_trail, ClassLatency, PointOutcome,
-    PointRecord, PointSpec, WallGuard,
+    first_divergence, run_point_full, run_points_full_with, verify_digest_trail, ClassLatency,
+    PointOutcome, PointRecord, PointSpec, WallGuard,
 };
-pub use pool::{run_tasks, run_tasks_with, Outcome};
+pub use pool::{run_tasks, Outcome};
 pub use protocol::{
     check_claim, check_fence, parse_point_line, point_line, replay_journal_bytes,
     resume_spawn_generation, CrashLedger, FenceError, JournalDialect, JournalReplay, ProtocolError,
@@ -71,8 +75,8 @@ pub use spec::{
     ReliabilitySpec, SpecError, SweepSpec, INJECTION_KEYS, ORG_KEYS, PATTERN_KEYS,
 };
 pub use supervisor::{
-    run_supervised, run_worker, SupervisorConfig, SupervisorError, SupervisorReport, WorkerConfig,
-    WorkerOutcome,
+    prepare, run_supervised, run_worker, Prepared, SupervisorConfig, SupervisorError,
+    SupervisorReport, WorkerConfig, WorkerOutcome,
 };
 
 /// The worker count to use when the caller does not specify one: the

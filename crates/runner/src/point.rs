@@ -26,7 +26,7 @@ use noc::traffic::{InjectionProcess, Pattern, TokenBucketCfg, TrafficGen};
 use noc::types::MessageClass;
 
 use crate::org::{AnyNetwork, Organization};
-use crate::pool::{panic_message, run_tasks, run_tasks_with, Outcome};
+use crate::pool::{panic_message, run_tasks, Outcome};
 use crate::seed::derive_seed;
 use crate::spec::{injection_key, pattern_key, FaultSpec, ReliabilitySpec};
 
@@ -360,33 +360,33 @@ impl Drop for WallGuard {
     }
 }
 
-/// How often the driver polls the wall-clock/external cancel tokens, in
-/// simulated cycles. Those trips land at a nondeterministic cycle anyway
-/// (their rows are zeroed, see [`run_attempt`]), so coarse polling
-/// changes no observable bytes — it only keeps two atomic loads out of
-/// the per-cycle path.
+/// How often the driver polls the wall-clock cancel token, in simulated
+/// cycles. A wall trip lands at a nondeterministic cycle anyway (its row
+/// is zeroed, see [`run_attempt`]), so coarse polling changes no
+/// observable bytes — it only keeps an atomic load out of the per-cycle
+/// path.
 const CANCEL_POLL_INTERVAL: u64 = 1024;
 
 /// Precomputed cadence for the per-cycle observation and budget checks.
 ///
 /// The driver loop compares `now` against one precomputed `next` cycle;
 /// only when that gate is due does it take the slow path (digest
-/// sampling, budget checks, cancel-token loads). With digests off and no
+/// sampling, budget checks, the cancel-token load). With digests off and no
 /// budgets armed, `next` is `u64::MAX` and the whole apparatus costs a
 /// single branch per cycle.
 #[derive(Debug)]
 struct CycleGate {
     digest_interval: u64,
     cycle_budget: u64,
-    /// `u64::MAX` when no cancel source is armed (no wall budget, no
-    /// external token) — then the tokens are never loaded at all.
+    /// `u64::MAX` when no wall budget is armed — then the token is never
+    /// loaded at all.
     poll_interval: u64,
     next: u64,
 }
 
 impl CycleGate {
-    fn new(p: &PointSpec, has_external: bool) -> CycleGate {
-        let poll_interval = if has_external || p.wall_budget_ms > 0 {
+    fn new(p: &PointSpec) -> CycleGate {
+        let poll_interval = if p.wall_budget_ms > 0 {
             CANCEL_POLL_INTERVAL
         } else {
             u64::MAX
@@ -429,7 +429,7 @@ impl CycleGate {
 /// wall-clock budgets. Deliveries are counted from the window boundary
 /// onward (including the drain, so slow packets injected inside the
 /// window are not silently censored).
-fn run_attempt(p: &PointSpec, seed: u64, external: Option<&CancelToken>) -> PointOutcome {
+fn run_attempt(p: &PointSpec, seed: u64) -> PointOutcome {
     let cfg = match p.config() {
         Ok(cfg) => cfg,
         Err(message) => {
@@ -459,7 +459,7 @@ fn run_attempt(p: &PointSpec, seed: u64, external: Option<&CancelToken>) -> Poin
     }
 
     let mut trail: Vec<DigestSample> = Vec::new();
-    let mut gate = CycleGate::new(p, external.is_some());
+    let mut gate = CycleGate::new(p);
     // The slow path behind the gate: samples the digest on the sampling
     // grid, then reports the budget (if any) that expired.
     let slow_check =
@@ -471,14 +471,11 @@ fn run_attempt(p: &PointSpec, seed: u64, external: Option<&CancelToken>) -> Poin
                 }
             }
             // Budget checks in a fixed order: the *deterministic* cycle
-            // budget wins every tie, so a token that fires on exactly the
-            // budget cycle still yields the same `timeout(cycles>...)` row
-            // on every run — never a race between two statuses.
+            // budget wins every tie, so a wall guard that fires on exactly
+            // the budget cycle still yields the same `timeout(cycles>...)`
+            // row on every run — never a race between two statuses.
             if p.cycle_budget > 0 && now >= p.cycle_budget {
                 return Some(format!("timeout(cycles>{})", p.cycle_budget));
-            }
-            if external.is_some_and(CancelToken::is_cancelled) {
-                return Some("timeout(cancelled)".to_string());
             }
             if token.is_cancelled() {
                 return Some(format!("timeout(wall>{}ms)", p.wall_budget_ms));
@@ -561,16 +558,14 @@ fn run_attempt(p: &PointSpec, seed: u64, external: Option<&CancelToken>) -> Poin
     if timeout.is_some() {
         token.cancel();
     }
-    // A wall-clock or external-cancel trip lands at a nondeterministic
-    // cycle, so any stats and digests gathered up to it are
-    // run-dependent. Zero them: the row then carries only deterministic
-    // bytes (status, seed, grid fields) and stays identical across
-    // re-runs — which is also what lets a supervisor's shutdown rows
-    // merge cleanly. Cycle-budget timeouts keep their stats; they trip
-    // at an exact cycle.
+    // A wall-clock trip lands at a nondeterministic cycle, so any stats
+    // and digests gathered up to it are run-dependent. Zero them: the row
+    // then carries only deterministic bytes (status, seed, grid fields)
+    // and stays identical across re-runs. Cycle-budget timeouts keep
+    // their stats; they trip at an exact cycle.
     if timeout
         .as_deref()
-        .is_some_and(|t| t == "timeout(cancelled)" || t.starts_with("timeout(wall>"))
+        .is_some_and(|t| t.starts_with("timeout(wall>"))
     {
         measured = false;
         trail.clear();
@@ -640,19 +635,6 @@ fn backoff_delay_ms(p: &PointSpec, attempt: u32) -> u64 {
 /// also in the `undrained` column, but silence here has historically
 /// hidden censored tails.
 pub fn run_point_full(p: &PointSpec) -> PointOutcome {
-    run_point_full_inner(p, None)
-}
-
-/// Like [`run_point_full`], but the caller supplies a cancellation
-/// token: when it fires, the in-flight attempt stops at its next cycle
-/// boundary with a deterministic `timeout(cancelled)` row (zeroed
-/// stats, no digest trail) and the retry ladder does not continue — a
-/// sweep being torn down must not sleep through backoffs.
-pub fn run_point_full_cancellable(p: &PointSpec, cancel: &CancelToken) -> PointOutcome {
-    run_point_full_inner(p, Some(cancel))
-}
-
-fn run_point_full_inner(p: &PointSpec, cancel: Option<&CancelToken>) -> PointOutcome {
     let total_attempts = p.max_retries.saturating_add(1);
     let mut last: Option<PointOutcome> = None;
     for attempt in 0..total_attempts {
@@ -664,7 +646,7 @@ fn run_point_full_inner(p: &PointSpec, cancel: Option<&CancelToken>) -> PointOut
         } else {
             derive_seed(p.base_seed, p.index as u64, attempt)
         };
-        let mut outcome = match catch_unwind(AssertUnwindSafe(|| run_attempt(p, seed, cancel))) {
+        let mut outcome = match catch_unwind(AssertUnwindSafe(|| run_attempt(p, seed))) {
             Ok(outcome) => outcome,
             // Name the crash site: "which point, which seed, which
             // attempt" is the difference between a reproducible bug
@@ -679,7 +661,7 @@ fn run_point_full_inner(p: &PointSpec, cancel: Option<&CancelToken>) -> PointOut
             },
         };
         outcome.record.attempts = attempt + 1;
-        let stop = outcome.record.status == "ok" || cancel.is_some_and(CancelToken::is_cancelled);
+        let stop = outcome.record.status == "ok";
         last = Some(outcome);
         if stop {
             break;
@@ -694,12 +676,6 @@ fn run_point_full_inner(p: &PointSpec, cancel: Option<&CancelToken>) -> PointOut
         );
     }
     outcome
-}
-
-/// Runs one sweep point to completion and returns its CSV row. This is
-/// [`run_point_full`] minus the digest trail.
-pub fn run_point(p: &PointSpec) -> PointRecord {
-    run_point_full(p).record
 }
 
 /// Re-runs `p` and checks the fresh digest trail against a previously
@@ -727,50 +703,15 @@ pub fn verify_digest_trail(
     Ok(())
 }
 
-/// Runs every point across `threads` workers and returns the records in
-/// grid order. A panicking point is recorded as failed — the sweep
-/// continues. `on_progress(done, total)` runs on the calling thread.
-pub fn run_points(
-    points: &[PointSpec],
-    threads: usize,
-    on_progress: impl FnMut(usize, usize),
-) -> Vec<PointRecord> {
-    let outcomes = run_tasks(
-        points.len(),
-        threads,
-        |i| run_point(&points[i]),
-        on_progress,
-    );
-    outcomes
-        .into_iter()
-        .zip(points)
-        .map(|(outcome, p)| match outcome {
-            Outcome::Done(rec) => rec,
-            Outcome::Panicked { message, .. } => {
-                p.failed_record(&format!("point {} seed {}: {message}", p.index, p.seed))
-            }
-        })
-        .collect()
-}
-
-/// Like [`run_points`] but streams each completed [`PointOutcome`] to
-/// `on_complete(index, outcome, done, total)` on the calling thread, in
-/// completion order — the hook the checkpoint journal hangs off, so a
-/// point is durable the moment it finishes, not when the sweep ends.
-pub fn run_points_full(
-    points: &[PointSpec],
-    threads: usize,
-    on_complete: impl FnMut(usize, &PointOutcome, usize, usize),
-) -> Vec<PointOutcome> {
-    run_points_full_with(points, threads, |i| run_point_full(&points[i]), on_complete)
-}
-
-/// The general form of [`run_points_full`]: the caller supplies the
-/// per-point task, so a wrapper can interpose — consult a result cache,
-/// thread a cancellation token, journal `start` markers — while keeping
-/// the pool's panic isolation, index-ordered results, and completion
-/// streaming. `task(i)` must stay a pure function of `i` for the
-/// byte-identity guarantee to hold.
+/// Runs every point across `threads` workers and returns the outcomes
+/// in grid order. The caller supplies the per-point task — typically
+/// [`run_point_full`], or [`crate::cache::run_point_cached`] — and the
+/// pool adds panic isolation (a panicking point becomes a `failed(...)`
+/// row), index-ordered results, and completion streaming:
+/// `on_complete(index, outcome, done, total)` runs on the calling thread
+/// in completion order, the hook the checkpoint journal hangs off, so a
+/// point is durable the moment it finishes. `task(i)` must stay a pure
+/// function of `i` for the byte-identity guarantee to hold.
 pub fn run_points_full_with(
     points: &[PointSpec],
     threads: usize,
@@ -787,7 +728,7 @@ pub fn run_points_full_with(
             trail: Vec::new(),
         },
     };
-    let outcomes = run_tasks_with(points.len(), threads, task, |i, outcome, done, total| {
+    let outcomes = run_tasks(points.len(), threads, task, |i, outcome, done, total| {
         let resolved = to_outcome(i, outcome);
         on_complete(i, &resolved, done, total);
     });
@@ -811,7 +752,7 @@ mod tests {
     #[test]
     fn a_point_measures_only_its_window() {
         let p = tiny_point(Organization::Mesh);
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert_eq!(rec.status, "ok");
         assert_eq!(rec.attempts, 1);
         assert!(rec.delivered > 0, "tiny mesh point must deliver");
@@ -827,7 +768,7 @@ mod tests {
     #[test]
     fn per_class_columns_are_populated_and_consistent() {
         let p = tiny_point(Organization::Mesh);
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert_eq!(rec.status, "ok");
         // Requests and responses both flow at the default 50/50 mix;
         // the generator emits no coherence traffic.
@@ -852,11 +793,11 @@ mod tests {
             rate: 0.5,
             burst: 10,
         });
-        let a = run_point(&p);
+        let a = run_point_full(&p).record;
         assert_eq!(a.status, "ok");
         assert_eq!(a.injection, "onoff:8:56");
         assert!(a.delivered > 0, "bursty point must deliver");
-        let b = run_point(&p);
+        let b = run_point_full(&p).record;
         assert_eq!(a, b, "bursty shaped points must re-run identically");
     }
 
@@ -864,7 +805,7 @@ mod tests {
     fn bad_config_is_a_failed_record_not_a_crash() {
         let mut p = tiny_point(Organization::Mesh);
         p.vc_depth = 0;
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert!(rec.status.starts_with("failed("), "got {}", rec.status);
         assert_eq!(rec.delivered, 0);
     }
@@ -878,7 +819,7 @@ mod tests {
             seed: 0xFA17,
             events: Vec::new(),
         };
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert_eq!(rec.status, "ok");
         assert!(rec.delivered > 0);
     }
@@ -887,7 +828,7 @@ mod tests {
     fn cycle_budget_trips_a_timeout_status() {
         let mut p = tiny_point(Organization::Mesh);
         p.cycle_budget = 100; // well inside the 200-cycle warm-up
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert_eq!(rec.status, "timeout(cycles>100)");
         assert_eq!(rec.attempts, 1);
         assert_eq!(rec.injected, 0, "warm-up timeout must not report stats");
@@ -899,7 +840,7 @@ mod tests {
         p.cycle_budget = 100;
         p.max_retries = 2;
         p.backoff_ms = 0;
-        let rec = run_point(&p);
+        let rec = run_point_full(&p).record;
         assert_eq!(rec.status, "timeout(cycles>100)");
         assert_eq!(rec.attempts, 3, "all attempts must be consumed");
     }

@@ -32,46 +32,17 @@ pub enum Outcome<T> {
     },
 }
 
-impl<T> Outcome<T> {
-    /// The completed value, if any.
-    pub fn done(self) -> Option<T> {
-        match self {
-            Outcome::Done(v) => Some(v),
-            Outcome::Panicked { .. } => None,
-        }
-    }
-}
-
 /// Runs `count` tasks across `threads` workers and returns the outcomes
 /// in task-index order. `task(i)` must be a pure function of `i` for the
-/// determinism guarantee to hold. `on_progress(done, count)` runs on the
-/// calling thread after each completion, in completion order.
+/// determinism guarantee to hold. `on_complete(i, outcome, done, total)`
+/// runs on the calling thread after each completion, in completion
+/// order — what lets a caller journal each result durably the moment it
+/// lands, without waiting for the whole batch.
 ///
 /// `threads` is clamped to `1..=count`; with one thread the tasks run
 /// inline on the calling thread (still panic-isolated, so a crashing
 /// point is reported the same way at any thread count).
-pub fn run_tasks<T, F, P>(
-    count: usize,
-    threads: usize,
-    task: F,
-    mut on_progress: P,
-) -> Vec<Outcome<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    P: FnMut(usize, usize),
-{
-    run_tasks_with(count, threads, task, |_, _, done, total| {
-        on_progress(done, total);
-    })
-}
-
-/// Like [`run_tasks`], but the completion hook also receives the task
-/// index and a reference to its outcome — `on_complete(i, outcome,
-/// done, total)` runs on the calling thread, in completion order. This
-/// is what lets a caller journal each result durably the moment it
-/// lands, without waiting for the whole batch.
-pub fn run_tasks_with<T, F, C>(
+pub fn run_tasks<T, F, C>(
     count: usize,
     threads: usize,
     task: F,
@@ -165,9 +136,15 @@ mod tests {
                 }
                 i * 10
             },
-            |_, _| {},
+            |_, _, _, _| {},
         );
-        let values: Vec<usize> = out.into_iter().filter_map(Outcome::done).collect();
+        let values: Vec<usize> = out
+            .into_iter()
+            .filter_map(|o| match o {
+                Outcome::Done(v) => Some(v),
+                Outcome::Panicked { .. } => None,
+            })
+            .collect();
         assert_eq!(values, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
@@ -180,7 +157,7 @@ mod tests {
                 assert!(i != 2, "task 2 exploded");
                 i
             },
-            |_, _| {},
+            |_, _, _, _| {},
         );
         assert_eq!(out.len(), 5);
         for (i, o) in out.iter().enumerate() {
@@ -197,7 +174,7 @@ mod tests {
 
     #[test]
     fn serial_path_isolates_panics_too() {
-        let out = run_tasks(3, 1, |i| assert!(i != 1), |_, _| {});
+        let out = run_tasks(3, 1, |i| assert!(i != 1), |_, _, _, _| {});
         assert!(matches!(out[0], Outcome::Done(())));
         assert!(matches!(out[1], Outcome::Panicked { task: 1, .. }));
         assert!(matches!(out[2], Outcome::Done(())));
@@ -210,7 +187,7 @@ mod tests {
             7,
             4,
             |i| i,
-            |done, total| {
+            |_, _, done, total| {
                 assert!(done <= total);
                 last = done;
             },
@@ -220,8 +197,8 @@ mod tests {
 
     #[test]
     fn zero_tasks_and_excess_threads() {
-        assert!(run_tasks(0, 8, |i| i, |_, _| {}).is_empty());
-        let one = run_tasks(1, 64, |i| i + 1, |_, _| {});
-        assert_eq!(one.into_iter().filter_map(Outcome::done).sum::<usize>(), 1);
+        assert!(run_tasks(0, 8, |i| i, |_, _, _, _| {}).is_empty());
+        let one = run_tasks(1, 64, |i| i + 1, |_, _, _, _| {});
+        assert_eq!(one, [Outcome::Done(1)]);
     }
 }

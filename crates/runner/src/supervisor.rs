@@ -1,9 +1,20 @@
-//! Multi-process sweep execution: a supervisor, N worker processes,
-//! and the crash-recovery protocol between them.
+//! Sweep execution: one journal preparation, one cached point task, and
+//! two placements of points — a thread pool in this process, or a
+//! supervised fleet of worker processes.
+//!
+//! Every sweep with a journal starts with [`prepare`]. A fresh run
+//! writes the header and clears stale coordination files; `--resume`
+//! loads the main journal, checks its header, harvests the shard
+//! journals a killed predecessor left behind, rewrites the main journal
+//! atomically and removes the harvested files. [`run_supervised`] then
+//! runs only the points still missing, each through
+//! [`run_point_cached`], in whichever placement the configuration asks
+//! for. The two placements therefore share resume, cache and digest
+//! verification: a sweep killed under `--workers` resumes in-process
+//! and vice versa, and a cache warmed by one serves the other.
 //!
 //! `sweep --workers N` turns the sweep into a small fault-tolerant
-//! fleet. The parent becomes a **supervisor**: it consolidates any
-//! prior progress into the main journal, then spawns one **worker**
+//! fleet. The parent becomes a **supervisor**: it spawns one **worker**
 //! process per shard (point `index % N`). Each worker claims its shard
 //! with a heartbeat lease ([`crate::lease`]), journals a fsync'd
 //! `start` marker before every point, runs the point (consulting the
@@ -31,17 +42,18 @@
 use std::collections::BTreeMap;
 use std::io::Read as _;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
 use niobs::{Event, MetricsRegistry};
 
-use crate::cache::{CacheLookup, ResultCache};
+use crate::cache::{run_point_cached, CacheCounts, ResultCache};
 use crate::journal::{fsync_parent_dir, load_journal, load_worker_journal, JournalWriter};
 use crate::lease::{
     lease_path, read_lease, worker_journal_path, Beat, Claim, LeaseHolder, LeaseMonitor,
 };
-use crate::point::{run_point_full, PointOutcome, PointSpec};
+use crate::point::{run_points_full_with, PointOutcome, PointSpec};
 use crate::protocol::{
     self, check_fence, resume_spawn_generation, CrashLedger, JournalHeader, SupervisorStep,
     WorkerExit,
@@ -57,17 +69,18 @@ const POLL_MS: u64 = 10;
 /// point. Unset (the normal case) it is completely inert.
 pub(crate) const TEST_ABORT_ENV: &str = "NOC_SWEEP_TEST_ABORT_POINT";
 
-/// A multi-process sweep that cannot make progress.
+/// A sweep that cannot make progress.
 #[must_use]
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SupervisorError {
-    /// Human-readable description of the problem.
+    /// Human-readable description of the problem. A journal that
+    /// `--resume` cannot use is reported with a `--resume:` prefix.
     pub message: String,
 }
 
 impl std::fmt::Display for SupervisorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "supervisor: {}", self.message)
+        f.write_str(&self.message)
     }
 }
 
@@ -88,308 +101,37 @@ fn expected_header(spec: &SweepSpec, count: usize) -> JournalHeader {
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------
-
-/// Everything a worker process needs, decoded from the hidden
-/// `--worker-shard`/`--worker-gen` CLI surface by `sweep`.
-#[derive(Debug, Clone)]
-pub struct WorkerConfig {
-    /// Path of the sweep spec JSON (workers re-load it themselves).
-    pub spec_path: String,
-    /// Path of the main checkpoint journal (also the naming root for
-    /// leases and shard journals).
-    pub journal_path: String,
-    /// This worker's shard: it runs points with `index % workers == shard`.
-    pub shard: usize,
-    /// Total shard count (the supervisor's `--workers N`).
-    pub workers: usize,
-    /// Lease generation (fencing token) this worker runs at.
-    pub generation: u64,
-    /// Quarantined point indices to skip entirely.
-    pub skip: Vec<usize>,
-    /// Result-cache directory, when caching is enabled.
-    pub cache_dir: Option<String>,
-    /// Lease staleness timeout in milliseconds; the worker heartbeats
-    /// at a fifth of this.
-    pub lease_timeout_ms: u64,
-}
-
-/// What a worker accomplished, printed as a single machine-readable
-/// stdout line (`worker-summary\t...`) for the supervisor to collect.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct WorkerSummary {
-    ran: u64,
-    cache_hits: u64,
-    cache_corrupt: u64,
-}
-
-fn summary_line(shard: usize, s: &WorkerSummary) -> String {
-    format!(
-        "worker-summary\tshard={shard}\tran={}\tcache_hits={}\tcache_corrupt={}",
-        s.ran, s.cache_hits, s.cache_corrupt
-    )
-}
-
-fn parse_summary(stdout: &str) -> Option<WorkerSummary> {
-    let line = stdout.lines().find(|l| l.starts_with("worker-summary\t"))?;
-    let mut s = WorkerSummary::default();
-    for field in line.split('\t').skip(1) {
-        let Some((key, value)) = field.split_once('=') else {
-            continue;
-        };
-        let Ok(n) = value.parse::<u64>() else {
-            continue;
-        };
-        match key {
-            "ran" => s.ran = n,
-            "cache_hits" => s.cache_hits = n,
-            "cache_corrupt" => s.cache_corrupt = n,
-            _ => {}
-        }
-    }
-    Some(s)
-}
-
-fn test_abort_points() -> Vec<usize> {
-    std::env::var(TEST_ABORT_ENV).map_or_else(
-        |_| Vec::new(),
-        |v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
-    )
-}
-
-/// Runs one worker process to completion: claim the shard lease, replay
-/// How a worker run ended, when it ended by protocol rather than by
-/// error: either it finished its shard's pending points, or it was
-/// fenced off by a lease at its generation or later and backed away.
-/// The worker process reports the distinction through its exit status
-/// (0 vs [`protocol::FENCED_EXIT_CODE`]) so the supervisor's crash
-/// ledger can tell a working fence from a worker that wrongly quit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerOutcome {
-    /// Ran (or skipped as already-done) every pending point it owns.
-    Completed,
-    /// Refused at claim time or stopped at a point boundary because a
-    /// successor generation (or surviving orphan) holds the lease.
-    Fenced,
-}
-
-/// the main journal for prior progress, then run this shard's remaining
-/// points serially — `start` marker, (cache probe,) simulate, journal —
-/// each fsync'd before the next begins. Points run serially *within* a
-/// worker by design: process-level parallelism replaces thread-level,
-/// and a serial worker makes crash attribution exact (at most one point
-/// is ever in flight).
-///
-/// Prints the `worker-summary` line on success; the caller (the hidden
-/// worker mode of `sweep`) exits 0 after [`WorkerOutcome::Completed`],
-/// [`protocol::FENCED_EXIT_CODE`] after [`WorkerOutcome::Fenced`], or
-/// 2 on any returned error — any *other* exit status is, by
-/// definition, a crash.
-///
-/// # Errors
-///
-/// Unloadable spec, mismatched or unreadable main journal, or any I/O
-/// failure on the lease or shard journal.
-pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerOutcome, SupervisorError> {
-    let spec = match SweepSpec::load(&cfg.spec_path) {
-        Ok(spec) => spec,
-        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
-    };
-    let points = spec.points();
-
-    // Prior progress lives in the main journal, which the supervisor
-    // consolidates before every (re)spawn. Its header must describe
-    // this very sweep, or the shard split would silently mix grids.
-    let main = match load_journal(&cfg.journal_path) {
-        Ok(loaded) => loaded,
-        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
-    };
-    if main.header != expected_header(&spec, points.len()) {
-        return err(format!(
-            "worker shard {}: journal {} was written by a different sweep",
-            cfg.shard, cfg.journal_path
-        ));
-    }
-
-    // Claim the shard and start heartbeating at a fifth of the
-    // staleness timeout, so a healthy worker can miss several beats to
-    // scheduler jitter without being declared dead. The claim is
-    // guarded: if a lease at our generation or later is already on
-    // disk (an orphan of a killed supervisor, or a successor), this
-    // worker exits cleanly without ever touching the shard.
-    let holder = match LeaseHolder::claim(&cfg.journal_path, cfg.shard, cfg.generation) {
-        Ok(Claim::Held(h)) => h,
-        Ok(Claim::Fenced(fence)) => {
-            eprintln!("worker: {fence}; exiting without running");
-            println!("{}", summary_line(cfg.shard, &WorkerSummary::default()));
-            return Ok(WorkerOutcome::Fenced);
-        }
-        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
-    };
-    let beat_every = Duration::from_millis((cfg.lease_timeout_ms / 5).max(1));
-    let (stop_beats, beats) = mpsc::channel::<()>();
-    let heartbeat = std::thread::spawn(move || {
-        let mut holder = holder;
-        // Stop on Ok (explicit) *and* on Disconnected (the main thread
-        // dropped the sender, e.g. while unwinding) — only a Timeout
-        // means "keep beating".
-        while beats.recv_timeout(beat_every) == Err(mpsc::RecvTimeoutError::Timeout) {
-            // An I/O-failed beat is not fatal to the simulation: worst
-            // case the supervisor declares us stale and re-runs the
-            // shard. A *fenced* beat means a successor owns the shard
-            // now — stop beating so we never overwrite its lease.
-            if matches!(holder.beat(), Ok(Beat::Fenced(_))) {
-                break;
-            }
-        }
-    });
-
-    let result = run_worker_points(cfg, &spec, &points, &main.done);
-
-    drop(stop_beats);
-    let _ = heartbeat.join();
-
-    let (summary, outcome) = result?;
-    println!("{}", summary_line(cfg.shard, &summary));
-    Ok(outcome)
-}
-
-fn run_worker_points(
-    cfg: &WorkerConfig,
-    spec: &SweepSpec,
-    points: &[PointSpec],
-    done: &BTreeMap<usize, PointOutcome>,
-) -> Result<(WorkerSummary, WorkerOutcome), SupervisorError> {
-    let shard_journal = worker_journal_path(&cfg.journal_path, cfg.shard, cfg.generation);
-    let mut writer =
-        match JournalWriter::create(&shard_journal, &expected_header(spec, points.len())) {
-            Ok(w) => w,
-            Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
-        };
-    let cache = match &cfg.cache_dir {
-        Some(dir) => match ResultCache::open(dir) {
-            Ok(c) => Some(c),
-            Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
-        },
-        None => None,
-    };
-    let abort_at = test_abort_points();
-    let lease_file = lease_path(&cfg.journal_path, cfg.shard);
-
-    let mut summary = WorkerSummary::default();
-    for p in points {
-        if p.index % cfg.workers != cfg.shard
-            || done.contains_key(&p.index)
-            || cfg.skip.contains(&p.index)
-        {
-            continue;
-        }
-        // Point boundaries are fence checks: a worker the supervisor
-        // has already replaced (stale lease, takeover at gen+1) stops
-        // here instead of racing its successor point by point. The
-        // heartbeat thread notices too, but it cannot interrupt a
-        // simulation already in flight — this check can, one point
-        // later at the worst.
-        let observed = read_lease(&lease_file).ok().flatten();
-        if let Err(fence) = check_fence(cfg.shard, cfg.generation, observed.as_ref()) {
-            eprintln!("worker: {fence}; stopping at the point boundary");
-            return Ok((summary, WorkerOutcome::Fenced));
-        }
-        // The marker hits the disk before the point runs: if this
-        // process dies mid-point, the dangling marker names the culprit.
-        if let Err(e) = writer.append_start(p.index) {
-            return err(format!("worker shard {}: {e}", cfg.shard));
-        }
-        if abort_at.contains(&p.index) {
-            std::process::abort();
-        }
-        let key = ResultCache::key(spec.spec_hash(), p.index, p.seed, 0);
-        let outcome = match cache.as_ref().map(|c| c.lookup(&key)) {
-            // Trust a verified entry only if it describes this exact
-            // point — a key collision must degrade to a recompute, not
-            // a wrong row.
-            Some(CacheLookup::Hit(o)) if o.record.index == p.index && o.record.seed == p.seed => {
-                summary.cache_hits += 1;
-                *o
-            }
-            probe => {
-                if matches!(probe, Some(CacheLookup::Corrupt | CacheLookup::Hit(_))) {
-                    summary.cache_corrupt += 1;
-                }
-                let fresh = run_point_full(p);
-                if let Some(c) = &cache {
-                    if let Err(e) = c.store(&key, &fresh) {
-                        // Cache writes are an optimisation; losing one
-                        // must not kill the shard.
-                        eprintln!("warning: {e}");
-                    }
-                }
-                summary.ran += 1;
-                fresh
-            }
-        };
-        if let Err(e) = writer.append(&outcome) {
-            return err(format!("worker shard {}: {e}", cfg.shard));
-        }
-    }
-    Ok((summary, WorkerOutcome::Completed))
+fn open_cache(dir: Option<&str>) -> Result<Option<ResultCache>, SupervisorError> {
+    dir.map(ResultCache::open)
+        .transpose()
+        .map_err(|e| SupervisorError {
+            message: e.to_string(),
+        })
 }
 
 // ---------------------------------------------------------------------
-// Supervisor side
+// Preparation, shared by both placements
 // ---------------------------------------------------------------------
 
-/// Supervisor-side configuration for a multi-process sweep.
-#[derive(Debug, Clone)]
-pub struct SupervisorConfig {
-    /// Path of the sweep spec JSON (forwarded to workers verbatim).
-    pub spec_path: String,
-    /// Path of the main checkpoint journal.
-    pub journal_path: String,
-    /// Worker process count (shards).
-    pub workers: usize,
-    /// Result-cache directory, when caching is enabled.
-    pub cache_dir: Option<String>,
-    /// Consecutive worker deaths attributed to one point before it is
-    /// quarantined as `poisoned(...)`.
-    pub crash_limit: u32,
-    /// Lease staleness timeout in milliseconds (hang detection).
-    pub lease_timeout_ms: u64,
-    /// Replay an existing main journal instead of starting fresh.
-    pub resume: bool,
-    /// Suppress progress chatter on stderr.
-    pub quiet: bool,
-}
-
-/// What a supervised sweep produced, plus its operational counters.
+/// The main journal after [`prepare`]: consolidated and open for
+/// appending.
 #[derive(Debug)]
-pub struct SupervisorReport {
-    /// Every point's outcome, keyed by grid index (complete: resumed,
-    /// fresh, cached, and quarantined points all present).
-    pub outcomes: BTreeMap<usize, PointOutcome>,
-    /// Worker processes that died and were reaped.
-    pub crashes: u64,
-    /// Shard re-claims (a successor spawned at a bumped generation).
-    pub takeovers: u64,
-    /// Points served from the result cache.
-    pub cache_hits: u64,
-    /// Corrupted cache entries detected and recomputed.
-    pub cache_corrupt: u64,
-    /// Quarantined point indices, ascending.
-    pub quarantined: Vec<usize>,
-    /// The same counters as a metrics registry, keyed by
-    /// [`niobs::Event::name`] of the corresponding lifecycle event.
-    pub metrics: MetricsRegistry,
+struct PreparedJournal {
+    path: String,
+    writer: JournalWriter,
+    /// The lease generation workers spawn at: one past every generation
+    /// a killed predecessor left evidence of, so its orphans are fenced
+    /// off.
+    spawn_generation: u64,
 }
 
-/// One live worker process being tracked by the supervisor.
+/// Where a sweep starts from, whichever way its points are placed.
 #[derive(Debug)]
-struct WorkerSlot {
-    child: Child,
-    generation: u64,
-    monitor: LeaseMonitor,
+pub struct Prepared {
+    /// Points already complete — the resumed main journal plus every
+    /// row harvested from leftover shard journals — keyed by grid index.
+    pub done: BTreeMap<usize, PointOutcome>,
+    journal: Option<PreparedJournal>,
 }
 
 /// Scans the journal's directory for shard files (`<journal>.s*`) left
@@ -416,6 +158,13 @@ fn shard_files(journal_path: &str) -> Vec<String> {
     }
     out.sort();
     out
+}
+
+/// Deletes every shard coordination file of `journal_path`.
+fn remove_shard_files(journal_path: &str) {
+    for file in shard_files(journal_path) {
+        let _ = std::fs::remove_file(&file);
+    }
 }
 
 /// What a resume found lying around from the killed predecessor run.
@@ -471,9 +220,399 @@ fn harvest_leftovers(
     leftovers
 }
 
+/// Loads the main journal for `--resume` and checks that its header
+/// describes this very sweep: a mismatch means the journal belongs to a
+/// *different* experiment, and resuming would silently mix grids.
+fn load_resumable(
+    path: &str,
+    expect: &JournalHeader,
+) -> Result<BTreeMap<usize, PointOutcome>, SupervisorError> {
+    let loaded = match load_journal(path) {
+        Ok(loaded) => loaded,
+        Err(e) => return err(format!("--resume: {e}")),
+    };
+    let found = loaded.header;
+    if found != *expect {
+        return err(format!(
+            "--resume: checkpoint {path} was written by a different sweep \
+             (journal: name={:?} spec_hash={:016x} base_seed={} count={}; \
+             current: name={:?} spec_hash={:016x} base_seed={} count={})",
+            found.name,
+            found.spec_hash,
+            found.base_seed,
+            found.count,
+            expect.name,
+            expect.spec_hash,
+            expect.base_seed,
+            expect.count,
+        ));
+    }
+    Ok(loaded.done)
+}
+
+/// Prepares a sweep's main journal at `journal_path` and returns the
+/// points it already holds. Both placements call it before running a
+/// single point.
+///
+/// A fresh run writes the header and clears stale coordination files
+/// from an unrelated earlier run in the same directory. `resume` loads
+/// the main journal, checks its header, harvests the shard journals a
+/// killed supervisor left behind, rewrites the main journal with every
+/// completed row and removes the harvested files. Either way the
+/// journal is rebuilt next to the main one and renamed over it, so a
+/// crash mid-preparation leaves the old journal or the new one — never
+/// a half-rewritten file whose fsync'd rows exist nowhere else — and a
+/// torn tail is never carried over. Without a journal path nothing
+/// touches the disk and nothing is done.
+///
+/// # Errors
+///
+/// On `resume`, an unreadable main journal or one written by a
+/// different sweep (message prefixed `--resume:`); otherwise any I/O
+/// failure writing the consolidated journal.
+pub fn prepare(
+    spec: &SweepSpec,
+    journal_path: Option<&str>,
+    resume: bool,
+) -> Result<Prepared, SupervisorError> {
+    let Some(path) = journal_path else {
+        return Ok(Prepared {
+            done: BTreeMap::new(),
+            journal: None,
+        });
+    };
+    let count = spec.points().len();
+    let header = expected_header(spec, count);
+    let mut done = BTreeMap::new();
+    let mut leftovers = Leftovers::default();
+    if resume {
+        done = load_resumable(path, &header)?;
+        leftovers = harvest_leftovers(path, &header, &mut done);
+        done.retain(|&index, _| index < count);
+    } else {
+        remove_shard_files(path);
+    }
+
+    // The temp name matches the `<journal>.s*` coordination prefix (and
+    // `.tmp` suffix) so a leftover one is swept up by the next run like
+    // any other scrap. The writer stays open across the rename: later
+    // appends land in the renamed main journal.
+    let consolidate_tmp = format!("{path}.s.consolidate.tmp");
+    let mut writer = match JournalWriter::create(&consolidate_tmp, &header) {
+        Ok(w) => w,
+        Err(e) => return err(e.to_string()),
+    };
+    for outcome in done.values() {
+        if let Err(e) = writer.append(outcome) {
+            return err(e.to_string());
+        }
+    }
+    if let Err(e) = std::fs::rename(&consolidate_tmp, path) {
+        return err(format!("cannot rename {consolidate_tmp} over {path}: {e}"));
+    }
+    if let Err(e) = fsync_parent_dir(path) {
+        return err(e.to_string());
+    }
+    // Only now that every harvested row is durable in the main journal
+    // may the leftover shard journals go.
+    for file in &leftovers.journals {
+        let _ = std::fs::remove_file(file);
+    }
+    Ok(Prepared {
+        done,
+        journal: Some(PreparedJournal {
+            path: path.to_string(),
+            writer,
+            spawn_generation: resume_spawn_generation(leftovers.observed_generations),
+        }),
+    })
+}
+
+// ---------------------------------------------------------------------
+// Worker side
+// ---------------------------------------------------------------------
+
+/// Everything a worker process needs, decoded from the hidden
+/// `--worker-shard`/`--worker-gen` CLI surface by `sweep`.
+#[derive(Debug, Clone)]
+pub struct WorkerConfig {
+    /// Path of the sweep spec JSON (workers re-load it themselves).
+    pub spec_path: String,
+    /// Path of the main checkpoint journal (also the naming root for
+    /// leases and shard journals).
+    pub journal_path: String,
+    /// This worker's shard: it runs points with `index % workers == shard`.
+    pub shard: usize,
+    /// Total shard count (the supervisor's `--workers N`).
+    pub workers: usize,
+    /// Lease generation (fencing token) this worker runs at.
+    pub generation: u64,
+    /// Quarantined point indices to skip entirely.
+    pub skip: Vec<usize>,
+    /// Result-cache directory, when caching is enabled.
+    pub cache_dir: Option<String>,
+    /// Lease staleness timeout in milliseconds; the worker heartbeats
+    /// at a fifth of this.
+    pub lease_timeout_ms: u64,
+}
+
+/// A worker's cache counters, printed as a single machine-readable
+/// stdout line (`worker-summary\t...`) for the supervisor to collect.
+fn summary_line(shard: usize, s: &CacheCounts) -> String {
+    format!(
+        "worker-summary\tshard={shard}\tcache_hits={}\tcache_corrupt={}",
+        s.hits, s.corrupt
+    )
+}
+
+fn parse_summary(stdout: &str) -> Option<CacheCounts> {
+    let line = stdout.lines().find(|l| l.starts_with("worker-summary\t"))?;
+    let mut s = CacheCounts::default();
+    for field in line.split('\t').skip(1) {
+        let Some((key, value)) = field.split_once('=') else {
+            continue;
+        };
+        let Ok(n) = value.parse::<u64>() else {
+            continue;
+        };
+        match key {
+            "cache_hits" => s.hits = n,
+            "cache_corrupt" => s.corrupt = n,
+            _ => {}
+        }
+    }
+    Some(s)
+}
+
+fn test_abort_points() -> Vec<usize> {
+    std::env::var(TEST_ABORT_ENV).map_or_else(
+        |_| Vec::new(),
+        |v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect(),
+    )
+}
+
+/// How a worker run ended, when it ended by protocol rather than by
+/// error: either it finished its shard's pending points, or it was
+/// fenced off by a lease at its generation or later and backed away.
+/// The worker process reports the distinction through its exit status
+/// (0 vs [`protocol::FENCED_EXIT_CODE`]) so the supervisor's crash
+/// ledger can tell a working fence from a worker that wrongly quit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WorkerOutcome {
+    /// Ran (or skipped as already-done) every pending point it owns.
+    Completed,
+    /// Refused at claim time or stopped at a point boundary because a
+    /// successor generation (or surviving orphan) holds the lease.
+    Fenced,
+}
+
+/// Runs one worker process to completion: claim the shard lease, replay
+/// the main journal for prior progress, then run this shard's remaining
+/// points serially — `start` marker, (cache probe,) simulate, journal —
+/// each fsync'd before the next begins. Points run serially *within* a
+/// worker by design: process-level parallelism replaces thread-level,
+/// and a serial worker makes crash attribution exact (at most one point
+/// is ever in flight).
+///
+/// Prints the `worker-summary` line on success; the caller (the hidden
+/// worker mode of `sweep`) exits 0 after [`WorkerOutcome::Completed`],
+/// [`protocol::FENCED_EXIT_CODE`] after [`WorkerOutcome::Fenced`], or
+/// 2 on any returned error — any *other* exit status is, by
+/// definition, a crash.
+///
+/// # Errors
+///
+/// Unloadable spec, mismatched or unreadable main journal, or any I/O
+/// failure on the lease or shard journal.
+pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerOutcome, SupervisorError> {
+    let spec = match SweepSpec::load(&cfg.spec_path) {
+        Ok(spec) => spec,
+        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
+    };
+    let points = spec.points();
+
+    // Prior progress lives in the main journal, which the supervisor
+    // consolidates before every (re)spawn. Its header must describe
+    // this very sweep, or the shard split would silently mix grids.
+    let main = match load_journal(&cfg.journal_path) {
+        Ok(loaded) => loaded,
+        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
+    };
+    if main.header != expected_header(&spec, points.len()) {
+        return err(format!(
+            "worker shard {}: journal {} was written by a different sweep",
+            cfg.shard, cfg.journal_path
+        ));
+    }
+
+    // Claim the shard and start heartbeating at a fifth of the
+    // staleness timeout, so a healthy worker can miss several beats to
+    // scheduler jitter without being declared dead. The claim is
+    // guarded: if a lease at our generation or later is already on
+    // disk (an orphan of a killed supervisor, or a successor), this
+    // worker exits cleanly without ever touching the shard.
+    let holder = match LeaseHolder::claim(&cfg.journal_path, cfg.shard, cfg.generation) {
+        Ok(Claim::Held(h)) => h,
+        Ok(Claim::Fenced(fence)) => {
+            eprintln!("worker: {fence}; exiting without running");
+            println!("{}", summary_line(cfg.shard, &CacheCounts::default()));
+            return Ok(WorkerOutcome::Fenced);
+        }
+        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
+    };
+    let beat_every = Duration::from_millis((cfg.lease_timeout_ms / 5).max(1));
+    let (stop_beats, beats) = mpsc::channel::<()>();
+    let heartbeat = std::thread::spawn(move || {
+        let mut holder = holder;
+        // Stop on Ok (explicit) *and* on Disconnected (the main thread
+        // dropped the sender, e.g. while unwinding) — only a Timeout
+        // means "keep beating".
+        while beats.recv_timeout(beat_every) == Err(mpsc::RecvTimeoutError::Timeout) {
+            // An I/O-failed beat is not fatal to the simulation: worst
+            // case the supervisor declares us stale and re-runs the
+            // shard. A *fenced* beat means a successor owns the shard
+            // now — stop beating so we never overwrite its lease.
+            if matches!(holder.beat(), Ok(Beat::Fenced(_))) {
+                break;
+            }
+        }
+    });
+
+    let result = run_worker_points(cfg, &spec, &points, &main.done);
+
+    drop(stop_beats);
+    let _ = heartbeat.join();
+
+    let (summary, outcome) = result?;
+    println!("{}", summary_line(cfg.shard, &summary));
+    Ok(outcome)
+}
+
+fn run_worker_points(
+    cfg: &WorkerConfig,
+    spec: &SweepSpec,
+    points: &[PointSpec],
+    done: &BTreeMap<usize, PointOutcome>,
+) -> Result<(CacheCounts, WorkerOutcome), SupervisorError> {
+    let shard_journal = worker_journal_path(&cfg.journal_path, cfg.shard, cfg.generation);
+    let mut writer =
+        match JournalWriter::create(&shard_journal, &expected_header(spec, points.len())) {
+            Ok(w) => w,
+            Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
+        };
+    let cache = match open_cache(cfg.cache_dir.as_deref()) {
+        Ok(cache) => cache,
+        Err(e) => return err(format!("worker shard {}: {e}", cfg.shard)),
+    };
+    let spec_hash = spec.spec_hash();
+    let abort_at = test_abort_points();
+    let lease_file = lease_path(&cfg.journal_path, cfg.shard);
+
+    let mut summary = CacheCounts::default();
+    for p in points {
+        if p.index % cfg.workers != cfg.shard
+            || done.contains_key(&p.index)
+            || cfg.skip.contains(&p.index)
+        {
+            continue;
+        }
+        // Point boundaries are fence checks: a worker the supervisor
+        // has already replaced (stale lease, takeover at gen+1) stops
+        // here instead of racing its successor point by point. The
+        // heartbeat thread notices too, but it cannot interrupt a
+        // simulation already in flight — this check can, one point
+        // later at the worst.
+        let observed = read_lease(&lease_file).ok().flatten();
+        if let Err(fence) = check_fence(cfg.shard, cfg.generation, observed.as_ref()) {
+            eprintln!("worker: {fence}; stopping at the point boundary");
+            return Ok((summary, WorkerOutcome::Fenced));
+        }
+        // The marker hits the disk before the point runs: if this
+        // process dies mid-point, the dangling marker names the culprit.
+        if let Err(e) = writer.append_start(p.index) {
+            return err(format!("worker shard {}: {e}", cfg.shard));
+        }
+        if abort_at.contains(&p.index) {
+            std::process::abort();
+        }
+        let (outcome, counts) = run_point_cached(cache.as_ref(), spec_hash, p);
+        summary += counts;
+        if let Err(e) = writer.append(&outcome) {
+            return err(format!("worker shard {}: {e}", cfg.shard));
+        }
+    }
+    Ok((summary, WorkerOutcome::Completed))
+}
+
+// ---------------------------------------------------------------------
+// Supervisor side
+// ---------------------------------------------------------------------
+
+/// How the supervising process runs a prepared sweep.
+#[derive(Debug, Clone)]
+pub struct SupervisorConfig {
+    /// Path of the sweep spec JSON (forwarded to workers verbatim).
+    pub spec_path: String,
+    /// Worker threads of the in-process placement (`workers <= 1`).
+    pub threads: usize,
+    /// Worker process count (shards); above 1 the points run in worker
+    /// processes, which needs a journal.
+    pub workers: usize,
+    /// Result-cache directory, when caching is enabled.
+    pub cache_dir: Option<String>,
+    /// Consecutive worker deaths attributed to one point before it is
+    /// quarantined as `poisoned(...)`.
+    pub crash_limit: u32,
+    /// Lease staleness timeout in milliseconds (hang detection).
+    pub lease_timeout_ms: u64,
+    /// Suppress progress chatter on stderr.
+    pub quiet: bool,
+}
+
+/// What a sweep produced, plus its operational counters.
+#[derive(Debug)]
+pub struct SupervisorReport {
+    /// Every point's outcome, keyed by grid index (complete: resumed,
+    /// fresh, cached, and quarantined points all present).
+    pub outcomes: BTreeMap<usize, PointOutcome>,
+    /// Worker processes that died and were reaped.
+    pub crashes: u64,
+    /// Shard re-claims (a successor spawned at a bumped generation).
+    pub takeovers: u64,
+    /// What the result cache served and what it failed to verify.
+    pub cache: CacheCounts,
+    /// Quarantined point indices, ascending.
+    pub quarantined: Vec<usize>,
+    /// The same counters as a metrics registry, keyed by
+    /// [`niobs::Event::name`] of the corresponding lifecycle event.
+    pub metrics: MetricsRegistry,
+}
+
+impl SupervisorReport {
+    fn add_cache(&mut self, counts: CacheCounts) {
+        self.cache += counts;
+        if counts.hits > 0 {
+            // Aggregated: the individual hit points are the executors'
+            // business; the registry records the count under the
+            // event's stable name.
+            let name = Event::CacheHit { point: 0 }.name();
+            self.metrics.inc(name, counts.hits);
+        }
+    }
+}
+
+/// One live worker process being tracked by the supervisor.
+#[derive(Debug)]
+struct WorkerSlot {
+    child: Child,
+    generation: u64,
+    monitor: LeaseMonitor,
+}
+
 impl SupervisorConfig {
     fn spawn_worker(
         &self,
+        journal_path: &str,
         shard: usize,
         generation: u64,
         skip: &[usize],
@@ -486,7 +625,7 @@ impl SupervisorConfig {
         cmd.arg("--spec")
             .arg(&self.spec_path)
             .arg("--ckpt")
-            .arg(&self.journal_path)
+            .arg(journal_path)
             .arg("--worker-shard")
             .arg(shard.to_string())
             .arg("--worker-gen")
@@ -513,115 +652,134 @@ impl SupervisorConfig {
     }
 }
 
-/// Runs the whole sweep across `cfg.workers` worker processes and
-/// returns the complete outcome map plus operational counters. See the
-/// module docs for the protocol; the short version: journal
-/// consolidation, spawn one worker per shard, reap/harvest/attribute/
-/// respawn on death, quarantine repeat offenders, merge at the end.
+/// Runs every point [`prepare`] left undone and returns the complete
+/// outcome map plus operational counters. With `cfg.workers > 1` the
+/// points run in worker processes (see the module docs for the
+/// protocol); otherwise on a pool of `cfg.threads` threads in this
+/// process. Either way each point runs through [`run_point_cached`] and
+/// is journaled the moment it lands.
 ///
-/// On success the main journal at `cfg.journal_path` contains every
-/// point (so a later `--resume` is a no-op) and all shard-coordination
-/// files have been cleaned up.
+/// On success the main journal, if any, contains every point (so a
+/// later `--resume` is a no-op) and all shard-coordination files have
+/// been cleaned up.
 ///
 /// # Errors
 ///
-/// Unreadable/mismatched resume journal, a worker exiting with a fatal
-/// configuration error, a shard dying repeatedly before starting any
-/// point, or any I/O failure on the main journal.
+/// An unopenable cache directory, worker processes without a journal, a
+/// worker exiting with a fatal configuration error, a shard dying
+/// repeatedly before starting any point, or any I/O failure on the main
+/// journal under worker processes.
 pub fn run_supervised(
     spec: &SweepSpec,
     cfg: &SupervisorConfig,
+    prepared: Prepared,
 ) -> Result<SupervisorReport, SupervisorError> {
     let points = spec.points();
-    let header = expected_header(spec, points.len());
-
-    // Consolidate all prior progress — resumed main journal plus any
-    // shard journals orphaned by a killed supervisor — into a fresh
-    // main journal, so every worker sees one authoritative "done" set.
-    let mut outcomes: BTreeMap<usize, PointOutcome> = BTreeMap::new();
-    let mut leftovers = Leftovers::default();
-    if cfg.resume {
-        let loaded = match load_journal(&cfg.journal_path) {
-            Ok(l) => l,
-            Err(e) => return err(format!("--resume: {e}")),
-        };
-        if loaded.header != header {
-            return err(format!(
-                "--resume: journal {} was written by a different sweep",
-                cfg.journal_path
-            ));
-        }
-        outcomes = loaded.done;
-        leftovers = harvest_leftovers(&cfg.journal_path, &header, &mut outcomes);
-        outcomes.retain(|&index, _| index < points.len());
-    } else {
-        // A fresh run must not inherit stale coordination files from
-        // an unrelated earlier run in the same directory.
-        for file in shard_files(&cfg.journal_path) {
-            let _ = std::fs::remove_file(&file);
-        }
-    }
-    // A killed supervisor may leave orphan workers still running; the
-    // resume spawns one generation past anything it observed so their
-    // next lease read fences them off.
-    let start_generation = resume_spawn_generation(leftovers.observed_generations);
-
-    // Consolidation is atomic: the merged journal is built next to the
-    // main one and renamed over it, so a crash mid-consolidation leaves
-    // either the old journal or the new one — never a half-rewritten
-    // file whose fsync'd rows exist nowhere else. The temp name matches
-    // the `<journal>.s*` coordination prefix (and `.tmp` suffix) so a
-    // leftover one is swept up by the next run like any other scrap.
-    let consolidate_tmp = format!("{}.s.consolidate.tmp", cfg.journal_path);
-    let mut writer = match JournalWriter::create(&consolidate_tmp, &header) {
-        Ok(w) => w,
-        Err(e) => return err(e.to_string()),
-    };
-    for outcome in outcomes.values() {
-        if let Err(e) = writer.append(outcome) {
-            return err(e.to_string());
-        }
-    }
-    drop(writer);
-    if let Err(e) = std::fs::rename(&consolidate_tmp, &cfg.journal_path) {
-        return err(format!(
-            "cannot rename {consolidate_tmp} over {}: {e}",
-            cfg.journal_path
-        ));
-    }
-    if let Err(e) = fsync_parent_dir(&cfg.journal_path) {
-        return err(e.to_string());
-    }
-    let consolidated_len = match std::fs::metadata(&cfg.journal_path) {
-        Ok(m) => m.len(),
-        Err(e) => return err(format!("cannot stat {}: {e}", cfg.journal_path)),
-    };
-    let mut writer = match JournalWriter::append_to(&cfg.journal_path, consolidated_len) {
-        Ok(w) => w,
-        Err(e) => return err(e.to_string()),
-    };
-    // Only now that every harvested row is durable in the main journal
-    // may the leftover shard journals go.
-    for file in &leftovers.journals {
-        let _ = std::fs::remove_file(file);
-    }
-    if !cfg.quiet && !outcomes.is_empty() {
-        eprintln!(
-            "supervisor: {} of {} point(s) already done before spawning workers",
-            outcomes.len(),
-            points.len()
-        );
-    }
-
     let mut report = SupervisorReport {
-        outcomes,
+        outcomes: prepared.done,
         crashes: 0,
         takeovers: 0,
-        cache_hits: 0,
-        cache_corrupt: 0,
+        cache: CacheCounts::default(),
         quarantined: Vec::new(),
         metrics: MetricsRegistry::new(),
     };
+    let journal_path = prepared.journal.as_ref().map(|j| j.path.clone());
+    match prepared.journal {
+        Some(journal) if cfg.workers > 1 => run_fleet(spec, cfg, &points, journal, &mut report)?,
+        None if cfg.workers > 1 => {
+            return err("--workers needs a journal; pass --ckpt or --csv-out");
+        }
+        journal => run_in_process(spec, cfg, &points, journal.map(|j| j.writer), &mut report)?,
+    }
+
+    if report.outcomes.len() != points.len() {
+        return err(format!(
+            "{} of {} points have no outcome after the sweep finished",
+            points.len() - report.outcomes.len(),
+            points.len()
+        ));
+    }
+    // All points done: clear the coordination files (leases, and any
+    // shard journal a deposed worker wrote after being fenced off).
+    if let Some(path) = &journal_path {
+        remove_shard_files(path);
+    }
+    report.quarantined.sort_unstable();
+    Ok(report)
+}
+
+/// The in-process placement: the points still missing run on a thread
+/// pool, and each is journaled the moment it lands. A failed append only
+/// threatens a *future* resume, so it is a warning, and the sweep still
+/// emits its artifacts.
+fn run_in_process(
+    spec: &SweepSpec,
+    cfg: &SupervisorConfig,
+    points: &[PointSpec],
+    mut writer: Option<JournalWriter>,
+    report: &mut SupervisorReport,
+) -> Result<(), SupervisorError> {
+    let cache = open_cache(cfg.cache_dir.as_deref())?;
+    let spec_hash = spec.spec_hash();
+    let remaining: Vec<PointSpec> = points
+        .iter()
+        .filter(|p| !report.outcomes.contains_key(&p.index))
+        .cloned()
+        .collect();
+    let hits = AtomicU64::new(0);
+    let corrupt = AtomicU64::new(0);
+    let mut journal_err: Option<String> = None;
+    let fresh = run_points_full_with(
+        &remaining,
+        cfg.threads,
+        |i| {
+            let (outcome, counts) = run_point_cached(cache.as_ref(), spec_hash, &remaining[i]);
+            hits.fetch_add(counts.hits, Ordering::Relaxed);
+            corrupt.fetch_add(counts.corrupt, Ordering::Relaxed);
+            outcome
+        },
+        |_, outcome, done, total| {
+            if let Some(w) = writer.as_mut() {
+                if journal_err.is_none() {
+                    if let Err(e) = w.append(outcome) {
+                        journal_err = Some(e.to_string());
+                    }
+                }
+            }
+            if !cfg.quiet {
+                eprint!("\r[{done}/{total}]");
+            }
+        },
+    );
+    if let Some(message) = journal_err {
+        eprintln!("warning: checkpoint journal failed mid-run: {message}");
+    }
+    report.add_cache(CacheCounts {
+        hits: hits.into_inner(),
+        corrupt: corrupt.into_inner(),
+    });
+    for outcome in fresh {
+        report.outcomes.insert(outcome.record.index, outcome);
+    }
+    Ok(())
+}
+
+/// The multi-process placement: spawn one worker per shard with points
+/// pending, then reap/harvest/attribute/respawn on death and quarantine
+/// repeat offenders until every shard is done.
+fn run_fleet(
+    spec: &SweepSpec,
+    cfg: &SupervisorConfig,
+    points: &[PointSpec],
+    journal: PreparedJournal,
+    report: &mut SupervisorReport,
+) -> Result<(), SupervisorError> {
+    let header = expected_header(spec, points.len());
+    let PreparedJournal {
+        path: journal_path,
+        mut writer,
+        spawn_generation,
+    } = journal;
     let mut skip: Vec<usize> = Vec::new();
     // Crash attribution and the quarantine/give-up policy live in the
     // pure CrashLedger, which the protocol model checker replays over
@@ -637,10 +795,10 @@ pub fn run_supervised(
     let mut slots: Vec<Option<WorkerSlot>> = Vec::with_capacity(cfg.workers);
     for shard in 0..cfg.workers {
         if pending(&report.outcomes, shard) {
-            let child = cfg.spawn_worker(shard, start_generation, &skip)?;
+            let child = cfg.spawn_worker(&journal_path, shard, spawn_generation, &skip)?;
             slots.push(Some(WorkerSlot {
                 child,
-                generation: start_generation,
+                generation: spawn_generation,
                 monitor: LeaseMonitor::new(Duration::from_millis(cfg.lease_timeout_ms)),
             }));
         } else {
@@ -663,9 +821,7 @@ pub fn run_supervised(
                     // Alive as a process — but is it making heartbeats?
                     // A wedged worker holds no budget the supervisor
                     // respects other than its lease.
-                    let lease = read_lease(&lease_path(&cfg.journal_path, shard))
-                        .ok()
-                        .flatten();
+                    let lease = read_lease(&lease_path(&journal_path, shard)).ok().flatten();
                     let stale = match lease {
                         Some(l) if l.generation == slot.generation => {
                             slot.monitor.observe(l.generation, l.beat)
@@ -700,7 +856,7 @@ pub fn run_supervised(
                     let mut progressed = 0usize;
                     let mut dangling: Option<usize> = None;
                     for gen in 0..=generation {
-                        let shard_journal = worker_journal_path(&cfg.journal_path, shard, gen);
+                        let shard_journal = worker_journal_path(&journal_path, shard, gen);
                         if let Ok(sj) = load_worker_journal(&shard_journal) {
                             if sj.header == header {
                                 if gen == generation {
@@ -728,16 +884,7 @@ pub fn run_supervised(
                     let fatal_config = !clean && !fenced && status.code() == Some(2);
                     if clean || fenced {
                         if let Some(s) = parse_summary(&stdout) {
-                            report.cache_hits += s.cache_hits;
-                            report.cache_corrupt += s.cache_corrupt;
-                            if s.cache_hits > 0 {
-                                // Aggregated: the individual hit points
-                                // are the workers' business; the
-                                // registry records the count under the
-                                // event's stable name.
-                                let name = Event::CacheHit { point: 0 }.name();
-                                report.metrics.inc(name, s.cache_hits);
-                            }
+                            report.add_cache(s);
                         }
                     } else if !fatal_config {
                         report.crashes += 1;
@@ -830,13 +977,14 @@ pub fn run_supervised(
                             generation: next_generation,
                         };
                         report.metrics.inc(takeover.name(), 1);
-                        let child = match cfg.spawn_worker(shard, next_generation, &skip) {
-                            Ok(child) => child,
-                            Err(e) => {
-                                kill_all(&mut slots);
-                                return Err(e);
-                            }
-                        };
+                        let child =
+                            match cfg.spawn_worker(&journal_path, shard, next_generation, &skip) {
+                                Ok(child) => child,
+                                Err(e) => {
+                                    kill_all(&mut slots);
+                                    return Err(e);
+                                }
+                            };
                         let slot = slots[shard].as_mut().expect("slot is live in this branch");
                         slot.child = child;
                         slot.generation = next_generation;
@@ -848,21 +996,7 @@ pub fn run_supervised(
             }
         }
     }
-
-    if report.outcomes.len() != points.len() {
-        return err(format!(
-            "{} of {} points have no outcome after all workers finished",
-            points.len() - report.outcomes.len(),
-            points.len()
-        ));
-    }
-    // All shards done: clear the coordination files (leases and any
-    // shard journal a deposed worker wrote after being fenced off).
-    for file in shard_files(&cfg.journal_path) {
-        let _ = std::fs::remove_file(&file);
-    }
-    report.quarantined.sort_unstable();
-    Ok(report)
+    Ok(())
 }
 
 /// SIGKILLs and reaps every live worker (the supervisor is bailing out;
@@ -877,13 +1011,13 @@ fn kill_all(slots: &mut [Option<WorkerSlot>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::org::Organization;
 
     #[test]
     fn worker_summary_line_round_trips() {
-        let s = WorkerSummary {
-            ran: 7,
-            cache_hits: 3,
-            cache_corrupt: 1,
+        let s = CacheCounts {
+            hits: 3,
+            corrupt: 1,
         };
         let line = summary_line(2, &s);
         let noise = format!("some banner\n{line}\ntrailing junk\n");
@@ -891,18 +1025,35 @@ mod tests {
         assert_eq!(parse_summary("no summary here\n"), None);
     }
 
-    #[test]
-    fn shard_file_scan_matches_only_this_journal() {
-        let dir = std::env::temp_dir().join(format!("noc-sup-scan-{}", std::process::id()));
+    fn tmp_journal(name: &str) -> String {
+        let dir = std::env::temp_dir().join(format!("noc-sup-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let journal = dir.join("a.ckpt").to_string_lossy().into_owned();
+        dir.join("sweep.ckpt").to_string_lossy().into_owned()
+    }
+
+    fn tiny_spec() -> SweepSpec {
+        SweepSpec::new("prepare")
+            .orgs(&[Organization::Mesh])
+            .rates(&[0.01, 0.02, 0.03])
+    }
+
+    fn sample(p: &PointSpec) -> PointOutcome {
+        PointOutcome {
+            record: p.failed_record("sample row"),
+            trail: vec![(100, 0xdead_beef)],
+        }
+    }
+
+    #[test]
+    fn shard_file_scan_matches_only_this_journal() {
+        let journal = tmp_journal("scan");
         let mine = [
             format!("{journal}.s0.g0"),
             format!("{journal}.s1.g2"),
             format!("{journal}.s1.lease"),
         ];
-        let other = dir.join("b.ckpt.s0.g0").to_string_lossy().into_owned();
+        let other = format!("{journal}x.s0.g0");
         for f in mine.iter().chain(std::iter::once(&other)) {
             std::fs::write(f, "x").expect("touch");
         }
@@ -913,6 +1064,79 @@ mod tests {
             !found.contains(&other),
             "neighbour journal must be left alone"
         );
+    }
+
+    #[test]
+    fn resume_drops_the_torn_tail_arbitrarily_often() {
+        let journal = tmp_journal("torn");
+        let spec = tiny_spec();
+        let points = spec.points();
+        let mut prepared = prepare(&spec, Some(&journal), false).expect("fresh run");
+        let writer = &mut prepared.journal.as_mut().expect("journaled").writer;
+        writer.append(&sample(&points[0])).expect("append");
+        drop(prepared);
+        // Crash, resume, crash, resume: each cycle tears the tail,
+        // prepares again, and re-journals the lost point plus one more.
+        for round in 1..points.len() {
+            let bytes = std::fs::read(&journal).expect("read");
+            std::fs::write(&journal, &bytes[..bytes.len() - 9]).expect("tear");
+            let mut prepared = prepare(&spec, Some(&journal), true).expect("resume");
+            assert_eq!(prepared.done.len(), round - 1, "the tear drops one point");
+            let rewritten = std::fs::read(&journal).expect("read");
+            assert_eq!(rewritten.last(), Some(&b'\n'), "no torn bytes survive");
+            let writer = &mut prepared.journal.as_mut().expect("journaled").writer;
+            writer
+                .append(&sample(&points[round - 1]))
+                .expect("re-journal");
+            writer
+                .append(&sample(&points[round]))
+                .expect("journal more");
+            drop(prepared);
+            let loaded = load_journal(&journal).expect("clean after resume");
+            assert_eq!(loaded.done.len(), round + 1, "round {round}");
+        }
+    }
+
+    #[test]
+    fn resume_harvests_shard_journals_and_fences_past_them() {
+        let journal = tmp_journal("harvest");
+        let spec = tiny_spec();
+        let points = spec.points();
+        drop(prepare(&spec, Some(&journal), false).expect("fresh run"));
+        // A killed supervisor's gen-2 worker finished point 1 and died
+        // in point 2.
+        let shard = worker_journal_path(&journal, 1, 2);
+        let header = expected_header(&spec, points.len());
+        let mut w = JournalWriter::create(&shard, &header).expect("shard journal");
+        w.append_start(1).expect("start");
+        w.append(&sample(&points[1])).expect("finish");
+        w.append_start(2).expect("start");
+        drop(w);
+
+        let prepared = prepare(&spec, Some(&journal), true).expect("resume");
+        assert_eq!(prepared.done.keys().copied().collect::<Vec<_>>(), [1]);
+        let generation = prepared.journal.as_ref().map(|j| j.spawn_generation);
+        assert_eq!(generation, Some(3), "orphans of gen 2 must be fenced");
+        assert!(
+            !std::path::Path::new(&shard).exists(),
+            "harvested file kept"
+        );
+        let loaded = load_journal(&journal).expect("load");
+        assert_eq!(
+            loaded.done.len(),
+            1,
+            "harvest consolidated into the main journal"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_journal_from_another_sweep() {
+        let journal = tmp_journal("mismatch");
+        drop(prepare(&tiny_spec(), Some(&journal), false).expect("fresh run"));
+        let other = tiny_spec().rates(&[0.5]);
+        let e = prepare(&other, Some(&journal), true).expect_err("another sweep");
+        assert!(e.message.starts_with("--resume:"), "{e}");
+        assert!(e.message.contains("different sweep"), "{e}");
     }
 
     #[test]

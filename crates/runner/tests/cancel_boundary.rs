@@ -1,13 +1,10 @@
-//! The cancellation boundary must be deterministic: a cancel token that
-//! fires on exactly the cycle-budget cycle, or a wall guard that expires
-//! mid-point, must produce the *same bytes* on every run. These rows end
-//! up in merged artifacts (shutdown during a supervised sweep), so any
-//! run-dependence here breaks the byte-identity contract.
+//! The cancellation boundary must be deterministic: a wall guard that
+//! expires mid-point lands at a nondeterministic cycle, yet it must
+//! produce the *same bytes* on every run. These rows end up in merged
+//! artifacts, so any run-dependence here breaks the byte-identity
+//! contract.
 
-use noc::CancelToken;
-use runner::{
-    csv_row, run_point_full, run_point_full_cancellable, Organization, PointSpec, SweepSpec,
-};
+use runner::{csv_row, run_point_full, Organization, PointSpec, SweepSpec};
 
 fn one_point(spec: SweepSpec) -> PointSpec {
     spec.points().remove(0)
@@ -18,59 +15,6 @@ fn base_spec(name: &str) -> SweepSpec {
         .orgs(&[Organization::Mesh])
         .rates(&[0.02])
         .windows(200, 800)
-}
-
-/// Both the cycle budget and an external cancel are true at the very
-/// first per-cycle check: the deterministic cycle budget must win the
-/// tie, so the row is identical to the one an uncancelled run produces.
-#[test]
-fn a_token_firing_on_the_budget_cycle_yields_the_cycle_timeout() {
-    let p = one_point(base_spec("tie").budgets(1, 0));
-    let fired = CancelToken::new();
-    fired.cancel();
-
-    let with_token = run_point_full_cancellable(&p, &fired);
-    assert_eq!(with_token.record.status, "timeout(cycles>1)");
-
-    // Same point, no token at all: the exact same bytes.
-    let without = run_point_full(&p);
-    assert_eq!(
-        csv_row(&with_token.record),
-        csv_row(&without.record),
-        "the cycle budget must win the tie, byte for byte"
-    );
-
-    // And the cancelled run reproduces itself.
-    let again = run_point_full_cancellable(&p, &fired);
-    assert_eq!(csv_row(&with_token.record), csv_row(&again.record));
-}
-
-/// A pre-fired token with no budgets set yields `timeout(cancelled)`
-/// with zeroed stats and no digest trail — the only deterministic row a
-/// nondeterministic stopping point can produce — and stops the retry
-/// ladder after one attempt.
-#[test]
-fn a_prefired_token_yields_cancelled_with_zeroed_stats_and_no_retries() {
-    let mut p = one_point(base_spec("cancelled").digest_every(100));
-    p.max_retries = 3;
-    p.backoff_ms = 0;
-    let fired = CancelToken::new();
-    fired.cancel();
-
-    let out = run_point_full_cancellable(&p, &fired);
-    assert_eq!(out.record.status, "timeout(cancelled)");
-    assert_eq!(out.record.attempts, 1, "a torn-down sweep must not retry");
-    assert_eq!(
-        out.record.injected, 0,
-        "stats from a random cycle are noise"
-    );
-    assert_eq!(out.record.delivered, 0);
-    assert_eq!(out.record.avg_latency, 0.0);
-    assert!(out.trail.is_empty(), "no digests from a random prefix");
-    assert_eq!(out.record.digest, "-");
-
-    let again = run_point_full_cancellable(&p, &fired);
-    assert_eq!(csv_row(&out.record), csv_row(&again.record));
 }
 
 /// A wall guard expiring during the point trips at a nondeterministic
@@ -92,15 +36,4 @@ fn wall_guard_expiry_rows_are_byte_identical_across_runs() {
         csv_row(&second.record),
         "wall-timeout rows must not embed where the clock happened to land"
     );
-}
-
-/// An idle token is a no-op: the cancellable runner must produce the
-/// exact bytes of the plain runner when nothing fires.
-#[test]
-fn an_idle_token_changes_nothing() {
-    let p = one_point(base_spec("idle"));
-    let plain = run_point_full(&p);
-    let cancellable = run_point_full_cancellable(&p, &CancelToken::new());
-    assert_eq!(plain.record.status, "ok");
-    assert_eq!(csv_row(&plain.record), csv_row(&cancellable.record));
 }

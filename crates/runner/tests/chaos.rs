@@ -1,9 +1,10 @@
 //! Multi-process chaos end-to-end: SIGKILL workers mid-sweep, kill the
-//! supervisor itself, poison a point so it murders every worker that
-//! touches it, and corrupt the result cache — in every case the merged
-//! artifacts must be byte-identical to a single-process run (minus the
-//! quarantined rows, which must be exactly the documented poisoned
-//! rows), and a quarantine must end the sweep with exit 4, not abort it.
+//! supervisor itself (and resume with or without worker processes),
+//! poison a point so it murders every worker that touches it, and
+//! corrupt the result cache — in every case the merged artifacts must be
+//! byte-identical to a single-process run (minus the quarantined rows,
+//! which must be exactly the documented poisoned rows), and a quarantine
+//! must end the sweep with exit 4, not abort it.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -435,13 +436,42 @@ fn cache_reuse_and_corruption_recovery() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Kill the *supervisor* (and its orphaned workers) mid-run: `--resume`
-/// must harvest the completed points from the orphaned shard journals
-/// and finish with byte-identical artifacts and no leftover
-/// coordination files.
+/// The in-process placement runs its points through the same cache: a
+/// cold run of the committed smoke sweep stores all 12 points, a warm
+/// run serves all 12, and both reproduce the committed golden rows.
 #[test]
-fn killed_supervisor_resumes_by_harvesting_shard_journals() {
-    let dir = tmp_dir("supkill");
+fn in_process_cache_serves_a_warm_rerun_byte_for_byte() {
+    let dir = tmp_dir("inproc-cache");
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let golden = std::fs::read(specs.join("smoke.golden.csv")).expect("read golden");
+    let cache = dir.join("cache");
+    let run = |csv: &Path| {
+        let out = sweep_cmd()
+            .args(["--spec", path_str(&specs.join("smoke.json"))])
+            .args(["--threads", "2"])
+            .args(["--cache", path_str(&cache)])
+            .args(["--csv-out", path_str(csv)])
+            .output()
+            .expect("run cached in-process sweep");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "cached sweep failed: {stderr}");
+        assert_eq!(golden, std::fs::read(csv).expect("read csv"), "{stderr}");
+        stderr
+    };
+    let stderr = run(&dir.join("cold.csv"));
+    assert_eq!(metric(&stderr, "cache_hits"), 0, "{stderr}");
+    let stderr = run(&dir.join("warm.csv"));
+    assert_eq!(metric(&stderr, "cache_hits"), 12, "{stderr}");
+    assert_eq!(metric(&stderr, "cache_corrupt"), 0, "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kill the *supervisor* (and its orphaned workers) mid-run, then
+/// `--resume` with `resume_args`: the resume must harvest the completed
+/// points from the orphaned shard journals and finish with
+/// byte-identical artifacts and no leftover coordination files.
+fn resume_after_killed_supervisor(name: &str, resume_args: &[&str]) {
+    let dir = tmp_dir(name);
     let spec = dir.join("spec.json");
     std::fs::write(&spec, SLOW_SPEC).expect("write spec");
     let reference = reference_csv(&spec, &dir.join("ref.csv"));
@@ -479,14 +509,24 @@ fn killed_supervisor_resumes_by_harvesting_shard_journals() {
     std::thread::sleep(Duration::from_millis(300));
     assert!(!csv.exists(), "the victim died before writing artifacts");
 
-    let status = sweep_cmd()
+    let out = sweep_cmd()
         .args(["--spec", path_str(&spec)])
-        .args(["--workers", "2"])
+        .args(resume_args)
         .args(["--csv-out", path_str(&csv)])
-        .args(["--resume", "--quiet"])
-        .status()
+        .arg("--resume")
+        .output()
         .expect("run resumed sweep");
-    assert!(status.success(), "resume failed: {status:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "resume failed: {stderr}");
+    // At least the two rows the kill waited for come from the shard
+    // journals, not from a recompute.
+    let harvested: usize = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("resume: "))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no resume line in stderr:\n{stderr}"));
+    assert!(harvested >= 2, "shard rows were not harvested: {stderr}");
     assert_eq!(
         reference,
         std::fs::read(&csv).expect("read out.csv"),
@@ -497,4 +537,17 @@ fn killed_supervisor_resumes_by_harvesting_shard_journals() {
         "resume must clean up harvested shard files"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn killed_supervisor_resumes_by_harvesting_shard_journals() {
+    resume_after_killed_supervisor("supkill", &["--workers", "2"]);
+}
+
+/// The same crash resumed *without* worker processes: the in-process
+/// placement shares the preparation step, so it harvests the shard
+/// journals too instead of recomputing their rows.
+#[test]
+fn killed_supervisor_resumes_in_process_by_harvesting_shard_journals() {
+    resume_after_killed_supervisor("supkill-inproc", &["--threads", "2"]);
 }

@@ -3,8 +3,22 @@
 //! and seeds depend only on grid position.
 
 use runner::{
-    derive_seed, run_points, run_tasks, to_csv, Organization, Outcome, PointRecord, SweepSpec,
+    derive_seed, run_point_full, run_points_full_with, run_tasks, to_csv, Organization, Outcome,
+    PointRecord, PointSpec, SweepSpec,
 };
+
+/// Runs `points` on a pool of `threads` workers and returns their rows.
+fn rows(points: &[PointSpec], threads: usize) -> Vec<PointRecord> {
+    run_points_full_with(
+        points,
+        threads,
+        |i| run_point_full(&points[i]),
+        |_, _, _, _| {},
+    )
+    .into_iter()
+    .map(|o| o.record)
+    .collect()
+}
 
 fn small_spec() -> SweepSpec {
     SweepSpec::new("determinism")
@@ -15,7 +29,7 @@ fn small_spec() -> SweepSpec {
 
 fn run_at(threads: usize) -> Vec<PointRecord> {
     let points = small_spec().points();
-    run_points(&points, threads, |_, _| {})
+    rows(&points, threads)
 }
 
 #[test]
@@ -48,7 +62,7 @@ fn seeds_depend_only_on_grid_position() {
     }
     // And the records carry exactly those seeds at any thread count.
     for threads in [1, 3] {
-        let recs = run_points(&a, threads, |_, _| {});
+        let recs = rows(&a, threads);
         for (p, r) in a.iter().zip(&recs) {
             assert_eq!(p.seed, r.seed, "threads={threads}");
         }
@@ -80,9 +94,9 @@ fn seed_streams_ignore_thread_count_env() {
     // counts (the exact values `threads_from_env` would produce for
     // NOC_THREADS=1..4) and demand identical bytes.
     let points = small_spec().points();
-    let baseline = to_csv(&run_points(&points, 1, |_, _| {}));
+    let baseline = to_csv(&rows(&points, 1));
     for threads in [2, 3, 4] {
-        let csv = to_csv(&run_points(&points, threads, |_, _| {}));
+        let csv = to_csv(&rows(&points, threads));
         assert_eq!(csv, baseline, "NOC_THREADS={threads} changed the rows");
     }
     // The seeds themselves are a pure function of grid position — the
@@ -102,9 +116,9 @@ fn a_panicking_point_fails_alone() {
         2,
         |i| {
             assert!(i != 1, "injected crash at point 1");
-            runner::run_point(&points[i])
+            run_point_full(&points[i]).record
         },
-        |_, _| {},
+        |_, _, _, _| {},
     );
     assert_eq!(outcomes.len(), n);
     for (i, o) in outcomes.iter().enumerate() {
@@ -120,11 +134,11 @@ fn a_panicking_point_fails_alone() {
             }
         }
     }
-    // And through `run_points`, a crash becomes a failed row, not a
+    // And through the point pool, a crash becomes a failed row, not a
     // missing one: force a panic via an out-of-bounds hotspot pattern.
     let mut bad = small_spec();
     bad.patterns = vec![noc::traffic::Pattern::Hotspot(noc::types::NodeId::new(999))];
-    let recs = run_points(&bad.points(), 2, |_, _| {});
+    let recs = rows(&bad.points(), 2);
     assert_eq!(recs.len(), 4);
     assert!(
         recs.iter().all(|r| r.status.starts_with("failed(")),
@@ -136,7 +150,12 @@ fn a_panicking_point_fails_alone() {
 fn progress_callback_sees_every_completion() {
     let points = small_spec().points();
     let mut calls = Vec::new();
-    let _ = run_points(&points, 2, |done, total| calls.push((done, total)));
+    let _ = run_points_full_with(
+        &points,
+        2,
+        |i| run_point_full(&points[i]),
+        |_, _, done, total| calls.push((done, total)),
+    );
     assert_eq!(calls.len(), points.len());
     assert_eq!(calls.last(), Some(&(points.len(), points.len())));
 }
@@ -150,10 +169,11 @@ fn digest_trails_are_thread_count_independent() {
     let spec = small_spec().digest_every(250);
     let points = spec.points();
     let mut serial = Vec::new();
-    let _ = runner::run_points_full(&points, 1, |_, o, _, _| serial.push(o.clone()));
+    let run = |i: usize| run_point_full(&points[i]);
+    let _ = run_points_full_with(&points, 1, run, |_, o, _, _| serial.push(o.clone()));
     serial.sort_by_key(|o| o.record.index);
     let mut parallel = Vec::new();
-    let _ = runner::run_points_full(&points, 4, |_, o, _, _| parallel.push(o.clone()));
+    let _ = run_points_full_with(&points, 4, run, |_, o, _, _| parallel.push(o.clone()));
     parallel.sort_by_key(|o| o.record.index);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {

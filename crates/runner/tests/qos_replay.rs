@@ -195,7 +195,7 @@ fn replay_equivalence_holds_at_any_thread_count() {
                 let replay = replayed(org, trace);
                 (original, replay)
             },
-            |_, _| {},
+            |_, _, _, _| {},
         )
         .into_iter()
         .map(|o| match o {
@@ -241,9 +241,16 @@ fn bursty_shaped_sweeps_are_thread_count_independent() {
         .windows(200, 800);
     spec.radices = vec![4];
     let points = spec.points();
-    let serial = to_csv(&runner::run_points(&points, 1, |_, _| {}));
+    let rows = |threads| -> Vec<runner::PointRecord> {
+        let run = |i: usize| runner::run_point_full(&points[i]);
+        runner::run_points_full_with(&points, threads, run, |_, _, _, _| {})
+            .into_iter()
+            .map(|o| o.record)
+            .collect()
+    };
+    let serial = to_csv(&rows(1));
     for threads in [2, 4] {
-        let parallel = to_csv(&runner::run_points(&points, threads, |_, _| {}));
+        let parallel = to_csv(&rows(threads));
         assert_eq!(serial, parallel, "rows differ at {threads} threads");
     }
 }

@@ -4,7 +4,23 @@
 //! packet it accepted or records an escalation for it — never silent
 //! loss — and reliable runs stay byte-identical at any thread count.
 
-use runner::{run_points, to_csv, FaultEventSpec, FaultSpec, Organization, SweepSpec};
+use runner::{
+    run_point_full, run_points_full_with, to_csv, FaultEventSpec, FaultSpec, Organization,
+    PointRecord, PointSpec, SweepSpec,
+};
+
+/// Runs `points` on a pool of `threads` workers and returns their rows.
+fn rows(points: &[PointSpec], threads: usize) -> Vec<PointRecord> {
+    run_points_full_with(
+        points,
+        threads,
+        |i| run_point_full(&points[i]),
+        |_, _, _, _| {},
+    )
+    .into_iter()
+    .map(|o| o.record)
+    .collect()
+}
 
 /// A reliability axis tightened for short test runs: the production
 /// ack timeout (256 cycles) would leave most retransmissions pending
@@ -51,7 +67,7 @@ fn every_org_delivers_or_escalates_under_transient_storms() {
             .faults(&[storm(ppb)])
             .reliability(&[tight_rel()])
             .windows(0, 1500);
-        let records = run_points(&spec.points(), 2, |_, _| {});
+        let records = rows(&spec.points(), 2);
         assert_eq!(records.len(), orgs.len() * 2);
         for r in &records {
             let ctx = format!("org={} rate-index={} ppb={ppb}", r.org, r.index);
@@ -93,9 +109,9 @@ fn reliable_runs_are_byte_identical_across_thread_counts() {
         .windows(0, 1500)
         .digest_every(300);
     let points = spec.points();
-    let serial = to_csv(&run_points(&points, 1, |_, _| {}));
+    let serial = to_csv(&rows(&points, 1));
     for threads in [2, 4] {
-        let parallel = to_csv(&run_points(&points, threads, |_, _| {}));
+        let parallel = to_csv(&rows(&points, threads));
         assert_eq!(serial, parallel, "divergence at {threads} threads");
     }
     // Sanity: the reliable rows really carried overlay counters.

@@ -8,8 +8,8 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use runner::{
-    first_divergence, run_point_full, verify_digest_trail, FaultEventSpec, FaultSpec, Organization,
-    SweepSpec,
+    first_divergence, load_journal, run_point_full, verify_digest_trail, FaultEventSpec, FaultSpec,
+    JournalWriter, Organization, SweepSpec,
 };
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -181,7 +181,7 @@ fn wedged_wormhole_trips_the_cycle_budget_not_the_test_suite() {
         let mut points = spec.points();
         let mut p = points.remove(0);
         p.fault = wedge;
-        let rec = runner::run_point(&p);
+        let rec = run_point_full(&p).record;
         tx.send(rec).expect("report the record");
     });
     let rec = rx
@@ -208,7 +208,7 @@ fn healthy_point_never_trips_the_same_cycle_budget() {
         .rates(&[0.02])
         .windows(200, 800)
         .budgets(6_000, 0);
-    let rec = runner::run_point(&spec.points().remove(0));
+    let rec = run_point_full(&spec.points().remove(0)).record;
     assert_eq!(rec.status, "ok");
 }
 
@@ -287,16 +287,91 @@ fn verify_digests_without_resume_is_a_usage_error() {
     assert_usage_error("verifyusage", &["--verify-digests"], hint);
 }
 
-/// Only worker processes consult the result cache, so `--cache` on a
-/// single-process run would recompute every point while looking warm —
-/// it must be a usage error (exit 2).
+/// `--verify-digests` works on the consolidated journal under worker
+/// processes too: a completed supervised sweep re-verifies clean (exit
+/// 0), and a journal whose digest trail was perturbed mid-run is caught
+/// at the offending point and cycle (exit 3) before anything runs.
 #[test]
-fn cache_without_workers_is_a_usage_error() {
-    let cache = std::env::temp_dir().join(format!("noc-cacheusage-{}", std::process::id()));
-    let cache = cache.to_str().expect("utf8 path");
-    let hint = "--cache requires --workers";
-    assert_usage_error("cacheusage", &["--cache", cache], hint);
-    assert_usage_error("cacheusage1", &["--cache", cache, "--workers", "1"], hint);
+fn supervised_resume_verifies_digests_and_catches_a_perturbed_trail() {
+    let dir = tmp_dir("workersverify");
+    let spec_path = dir.join("spec.json");
+    std::fs::write(
+        &spec_path,
+        r#"{
+  "name": "workersverify",
+  "base_seed": 5,
+  "warmup": 200,
+  "measure": 800,
+  "response_fraction": 0.5,
+  "orgs": ["mesh_pra"],
+  "patterns": ["uniform"],
+  "rates": [0.01, 0.02],
+  "radices": [8],
+  "vc_depths": [5],
+  "hpcs": [2],
+  "samples": 1,
+  "faults": [{"label": "none"}],
+  "digest_interval": 200
+}"#,
+    )
+    .expect("write spec");
+    let csv = dir.join("out.csv");
+    let ckpt = dir.join("out.csv.ckpt");
+    let sweep = |extra: &[&str]| {
+        sweep_cmd()
+            .args(["--spec", spec_path.to_str().expect("utf8 path")])
+            .args(["--workers", "2"])
+            .args(["--csv-out", csv.to_str().expect("utf8 path")])
+            .args(extra)
+            .output()
+            .expect("run supervised sweep")
+    };
+    let out = sweep(&["--quiet"]);
+    assert!(out.status.success(), "supervised sweep failed: {out:?}");
+    let reference = std::fs::read(&csv).expect("read csv");
+
+    let out = sweep(&["--resume", "--verify-digests"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "an honest journal verifies: {stderr}"
+    );
+    assert!(
+        stderr.contains("2 point(s) checked, 0 mismatch(es)"),
+        "{stderr}"
+    );
+    assert_eq!(reference, std::fs::read(&csv).expect("re-read csv"));
+
+    // Flip one bit of one point's middle digest sample, then rewrite the
+    // journal around it.
+    let ckpt = ckpt.to_str().expect("utf8 path");
+    let mut journal = load_journal(ckpt).expect("load journal");
+    let tampered = journal.done.get_mut(&1).expect("point 1 journaled");
+    assert!(tampered.trail.len() >= 3, "need a few samples to perturb");
+    let mid = tampered.trail.len() / 2;
+    tampered.trail[mid].1 ^= 1;
+    let cycle = tampered.trail[mid].0;
+    let mut w = JournalWriter::create(ckpt, &journal.header).expect("rewrite journal");
+    for outcome in journal.done.values() {
+        w.append(outcome).expect("append");
+    }
+    drop(w);
+
+    let out = sweep(&["--resume", "--verify-digests"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "perturbation must exit 3: {stderr}"
+    );
+    assert!(
+        stderr.contains(&format!(
+            "digest verification FAILED at point 1: cycle {cycle}: state digest mismatch"
+        )),
+        "the report names the point and the cycle: {stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--check-golden` exits 3 (not 1) on a mismatch and names the first

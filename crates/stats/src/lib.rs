@@ -3,19 +3,16 @@
 //! A small statistics toolkit mirroring the paper's SimFlex-style
 //! methodology (Section IV-D): warm up, measure over a window, repeat over
 //! independent samples, and report means with 95% confidence intervals.
-//! Also provides the geometric mean used for the figures' `GMean` bars and
-//! integer histograms for distributions like Figure 7's lag-at-drop.
+//! Also provides the geometric mean used for the figures' `GMean` bars.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod histogram;
 pub mod json;
 pub mod rng;
 pub mod sampling;
 pub mod summary;
 
-pub use histogram::Histogram;
 pub use json::Json;
 pub use rng::Rng;
 pub use sampling::SampleSpec;
