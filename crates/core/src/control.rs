@@ -32,9 +32,8 @@ use std::ops::Range;
 
 use noc::config::NocConfig;
 use noc::digest::StateDigest;
-use noc::mesh::{HopPlan, InstallError, MeshNetwork, StalledHead};
 use noc::network::Network as _;
-use noc::reserve::{FlitSource, Landing};
+use noc::reserve::{FlitSource, HopPlan, InstallError, Landing, ReservingCore, StalledHead};
 use noc::routing::Route;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
@@ -210,7 +209,7 @@ impl ControlNetwork {
     ///
     /// Returns `false` (recording the refusal) when the source NI has
     /// backlog that would make the injection time unpredictable.
-    pub(crate) fn launch_llc(&mut self, mesh: &MeshNetwork, a: &Announce) -> bool {
+    pub(crate) fn launch_llc(&mut self, mesh: &ReservingCore, a: &Announce) -> bool {
         debug_assert!(a.due0 >= a.launch_at && a.due0 - a.launch_at <= self.ctrl.max_lag as Cycle);
         if !self.ctrl.llc_window {
             return false;
@@ -248,7 +247,7 @@ impl ControlNetwork {
     /// its router at `process_at`; the blocked output port frees at
     /// `s.release`. Only the LSD scan calls this, and only with the LSD
     /// window enabled.
-    pub(crate) fn launch_lsd(&mut self, mesh: &MeshNetwork, s: &StalledHead, process_at: Cycle) {
+    pub(crate) fn launch_lsd(&mut self, mesh: &ReservingCore, s: &StalledHead, process_at: Cycle) {
         let due0 = s.release;
         debug_assert!(due0 >= process_at && due0 - process_at <= self.ctrl.max_lag as Cycle);
         let Some(route) = mesh.compute_route(s.node, s.flit.dest) else {
@@ -323,7 +322,7 @@ impl ControlNetwork {
     /// the cycle the subsequent `mesh.step()` will execute). Call exactly
     /// once per cycle, before stepping the mesh.
     // hot
-    pub fn process(&mut self, mesh: &mut MeshNetwork) {
+    pub fn process(&mut self, mesh: &mut ReservingCore) {
         let t = mesh.now() + 1;
         let mut due = std::mem::take(&mut self.scratch.due);
         let mut claims = std::mem::take(&mut self.scratch.claims);
@@ -409,12 +408,12 @@ impl ControlPlane for ControlNetwork {
         self.ctrl.max_lag as Cycle
     }
 
-    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce) {
+    fn launch(&mut self, mesh: &ReservingCore, a: &Announce) {
         self.launch_llc(mesh, a);
     }
 
     // hot
-    fn step(&mut self, mesh: &mut MeshNetwork) {
+    fn step(&mut self, mesh: &mut ReservingCore) {
         lsd::scan_and_launch(mesh, self);
         self.process(mesh);
     }
@@ -443,7 +442,7 @@ impl ControlPlane for ControlNetwork {
 /// the data packet keeps whatever prefix was already reserved and
 /// continues reactively on the (rerouted) mesh. Always `false` when fault
 /// injection is off.
-fn segment_faulted(mesh: &MeshNetwork, cp: &ControlPacket) -> bool {
+fn segment_faulted(mesh: &ReservingCore, cp: &ControlPacket) -> bool {
     if !mesh.faults_enabled() {
         return false;
     }
@@ -528,7 +527,7 @@ fn plan_for(cp: &ControlPacket, k: usize, landing: Landing) -> HopPlan {
 /// `Some(reason)` when the control packet must be dropped.
 // hot
 fn step_segment(
-    mesh: &mut MeshNetwork,
+    mesh: &mut ReservingCore,
     cp: &mut ControlPacket,
     t: Cycle,
     stats: &mut PraStats,
@@ -757,7 +756,7 @@ mod tests {
     #[test]
     fn llc_launch_requires_clear_backlog() {
         let cfg = NocConfig::paper();
-        let mesh = MeshNetwork::new(cfg.clone());
+        let mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg, ControlConfig::default());
         let ok = ctrl.launch_llc(&mesh, &llc(0, 5, 1, MessageClass::Response, 5, 1, 5));
         assert!(ok);
@@ -771,7 +770,7 @@ mod tests {
         // Straight 4-hop route, lag 4: the control packet should allocate
         // the whole path and record a completed (lag-0) drop.
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         assert!(ctrl.launch_llc(&mesh, &llc(0, 4, 1, MessageClass::Response, 5, 1, 5)));
         // The corresponding data packet arrives per the announce protocol.
@@ -797,7 +796,7 @@ mod tests {
     #[test]
     fn lag_exhausts_on_long_routes() {
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         // 14-hop route with lag 4: allocation must stop early.
         assert!(ctrl.launch_llc(&mesh, &llc(0, 63, 1, MessageClass::Response, 5, 1, 5)));
@@ -834,7 +833,7 @@ mod tests {
         // always recorded at lag 0.
         for (lag, want_hops, want_segments) in [(0u64, 0u64, 0u64), (1, 1, 1), (2, 3, 2)] {
             let cfg = NocConfig::paper();
-            let mut mesh = MeshNetwork::new(cfg.clone());
+            let mut mesh = ReservingCore::new(cfg.clone());
             let mut ctrl = ControlNetwork::new(cfg, ControlConfig::default());
             // Straight 7-hop route so no lag in {0,1,2} can complete it.
             assert!(ctrl.launch_llc(&mesh, &llc(0, 7, 1, MessageClass::Response, 5, 1, 1 + lag)));
@@ -861,7 +860,7 @@ mod tests {
     #[test]
     fn conflicting_launches_drop_lower_priority() {
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         // Two LLC launches from the same node in the same cycle: the NI
         // latch fits one; the second is dropped on conflict.
@@ -883,7 +882,7 @@ mod tests {
         // 4 conflict with 1 and 3 respectively. The removal must keep
         // exactly the survivors, whatever their positions.
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg.clone(), ControlConfig::default());
         for (src, id) in [(0u16, 1u64), (0, 2), (1, 3), (1, 4)] {
             assert!(ctrl.launch_llc(
@@ -906,7 +905,7 @@ mod tests {
     #[test]
     fn disabled_llc_window_refuses_launches() {
         let cfg = NocConfig::paper();
-        let mesh = MeshNetwork::new(cfg.clone());
+        let mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(
             cfg,
             ControlConfig {

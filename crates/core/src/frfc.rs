@@ -34,9 +34,8 @@
 //! [`PraNetwork`]: crate::network::PraNetwork
 
 use noc::config::NocConfig;
-use noc::mesh::{HopPlan, MeshNetwork};
 use noc::network::Network as _;
-use noc::reserve::{FlitSource, Landing};
+use noc::reserve::{FlitSource, HopPlan, Landing, ReservingCore};
 use noc::routing::{neighbor, Route};
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
@@ -118,7 +117,7 @@ impl ControlPlane for Waves {
     /// Starts the wave of `a`, unless the source NI's backlog makes the
     /// injection time unpredictable.
     // hot
-    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce) {
+    fn launch(&mut self, mesh: &ReservingCore, a: &Announce) {
         if mesh.source_backlog(a.src, a.class) != 0 {
             self.stats.refused_at_ni += 1;
             return;
@@ -144,7 +143,7 @@ impl ControlPlane for Waves {
     /// Advances every wave by one position (FRFC control flits move one
     /// hop per cycle, reserving the earliest available slots as they go).
     // hot
-    fn step(&mut self, mesh: &mut MeshNetwork) {
+    fn step(&mut self, mesh: &mut ReservingCore) {
         let t = mesh.now() + 1;
         let mut retired = false;
         for w in &mut self.waves {

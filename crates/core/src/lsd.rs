@@ -7,8 +7,8 @@
 //! unit injects a control packet that pre-allocates resources for the
 //! stalled packet starting at the port-release cycle.
 
-use noc::mesh::MeshNetwork;
 use noc::network::Network as _;
+use noc::reserve::ReservingCore;
 use noc::types::Cycle;
 
 use crate::control::ControlNetwork;
@@ -18,7 +18,7 @@ use crate::control::ControlNetwork;
 /// router has a single LSD unit). Call once per cycle before
 /// [`ControlNetwork::process`].
 // hot
-pub fn scan_and_launch(mesh: &mut MeshNetwork, ctrl: &mut ControlNetwork) {
+pub fn scan_and_launch(mesh: &mut ReservingCore, ctrl: &mut ControlNetwork) {
     if !ctrl.control_config().lsd {
         return;
     }
@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn lsd_launches_for_a_deterministic_stall() {
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(cfg, ControlConfig::default());
         // Long response 0 -> 7; later a request at node 1 wants the same
         // east port and stalls behind the response's port lock.
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn lsd_respects_disable_switch() {
         let cfg = NocConfig::paper();
-        let mut mesh = MeshNetwork::new(cfg.clone());
+        let mut mesh = ReservingCore::new(cfg.clone());
         let mut ctrl = ControlNetwork::new(
             cfg,
             ControlConfig {

@@ -1,9 +1,8 @@
 //! The reserving network: Mesh+PRA, the paper's proposal, and FRFC, its
 //! closest prior work, over one shell.
 //!
-//! Both organisations drive the same reservation datapath of
-//! [`noc::mesh::MeshNetwork`] (Figure 4 of the paper) through
-//! [`noc::mesh::HopPlan`]s. They differ only in how their control plane
+//! Both organisations drive the reserving mesh router core,
+//! [`ReservingCore`] (Figure 4 of the paper), through [`HopPlan`]s. They differ only in how their control plane
 //! books routers (Section VI): PRA's [`ControlNetwork`] (Figure 5) and
 //! per-router LSD units book bounded multi-hop segments, FRFC's
 //! [`Waves`] one hop per cycle. [`ReservingMesh`] is the shell they share
@@ -24,9 +23,8 @@ use noc::cancel::CancelToken;
 use noc::config::NocConfig;
 use noc::digest::{StateDigest, StateHasher};
 use noc::flit::Packet;
-use noc::mesh::{HopPlan, MeshNetwork};
 use noc::network::{Delivered, Network};
-use noc::reserve::{FlitSource, Landing};
+use noc::reserve::{FlitSource, HopPlan, Landing, ReservingCore};
 use noc::stats::NetStats;
 use noc::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
@@ -62,11 +60,11 @@ pub trait ControlPlane {
     fn max_lag(&self) -> Cycle;
 
     /// Launches the control packet of `a` (due this cycle).
-    fn launch(&mut self, mesh: &MeshNetwork, a: &Announce);
+    fn launch(&mut self, mesh: &ReservingCore, a: &Announce);
 
     /// The plane's work for the coming cycle, `mesh.now() + 1`, before
     /// the mesh steps.
-    fn step(&mut self, mesh: &mut MeshNetwork);
+    fn step(&mut self, mesh: &mut ReservingCore);
 
     /// Control-plane statistics.
     fn stats(&self) -> &PraStats;
@@ -117,7 +115,7 @@ pub type PraNetwork = ReservingMesh<ControlNetwork>;
 /// A mesh whose reservation datapath is booked by the control plane `P`.
 #[derive(Debug)]
 pub struct ReservingMesh<P> {
-    mesh: MeshNetwork,
+    mesh: ReservingCore,
     plane: P,
     pending: Vec<Announce>,
     /// How many `pending` announces launch at a cycle congruent to each
@@ -174,7 +172,7 @@ impl<P: ControlPlane> ReservingMesh<P> {
     /// Builds the mesh of `cfg` under the control plane `plane`.
     pub(crate) fn with_plane(cfg: NocConfig, plane: P) -> Self {
         ReservingMesh {
-            mesh: MeshNetwork::new(cfg),
+            mesh: ReservingCore::new(cfg),
             plane,
             pending: Vec::new(),
             launches: vec![0; LAUNCH_WHEEL],
@@ -188,7 +186,7 @@ impl<P: ControlPlane> ReservingMesh<P> {
     }
 
     /// Read access to the underlying data network.
-    pub fn mesh(&self) -> &MeshNetwork {
+    pub fn mesh(&self) -> &ReservingCore {
         &self.mesh
     }
 

@@ -6,10 +6,10 @@
 //! evaluates on a 64-core tiled server processor:
 //!
 //! * [`mesh::MeshNetwork`] — the baseline 2-D mesh with a one-stage
-//!   speculative router pipeline (two cycles per hop at zero load). The
-//!   same datapath carries the PRA extensions of the paper's Figure 4
+//!   speculative router pipeline (two cycles per hop at zero load). Its
+//!   router core also carries the PRA extensions of the paper's Figure 4
 //!   (timeslot schedules, latch and bypass pseudo-VCs, reserved credits)
-//!   which stay inert until the `pra` crate's control plane drives them.
+//!   as [`reserve::ReservingCore`], which the `pra` crate's planes book.
 //! * [`smart::SmartNetwork`] — the SMART single-cycle multi-hop network
 //!   (two-stage pipeline plus SMART-hop setup; up to two tiles per cycle).
 //! * [`ideal::IdealNetwork`] — the hypothetical zero-router-delay network

@@ -1,11 +1,10 @@
 //! The mesh data network with a 1-stage speculative router pipeline.
 //!
-//! This is both the paper's **Mesh** baseline and the datapath of
-//! **Mesh+PRA** (Figure 4): every router carries the PRA extensions —
-//! per-output-port timeslot [`OutputSchedule`]s, a per-input-port latch,
-//! bypass paths, reserved credits and the multi-flit guard — but they stay
-//! inert until a control plane (the `pra` crate) installs reservations
-//! through [`MeshNetwork::install_hop`].
+//! [`MeshCore`] is the router core of both mesh organisations — buffers,
+//! credits, VC and switch allocation, XY routing and fault detours —
+//! generic over a [`Datapath`] policy: the paper's **Mesh** baseline is
+//! [`MeshNetwork`], the [`Plain`] instance, and **Mesh+PRA** (Figure 4)
+//! the [`Reserving`] one of [`crate::reserve`].
 //!
 //! # Pipeline timing
 //!
@@ -16,12 +15,14 @@
 //! load, exactly Table I's mesh. With reservations installed, a flit
 //! instead moves up to [`NocConfig::max_hops_per_cycle`] hops in a single
 //! cycle through preset crossbars, with no allocation cycles at all.
+//!
+//! [`Reserving`]: crate::reserve::Reserving
 
 use crate::arbiter::RoundRobin;
 use crate::buffer::{BufferError, InputUnit};
 use crate::cancel::CancelToken;
 use crate::config::{NocConfig, MAX_VCS_PER_PORT};
-use crate::credit::{MultiFlitGuard, OutVc};
+use crate::credit::OutVc;
 use crate::digest::{StateDigest, StateHasher};
 use crate::faults::{FaultEvent, FaultState, FaultStats};
 use crate::flit::{Flit, Packet};
@@ -29,10 +30,9 @@ use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueue
 use crate::reliable::{
     escalation_action, EjectNote, EscalationAction, RelOrder, ReliableLayer, ReliableStats,
 };
-use crate::reserve::{DueEntry, DueIndex, FlitSource, Landing, OutputSchedule, Reservation};
 use crate::routing::{neighbor, route_port, Route};
 use crate::stats::NetStats;
-use crate::types::{Cycle, Direction, MessageClass, NodeId, PacketId, Port};
+use crate::types::{Cycle, Direction, NodeId, PacketId, Port};
 use crate::watchdog::AuditReport;
 
 use niobs::Event;
@@ -46,7 +46,7 @@ use std::collections::BTreeMap;
 /// induction (west hops are only ever taken from all-west states) all its
 /// earlier hops were west too. Any other input port means a non-west hop
 /// happened and west is forbidden from here on.
-fn west_ok_from(in_port: Port) -> bool {
+pub(crate) fn west_ok_from(in_port: Port) -> bool {
     in_port == Port::Local || in_port == Port::Dir(Direction::East)
 }
 
@@ -57,15 +57,11 @@ fn west_ok_from(in_port: Port) -> bool {
 /// per kind of state instead of a `Vec<Vec<_>>` of heap objects, so the
 /// hot loop walks cache lines with plain index arithmetic.
 #[derive(Debug)]
-struct Router {
+pub(crate) struct Router {
     /// Input units, indexed by [`Port::index`].
-    inputs: Vec<InputUnit>,
+    pub(crate) inputs: Vec<InputUnit>,
     /// Downstream credit/ownership state, flattened `port * vcs + vc`.
     out_vcs: Vec<OutVc>,
-    /// Multi-flit interleaving guards, flattened `port * vcs + vc`.
-    guards: Vec<MultiFlitGuard>,
-    /// PRA timeslot tables, one per output port.
-    schedules: Vec<OutputSchedule>,
     /// Which packet each input VC is currently streaming to which output
     /// port, flattened `in_port * vcs + vc`.
     active_out: Vec<Option<ActiveStream>>,
@@ -85,18 +81,13 @@ struct Router {
     /// (the only ways a flit enters or leaves an input VC) and excluded
     /// from the digest. Switch allocation and the LSD stall scan visit
     /// only its set bits, the request vector a hardware arbiter reads.
-    occ: u32,
+    pub(crate) occ: u32,
     /// Active-stream mask: bit `in_port * vcs + vc` is set iff
     /// `active_out` holds a stream for that VC — derived state, kept in
     /// sync by [`Router::set_active`] and excluded from the digest.
     /// Zero proves no stream holds an output port, which lets the LSD
     /// stall scan skip the router without reading any buffer fronts.
-    streams: u32,
-    /// Cycle each input VC's front was last read by a reactive grant,
-    /// flattened `in_port * vcs + vc` — derived state, excluded from the
-    /// digest. A forced move may not read a buffer a grant already read
-    /// in the same cycle.
-    grant_read_at: Vec<Cycle>,
+    pub(crate) streams: u32,
 }
 
 impl Router {
@@ -109,10 +100,6 @@ impl Router {
             out_vcs: (0..Port::COUNT * vcs)
                 .map(|_| OutVc::new(cfg.vc_depth))
                 .collect(),
-            guards: (0..Port::COUNT * vcs)
-                .map(|_| MultiFlitGuard::new())
-                .collect(),
-            schedules: (0..Port::COUNT).map(|_| OutputSchedule::new()).collect(),
             active_out: vec![None; Port::COUNT * vcs],
             port_lock: vec![None; Port::COUNT],
             sa_in: (0..Port::COUNT).map(|_| RoundRobin::new(vcs)).collect(),
@@ -122,7 +109,6 @@ impl Router {
             vcs,
             occ: 0,
             streams: 0,
-            grant_read_at: vec![0; Port::COUNT * vcs],
         }
     }
 
@@ -133,29 +119,18 @@ impl Router {
     }
 
     #[inline(always)]
-    fn out_vc(&self, port: usize, vc: usize) -> &OutVc {
+    pub(crate) fn out_vc(&self, port: usize, vc: usize) -> &OutVc {
         &self.out_vcs[self.pv(port, vc)]
     }
 
     #[inline(always)]
-    fn out_vc_mut(&mut self, port: usize, vc: usize) -> &mut OutVc {
+    pub(crate) fn out_vc_mut(&mut self, port: usize, vc: usize) -> &mut OutVc {
         let i = self.pv(port, vc);
         &mut self.out_vcs[i]
     }
 
     #[inline(always)]
-    fn guard(&self, port: usize, vc: usize) -> &MultiFlitGuard {
-        &self.guards[self.pv(port, vc)]
-    }
-
-    #[inline(always)]
-    fn guard_mut(&mut self, port: usize, vc: usize) -> &mut MultiFlitGuard {
-        let i = self.pv(port, vc);
-        &mut self.guards[i]
-    }
-
-    #[inline(always)]
-    fn active(&self, in_port: usize, vc: usize) -> Option<ActiveStream> {
+    pub(crate) fn active(&self, in_port: usize, vc: usize) -> Option<ActiveStream> {
         self.active_out[self.pv(in_port, vc)]
     }
 
@@ -174,7 +149,7 @@ impl Router {
     /// down so bit `vc` is that port's VC `vc`.
     // hot
     #[inline(always)]
-    fn port_bits(&self, mask: u32, port: usize) -> u32 {
+    pub(crate) fn port_bits(&self, mask: u32, port: usize) -> u32 {
         (mask >> (port * self.vcs)) & ((1 << self.vcs) - 1)
     }
 
@@ -202,7 +177,7 @@ impl Router {
     /// Dequeues the front flit of input VC `(port, vc)`.
     // hot
     #[inline]
-    fn pop(&mut self, port: usize, vc: usize) -> Option<Flit> {
+    pub(crate) fn pop(&mut self, port: usize, vc: usize) -> Option<Flit> {
         let flit = self.inputs[port].pop(vc);
         self.sync_occ(port, vc);
         flit
@@ -220,7 +195,7 @@ impl Router {
 /// Indices of the set bits of `mask`, in ascending order.
 // hot
 #[inline]
-fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
+pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;
@@ -233,8 +208,8 @@ fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
 /// A set of routers as a bitset, one bit per node, walked word by word
 /// with [`ones`].
 #[derive(Debug)]
-struct NodeSet {
-    words: Vec<u64>,
+pub(crate) struct NodeSet {
+    pub(crate) words: Vec<u64>,
 }
 
 impl NodeSet {
@@ -278,78 +253,40 @@ fn top_priority(mask: u32, prio: &[u8; 3], class_of: impl Fn(usize) -> usize) ->
 
 /// A packet currently streaming from an input VC to an output port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ActiveStream {
-    out_port: Port,
-    packet: PacketId,
-    len: u8,
+pub(crate) struct ActiveStream {
+    pub(crate) out_port: Port,
+    pub(crate) packet: PacketId,
+    pub(crate) len: u8,
     /// Flits granted (reactively) or force-moved through the port so far.
-    sent: u8,
+    pub(crate) sent: u8,
 }
 
 /// A switch-allocation grant awaiting its switch/link traversal cycle.
 #[derive(Debug, Clone, Copy)]
-struct Grant {
-    node: usize,
+pub(crate) struct Grant {
+    pub(crate) node: usize,
     in_port: Port,
     vc: usize,
-    out_port: Port,
-    packet: PacketId,
+    pub(crate) out_port: Port,
+    pub(crate) packet: PacketId,
     seq: u8,
 }
 
 /// A flit on a link, to be delivered at the start of the next cycle.
 #[derive(Debug, Clone, Copy)]
-struct Arrival {
-    node: usize,
-    in_port: Port,
-    vc: usize,
-    flit: Flit,
+pub(crate) struct Arrival {
+    pub(crate) node: usize,
+    pub(crate) in_port: Port,
+    pub(crate) vc: usize,
+    pub(crate) flit: Flit,
 }
 
 /// A credit travelling back upstream.
 #[derive(Debug, Clone, Copy)]
-struct CreditReturn {
-    node: usize,
-    out_port: Port,
-    vc: usize,
-}
-
-/// Result of validating a pre-allocated chain before execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ChainCheck {
-    /// The whole remaining path can execute.
-    Ok,
-    /// A structural problem (missing continuation, foreign owner): waste
-    /// the reservation and fall back to reactive routing.
-    Unsound,
-    /// A link on the path is faulted at its traversal cycle: waste the
-    /// reservation so the data survives on the baseline mesh — the PRA
-    /// graceful-degradation path.
-    Faulted,
-}
-
-/// Sort key of a reservation chain head at `(node, out_port)`: the
-/// tuple `(seq, packet, node, port)` packed into one integer with the
-/// same order.
-fn head_key(r: &Reservation, node: usize, out_port: Port) -> u128 {
-    (u128::from(r.seq) << 120)
-        | (u128::from(r.packet.0) << 56)
-        | ((node as u128) << 8)
-        | out_port.index() as u128
-}
-
-/// The `(node, out_port)` packed into a [`head_key`].
-fn head_location(key: u128) -> (usize, Port) {
-    let node = ((key >> 8) & ((1 << 48) - 1)) as usize;
-    (node, Port::from_index((key & 0xff) as usize))
-}
-
-/// Location of an installed reservation, kept for cancellation.
-#[derive(Debug, Clone, Copy)]
-struct ResvLoc {
-    node: usize,
-    out_port: Port,
-    cycle: Cycle,
+pub(crate) struct CreditReturn {
+    pub(crate) node: usize,
+    pub(crate) out_port: Port,
+    pub(crate) vc: usize,
 }
 
 /// Reusable per-cycle working buffers. Every buffer is drained or
@@ -359,105 +296,107 @@ struct ResvLoc {
 /// capacity and removes all steady-state heap traffic from the hot loop.
 #[derive(Debug, Default)]
 struct StepScratch {
-    /// Empty buffer ping-ponged with [`MeshNetwork::credit_returns`].
+    /// Empty buffer ping-ponged with [`MeshCore::credit_returns`].
     credits_free: Vec<CreditReturn>,
-    /// Empty buffer ping-ponged with [`MeshNetwork::arrivals`].
+    /// Empty buffer ping-ponged with [`MeshCore::arrivals`].
     arrivals_free: Vec<Arrival>,
-    /// Empty buffer ping-ponged with [`MeshNetwork::grants`].
+    /// Empty buffer ping-ponged with [`MeshCore::grants`].
     grants_free: Vec<Grant>,
-    /// Reservation chain heads pending execution this cycle, packed by
-    /// [`head_key`] so they sort as plain integers.
-    heads: Vec<u128>,
-    /// Slots removed by one expiry or cancellation, before release.
-    removed: Vec<(Cycle, Reservation)>,
-    /// Lanes of the current cycle still holding work after its chains
-    /// ran, handed from the reservation phase to the expiry phase (which
-    /// leaves it empty).
-    leftover: Vec<DueEntry>,
 }
 
-/// A head flit stalled behind another packet's multi-flit stream, as
-/// reported to the Long Stall Detection unit by
-/// [`MeshNetwork::stalled_heads_into`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StalledHead {
-    /// Router holding the stalled flit.
-    pub node: NodeId,
-    /// Input port of the stalled flit.
-    pub in_port: Port,
-    /// Virtual channel of the stalled flit.
-    pub vc: usize,
-    /// The stalled head flit.
-    pub flit: Flit,
-    /// Output port it waits for.
-    pub out_port: Port,
-    /// Packet currently streaming through that port.
-    pub blocker: PacketId,
-    /// First cycle the port is free for traversals: the blocking stream
-    /// drains deterministically until then.
-    pub release: Cycle,
-}
+/// What a router datapath adds to the shared [`MeshCore`]: per-router
+/// structure the core consults at a few hooks of its step, the way a
+/// hardware router's parameters add or omit structure at elaboration.
+///
+/// Every hook defaults to a router without such structure, so [`Plain`]
+/// overrides nothing and its hooks compile to constants and empty
+/// bodies. The default digest hooks write the bytes of empty reservation
+/// state, so a plain mesh digests as a reserving one with nothing booked.
+pub trait Datapath: Sized + std::fmt::Debug {
+    /// Builds the datapath state for a mesh of `cfg`.
+    fn new(cfg: &NocConfig) -> Self;
 
-/// Description of one hop of a proactively allocated path, installed by
-/// the PRA control plane. `start` is the cycle the packet's *head* flit
-/// traverses this router's `out_port`; flit `s` traverses at `start + s`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HopPlan {
-    /// Router performing the traversal.
-    pub node: NodeId,
-    /// Output port being reserved.
-    pub out_port: Port,
-    /// Cycle of the head flit's traversal.
-    pub start: Cycle,
-    /// Packet being pre-allocated.
-    pub packet: PacketId,
-    /// Packet length in flits (every flit gets a slot).
-    pub len: u8,
-    /// Message class (selects VC and guard).
-    pub class: MessageClass,
-    /// Where each flit is read from at this router.
-    pub source: FlitSource,
-    /// What happens at the downstream router.
-    pub landing: Landing,
-    /// Downstream credits to reserve for a [`Landing::Vc`] landing. The
-    /// paper's PRA always books the full packet (`len`); flit-granular
-    /// schemes (FRFC) book only their peak occupancy.
-    pub reserve: u8,
-}
+    /// Whether output port `p` of router `node` refuses a reactive bid
+    /// of `packet` for a traversal at `cycle`.
+    fn refuses(
+        &self,
+        _node: usize,
+        _p: usize,
+        _packet: PacketId,
+        _cycle: Cycle,
+        _stats: &mut NetStats,
+    ) -> bool {
+        false
+    }
 
-/// Why a [`HopPlan`] could not be installed.
-#[must_use]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstallError {
-    /// A timeslot on the output port is already reserved by another packet.
-    SlotTaken,
-    /// A reactive grant already committed the port for one of the cycles.
-    PortCommitted,
-    /// The downstream VC cannot cover the whole packet (credits, a foreign
-    /// reservation, or an owner with unknown drain time).
-    NoDownstreamBuffer,
-    /// The downstream latch is claimed by another packet in the window.
-    LatchBusy,
-    /// The output port leads off the mesh edge (control-plane routing bug).
-    NoSuchNeighbor,
-}
+    /// Whether multi-flit `packet` may claim VC `vc` of output port `p`
+    /// of router `node`.
+    fn admits(&self, _node: usize, _p: usize, _vc: usize, _packet: PacketId) -> bool {
+        true
+    }
 
-impl std::fmt::Display for InstallError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            InstallError::SlotTaken => "timeslot already reserved",
-            InstallError::PortCommitted => "port committed to a reactive grant",
-            InstallError::NoDownstreamBuffer => "downstream buffer unavailable for the full packet",
-            InstallError::LatchBusy => "downstream latch claimed by another packet",
-            InstallError::NoSuchNeighbor => "output port leaves the mesh",
-        };
-        f.write_str(s)
+    /// A reactive grant read `flit` from input VC `(in_port, vc)` of
+    /// router `node` at cycle `now`, for output port `out_port`.
+    fn granted(
+        &mut self,
+        _node: usize,
+        _in_port: usize,
+        _vc: usize,
+        _out_port: usize,
+        _flit: &Flit,
+        _now: Cycle,
+    ) {
+    }
+
+    /// The step's datapath phase, between reactive traversal and
+    /// allocation.
+    fn execute(_net: &mut MeshCore<Self>) {}
+
+    /// The step's closing phase, after allocation.
+    fn expire(_net: &mut MeshCore<Self>) {}
+
+    /// Removes every trace of `packet` (a fault purge).
+    fn purge(_net: &mut MeshCore<Self>, _packet: PacketId) {}
+
+    /// The packets in `delivered` have just left the network.
+    fn delivered(_net: &mut MeshCore<Self>, _delivered: &[Delivered]) {}
+
+    /// Whether the datapath holds nothing a step could change.
+    fn quiescent(_net: &MeshCore<Self>) -> bool {
+        true
+    }
+
+    /// Folds router `node`'s state (`vcs` VCs per port) into `h`,
+    /// between its output VCs and its streams: by default one clear
+    /// multi-flit guard per output VC and one empty timeslot table per
+    /// output port.
+    fn digest_router(&self, _node: usize, vcs: usize, h: &mut StateHasher) {
+        for _ in 0..Port::COUNT * vcs {
+            h.write_opt_u64(None);
+        }
+        for _ in 0..Port::COUNT {
+            h.write_usize(0);
+        }
+    }
+
+    /// Folds network-wide state into `h`, between the credits in flight
+    /// and the fault state: by default an empty reservation index.
+    fn digest(&self, h: &mut StateHasher) {
+        h.write_usize(0);
     }
 }
 
-impl std::error::Error for InstallError {}
+/// The baseline router datapath: no structure beyond the core.
+#[derive(Debug)]
+pub struct Plain;
 
-/// The mesh network (baseline and PRA datapath).
+impl Datapath for Plain {
+    fn new(_cfg: &NocConfig) -> Self {
+        Plain
+    }
+}
+
+/// The paper's baseline mesh.
 ///
 /// # Examples
 ///
@@ -479,38 +418,27 @@ impl std::error::Error for InstallError {}
 /// let delivered = net.run_to_drain(1_000);
 /// assert_eq!(delivered.len(), 1);
 /// ```
+pub type MeshNetwork = MeshCore<Plain>;
+
+/// The mesh router core over the datapath `D` (see the module docs).
 #[derive(Debug)]
-pub struct MeshNetwork {
-    cfg: NocConfig,
-    now: Cycle,
-    routers: Vec<Router>,
-    sources: Vec<SourceQueues>,
-    reasm: Vec<Reassembly>,
-    ledger: DeliveryLedger,
-    grants: Vec<Grant>,
-    arrivals: Vec<Arrival>,
-    credit_returns: Vec<CreditReturn>,
-    resv_index: BTreeMap<PacketId, Vec<ResvLoc>>,
-    /// Emptied `resv_index` location lists, kept for their capacity so a
-    /// pre-allocated packet reuses a retired packet's list.
-    loc_pool: Vec<Vec<ResvLoc>>,
-    /// Which `(router, lane)` pairs hold reserved slots or latch claims
-    /// at which cycle — derived state, excluded from the digest. Every
-    /// slot and latch claim is filed here when it is installed, so the
-    /// reservation phases visit only the lanes with work due.
-    due: DueIndex,
-    /// Lanes holding work at or before the current cycle — slots no
-    /// chain consumed, latch claims, anything booked behind the clock —
-    /// for the next step's expiry pass. Derived state, excluded from the
-    /// digest.
-    expiring: Vec<DueEntry>,
+pub struct MeshCore<D> {
+    pub(crate) cfg: NocConfig,
+    pub(crate) now: Cycle,
+    pub(crate) routers: Vec<Router>,
+    pub(crate) sources: Vec<SourceQueues>,
+    pub(crate) reasm: Vec<Reassembly>,
+    pub(crate) ledger: DeliveryLedger,
+    pub(crate) grants: Vec<Grant>,
+    pub(crate) arrivals: Vec<Arrival>,
+    pub(crate) credit_returns: Vec<CreditReturn>,
     /// Flit traversals per directed link, indexed `node * 4 + direction`.
-    link_use: Vec<u64>,
-    stats: NetStats,
+    pub(crate) link_use: Vec<u64>,
+    pub(crate) stats: NetStats,
     /// Fault-injection state; `None` (no plan configured) makes every
     /// fault hook a no-op and the datapath bit-identical to a build
     /// without the subsystem.
-    faults: Option<FaultState>,
+    pub(crate) faults: Option<FaultState>,
     /// End-to-end reliable-delivery overlay; `None` (the default) keeps
     /// every hook a no-op and the digest byte-identical to a build
     /// without the subsystem (see [`crate::reliable`]).
@@ -530,25 +458,27 @@ pub struct MeshNetwork {
     /// [`Network::set_skip_ahead`]).
     skip_ahead: bool,
     /// Cached quiescence verdict: `true` only while the fabric is
-    /// provably idle (see [`MeshNetwork::is_quiescent`]); cleared by
+    /// provably idle (see [`MeshCore::is_quiescent`]); cleared by
     /// every operation that introduces new work.
-    idle: bool,
+    pub(crate) idle: bool,
     /// Conservative per-node activity set — derived state, excluded
     /// from the digest. Node `n` is inserted whenever a flit enters one
     /// of its input VCs and removed lazily when a scan finds the router
     /// drained, so absence *proves* the router holds no buffered flits
     /// (while presence may be stale). Skipping an absent node is
     /// therefore bit-exact, never a behaviour change.
-    buffered_nodes: NodeSet,
+    pub(crate) buffered_nodes: NodeSet,
     /// Same contract for NI source-queue occupancy (inserted on inject,
     /// removed lazily by `inject_from_sources`).
     source_nodes: NodeSet,
     /// Observability handle; detached by default (every hook is then a
     /// single branch).
     obs: niobs::ObsHandle,
+    /// The datapath policy's state.
+    pub(crate) dp: D,
 }
 
-impl MeshNetwork {
+impl<D: Datapath> MeshCore<D> {
     /// Builds a mesh for `cfg`.
     ///
     /// # Panics
@@ -559,7 +489,7 @@ impl MeshNetwork {
         let n = cfg.nodes();
         let faults = cfg.faults.clone().map(|plan| FaultState::new(plan, &cfg));
         let reliable = cfg.reliability.map(|rc| ReliableLayer::new(rc, n));
-        MeshNetwork {
+        MeshCore {
             faults,
             reliable,
             rel_orders: Vec::new(),
@@ -571,10 +501,6 @@ impl MeshNetwork {
             grants: Vec::new(),
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
-            resv_index: BTreeMap::new(),
-            loc_pool: Vec::new(),
-            due: DueIndex::new(),
-            expiring: Vec::new(),
             link_use: vec![0; n * 4],
             stats: NetStats::new(),
             cancel: CancelToken::new(),
@@ -583,6 +509,7 @@ impl MeshNetwork {
             idle: false,
             buffered_nodes: NodeSet::new(n),
             source_nodes: NodeSet::new(n),
+            dp: D::new(&cfg),
             cfg,
             now: 0,
             obs: niobs::ObsHandle::disabled(),
@@ -593,7 +520,7 @@ impl MeshNetwork {
     /// runs only when a sink is attached, so hooks cost one branch on
     /// the unobserved path.
     #[inline]
-    fn emit(&self, make: impl FnOnce() -> niobs::Event) {
+    pub(crate) fn emit(&self, make: impl FnOnce() -> niobs::Event) {
         self.obs.emit(self.now, make);
     }
 
@@ -603,444 +530,15 @@ impl MeshNetwork {
         self.link_use[node.index() * 4 + dir as usize]
     }
 
-    // ------------------------------------------------------------------
-    // PRA integration surface (used by the `pra` crate's control plane)
-    // ------------------------------------------------------------------
-
     /// The cycle currently being (or about to be) executed: reservations
     /// may only target cycles `>= upcoming_cycle()`.
     pub fn upcoming_cycle(&self) -> Cycle {
         self.now + 1
     }
 
-    /// Checks whether `plan` can be installed without touching any state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`InstallError`] encountered.
-    pub fn check_hop(&self, plan: &HopPlan) -> Result<(), InstallError> {
-        let node = plan.node.index();
-        let router = &self.routers[node];
-        let p = plan.out_port.index();
-        let window = plan.start..plan.start + plan.len as Cycle;
-
-        if !router.schedules[p].range_free(window.clone(), plan.packet) {
-            return Err(InstallError::SlotTaken);
-        }
-        // A reactive grant may already hold the port for the very next
-        // cycle (grants are only ever pending for one cycle ahead).
-        if window.contains(&self.upcoming_cycle())
-            && self.port_granted_to_other(node, plan.out_port, plan.packet)
-        {
-            return Err(InstallError::PortCommitted);
-        }
-        match plan.landing {
-            Landing::Vc(vc) => {
-                if plan.out_port == Port::Local {
-                    // Ejection into the NI: always sinkable.
-                    return Ok(());
-                }
-                let out_vc = router.out_vc(p, vc);
-                // All requested credits must be reservable and the stream
-                // must be provably clear by `start`.
-                if out_vc.reserved_for().is_some_and(|h| h != plan.packet) {
-                    return Err(InstallError::NoDownstreamBuffer);
-                }
-                let already = if out_vc.reserved_for() == Some(plan.packet) {
-                    out_vc.reserved()
-                } else {
-                    0
-                };
-                if out_vc.credits().saturating_sub(out_vc.reserved() - already)
-                    < plan.reserve + already
-                {
-                    return Err(InstallError::NoDownstreamBuffer);
-                }
-                match out_vc.owner() {
-                    None => {}
-                    Some(o) if o == plan.packet => {}
-                    Some(_) if out_vc.free_after().is_none_or(|c| c > plan.start) => {
-                        return Err(InstallError::NoDownstreamBuffer);
-                    }
-                    Some(_) => {}
-                }
-                Ok(())
-            }
-            Landing::Latch => {
-                let dir = plan
-                    .out_port
-                    .direction()
-                    .expect("latch landing requires a directional port");
-                let next =
-                    neighbor(&self.cfg, plan.node, dir).ok_or(InstallError::NoSuchNeighbor)?;
-                let in_port = Port::Dir(dir.opposite());
-                let iu = &self.routers[next.index()].inputs[in_port.index()];
-                if iu.latch_available(window.start..window.end + 1, plan.packet) {
-                    Ok(())
-                } else {
-                    Err(InstallError::LatchBusy)
-                }
-            }
-            Landing::Bypass => {
-                // The downstream router's own reservation (installed as part
-                // of the same segment) carries the resource checks.
-                let dir = plan
-                    .out_port
-                    .direction()
-                    .expect("bypass landing requires a directional port");
-                neighbor(&self.cfg, plan.node, dir)
-                    .map(|_| ())
-                    .ok_or(InstallError::NoSuchNeighbor)
-            }
-        }
-    }
-
-    /// Whether a pending reactive grant holds `(node, out_port)` for a
-    /// packet other than `packet`. The allocator commits grants in
-    /// ascending node order and purges remove them in place, so `grants`
-    /// stays sorted by node and the node's grants are found by binary
-    /// search.
-    fn port_granted_to_other(&self, node: usize, out_port: Port, packet: PacketId) -> bool {
-        let first = self.grants.partition_point(|g| g.node < node);
-        self.grants[first..]
-            .iter()
-            .take_while(|g| g.node == node)
-            .any(|g| g.out_port == out_port && g.packet != packet)
-    }
-
-    /// Files a slot or latch claim in the due index. Work booked at or
-    /// behind the clock can never execute; it goes straight to the next
-    /// expiry pass.
-    fn note_due(&mut self, e: DueEntry) {
-        if e.cycle <= self.now {
-            self.expiring.push(e);
-        } else {
-            self.due.file(e);
-        }
-    }
-
-    /// Claims the latch of `(node, in_port)` for `packet` over `window`,
-    /// filing one due-index entry per claimed cycle for expiry.
-    fn claim_latch(
-        &mut self,
-        node: usize,
-        in_port: Port,
-        window: std::ops::Range<Cycle>,
-        packet: PacketId,
-    ) {
-        self.routers[node].inputs[in_port.index()].latch_claim(window.clone(), packet);
-        for cycle in window {
-            self.note_due(DueEntry::latch_at(cycle, node, in_port));
-        }
-    }
-
-    /// Installs `plan`, reserving timeslots, downstream buffer credits,
-    /// latch claims and the multi-flit guard.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the same conditions as [`MeshNetwork::check_hop`];
-    /// nothing is modified on failure.
-    pub fn install_hop(&mut self, plan: &HopPlan) -> Result<(), InstallError> {
-        self.check_hop(plan)?;
-        self.commit_hop(plan);
-        Ok(())
-    }
-
-    /// Installs `plan` without checking it again: the caller has just
-    /// passed it through [`MeshNetwork::check_hop`] and changed nothing
-    /// the check reads since (the control plane's segment step checks
-    /// both routers of a segment before committing either).
-    pub fn commit_hop(&mut self, plan: &HopPlan) {
-        debug_assert_eq!(
-            self.check_hop(plan),
-            Ok(()),
-            "committed hop must pass its check"
-        );
-        let node = plan.node.index();
-        let p = plan.out_port.index();
-        let vc = plan.class.vc();
-        let window = plan.start..plan.start + plan.len as Cycle;
-
-        let locs = self
-            .resv_index
-            .entry(plan.packet)
-            .or_insert_with(|| self.loc_pool.pop().unwrap_or_default());
-        for s in 0..plan.len {
-            let cycle = plan.start + s as Cycle;
-            let ok = self.routers[node].schedules[p].try_insert(
-                cycle,
-                Reservation {
-                    packet: plan.packet,
-                    seq: s,
-                    source: plan.source,
-                    landing: plan.landing,
-                },
-            );
-            debug_assert!(ok, "checked slot must insert");
-            locs.push(ResvLoc {
-                node,
-                out_port: plan.out_port,
-                cycle,
-            });
-        }
-        for cycle in window.clone() {
-            self.note_due(DueEntry::slot_at(cycle, node, plan.out_port));
-        }
-        match plan.landing {
-            Landing::Vc(lvc) if plan.out_port != Port::Local => {
-                let reserved = self.routers[node].out_vc_mut(p, lvc).try_reserve(
-                    plan.packet,
-                    plan.reserve,
-                    plan.start,
-                );
-                debug_assert!(reserved, "checked reservation must succeed");
-            }
-            Landing::Latch => {
-                let dir = plan.out_port.direction().expect("checked directional");
-                let next = neighbor(&self.cfg, plan.node, dir).expect("checked neighbor");
-                let in_port = Port::Dir(dir.opposite());
-                // Occupied from each flit's store cycle through its read in
-                // the following cycle.
-                self.claim_latch(
-                    next.index(),
-                    in_port,
-                    window.start..window.end + 1,
-                    plan.packet,
-                );
-            }
-            _ => {}
-        }
-        self.routers[node].guard_mut(p, vc).set(plan.packet);
-        self.idle = false;
-        self.emit(|| Event::ReservationInstalled {
-            packet: plan.packet.0,
-            node: node as u64,
-            out_port: p as u8,
-            start: plan.start,
-            len: plan.len,
-        });
-    }
-
-    /// Converts a previously installed full-buffer landing into `landing`
-    /// (the ACK signal: the next segment allocated successfully, so the
-    /// packet passes through instead of stopping). Releases the reserved
-    /// downstream credits; a conversion to [`Landing::Latch`] also claims
-    /// the downstream latch over `window` (callers must have verified
-    /// availability via [`MeshNetwork::latch_available`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn convert_landing(
-        &mut self,
-        node: NodeId,
-        out_port: Port,
-        packet: PacketId,
-        window: std::ops::Range<Cycle>,
-        landing: Landing,
-        len: u8,
-        class: MessageClass,
-    ) {
-        let router = &mut self.routers[node.index()];
-        let p = out_port.index();
-        let updated = router.schedules[p].update_landing(window.clone(), packet, landing);
-        debug_assert!(
-            updated == len as usize,
-            "ACK found {updated} of {len} slots to convert (callers must check \
-             reserved_slots_of first)"
-        );
-        router
-            .out_vc_mut(p, class.vc())
-            .release_reservation(packet, len);
-        self.idle = false;
-        if landing == Landing::Latch {
-            let dir = out_port.direction().expect("latch landing is directional");
-            let next = neighbor(&self.cfg, node, dir).expect("landing stays on mesh");
-            let in_port = Port::Dir(dir.opposite());
-            // The latch is occupied from the store cycle through the read
-            // cycle of the last flit: one cycle beyond the write window.
-            self.claim_latch(next.index(), in_port, window.start..window.end + 1, packet);
-        }
-    }
-
-    /// Whether the latch of `(node, in_port)` is free for `packet` over
-    /// `window` (same-packet claims never conflict).
-    pub fn latch_available(
-        &self,
-        node: NodeId,
-        in_port: Port,
-        window: std::ops::Range<Cycle>,
-        packet: PacketId,
-    ) -> bool {
-        self.routers[node.index()].inputs[in_port.index()].latch_available(window, packet)
-    }
-
-    /// Whether `packet` holds any outstanding reservation anywhere in the
-    /// network (used to avoid launching redundant control packets).
-    pub fn has_reservations(&self, packet: PacketId) -> bool {
-        self.resv_index.contains_key(&packet)
-    }
-
-    /// How many of `packet`'s slots remain on `(node, out_port)` within
-    /// `window` (used by the control plane to verify a landing is still
-    /// convertible before sending an ACK).
-    pub fn reserved_slots_of(
-        &self,
-        node: NodeId,
-        out_port: Port,
-        packet: PacketId,
-        window: std::ops::Range<Cycle>,
-    ) -> usize {
-        self.routers[node.index()].schedules[out_port.index()].count_of(packet, window)
-    }
-
     /// Read access to downstream-VC credit state.
     pub fn out_vc(&self, node: NodeId, out_port: Port, vc: usize) -> &OutVc {
         self.routers[node.index()].out_vc(out_port.index(), vc)
-    }
-
-    /// Appends the packets stalled for the Long Stall Detection unit to
-    /// `out`, in ascending node order: one [`StalledHead`] for each input
-    /// VC whose front is a head flit that wants an output port currently
-    /// streaming another packet, when that stream drains deterministically
-    /// (all its remaining flits buffered here with enough downstream
-    /// credits) and frees the port by cycle `horizon`.
-    // hot
-    pub fn stalled_heads_into(&self, horizon: Cycle, out: &mut Vec<StalledHead>) {
-        for (w, &word) in self.buffered_nodes.words.iter().enumerate() {
-            // A node outside `buffered_nodes` holds no flits, hence no
-            // fronts and no stalls.
-            for n in ones(word).map(|b| w * 64 + b) {
-                self.stalled_heads_at(n, horizon, out);
-            }
-        }
-    }
-
-    /// [`MeshNetwork::stalled_heads_into`] for router `n`, walking only
-    /// its active streams and occupied input VCs.
-    // hot
-    fn stalled_heads_at(&self, n: usize, horizon: Cycle, out: &mut Vec<StalledHead>) {
-        let router = &self.routers[n];
-        // An empty `occ` leaves no front to stall; an empty `streams`
-        // leaves no stream holding an output port, so nothing can
-        // block a front. Skipping either case is exact.
-        if router.occ == 0 || router.streams == 0 {
-            return;
-        }
-        let here = NodeId::new(n as u16);
-        // The first stream (in input-port, VC order) holding each output
-        // port, and the first one after it of a different packet: a
-        // front never waits behind its own packet, so one of the two is
-        // its blocker. Each comes with its release cycle when that is
-        // due by `horizon`.
-        type Blocker = Option<(ActiveStream, Option<Cycle>)>;
-        let mut first: [Blocker; Port::COUNT] = [None; Port::COUNT];
-        let mut other: [Blocker; Port::COUNT] = [None; Port::COUNT];
-        let mut any_due = false;
-        for ip in 0..Port::COUNT {
-            for v in ones(u64::from(router.port_bits(router.streams, ip))) {
-                let st = router.active(ip, v).expect("stream mask is exact");
-                let p = st.out_port.index();
-                let slot = match first[p] {
-                    None => &mut first[p],
-                    Some((f, _)) if other[p].is_none() && f.packet != st.packet => &mut other[p],
-                    Some(_) => continue,
-                };
-                let release = self
-                    .deterministic_finish(here, v, st, st.out_port)
-                    .filter(|&c| c <= horizon);
-                any_due |= release.is_some();
-                *slot = Some((st, release));
-            }
-        }
-        if !any_due {
-            return;
-        }
-        for in_port in Port::ALL {
-            let ip = in_port.index();
-            for vc in ones(u64::from(router.port_bits(router.occ, ip))) {
-                let front = router.inputs[ip]
-                    .vc(vc)
-                    .front()
-                    .expect("occupancy is exact");
-                if !front.is_head() {
-                    continue;
-                }
-                let Some(out_port) = self.route_out(here, front.dest, west_ok_from(in_port)) else {
-                    continue;
-                };
-                if out_port == Port::Local {
-                    continue;
-                }
-                let p = out_port.index();
-                let blocking = match first[p] {
-                    Some((st, _)) if st.packet == front.packet => other[p],
-                    found => found,
-                };
-                let Some((stream, Some(release))) = blocking else {
-                    continue;
-                };
-                out.push(StalledHead {
-                    node: here,
-                    in_port,
-                    vc,
-                    flit: *front,
-                    out_port,
-                    blocker: stream.packet,
-                    release,
-                });
-            }
-        }
-    }
-
-    /// Predicts when the blocking `stream` frees `out_port`. The paper's
-    /// condition: with enough downstream buffers for the whole in-transfer
-    /// packet, the stream drains one flit per cycle and the end of the
-    /// transmission is exactly determined. If the prediction is ever wrong
-    /// (the stream starves upstream), the resulting reservation simply
-    /// wastes and is counted — it can never corrupt the stream, because
-    /// forced moves re-validate ownership at execution time.
-    fn deterministic_finish(
-        &self,
-        node: NodeId,
-        blk_vc: usize,
-        stream: ActiveStream,
-        out_port: Port,
-    ) -> Option<Cycle> {
-        let router = &self.routers[node.index()];
-        let remaining = stream.len.saturating_sub(stream.sent);
-        if remaining == 0 {
-            // Tail already granted: the port frees after the pending
-            // traversal.
-            return Some(self.upcoming_cycle() + 1);
-        }
-        if out_port != Port::Local {
-            let out_vc = router.out_vc(out_port.index(), blk_vc);
-            if out_vc.usable_credits(stream.packet) < remaining {
-                return None;
-            }
-        }
-        // Remaining flits are granted at cycles upcoming..upcoming+remaining-1
-        // and traverse one cycle later each; the port's last busy cycle is
-        // upcoming + remaining, so it is free from upcoming + remaining + 1.
-        Some(self.upcoming_cycle() + remaining as Cycle + 1)
-    }
-
-    /// Marks the blocking stream on `(node, out_port, vc)` as draining
-    /// deterministically until `cycle` so PRA allocation can reserve slots
-    /// past it.
-    pub fn mark_free_after(&mut self, node: NodeId, out_port: Port, vc: usize, cycle: Cycle) {
-        self.routers[node.index()]
-            .out_vc_mut(out_port.index(), vc)
-            .set_free_after(cycle);
-    }
-
-    /// Injection backlog of `(node, class)`: flits still queued in the NI
-    /// plus flits of other packets occupying the local input VC. The
-    /// control plane only launches source pre-allocation when the path to
-    /// the first link is predictable (backlog 0).
-    pub fn source_backlog(&self, node: NodeId, class: MessageClass) -> usize {
-        let q = self.sources[node.index()].queues[class.vc()].len();
-        let buf = self.routers[node.index()].inputs[Port::Local.index()].vc(class.vc());
-        q + buf.len()
     }
 
     // ------------------------------------------------------------------
@@ -1099,7 +597,7 @@ impl MeshNetwork {
     /// identity), and a duplicate is suppressed — dropped from the
     /// ledger without touching delivery stats.
     // hot
-    fn eject_complete(&mut self, head: Flit, node: usize) {
+    pub(crate) fn eject_complete(&mut self, head: Flit, node: usize) {
         if self.reliable.is_some() {
             let note = self
                 .reliable
@@ -1227,16 +725,15 @@ impl MeshNetwork {
                 ),
             }
             let flit = router.pop(ip, g.vc).expect("front exists");
-            let i = router.pv(ip, g.vc);
-            router.grant_read_at[i] = self.now;
+            self.dp
+                .granted(g.node, ip, g.vc, g.out_port.index(), &flit, self.now);
             self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit);
         }
         self.scratch.grants_free = grants;
     }
 
     /// Tail of a reactive single-hop traversal: stages the arrival,
-    /// returns the upstream credit, and releases ownership and guards on
-    /// tails. The credit on the downstream VC was already consumed at
+    /// returns the upstream credit, and releases ownership on tails. The credit on the downstream VC was already consumed at
     /// grant time.
     // hot
     fn finish_traversal(
@@ -1248,16 +745,7 @@ impl MeshNetwork {
         flit: Flit,
     ) {
         self.stats.local_grants += 1;
-        // Credit back to the upstream router for the slot just freed.
-        if let Port::Dir(d) = in_port {
-            let here = NodeId::new(node as u16);
-            let upstream = neighbor(&self.cfg, here, d).expect("flit arrived from a real neighbor");
-            self.credit_returns.push(CreditReturn {
-                node: upstream.index(),
-                out_port: Port::Dir(d.opposite()),
-                vc,
-            });
-        }
+        self.return_upstream_credit(node, in_port, vc);
         match out_port {
             Port::Local => {
                 self.stage_arrival_local(node, flit);
@@ -1283,11 +771,23 @@ impl MeshNetwork {
             }
         }
         if flit.is_tail() {
-            let p = out_port.index();
             self.routers[node]
-                .out_vc_mut(p, vc)
+                .out_vc_mut(out_port.index(), vc)
                 .release_owner(flit.packet);
-            self.routers[node].guard_mut(p, vc).clear(flit.packet);
+        }
+    }
+
+    /// Sends the credit of the input-VC slot `(in_port, vc)` of `node`
+    /// just freed back to the upstream router (the local port has none).
+    pub(crate) fn return_upstream_credit(&mut self, node: usize, in_port: Port, vc: usize) {
+        if let Port::Dir(d) = in_port {
+            let here = NodeId::new(node as u16);
+            let upstream = neighbor(&self.cfg, here, d).expect("flit arrived from a real neighbor");
+            self.credit_returns.push(CreditReturn {
+                node: upstream.index(),
+                out_port: Port::Dir(d.opposite()),
+                vc,
+            });
         }
     }
 
@@ -1298,477 +798,6 @@ impl MeshNetwork {
             vc: flit.class.vc(),
             flit,
         });
-    }
-
-    /// Executes reservations scheduled for the current cycle (the PRA
-    /// arbiter's cycle: preset crossbars, up to `max_hops_per_cycle` hops).
-    // hot
-    fn execute_reservations(&mut self) {
-        // Collect chain heads: reservations at `now` whose source is not a
-        // bypass (bypass slots are consumed as chain continuations).
-        // Executed in ascending flit-sequence order: within a packet the
-        // chain that READS a latch moves flit `s` while the upstream chain
-        // WRITES flit `s + 1` into the same latch this cycle, so the read
-        // must come first.
-        // Only ports filed in the due index for `now` can hold a slot
-        // now; a port filed twice yields the same head twice, and the
-        // sort brings the copies together for `dedup`.
-        let mut heads = std::mem::take(&mut self.scratch.heads);
-        for e in self.due.at(self.now) {
-            let Some(out_port) = e.slot() else {
-                continue;
-            };
-            let node = usize::from(e.node);
-            if let Some(r) = self.routers[node].schedules[out_port.index()].get(self.now) {
-                if !matches!(r.source, FlitSource::Bypass { .. }) {
-                    heads.push(head_key(r, node, out_port));
-                }
-            }
-        }
-        heads.sort_unstable();
-        heads.dedup();
-        for &key in &heads {
-            let (node, out_port) = head_location(key);
-            let Some(resv) = self.routers[node].schedules[out_port.index()].take(self.now) else {
-                continue; // consumed by an earlier chain this cycle
-            };
-            self.execute_chain(node, out_port, resv);
-        }
-        heads.clear();
-        self.scratch.heads = heads;
-        // Lanes of this cycle that still hold work (a slot no chain
-        // consumed, a latch claim) expire next step; the rest are done.
-        // Checked now, while the lanes are still in cache: nothing until
-        // the expiry pass adds work at or before this cycle.
-        let mut leftover = std::mem::take(&mut self.scratch.leftover);
-        self.due.take(self.now, &mut leftover);
-        leftover.retain(|e| {
-            let router = &self.routers[usize::from(e.node)];
-            match e.slot() {
-                Some(p) => router.schedules[p.index()].holds_before(self.now + 1),
-                None => router.inputs[e.latch().expect("latch lane").index()].has_latch_claims(),
-            }
-        });
-        self.scratch.leftover = leftover;
-    }
-
-    /// Read-only validation that the **entire remaining pre-allocated
-    /// path** of the flit behind `resv` can execute, walking bypass
-    /// continuations (same cycle) and latch parkings (subsequent cycles)
-    /// up to the final buffer landing, whose VC must not be owned by a
-    /// foreign packet mid-stream (which would interleave flits).
-    ///
-    /// Only chains that read from a *buffer* are validated: once a flit
-    /// leaves its buffer onto a pre-allocated path, the path is immutable
-    /// (guards block foreign multi-flit heads, reserved credits block
-    /// foreign reservations), so latch-source chains always proceed —
-    /// a flit in a latch has nowhere else to go. (This also means a
-    /// latch-parked flit rides out a transient fault on its next link:
-    /// pre-transmission faults only gate entry into the fabric's moving
-    /// parts, never flits already committed to a preset path.)
-    ///
-    /// Under fault injection, every link on the path is additionally
-    /// checked against the fault horizon of its traversal cycle; a
-    /// faulted link cancels the chain ([`ChainCheck::Faulted`]) so the
-    /// flit falls back to reactive routing.
-    fn chain_check(&self, node: usize, out_port: Port, resv: &Reservation) -> ChainCheck {
-        if matches!(resv.source, FlitSource::Latch { .. }) {
-            return ChainCheck::Ok;
-        }
-        let mut cur_node = node;
-        let mut cur_out = out_port;
-        let mut landing = resv.landing;
-        let mut cycle = self.now;
-        let (packet, seq) = (resv.packet, resv.seq);
-        let Some(dest) = self.find_resv_dest(node, resv) else {
-            return ChainCheck::Unsound;
-        };
-        loop {
-            if let Port::Dir(d) = cur_out {
-                if !self.chain_link_usable(cur_node, d, cycle) {
-                    return ChainCheck::Faulted;
-                }
-            }
-            match landing {
-                Landing::Vc(lvc) => {
-                    if cur_out == Port::Local {
-                        return ChainCheck::Ok;
-                    }
-                    let out_vc = self.routers[cur_node].out_vc(cur_out.index(), lvc);
-                    return match out_vc.owner() {
-                        None => ChainCheck::Ok,
-                        Some(p) if p == packet => ChainCheck::Ok,
-                        Some(_) => ChainCheck::Unsound,
-                    };
-                }
-                Landing::Latch => {
-                    // The flit parks one cycle and continues from the next
-                    // router's reservation at `cycle + 1`.
-                    let here = NodeId::new(cur_node as u16);
-                    let Some(dir) = cur_out.direction() else {
-                        return ChainCheck::Unsound;
-                    };
-                    let Some(next) = neighbor(&self.cfg, here, dir) else {
-                        return ChainCheck::Unsound;
-                    };
-                    let Some(cont_port) = self.route_out(next, dest, dir == Direction::West) else {
-                        return ChainCheck::Unsound;
-                    };
-                    match self.routers[next.index()].schedules[cont_port.index()].get(cycle + 1) {
-                        Some(r2)
-                            if r2.packet == packet
-                                && r2.seq == seq
-                                && matches!(r2.source, FlitSource::Latch { .. }) =>
-                        {
-                            cycle += 1;
-                            cur_node = next.index();
-                            cur_out = cont_port;
-                            landing = r2.landing;
-                        }
-                        _ => return ChainCheck::Unsound,
-                    }
-                }
-                Landing::Bypass => {
-                    let here = NodeId::new(cur_node as u16);
-                    let Some(dir) = cur_out.direction() else {
-                        return ChainCheck::Unsound;
-                    };
-                    let Some(next) = neighbor(&self.cfg, here, dir) else {
-                        return ChainCheck::Unsound;
-                    };
-                    let Some(cont_port) = self.route_out(next, dest, dir == Direction::West) else {
-                        return ChainCheck::Unsound;
-                    };
-                    match self.routers[next.index()].schedules[cont_port.index()].get(cycle) {
-                        Some(r2)
-                            if r2.packet == packet
-                                && r2.seq == seq
-                                && matches!(r2.source, FlitSource::Bypass { .. }) =>
-                        {
-                            cur_node = next.index();
-                            cur_out = cont_port;
-                            landing = r2.landing;
-                        }
-                        _ => return ChainCheck::Unsound,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Destination of the packet behind `resv` at `node`, or `None` when
-    /// the packet is no longer in flight. The expected flit usually waits
-    /// at the front of its buffer and carries the destination; only
-    /// otherwise is the delivery ledger searched.
-    fn find_resv_dest(&self, node: usize, resv: &Reservation) -> Option<NodeId> {
-        if let FlitSource::Vc { port, vc } = resv.source {
-            if let Some(f) = self.routers[node].inputs[port.index()].vc(vc).front() {
-                if f.packet == resv.packet {
-                    debug_assert_eq!(self.ledger.dest_of(f.packet), Some(f.dest));
-                    return Some(f.dest);
-                }
-            }
-        }
-        self.ledger.dest_of(resv.packet)
-    }
-
-    fn execute_chain(&mut self, node: usize, out_port: Port, resv: Reservation) {
-        match self.chain_check(node, out_port, &resv) {
-            ChainCheck::Ok => {}
-            verdict => {
-                if verdict == ChainCheck::Faulted {
-                    if let Some(f) = self.faults.as_mut() {
-                        f.note_faulted_chain_cancel();
-                    }
-                }
-                self.waste_and_cancel(node, out_port, self.now, resv);
-                return;
-            }
-        }
-        // 1. Fetch the expected flit.
-        let fetched: Option<(Flit, Port, usize)> = match resv.source {
-            FlitSource::Vc { port, vc } => {
-                let router = &mut self.routers[node];
-                let already_read = router.grant_read_at[router.pv(port.index(), vc)] == self.now;
-                match router.inputs[port.index()].vc(vc).front() {
-                    Some(f) if f.packet == resv.packet && f.seq == resv.seq && !already_read => {
-                        let f = router.pop(port.index(), vc).expect("front exists");
-                        Some((f, port, vc))
-                    }
-                    _ => None,
-                }
-            }
-            FlitSource::Latch { from } => {
-                let iu = &mut self.routers[node].inputs[Port::Dir(from).index()];
-                match iu.latch() {
-                    Some(f) if f.packet == resv.packet && f.seq == resv.seq => {
-                        let f = iu.latch_take().expect("latch holds flit");
-                        Some((f, Port::Dir(from), usize::MAX))
-                    }
-                    _ => None,
-                }
-            }
-            FlitSource::Bypass { .. } => {
-                unreachable!("bypass reservations are consumed by their upstream chain")
-            }
-        };
-        let Some((flit, in_port, in_vc)) = fetched else {
-            self.waste_and_cancel(node, out_port, self.now, resv);
-            return;
-        };
-
-        // 2. Walk the chain through preset crossbars.
-        let mut cur_node = node;
-        let mut cur_out = out_port;
-        let mut cur_resv = resv;
-        let mut first = true;
-        let mut hops_this_cycle = 0u8;
-        loop {
-            hops_this_cycle += 1;
-            debug_assert!(
-                hops_this_cycle <= self.cfg.max_hops_per_cycle,
-                "pre-allocated chain exceeds the wire budget"
-            );
-            let vc = flit.class.vc();
-            self.stats.reserved_moves += 1;
-
-            if first {
-                // Upstream credit for the slot freed at the chain's origin
-                // (latch sources hold no credit).
-                if in_vc != usize::MAX {
-                    if let Port::Dir(d) = in_port {
-                        let here = NodeId::new(cur_node as u16);
-                        let upstream =
-                            neighbor(&self.cfg, here, d).expect("flit arrived from a neighbor");
-                        self.credit_returns.push(CreditReturn {
-                            node: upstream.index(),
-                            out_port: Port::Dir(d.opposite()),
-                            vc,
-                        });
-                    }
-                }
-                first = false;
-            }
-
-            if cur_out == Port::Local {
-                debug_assert!(matches!(cur_resv.landing, Landing::Vc(_)));
-                // Pre-allocated ejection: the crossbar is preset, so the
-                // flit reaches the NI within this cycle (no staging).
-                if let Some(head) = self.reasm[cur_node].accept(flit) {
-                    self.eject_complete(head, cur_node);
-                }
-                self.after_reserved_slot(cur_node, cur_out, &flit);
-                return;
-            }
-
-            self.stats.link_traversals += 1;
-            let here = NodeId::new(cur_node as u16);
-            let dir = cur_out.direction().expect("non-local checked");
-            self.link_use[cur_node * 4 + dir as usize] += 1;
-            self.emit(|| Event::LinkTraverse {
-                packet: flit.packet.0,
-                seq: flit.seq,
-                node: cur_node as u64,
-                out_port: cur_out.index() as u8,
-                reserved: true,
-            });
-            let next = neighbor(&self.cfg, here, dir).expect("reserved route stays on mesh");
-            let next_in = Port::Dir(dir.opposite());
-
-            match cur_resv.landing {
-                Landing::Vc(lvc) => {
-                    // Consume the (reserved) credit and enter the buffer.
-                    self.routers[cur_node]
-                        .out_vc_mut(cur_out.index(), lvc)
-                        .consume_credit(flit.packet);
-                    if flit.is_head() && flit.len_flits > 1 {
-                        self.routers[cur_node]
-                            .out_vc_mut(cur_out.index(), lvc)
-                            .allocate(flit.packet);
-                        self.emit(|| Event::VcAllocated {
-                            packet: flit.packet.0,
-                            node: cur_node as u64,
-                            out_port: cur_out.index() as u8,
-                            vc: lvc as u8,
-                        });
-                    }
-                    if flit.is_tail() {
-                        self.routers[cur_node]
-                            .out_vc_mut(cur_out.index(), lvc)
-                            .release_owner(flit.packet);
-                    }
-                    self.arrivals.push(Arrival {
-                        node: next.index(),
-                        in_port: next_in,
-                        vc: lvc,
-                        flit,
-                    });
-                    self.after_reserved_slot(cur_node, cur_out, &flit);
-                    return;
-                }
-                Landing::Latch => {
-                    self.routers[next.index()].inputs[next_in.index()]
-                        .latch_store(flit)
-                        .unwrap_or_else(|_| {
-                            panic!("latch at {next} occupied despite claim bookkeeping")
-                        });
-                    self.after_reserved_slot(cur_node, cur_out, &flit);
-                    return;
-                }
-                Landing::Bypass => {
-                    self.after_reserved_slot(cur_node, cur_out, &flit);
-                    // Continue through the next router's preset crossbar.
-                    let cont_port = self
-                        .route_out(next, flit.dest, west_ok_from(next_in))
-                        .expect("validated chain stays routable");
-                    let next_sched = &mut self.routers[next.index()].schedules[cont_port.index()];
-                    match next_sched.get(self.now).copied() {
-                        Some(r2)
-                            if r2.packet == flit.packet
-                                && r2.seq == flit.seq
-                                && matches!(r2.source, FlitSource::Bypass { .. }) =>
-                        {
-                            next_sched.take(self.now);
-                            cur_node = next.index();
-                            cur_out = cont_port;
-                            cur_resv = r2;
-                        }
-                        _ => {
-                            // The continuation slot is missing — a control
-                            // plane invariant violation.
-                            panic!(
-                                "bypass landing at {next} without a continuation reservation \
-                                 for {} seq {}",
-                                flit.packet, flit.seq
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Post-processing after a reserved slot was used by `flit`: on tails,
-    /// clear the guard; when the packet holds no further slots on the
-    /// port, also clear any leftover guard (cancel path).
-    fn after_reserved_slot(&mut self, node: usize, out_port: Port, flit: &Flit) {
-        let p = out_port.index();
-        let vc = flit.class.vc();
-        if flit.is_tail() || !self.routers[node].schedules[p].has_packet(flit.packet) {
-            self.routers[node].guard_mut(p, vc).clear(flit.packet);
-        }
-    }
-
-    /// A forced move found its flit missing: count the waste and cancel the
-    /// packet's remaining slots for this and later flits so they fall back
-    /// to reactive routing. Earlier flits keep their slots and drain.
-    fn waste_and_cancel(&mut self, node: usize, out_port: Port, cycle: Cycle, resv: Reservation) {
-        let (packet, from_seq) = (resv.packet, resv.seq);
-        self.stats.wasted_reservations += 1;
-        self.emit(|| Event::ReservationWasted {
-            packet: packet.0,
-            node: node as u64,
-        });
-        // The reservation was already taken from the schedule; release the
-        // resources it held.
-        self.release_cancelled(node, out_port, packet, &[(cycle, resv)]);
-        // Cancel across every router the packet has slots on, from the next
-        // cycle onward (slots for the current cycle at other routers are
-        // earlier flits mid-chain). Cancelled slots were allocated and will
-        // never be used, so they count as waste too.
-        let cancelled = self.cancel_packet_from(packet, from_seq, self.now + 1);
-        self.stats.wasted_reservations += cancelled as u64;
-        // Also drop this router's remaining same-cycle slots for >= seq.
-        let mut removed = std::mem::take(&mut self.scratch.removed);
-        let n = self.routers[node].schedules[out_port.index()].cancel_packet(
-            packet,
-            from_seq,
-            self.now,
-            &mut removed,
-        );
-        self.stats.wasted_reservations += n as u64;
-        self.release_cancelled(node, out_port, packet, &removed);
-        removed.clear();
-        self.scratch.removed = removed;
-    }
-
-    /// Cancels `packet`'s reservations for flits `>= from_seq` at cycles
-    /// `>= from_cycle` everywhere, releasing reserved credits, latch claims
-    /// and guards. Used on waste and on packet completion (as a safety
-    /// net — normally all slots are consumed).
-    ///
-    /// Every schedule named by a location at or after `from_cycle` is
-    /// purged whole from `from_cycle` on. A schedule named again later in
-    /// the list has nothing left to remove, so only consecutive repeats
-    /// (one hop's flits) are skipped and the walk needs no side table.
-    pub fn cancel_packet_from(
-        &mut self,
-        packet: PacketId,
-        from_seq: u8,
-        from_cycle: Cycle,
-    ) -> usize {
-        let Some(locs) = self.resv_index.get_mut(&packet) else {
-            return 0;
-        };
-        let mut locs = std::mem::take(locs);
-        let mut removed = std::mem::take(&mut self.scratch.removed);
-        let mut total = 0;
-        let mut last = None;
-        for loc in &locs {
-            if loc.cycle < from_cycle || last == Some((loc.node, loc.out_port)) {
-                continue;
-            }
-            last = Some((loc.node, loc.out_port));
-            total += self.routers[loc.node].schedules[loc.out_port.index()].cancel_packet(
-                packet,
-                from_seq,
-                from_cycle,
-                &mut removed,
-            );
-            self.release_cancelled(loc.node, loc.out_port, packet, &removed);
-            removed.clear();
-        }
-        self.scratch.removed = removed;
-        locs.retain(|l| l.cycle < from_cycle);
-        if locs.is_empty() {
-            self.resv_index.remove(&packet);
-            self.loc_pool.push(locs);
-        } else {
-            self.resv_index.insert(packet, locs);
-        }
-        total
-    }
-
-    fn release_cancelled(
-        &mut self,
-        node: usize,
-        out_port: Port,
-        packet: PacketId,
-        removed: &[(Cycle, Reservation)],
-    ) {
-        let p = out_port.index();
-        for (_cycle, r) in removed {
-            match r.landing {
-                Landing::Vc(lvc) if out_port != Port::Local => {
-                    self.routers[node]
-                        .out_vc_mut(p, lvc)
-                        .release_reservation(packet, 1);
-                }
-                Landing::Latch => {
-                    // Latch claims are deliberately NOT released here:
-                    // consecutive flits of a packet share claim cycles, so
-                    // releasing a cancelled flit's claims could expose a
-                    // cycle where an earlier, still-valid flit occupies the
-                    // latch. Claims lapse via `latch_expire`.
-                }
-                _ => {}
-            }
-        }
-        if !removed.is_empty() && !self.routers[node].schedules[p].has_packet(packet) {
-            for vc in 0..self.cfg.vcs_per_port {
-                self.routers[node].guard_mut(p, vc).clear(packet);
-            }
-        }
     }
 
     /// Route computation, VC allocation and (speculative) switch allocation
@@ -1811,6 +840,7 @@ impl MeshNetwork {
                             &self.cfg,
                             &mut self.faults,
                             &mut self.stats,
+                            &self.dp,
                             &self.routers[node],
                             here,
                             in_port,
@@ -1871,6 +901,7 @@ impl MeshNetwork {
         cfg: &NocConfig,
         faults: &mut Option<FaultState>,
         stats: &mut NetStats,
+        dp: &D,
         router: &Router,
         here: NodeId,
         in_port: Port,
@@ -1907,10 +938,6 @@ impl MeshNetwork {
         }
         let p = out_port.index();
 
-        // Never race a pending forced move for the same packet on this port.
-        if router.schedules[p].has_packet(flit.packet) {
-            return None;
-        }
         // The port is locked to another multi-flit packet until its tail
         // passes: no flit-level interleaving on the link.
         if let Some(holder) = router.port_lock[p] {
@@ -1918,9 +945,7 @@ impl MeshNetwork {
                 return None;
             }
         }
-        // Reserved timeslot: the port is unusable for reactive traffic.
-        if router.schedules[p].is_reserved(next_cycle) {
-            stats.blocked_by_reservation_cycles += 1;
+        if dp.refuses(node, p, flit.packet, next_cycle, stats) {
             return None;
         }
 
@@ -1930,13 +955,12 @@ impl MeshNetwork {
         }
 
         let out_vc = router.out_vc(p, vc);
-        let guard = router.guard(p, vc);
         let ok = if needs_alloc {
             if flit.len_flits > 1 {
                 // Multi-flit head (or an orphaned continuation whose head
                 // went ahead on a pre-allocated path): needs ownership and
-                // the guard's blessing.
-                let admitted = guard.admits(flit.packet);
+                // the datapath's blessing.
+                let admitted = dp.admits(node, p, vc, flit.packet);
                 if !admitted && out_vc.can_allocate(flit.packet) {
                     stats.blocked_by_reservation_cycles += 1;
                 }
@@ -2017,58 +1041,6 @@ impl MeshNetwork {
         });
     }
 
-    /// Expires past reservations (waste) and stale latch claims, then
-    /// hands the lanes [`MeshNetwork::execute_reservations`] found still
-    /// holding work to the next step's pass.
-    ///
-    /// Every step expires everything before its own cycle, so only the
-    /// lanes gathered by the previous step can hold expired work. Each is
-    /// visited in ascending router, then lane, order — the order of a
-    /// scan over every router — and a lane the current cycle's chains
-    /// left empty is never visited again.
-    // hot
-    fn expire_reservations(&mut self) {
-        let mut lanes = std::mem::take(&mut self.expiring);
-        let mut expired = std::mem::take(&mut self.scratch.removed);
-        lanes.sort_unstable_by_key(|e| e.key());
-        lanes.dedup_by_key(|e| e.key());
-        for e in &lanes {
-            let node = usize::from(e.node);
-            let Some(out_port) = e.slot() else {
-                let in_port = e.latch().expect("a lane is a slot or a latch");
-                self.routers[node].inputs[in_port.index()].latch_expire(self.now);
-                continue;
-            };
-            self.routers[node].schedules[out_port.index()].expire(self.now, &mut expired);
-            if expired.is_empty() {
-                continue;
-            }
-            self.stats.wasted_reservations += expired.len() as u64;
-            for (_, r) in &expired {
-                self.emit(|| Event::ReservationWasted {
-                    packet: r.packet.0,
-                    node: node as u64,
-                });
-            }
-            self.release_cancelled(node, out_port, expired[0].1.packet, &expired);
-            // release_cancelled handles credits/latches per entry but
-            // guards per packet; cover remaining packets.
-            for (_, r) in &expired {
-                if !self.routers[node].schedules[out_port.index()].has_packet(r.packet) {
-                    for vc in 0..self.cfg.vcs_per_port {
-                        self.routers[node]
-                            .guard_mut(out_port.index(), vc)
-                            .clear(r.packet);
-                    }
-                }
-            }
-            expired.clear();
-        }
-        lanes.clear();
-        self.expiring = std::mem::replace(&mut self.scratch.leftover, lanes);
-        self.scratch.removed = expired;
-    }
-
     // ------------------------------------------------------------------
     // Fault injection & graceful degradation
     // ------------------------------------------------------------------
@@ -2079,25 +1051,10 @@ impl MeshNetwork {
     /// whether the flit has travelled exclusively west so far (so a west
     /// hop is still legal), derivable locally from the input port via
     /// [`west_ok_from`].
-    fn route_out(&self, here: NodeId, dest: NodeId, west_ok: bool) -> Option<Port> {
+    pub(crate) fn route_out(&self, here: NodeId, dest: NodeId, west_ok: bool) -> Option<Port> {
         match &self.faults {
             Some(f) if f.degraded() => f.next_hop(here, dest, west_ok),
             _ => Some(route_port(&self.cfg, here, dest)),
-        }
-    }
-
-    /// Whether the directed link `(node, dir)` may carry a flit at
-    /// `cycle`, consulting the right transient horizon: the executing
-    /// cycle, the prepared next cycle, or permanent-only damage beyond
-    /// the prepared window.
-    fn chain_link_usable(&self, node: usize, dir: Direction, cycle: Cycle) -> bool {
-        let Some(f) = &self.faults else { return true };
-        if cycle <= self.now {
-            f.link_usable_now(&self.cfg, node, dir)
-        } else if cycle == self.now + 1 {
-            f.link_usable_next(&self.cfg, node, dir)
-        } else {
-            f.link_usable_permanent(&self.cfg, node, dir)
         }
     }
 
@@ -2230,10 +1187,8 @@ impl MeshNetwork {
         // points at the endpoint, not the path, so there is no healthy
         // link to reclassify (and cutting the source's first hop would
         // punish unrelated traffic).
-        if let Some(f) = &self.faults {
-            if f.router_dead(src.index()) || f.router_dead(dest.index()) {
-                return;
-            }
+        if !self.node_alive(src) || !self.node_alive(dest) {
+            return;
         }
         let Some(Port::Dir(dir)) = self.route_out(src, dest, true) else {
             return; // ejects locally or already unroutable: nothing to cut
@@ -2404,8 +1359,7 @@ impl MeshNetwork {
     /// topology keeps a closed credit ledger, and counts the loss in
     /// [`FaultStats`].
     fn purge_packet(&mut self, id: PacketId) {
-        // Reservations: timeslots, reserved credits, guards.
-        self.cancel_packet_from(id, 0, 0);
+        D::purge(self, id);
         // Pending grants: each consumed a downstream credit at commit
         // time while its flit still sits in the input buffer. Filtered
         // in place (order-preserving) so no replacement list is built.
@@ -2429,34 +1383,17 @@ impl MeshNetwork {
                 q.retain(|f| f.packet != id);
             }
         }
-        // Buffered flits and latches. A flit buffered at a directional
-        // input occupies a slot the upstream router paid a credit for;
-        // latch flits hold none (their buffer credit was returned when
-        // the chain read them out).
+        // Buffered flits. A flit buffered at a directional input occupies
+        // a slot the upstream router paid a credit for.
         for n in 0..self.cfg.nodes() {
-            let here = NodeId::new(n as u16);
             for in_port in Port::ALL {
                 for vc in 0..self.cfg.vcs_per_port {
-                    let removed = self.routers[n].remove_packet(in_port.index(), vc, id);
-                    if removed > 0 {
-                        if let Port::Dir(e) = in_port {
-                            let up = neighbor(&self.cfg, here, e)
-                                .expect("flit arrived from a real neighbor");
-                            for _ in 0..removed {
-                                self.routers[up.index()]
-                                    .out_vc_mut(Port::Dir(e.opposite()).index(), vc)
-                                    .return_credit();
-                            }
-                        }
+                    for _ in 0..self.routers[n].remove_packet(in_port.index(), vc, id) {
+                        self.restore_upstream_credit(n, in_port, vc);
                     }
                 }
-                let iu = &mut self.routers[n].inputs[in_port.index()];
-                if iu.latch().is_some_and(|f| f.packet == id) {
-                    iu.latch_take();
-                }
-                iu.latch_release(id, 0);
             }
-            // Streams, port locks, ownership and guards.
+            // Streams, port locks and ownership.
             let router = &mut self.routers[n];
             for p in 0..Port::COUNT {
                 if router.port_lock[p] == Some(id) {
@@ -2467,7 +1404,6 @@ impl MeshNetwork {
                         router.set_active(p, vc, None);
                     }
                     router.out_vc_mut(p, vc).release_owner(id);
-                    router.guard_mut(p, vc).clear(id);
                 }
             }
         }
@@ -2481,13 +1417,7 @@ impl MeshNetwork {
                 continue;
             }
             self.arrivals.remove(i);
-            if let Port::Dir(e) = a.in_port {
-                let here = NodeId::new(a.node as u16);
-                let up = neighbor(&self.cfg, here, e).expect("arrival came from a real neighbor");
-                self.routers[up.index()]
-                    .out_vc_mut(Port::Dir(e.opposite()).index(), a.vc)
-                    .return_credit();
-            }
+            self.restore_upstream_credit(a.node, a.in_port, a.vc);
         }
         // Ledger, partial reassembly, loss accounting. With the
         // reliability overlay on, a purge is absorbed: the layer arms a
@@ -2510,6 +1440,19 @@ impl MeshNetwork {
                 packet: id.0,
                 flits: p.len_flits,
             });
+        }
+    }
+
+    /// Hands the credit of one purged flit at input `(in_port, vc)` of
+    /// `node` straight back to the upstream router (the local port has
+    /// none).
+    fn restore_upstream_credit(&mut self, node: usize, in_port: Port, vc: usize) {
+        if let Port::Dir(e) = in_port {
+            let up = neighbor(&self.cfg, NodeId::new(node as u16), e)
+                .expect("flit arrived from a real neighbor");
+            self.routers[up.index()]
+                .out_vc_mut(Port::Dir(e.opposite()).index(), vc)
+                .return_credit();
         }
     }
 
@@ -2679,20 +1622,14 @@ impl MeshNetwork {
         let mut violations = 0u64;
         for n in 0..self.cfg.nodes() {
             let here = NodeId::new(n as u16);
-            if let Some(f) = &self.faults {
-                if f.router_dead(n) {
-                    continue;
-                }
+            if !self.node_alive(here) {
+                continue;
             }
             for dir in Direction::ALL {
-                let Some(nb) = neighbor(&self.cfg, here, dir) else {
+                let Some(nb) = neighbor(&self.cfg, here, dir).filter(|&nb| self.node_alive(nb))
+                else {
                     continue;
                 };
-                if let Some(f) = &self.faults {
-                    if f.router_dead(nb.index()) {
-                        continue;
-                    }
-                }
                 let back = Port::Dir(dir.opposite());
                 for vc in 0..self.cfg.vcs_per_port {
                     let credits =
@@ -2731,11 +1668,11 @@ impl MeshNetwork {
     /// Debug-build check of the activity-flag contract: a node missing
     /// from `buffered_nodes` or `source_nodes` must *prove* the absence
     /// of the state it gates (a stale member is allowed, a wrong absence
-    /// would silently skip work). The same holds for the due index (a
-    /// stale entry is allowed, a missing one is not) and for the node
-    /// order of `grants` that [`MeshNetwork::port_granted_to_other`]
-    /// searches. The per-router `occ` and `streams` masks allow no
-    /// slack at all: every bit must equal the state it mirrors.
+    /// would silently skip work). The node order of `grants`, which the
+    /// reservation install check searches, must hold too. The per-router
+    /// `occ` and `streams` masks allow no slack at all: every bit must
+    /// equal the state it mirrors. The reserving datapath checks its own
+    /// derived state at the end of its expiry phase.
     #[cfg(debug_assertions)]
     fn assert_activity_flags(&self) {
         debug_assert!(
@@ -2766,23 +1703,6 @@ impl MeshNetwork {
                 self.buffered_nodes.contains(n) || r.occ == 0,
                 "n{n} missing from buffered_nodes while input VCs hold flits"
             );
-            // The next step executes the slots at `now + 1` and expires
-            // those at or before `now`: each must be filed for its pass
-            // or it would silently never run (or never expire).
-            for (port, sched) in Port::ALL.into_iter().zip(&r.schedules) {
-                let next = DueEntry::slot_at(self.now + 1, n, port);
-                debug_assert!(
-                    !sched.is_reserved(self.now + 1)
-                        || self.due.at(self.now + 1).any(|e| e == next),
-                    "slot at n{n} {port} cycle {} missing from the due index",
-                    self.now + 1
-                );
-                debug_assert!(
-                    !sched.holds_before(self.now + 1)
-                        || self.expiring.iter().any(|e| e.key() == next.key()),
-                    "passed slot at n{n} {port} missing from the expiry list"
-                );
-            }
             debug_assert!(
                 self.source_nodes.contains(n)
                     || self.sources[n]
@@ -2809,30 +1729,24 @@ impl MeshNetwork {
             || !self.grants.is_empty()
             || !self.arrivals.is_empty()
             || !self.credit_returns.is_empty()
-            || !self.resv_index.is_empty()
+            || !D::quiescent(self)
         {
             return false;
         }
-        // `resv_index` empty does NOT imply the schedules are: a slot can
-        // survive `cancel_packet_from` (seq/cycle asymmetry) after its
-        // index entry is dropped, and it still expires — with stats
-        // side effects — on a later step. Scan the schedules directly.
-        // Buffered flits, latches and source queues are guaranteed empty
-        // by flit conservation once `in_flight` is zero, but they are
-        // cheap to confirm and this predicate must never be wrong.
-        self.routers.iter().all(|r| {
-            r.schedules.iter().all(OutputSchedule::is_empty)
-                && r.inputs.iter().all(|iu| {
-                    !iu.has_latch_claims() && iu.latch().is_none() && iu.buffered_flits() == 0
-                })
-        }) && self
-            .sources
+        // Buffered flits and source queues are guaranteed empty by flit
+        // conservation once `in_flight` is zero, but they are cheap to
+        // confirm and this predicate must never be wrong.
+        self.routers
             .iter()
-            .all(|s| s.queues.iter().all(std::collections::VecDeque::is_empty))
+            .all(|r| r.inputs.iter().all(|iu| iu.buffered_flits() == 0))
+            && self
+                .sources
+                .iter()
+                .all(|s| s.queues.iter().all(std::collections::VecDeque::is_empty))
     }
 }
 
-impl Network for MeshNetwork {
+impl<D: Datapath> Network for MeshCore<D> {
     fn config(&self) -> &NocConfig {
         &self.cfg
     }
@@ -2902,9 +1816,9 @@ impl Network for MeshNetwork {
         self.deliver_arrivals();
         self.inject_from_sources();
         self.execute_grants();
-        self.execute_reservations();
+        D::execute(self);
         self.allocate();
-        self.expire_reservations();
+        D::expire(self);
         #[cfg(debug_assertions)]
         self.assert_activity_flags();
         if self.skip_ahead && !self.idle {
@@ -2922,13 +1836,7 @@ impl Network for MeshNetwork {
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
         let start = out.len();
         self.ledger.drain_into(out);
-        for delivered in &out[start..] {
-            // Purge any leftover PRA state for completed packets.
-            let id = delivered.packet.id;
-            if self.resv_index.contains_key(&id) {
-                self.cancel_packet_from(id, 0, 0);
-            }
-        }
+        D::delivered(self, &out[start..]);
     }
 
     fn set_skip_ahead(&mut self, enabled: bool) {
@@ -2979,48 +1887,37 @@ impl Network for MeshNetwork {
     }
 }
 
-impl StateDigest for Router {
-    fn digest_state(&self, h: &mut StateHasher) {
-        for input in &self.inputs {
-            input.digest_state(h);
-        }
-        // The flat `port * vcs + vc` layout iterates port-major, which is
-        // exactly the nested order the digest has always used.
-        for vc in &self.out_vcs {
-            vc.digest_state(h);
-        }
-        for guard in &self.guards {
-            guard.digest_state(h);
-        }
-        for sched in &self.schedules {
-            sched.digest_state(h);
-        }
-        for slot in &self.active_out {
-            match slot {
-                None => h.write_u8(0),
-                Some(s) => {
-                    h.write_u8(1);
-                    h.write_usize(s.out_port.index());
-                    h.write_u64(s.packet.0);
-                    h.write_u8(s.len);
-                    h.write_u8(s.sent);
-                }
-            }
-        }
-        for lock in &self.port_lock {
-            h.write_opt_u64(lock.map(|p| p.0));
-        }
-        for rr in self.sa_in.iter().chain(self.sa_out.iter()) {
-            rr.digest_state(h);
-        }
-    }
-}
-
-impl StateDigest for MeshNetwork {
+impl<D: Datapath> StateDigest for MeshCore<D> {
     fn digest_state(&self, h: &mut StateHasher) {
         h.write_u64(self.now);
-        for router in &self.routers {
-            router.digest_state(h);
+        for (n, r) in self.routers.iter().enumerate() {
+            for input in &r.inputs {
+                input.digest_state(h);
+            }
+            // The flat `port * vcs + vc` layout iterates port-major, which
+            // is exactly the nested order the digest has always used.
+            for vc in &r.out_vcs {
+                vc.digest_state(h);
+            }
+            self.dp.digest_router(n, r.vcs, h);
+            for slot in &r.active_out {
+                match slot {
+                    None => h.write_u8(0),
+                    Some(s) => {
+                        h.write_u8(1);
+                        h.write_usize(s.out_port.index());
+                        h.write_u64(s.packet.0);
+                        h.write_u8(s.len);
+                        h.write_u8(s.sent);
+                    }
+                }
+            }
+            for lock in &r.port_lock {
+                h.write_opt_u64(lock.map(|p| p.0));
+            }
+            for rr in r.sa_in.iter().chain(r.sa_out.iter()) {
+                rr.digest_state(h);
+            }
         }
         for src in &self.sources {
             src.digest_state(h);
@@ -3051,16 +1948,7 @@ impl StateDigest for MeshNetwork {
             h.write_usize(c.out_port.index());
             h.write_usize(c.vc);
         }
-        h.write_usize(self.resv_index.len());
-        for (packet, locs) in &self.resv_index {
-            h.write_u64(packet.0);
-            h.write_usize(locs.len());
-            for loc in locs {
-                h.write_usize(loc.node);
-                h.write_usize(loc.out_port.index());
-                h.write_u64(loc.cycle);
-            }
-        }
+        self.dp.digest(h);
         match &self.faults {
             None => h.write_u8(0),
             Some(f) => {
@@ -3081,19 +1969,9 @@ impl StateDigest for MeshNetwork {
 mod tests {
     use super::*;
     use crate::faults::FaultPlan;
-    use crate::types::Direction;
-
-    impl MeshNetwork {
-        /// Read access to an output schedule.
-        fn schedule(&self, node: NodeId, out_port: Port) -> &OutputSchedule {
-            &self.routers[node.index()].schedules[out_port.index()]
-        }
-
-        /// The multi-flit guard of `(node, out_port, class)`.
-        fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> &MultiFlitGuard {
-            self.routers[node.index()].guard(out_port.index(), class.vc())
-        }
-    }
+    use crate::reserve::ReservingCore;
+    use crate::traffic::{busy_cases, TrafficGen};
+    use crate::types::MessageClass;
 
     fn net() -> MeshNetwork {
         MeshNetwork::new(NocConfig::paper())
@@ -3296,210 +2174,6 @@ mod tests {
         assert_eq!(s.reserved_moves, 0, "no PRA activity on the baseline");
     }
 
-    #[test]
-    fn install_hop_reserves_and_blocks_local_traffic() {
-        let mut n = net();
-        // Reserve node 1's east port at a future window for packet 99.
-        let plan = HopPlan {
-            node: NodeId::new(1),
-            out_port: Port::Dir(Direction::East),
-            start: 10,
-            packet: PacketId(99),
-            len: 5,
-            class: MessageClass::Response,
-            source: FlitSource::Vc {
-                port: Port::Dir(Direction::West),
-                vc: 2,
-            },
-            landing: Landing::Vc(2),
-            reserve: 5,
-        };
-        n.install_hop(&plan).unwrap();
-        assert!(n
-            .schedule(NodeId::new(1), Port::Dir(Direction::East))
-            .is_reserved(10));
-        assert_eq!(
-            n.out_vc(NodeId::new(1), Port::Dir(Direction::East), 2)
-                .reserved(),
-            5
-        );
-        assert_eq!(
-            n.guard(
-                NodeId::new(1),
-                Port::Dir(Direction::East),
-                MessageClass::Response
-            )
-            .holder(),
-            Some(PacketId(99))
-        );
-        // Conflicting plan by another packet fails.
-        let mut plan2 = plan;
-        plan2.packet = PacketId(100);
-        assert_eq!(n.check_hop(&plan2), Err(InstallError::SlotTaken));
-        // Same port, disjoint window, but the downstream VC is exhausted.
-        plan2.start = 20;
-        assert_eq!(n.check_hop(&plan2), Err(InstallError::NoDownstreamBuffer));
-    }
-
-    #[test]
-    fn wasted_reservation_expires_and_releases() {
-        let mut n = net();
-        let plan = HopPlan {
-            node: NodeId::new(1),
-            out_port: Port::Dir(Direction::East),
-            start: 5,
-            packet: PacketId(99),
-            len: 2,
-            class: MessageClass::Response,
-            source: FlitSource::Vc {
-                port: Port::Dir(Direction::West),
-                vc: 2,
-            },
-            landing: Landing::Vc(2),
-            reserve: 2,
-        };
-        n.install_hop(&plan).unwrap();
-        for _ in 0..10 {
-            n.step();
-        }
-        let s = n.stats();
-        assert_eq!(s.wasted_reservations, 2, "both slots expired unused");
-        assert_eq!(
-            n.out_vc(NodeId::new(1), Port::Dir(Direction::East), 2)
-                .reserved(),
-            0,
-            "reserved credits released"
-        );
-        assert_eq!(
-            n.guard(
-                NodeId::new(1),
-                Port::Dir(Direction::East),
-                MessageClass::Response
-            )
-            .holder(),
-            None,
-            "guard released"
-        );
-    }
-
-    #[test]
-    fn forced_single_hop_move_executes() {
-        let mut n = net();
-        // Packet from node 0 to node 2. Pre-allocate the first hop
-        // (node 0 east at the cycle its head would otherwise wait for SA).
-        let p = pkt(1, 0, 2, MessageClass::Request, 1);
-        n.inject(p);
-        // Injection lands the flit in node 0's local VC during cycle 1; a
-        // forced move can use it at cycle 2 at the earliest... reserve
-        // cycle 2 on node 0's east port.
-        let plan = HopPlan {
-            node: NodeId::new(0),
-            out_port: Port::Dir(Direction::East),
-            start: 2,
-            packet: PacketId(1),
-            len: 1,
-            class: MessageClass::Request,
-            source: FlitSource::Vc {
-                port: Port::Local,
-                vc: 0,
-            },
-            landing: Landing::Vc(0),
-            reserve: 1,
-        };
-        n.install_hop(&plan).unwrap();
-        let d = n.run_to_drain(100);
-        assert_eq!(d.len(), 1);
-        assert!(n.stats().reserved_moves >= 1);
-        assert_eq!(n.stats().wasted_reservations, 0);
-        // A single pre-allocated hop saves nothing at zero load (the
-        // speculative pipeline is just as fast); the win comes from
-        // multi-hop chains and loaded ports. Latency matches the baseline.
-        assert_eq!(d[0].delivered - d[0].packet.created, 7);
-    }
-
-    #[test]
-    fn forced_two_hop_chain_executes() {
-        let mut n = net();
-        let p = pkt(1, 0, 2, MessageClass::Request, 1);
-        n.inject(p);
-        // Chain: node0 east (source VC, landing bypass) + node1 east
-        // (source bypass, landing VC at node 2) both at cycle 2.
-        n.install_hop(&HopPlan {
-            node: NodeId::new(0),
-            out_port: Port::Dir(Direction::East),
-            start: 2,
-            packet: PacketId(1),
-            len: 1,
-            class: MessageClass::Request,
-            source: FlitSource::Vc {
-                port: Port::Local,
-                vc: 0,
-            },
-            landing: Landing::Bypass,
-            reserve: 1,
-        })
-        .unwrap();
-        n.install_hop(&HopPlan {
-            node: NodeId::new(1),
-            out_port: Port::Dir(Direction::East),
-            start: 2,
-            packet: PacketId(1),
-            len: 1,
-            class: MessageClass::Request,
-            source: FlitSource::Bypass {
-                from: Direction::West,
-            },
-            landing: Landing::Vc(0),
-            reserve: 1,
-        })
-        .unwrap();
-        let d = n.run_to_drain(100);
-        assert_eq!(d.len(), 1);
-        assert_eq!(n.stats().wasted_reservations, 0);
-        // Two hops in one cycle: arrival at node 2's VC at cycle 3,
-        // ejection SA at 4, delivery at 5 — vs 12 for the plain mesh.
-        assert_eq!(d[0].delivered - d[0].packet.created, 5);
-    }
-
-    #[test]
-    fn stalled_heads_reports_deterministic_drain() {
-        let mut n = net();
-        // A long response streams 0 -> 7 along row 0; a request injected at
-        // node 1 a little later wants the same east port while the
-        // response's port lock holds it.
-        n.inject(pkt(1, 0, 7, MessageClass::Response, 5));
-        for _ in 0..3 {
-            n.step();
-        }
-        n.inject(pkt(2, 1, 5, MessageClass::Request, 1));
-        let mut seen = false;
-        let mut predicted: Option<(Cycle, Cycle)> = None; // (observed_at, finish)
-        let mut stalled = Vec::new();
-        for _ in 0..60 {
-            n.step();
-            stalled.clear();
-            n.stalled_heads_into(Cycle::MAX, &mut stalled);
-            for s in &stalled {
-                if s.flit.packet == PacketId(2) && s.blocker == PacketId(1) {
-                    assert_eq!(s.out_port, Port::Dir(Direction::East));
-                    assert_eq!(s.node, NodeId::new(1));
-                    assert_eq!(s.in_port, Port::Local);
-                    seen = true;
-                    predicted.get_or_insert((n.now(), s.release));
-                }
-            }
-        }
-        assert!(
-            seen,
-            "the blocked request must be reported with a drain time"
-        );
-        let (at, finish) = predicted.unwrap();
-        assert!(finish > at, "drain prediction lies in the future");
-        let mut d = n.drain_delivered();
-        d.extend(n.run_to_drain(1_000));
-        assert_eq!(d.len(), 2);
-    }
-
     /// Folds the end state the stats and delivery records miss into a
     /// busy-path pin: the full state digest (every arbiter's rotation
     /// included) and, under a fault plan, the fault counters.
@@ -3535,25 +2209,28 @@ mod tests {
         );
     }
 
+    /// `cfg` under a permanent link fault plus background transients.
+    fn with_link_faults(cfg: NocConfig) -> NocConfig {
+        let plan = FaultPlan::new(11).transient_rate_ppb(2_000_000).with_event(
+            FaultEvent::PermanentLink {
+                at: 300,
+                node: NodeId::new(5),
+                dir: Direction::West,
+            },
+        );
+        NocConfig {
+            faults: Some(plan),
+            ..cfg
+        }
+    }
+
     /// A permanent link fault plus background transients: routing
     /// detours through the fault tables and transiently dead links
     /// refuse bids (`note_blocked_by_fault`).
     #[test]
     fn busy_paths_under_link_faults_match_pinned_fingerprints() {
         crate::traffic::assert_busy_pins(
-            |cfg| {
-                let plan = FaultPlan::new(11).transient_rate_ppb(2_000_000).with_event(
-                    FaultEvent::PermanentLink {
-                        at: 300,
-                        node: NodeId::new(5),
-                        dir: Direction::West,
-                    },
-                );
-                MeshNetwork::new(NocConfig {
-                    faults: Some(plan),
-                    ..cfg
-                })
-            },
+            |cfg| MeshNetwork::new(with_link_faults(cfg)),
             |net, h| {
                 let f = net.fault_stats().expect("fault plan installed");
                 assert!(f.blocked_by_fault_cycles > 0, "transients must refuse bids");
@@ -3582,14 +2259,55 @@ mod tests {
         (371, 14680951035633648172),
     ];
 
+    /// With nothing booked, the reserving core is the plain mesh: on
+    /// every busy-pin traffic mix — plain, under class priority and under
+    /// link faults — both deliver the same packets at the same cycles and
+    /// hold the same statistics and state digest every 50 cycles.
     #[test]
-    fn source_backlog_visibility() {
-        let mut n = net();
-        assert_eq!(n.source_backlog(NodeId::new(0), MessageClass::Response), 0);
-        n.inject(pkt(1, 0, 5, MessageClass::Response, 5));
-        assert_eq!(n.source_backlog(NodeId::new(0), MessageClass::Response), 5);
-        n.step();
-        // One flit moved into the VC; backlog counts both queue and VC.
-        assert_eq!(n.source_backlog(NodeId::new(0), MessageClass::Response), 5);
+    fn reserving_core_with_nothing_booked_matches_the_plain_mesh() {
+        let variants: [fn(NocConfig) -> NocConfig; 3] = [
+            |cfg| cfg,
+            |cfg| NocConfig {
+                class_priority: Some([2, 1, 0]),
+                ..cfg
+            },
+            with_link_faults,
+        ];
+        for variant in variants {
+            for (seed, cfg, pattern, rate) in busy_cases() {
+                let cfg = variant(cfg);
+                let mut plain = MeshNetwork::new(cfg.clone());
+                let mut reserving = ReservingCore::new(cfg.clone());
+                let mut gen_plain = TrafficGen::new(cfg.clone(), pattern, rate, seed);
+                let mut gen_reserving = TrafficGen::new(cfg, pattern, rate, seed);
+                let (mut got_plain, mut got_reserving) = (Vec::new(), Vec::new());
+                while plain.now() < 2_000 || plain.in_flight() > 0 {
+                    assert!(plain.now() < 50_000, "case {seed} must drain");
+                    if plain.now() < 2_000 {
+                        gen_plain.tick(&mut plain);
+                        gen_reserving.tick(&mut reserving);
+                    }
+                    plain.step();
+                    reserving.step();
+                    plain.drain_delivered_into(&mut got_plain);
+                    reserving.drain_delivered_into(&mut got_reserving);
+                    if plain.now().is_multiple_of(50) || plain.in_flight() == 0 {
+                        let at = (seed, plain.now());
+                        assert_eq!(got_plain, got_reserving, "deliveries at {at:?}");
+                        assert_eq!(
+                            format!("{:?}", plain.stats()),
+                            format!("{:?}", reserving.stats()),
+                            "stats at {at:?}"
+                        );
+                        assert_eq!(
+                            plain.state_digest(),
+                            reserving.state_digest(),
+                            "digest at {at:?}"
+                        );
+                    }
+                }
+                assert!(!got_plain.is_empty(), "case {seed} delivers traffic");
+            }
+        }
     }
 }

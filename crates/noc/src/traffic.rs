@@ -652,21 +652,9 @@ pub(crate) fn assert_busy_pins<N: Network>(
     extra: impl Fn(&N, &mut StateHasher),
     pins: [(usize, u64); 4],
 ) {
-    use crate::config::NocConfigBuilder;
-    let cases = [
-        (4, 1, Pattern::UniformRandom, 0.08),
-        (4, 3, Pattern::Hotspot(NodeId::new(5)), 0.01),
-        (6, 3, Pattern::UniformRandom, 0.08),
-        (6, 1, Pattern::Hotspot(NodeId::new(14)), 0.005),
-    ];
-    for (seed, ((radix, hops, pattern, rate), pin)) in (1u64..).zip(cases.into_iter().zip(pins)) {
-        let cfg = NocConfigBuilder::new()
-            .radix(radix)
-            .max_hops_per_cycle(hops)
-            .build()
-            .expect("valid config");
+    for ((seed, cfg, pattern, rate), pin) in busy_cases().zip(pins) {
         let mut net = build(cfg.clone());
-        let mut gen = TrafficGen::new(cfg, pattern, rate, seed);
+        let mut gen = TrafficGen::new(cfg.clone(), pattern, rate, seed);
         let mut delivered = Vec::new();
         for _ in 0..2_000 {
             gen.tick(&mut net);
@@ -685,9 +673,35 @@ pub(crate) fn assert_busy_pins<N: Network>(
         assert_eq!(
             (delivered.len(), h.finish()),
             pin,
-            "case {seed}: radix {radix}, {hops} hops/cycle, {pattern:?}"
+            "case {seed}: radix {}, {} hops/cycle, {pattern:?}",
+            cfg.radix,
+            cfg.max_hops_per_cycle
         );
     }
+}
+
+/// The four traffic mixes of [`assert_busy_pins`], as `(seed, config,
+/// pattern, rate)`: radix 4 and 6, one- and three-hop wire budgets,
+/// uniform and hotspot traffic.
+#[cfg(test)]
+pub(crate) fn busy_cases() -> impl Iterator<Item = (u64, NocConfig, Pattern, f64)> {
+    use crate::config::NocConfigBuilder;
+    let cases = [
+        (4, 1, Pattern::UniformRandom, 0.08),
+        (4, 3, Pattern::Hotspot(NodeId::new(5)), 0.01),
+        (6, 3, Pattern::UniformRandom, 0.08),
+        (6, 1, Pattern::Hotspot(NodeId::new(14)), 0.005),
+    ];
+    (1u64..)
+        .zip(cases)
+        .map(|(seed, (radix, hops, pattern, rate))| {
+            let cfg = NocConfigBuilder::new()
+                .radix(radix)
+                .max_hops_per_cycle(hops)
+                .build()
+                .expect("valid config");
+            (seed, cfg, pattern, rate)
+        })
 }
 
 #[cfg(test)]

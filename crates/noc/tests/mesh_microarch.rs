@@ -1,12 +1,13 @@
 //! Microarchitectural edge cases of the mesh router: credit
-//! backpressure, port locking, guard semantics, reservation interplay
-//! with reactive traffic, and link-use accounting.
+//! backpressure, port locking and link-use accounting on the plain
+//! mesh; guard semantics and reservation interplay with reactive
+//! traffic on the reserving core.
 
 use noc::config::{NocConfig, NocConfigBuilder};
 use noc::flit::Packet;
-use noc::mesh::{HopPlan, InstallError, MeshNetwork};
+use noc::mesh::MeshNetwork;
 use noc::network::Network;
-use noc::reserve::{FlitSource, Landing};
+use noc::reserve::{FlitSource, HopPlan, InstallError, Landing, ReservingCore};
 use noc::types::{Direction, MessageClass, NodeId, PacketId, Port};
 
 fn pkt(id: u64, src: u16, dest: u16, class: MessageClass, len: u8) -> Packet {
@@ -55,7 +56,7 @@ fn port_lock_keeps_multiflit_packets_contiguous_on_a_link() {
 #[test]
 fn reservation_blocks_reactive_grants_on_that_timeslot_only() {
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = ReservingCore::new(cfg);
     // Reserve node 1's east port far in the future; a packet through that
     // port right now must be unaffected.
     net.install_hop(&HopPlan {
@@ -81,7 +82,7 @@ fn reservation_blocks_reactive_grants_on_that_timeslot_only() {
 #[test]
 fn guard_blocks_foreign_multiflit_heads_but_not_singles() {
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = ReservingCore::new(cfg);
     // Guard node 1's east port for future response packet 99.
     net.install_hop(&HopPlan {
         node: NodeId::new(1),
@@ -121,7 +122,7 @@ fn guard_blocks_foreign_multiflit_heads_but_not_singles() {
 #[test]
 fn check_hop_rejects_each_failure_mode() {
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = ReservingCore::new(cfg);
     let base = HopPlan {
         node: NodeId::new(1),
         out_port: Port::Dir(Direction::East),
@@ -178,7 +179,7 @@ fn check_hop_rejects_each_failure_mode() {
 #[test]
 fn cancel_releases_everything_and_traffic_flows_again() {
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = ReservingCore::new(cfg);
     let plan = HopPlan {
         node: NodeId::new(1),
         out_port: Port::Dir(Direction::East),
@@ -228,7 +229,7 @@ fn link_use_accounting_matches_routes() {
 #[test]
 fn source_backlog_reflects_queue_and_vc() {
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
+    let mut net = ReservingCore::new(cfg);
     // Two 5-flit responses: 10 flits, VC holds 5.
     net.inject(pkt(1, 0, 5, MessageClass::Response, 5));
     net.inject(pkt(2, 0, 9, MessageClass::Response, 5));

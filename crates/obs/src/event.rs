@@ -224,67 +224,6 @@ pub enum Event {
         /// `"request"` (L1-miss assembly window).
         kind: &'static str,
     },
-    /// A sweep point attempt exceeded one of its budgets and was
-    /// cancelled (runner-side; the `cycle` of the wrapping record is
-    /// the simulated cycle the cancel landed on).
-    PointTimeout {
-        /// Grid index of the point.
-        point: u64,
-        /// Attempt number that timed out (0 = first run).
-        attempt: u32,
-        /// Which budget tripped: `"cycles"` or `"wall"`.
-        budget: &'static str,
-    },
-    /// A sweep point attempt is being retried after a timeout, panic,
-    /// or failure.
-    PointRetry {
-        /// Grid index of the point.
-        point: u64,
-        /// The attempt about to run (1 = first retry).
-        attempt: u32,
-    },
-    /// An architectural state digest was sampled (divergence detection
-    /// for resumed/retried/re-threaded runs).
-    DigestSampled {
-        /// Grid index of the point being digested.
-        point: u64,
-        /// The FNV-1a digest of the network's architectural state.
-        digest: u64,
-    },
-    /// A sweep worker process died without completing its shard
-    /// (SIGKILL, OOM kill, abort) and the supervisor reaped it.
-    WorkerCrash {
-        /// Shard the dead worker had claimed.
-        shard: u64,
-        /// Lease generation the worker was running at.
-        generation: u64,
-        /// The point the worker was running when it died, when the
-        /// shard journal's dangling `start` marker names one.
-        point: Option<u64>,
-    },
-    /// The supervisor re-claimed a dead worker's shard: the stale lease
-    /// was fenced off and a successor spawned at the next generation.
-    LeaseTakeover {
-        /// The re-claimed shard.
-        shard: u64,
-        /// The successor's (bumped) lease generation.
-        generation: u64,
-    },
-    /// A point was served from the content-addressed result cache
-    /// instead of being simulated (entry digest verified first).
-    CacheHit {
-        /// Grid index of the point.
-        point: u64,
-    },
-    /// A point killed its worker process too many times in a row and
-    /// was quarantined as a `poisoned(...)` row instead of wedging the
-    /// sweep.
-    PointQuarantined {
-        /// Grid index of the point.
-        point: u64,
-        /// Consecutive worker deaths attributed to it.
-        crashes: u32,
-    },
 }
 
 impl Event {
@@ -313,13 +252,6 @@ impl Event {
             Event::Ack { .. } => "ack",
             Event::LsdFire { .. } => "lsd_fire",
             Event::LlcWindow { .. } => "llc_window",
-            Event::PointTimeout { .. } => "point_timeout",
-            Event::PointRetry { .. } => "point_retry",
-            Event::DigestSampled { .. } => "digest_sampled",
-            Event::WorkerCrash { .. } => "worker_crash",
-            Event::LeaseTakeover { .. } => "lease_takeover",
-            Event::CacheHit { .. } => "cache_hit",
-            Event::PointQuarantined { .. } => "point_quarantined",
         }
     }
 
@@ -388,54 +320,6 @@ mod tests {
         // All three belong to the original packet's data flight.
         for ev in [r, s, e] {
             assert_eq!(ev.data_packet(), Some(4));
-        }
-    }
-
-    #[test]
-    fn runner_lifecycle_events_have_names() {
-        let t = Event::PointTimeout {
-            point: 7,
-            attempt: 0,
-            budget: "cycles",
-        };
-        let r = Event::PointRetry {
-            point: 7,
-            attempt: 1,
-        };
-        let d = Event::DigestSampled {
-            point: 7,
-            digest: 0xabc,
-        };
-        assert_eq!(t.name(), "point_timeout");
-        assert_eq!(r.name(), "point_retry");
-        assert_eq!(d.name(), "digest_sampled");
-        // Runner lifecycle events are not part of a packet's flight.
-        assert_eq!(t.data_packet(), None);
-    }
-
-    #[test]
-    fn supervisor_lifecycle_events_have_names() {
-        let c = Event::WorkerCrash {
-            shard: 2,
-            generation: 1,
-            point: Some(9),
-        };
-        let t = Event::LeaseTakeover {
-            shard: 2,
-            generation: 2,
-        };
-        let h = Event::CacheHit { point: 9 };
-        let q = Event::PointQuarantined {
-            point: 9,
-            crashes: 3,
-        };
-        assert_eq!(c.name(), "worker_crash");
-        assert_eq!(t.name(), "lease_takeover");
-        assert_eq!(h.name(), "cache_hit");
-        assert_eq!(q.name(), "point_quarantined");
-        // Supervisor lifecycle events never belong to a packet flight.
-        for e in [c, t, h, q] {
-            assert_eq!(e.data_packet(), None);
         }
     }
 }

@@ -551,16 +551,16 @@ fn finish(
     report: &SupervisorReport,
 ) -> ExitCode {
     if !opts.quiet {
-        let metrics = sweep_metrics(records);
         let counts = status_counts(records);
+        let sum = |f: fn(&PointRecord) -> u64| records.iter().map(f).sum::<u64>();
         eprintln!(
             "metrics: retries={} timeouts={} failures={} undrained_points={} digest_points={} \
              worker_crashes={} lease_takeovers={} cache_hits={} cache_corrupt={} quarantined={}",
-            metrics.counter("sweep.retries"),
-            metrics.counter("sweep.timeouts"),
-            metrics.counter("sweep.failures"),
-            metrics.counter("sweep.undrained_points"),
-            metrics.counter("sweep.digest_points"),
+            sum(|r| u64::from(r.attempts.saturating_sub(1))),
+            sum(|r| u64::from(r.status.starts_with("timeout("))),
+            sum(|r| u64::from(r.status.starts_with("failed("))),
+            sum(|r| u64::from(r.undrained > 0)),
+            sum(|r| u64::from(r.digest != "-")),
             report.crashes,
             report.takeovers,
             report.cache.hits,
@@ -574,9 +574,9 @@ fn finish(
             counts.failed,
             counts.timeout,
             counts.poisoned,
-            metrics.counter("sweep.retransmits"),
-            metrics.counter("sweep.duplicates_suppressed"),
-            metrics.counter("sweep.escalations"),
+            sum(|r| r.retransmits),
+            sum(|r| r.duplicates_suppressed),
+            sum(|r| r.escalations),
         );
     }
     let code = emit_artifacts(opts, spec, records);
@@ -647,32 +647,6 @@ fn emit_artifacts(opts: &Options, spec: &SweepSpec, records: &[PointRecord]) -> 
         }
     }
     ExitCode::SUCCESS
-}
-
-/// Aggregates the sweep's robustness counters into a metrics registry
-/// (stderr-only — wall-clock-adjacent operational numbers never belong
-/// in the byte-stable artifacts).
-fn sweep_metrics(records: &[PointRecord]) -> niobs::MetricsRegistry {
-    let mut m = niobs::MetricsRegistry::new();
-    for r in records {
-        m.inc("sweep.retries", u64::from(r.attempts.saturating_sub(1)));
-        if r.status.starts_with("timeout(") {
-            m.inc("sweep.timeouts", 1);
-        }
-        if r.status.starts_with("failed(") {
-            m.inc("sweep.failures", 1);
-        }
-        if r.undrained > 0 {
-            m.inc("sweep.undrained_points", 1);
-        }
-        if r.digest != "-" {
-            m.inc("sweep.digest_points", 1);
-        }
-        m.inc("sweep.retransmits", r.retransmits);
-        m.inc("sweep.duplicates_suppressed", r.duplicates_suppressed);
-        m.inc("sweep.escalations", r.escalations);
-    }
-    m
 }
 
 /// If the diverging row reports undrained packets, say so: a censored

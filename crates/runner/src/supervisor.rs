@@ -46,8 +46,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use niobs::{Event, MetricsRegistry};
-
 use crate::cache::{run_point_cached, CacheCounts, ResultCache};
 use crate::journal::{fsync_parent_dir, load_journal, load_worker_journal, JournalWriter};
 use crate::lease::{
@@ -583,22 +581,6 @@ pub struct SupervisorReport {
     pub cache: CacheCounts,
     /// Quarantined point indices, ascending.
     pub quarantined: Vec<usize>,
-    /// The same counters as a metrics registry, keyed by
-    /// [`niobs::Event::name`] of the corresponding lifecycle event.
-    pub metrics: MetricsRegistry,
-}
-
-impl SupervisorReport {
-    fn add_cache(&mut self, counts: CacheCounts) {
-        self.cache += counts;
-        if counts.hits > 0 {
-            // Aggregated: the individual hit points are the executors'
-            // business; the registry records the count under the
-            // event's stable name.
-            let name = Event::CacheHit { point: 0 }.name();
-            self.metrics.inc(name, counts.hits);
-        }
-    }
 }
 
 /// One live worker process being tracked by the supervisor.
@@ -681,7 +663,6 @@ pub fn run_supervised(
         takeovers: 0,
         cache: CacheCounts::default(),
         quarantined: Vec::new(),
-        metrics: MetricsRegistry::new(),
     };
     let journal_path = prepared.journal.as_ref().map(|j| j.path.clone());
     match prepared.journal {
@@ -754,10 +735,10 @@ fn run_in_process(
     if let Some(message) = journal_err {
         eprintln!("warning: checkpoint journal failed mid-run: {message}");
     }
-    report.add_cache(CacheCounts {
+    report.cache += CacheCounts {
         hits: hits.into_inner(),
         corrupt: corrupt.into_inner(),
-    });
+    };
     for outcome in fresh {
         report.outcomes.insert(outcome.record.index, outcome);
     }
@@ -884,18 +865,12 @@ fn run_fleet(
                     let fatal_config = !clean && !fenced && status.code() == Some(2);
                     if clean || fenced {
                         if let Some(s) = parse_summary(&stdout) {
-                            report.add_cache(s);
+                            report.cache += s;
                         }
                     } else if !fatal_config {
                         report.crashes += 1;
                         // (fenced exits took the branch above: they are
                         // the protocol working, not crashes.)
-                        let crash = Event::WorkerCrash {
-                            shard: shard as u64,
-                            generation,
-                            point: dangling.map(|p| p as u64),
-                        };
-                        report.metrics.inc(crash.name(), 1);
                         if !cfg.quiet {
                             eprintln!(
                                 "supervisor: worker for shard {shard} (gen {generation}) \
@@ -954,11 +929,6 @@ fn run_fleet(
                                 report.outcomes.insert(q.point, outcome);
                                 report.quarantined.push(q.point);
                                 skip.push(q.point);
-                                let event = Event::PointQuarantined {
-                                    point: q.point as u64,
-                                    crashes: q.crashes,
-                                };
-                                report.metrics.inc(event.name(), 1);
                                 if !cfg.quiet {
                                     eprintln!(
                                         "supervisor: point {} quarantined after \
@@ -972,11 +942,6 @@ fn run_fleet(
                     if pending(&report.outcomes, shard) {
                         let next_generation = generation + 1;
                         report.takeovers += 1;
-                        let takeover = Event::LeaseTakeover {
-                            shard: shard as u64,
-                            generation: next_generation,
-                        };
-                        report.metrics.inc(takeover.name(), 1);
                         let child =
                             match cfg.spawn_worker(&journal_path, shard, next_generation, &skip) {
                                 Ok(child) => child,
