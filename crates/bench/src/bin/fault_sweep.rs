@@ -39,10 +39,9 @@ fn config_with(ppb: u32) -> NocConfig {
     b.build().expect("paper config with faults is valid")
 }
 
-fn run_point(org: Organization, ppb: u32, load: f64, token: noc::cancel::CancelToken) -> Point {
+fn run_point(org: Organization, ppb: u32, load: f64) -> Point {
     let cfg = config_with(ppb);
     let mut net = AnyNetwork::new(org, cfg.clone());
-    net.install_cancel(token);
     let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, load, 42);
     let mut wd = Watchdog::default();
 
@@ -114,9 +113,9 @@ fn main() {
             }
         }
     }
-    let points = run_grid(grid.len(), |i, token| {
+    let points = run_grid(grid.len(), |i| {
         let (org, ppb, _, load) = grid[i];
-        run_point(org, ppb, load, token)
+        run_point(org, ppb, load)
     });
 
     println!("## Latency/throughput degradation under transient link faults\n");

@@ -9,7 +9,6 @@
 
 use bench::{run_grid, AnyNetwork, Organization};
 use noc::config::NocConfigBuilder;
-use noc::network::Network as _;
 use noc::traffic::{measure_latency, Pattern, TrafficGen};
 use noc::types::NodeId;
 use noc::zeroload::{ideal_latency, mesh_latency, smart_latency};
@@ -20,14 +19,13 @@ const HPCS: [u8; 4] = [1, 2, 3, 4];
 fn main() {
     let wire = WireModel::paper();
     let orgs = Organization::ALL;
-    let lat = run_grid(HPCS.len() * orgs.len(), |i, token| {
+    let lat = run_grid(HPCS.len() * orgs.len(), |i| {
         let (hpc, org) = (HPCS[i / orgs.len()], orgs[i % orgs.len()]);
         let cfg = NocConfigBuilder::new()
             .max_hops_per_cycle(hpc)
             .build()
             .expect("valid config");
         let mut net = AnyNetwork::new(org, cfg.clone());
-        net.install_cancel(token);
         let mut gen = TrafficGen::new(cfg, Pattern::CoreToLlc, 0.02, 5).response_fraction(0.5);
         measure_latency(&mut net, &mut gen, 1_000, 4_000)
     });

@@ -10,7 +10,6 @@
 
 use bench::{run_grid, AnyNetwork, Organization};
 use noc::config::NocConfigBuilder;
-use noc::network::Network as _;
 use noc::traffic::{measure_latency, Pattern, TrafficGen};
 
 const DEPTHS: [u8; 4] = [5, 6, 8, 10];
@@ -21,14 +20,13 @@ const ORGS: [Organization; 3] = [
 ];
 
 fn main() {
-    let lat = run_grid(DEPTHS.len() * ORGS.len(), |i, token| {
+    let lat = run_grid(DEPTHS.len() * ORGS.len(), |i| {
         let (depth, org) = (DEPTHS[i / ORGS.len()], ORGS[i % ORGS.len()]);
         let cfg = NocConfigBuilder::new()
             .vc_depth(depth)
             .build()
             .expect("valid config");
         let mut net = AnyNetwork::new(org, cfg.clone());
-        net.install_cancel(token);
         let mut gen = TrafficGen::new(cfg, Pattern::UniformRandom, 0.03, 11).response_fraction(0.5);
         measure_latency(&mut net, &mut gen, 1_000, 4_000)
     });

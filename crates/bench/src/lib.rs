@@ -1,17 +1,19 @@
 //! # bench — the figure/table regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! experiment index), plus shared plumbing: building each network
-//! organisation, running the sampled system simulation, and formatting
-//! result rows.
+//! The `figures` binary prints the paper's tables (see DESIGN.md's
+//! experiment index). Each table is a [`figures::Table`]: a [`Plan`] of
+//! the cells it needs and a formatter over their [`Measured`] rows.
+//! [`measure`] is the one full-system measurement path behind them: it
+//! runs each distinct simulation once, however many tables ask for it.
+//! The remaining binaries are synthetic-traffic sweeps over the
+//! [`run_grid`] pool.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 use std::env::VarError;
 
-use nistats::{geometric_mean, SampleSpec, Summary};
-use noc::cancel::CancelToken;
+use nistats::{SampleSpec, Summary};
 use noc::network::Network;
 use noc::stats::NetStats;
 use pra::network::PraNetwork;
@@ -21,38 +23,18 @@ use workloads::{WorkloadKind, WorkloadProfile};
 
 pub use runner::{AnyNetwork, Organization};
 
+pub mod figures;
+
 /// Runs `count` independent points across the runner's work-stealing
 /// pool (`NOC_THREADS`, default: all cores) and returns the results in
 /// index order — so a binary prints exactly what its serial loop
 /// printed, just faster. Each task must be a pure function of its index
 /// (build the network inside it, derive nothing from shared mutable
-/// state).
-///
-/// Each task receives a [`CancelToken`] armed with the wall-clock
-/// budget in `NOC_POINT_WALL_MS` (unset or 0 = unlimited), which lets CI
-/// put a ceiling under every binary without touching their flags. The
-/// task installs the token into the networks it builds
-/// (`Network::install_cancel`); a point that overruns stops simulating —
-/// its remaining cycles free-run to the end of the loop — instead of
-/// wedging the whole binary. Overruns are reported on stderr; the budget
-/// never appears in stdout. A panicking point aborts the binary with the
-/// panic message; sweeps that tolerate per-point failure should go
-/// through [`runner::run_points_full_with`] instead.
-pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize, CancelToken) -> T + Sync) -> Vec<T> {
-    let budget_ms = wall_budget_from_env();
-    let budgeted = |i| {
-        let token = CancelToken::new();
-        let _wall = runner::WallGuard::arm(budget_ms, token.clone());
-        let out = task(i, token.clone());
-        if token.is_cancelled() {
-            eprintln!(
-                "bench: point {i} exceeded the {budget_ms}ms wall budget \
-                 (NOC_POINT_WALL_MS); its result is truncated"
-            );
-        }
-        out
-    };
-    runner::run_tasks(count, runner::threads_from_env(), budgeted, |_, _, _, _| {})
+/// state). A panicking point aborts the binary with the panic message;
+/// sweeps that tolerate per-point failure should go through
+/// [`runner::run_points_full_with`] instead.
+pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    runner::run_tasks(count, runner::threads_from_env(), task, |_, _, _, _| {})
         .into_iter()
         .map(|outcome| match outcome {
             runner::Outcome::Done(v) => v,
@@ -67,7 +49,7 @@ pub fn run_grid<T: Send>(count: usize, task: impl Fn(usize, CancelToken) -> T + 
 /// One full-system measurement point: organisation `org` running
 /// `profile` on the system `params`. `ctrl` only affects Mesh+PRA.
 /// Build one with [`Cell::paper`] plus struct-update syntax.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cell {
     /// The network organisation.
     pub org: Organization,
@@ -101,6 +83,16 @@ impl Cell {
     }
 }
 
+/// What one table asks [`measure`] for: its cells, all sampled under
+/// one spec (seeds `1..=spec.samples` over the spec's windows).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Plan {
+    /// The cells, in the order the table reads their rows.
+    pub cells: Vec<Cell>,
+    /// Windows and sample count.
+    pub spec: SampleSpec,
+}
+
 /// What [`measure`] reports for one [`Cell`].
 #[derive(Debug, Clone)]
 pub struct Measured {
@@ -113,76 +105,105 @@ pub struct Measured {
     pub pra: PraStats,
 }
 
-/// The one full-system measurement path. Runs every cell on the
-/// [`run_grid`] pool; per cell, each of the spec's samples (seeds
-/// `1..=samples`) builds a fresh network under the cell's
-/// `NOC_POINT_WALL_MS` token, runs `System::measure` over the spec's
-/// windows, and folds the network's end state into the cell's
-/// [`Measured`]. Results come back in cell order.
-pub fn measure(cells: &[Cell], spec: &SampleSpec) -> Vec<Measured> {
-    run_grid(cells.len(), |i, token| {
-        let cell = &cells[i];
-        let mut net_stats = NetStats::new();
-        let mut pra_stats = PraStats::new();
-        let perf = spec.run(|seed| {
-            let cfg = cell.params.noc.clone();
-            let mut net = match cell.org {
-                Organization::MeshPra => {
-                    AnyNetwork::MeshPra(PraNetwork::with_control(cfg, cell.ctrl.clone()))
-                }
-                org => AnyNetwork::new(org, cfg),
-            };
-            net.install_cancel(token.clone());
-            let mut sys = System::with_profile(cell.params.clone(), net, cell.profile, seed);
-            let perf = sys.measure(spec.warmup_cycles, spec.measure_cycles);
-            let net = sys.into_network();
-            net_stats.merge(net.stats());
-            match &net {
-                AnyNetwork::MeshPra(n) => pra_stats.merge(n.pra_stats()),
-                AnyNetwork::Frfc(n) => pra_stats.merge(n.pra_stats()),
-                _ => {}
-            }
-            perf
-        });
-        Measured {
-            perf,
-            net: net_stats,
-            pra: pra_stats,
-        }
-    })
+/// One simulation: `cell` under one seed and one pair of windows. Two
+/// plans that ask for equal runs share the one result.
+#[derive(Debug, PartialEq)]
+struct Run<'a> {
+    cell: &'a Cell,
+    warmup_cycles: u64,
+    measure_cycles: u64,
+    seed: u64,
 }
 
-/// Formats a normalized-performance table (rows = workloads + GMean,
-/// columns normalized to the first organisation).
-pub fn format_normalized_table(
-    title: &str,
-    workloads: &[WorkloadKind],
-    orgs: &[Organization],
-    raw: &[Vec<f64>],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("## {title}\n\n"));
-    out.push_str(&format!("{:<16}", "Workload"));
-    for org in orgs {
-        out.push_str(&format!("{:>10}", org.name()));
+impl Run<'_> {
+    /// Builds a fresh network and system, runs `System::measure` over the
+    /// windows, and returns the one-sample [`Measured`] of the network's
+    /// end state.
+    fn simulate(&self) -> Measured {
+        let cell = self.cell;
+        let cfg = cell.params.noc.clone();
+        let net = match cell.org {
+            Organization::MeshPra => {
+                AnyNetwork::MeshPra(PraNetwork::with_control(cfg, cell.ctrl.clone()))
+            }
+            org => AnyNetwork::new(org, cfg),
+        };
+        let mut sys = System::with_profile(cell.params.clone(), net, cell.profile, self.seed);
+        let perf = sys.measure(self.warmup_cycles, self.measure_cycles);
+        let net = sys.into_network();
+        let pra = match &net {
+            AnyNetwork::MeshPra(n) => n.pra_stats().clone(),
+            AnyNetwork::Frfc(n) => n.pra_stats().clone(),
+            _ => PraStats::new(),
+        };
+        let perf = Summary::of(&[perf]);
+        let net = net.stats().clone();
+        Measured { perf, net, pra }
     }
-    out.push('\n');
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); orgs.len()];
-    for (w, workload) in workloads.iter().enumerate() {
-        out.push_str(&format!("{:<16}", workload.name()));
-        for o in 0..orgs.len() {
-            let r = raw[w][o] / raw[w][0];
-            ratios[o].push(r);
-            out.push_str(&format!("{:>10.3}", r));
+}
+
+/// The distinct runs `plans` ask for, in first-request order, and per
+/// plan, per cell, the indices of its seeds' runs in seed order.
+fn schedule<'a>(plans: &'a [Plan]) -> (Vec<Run<'a>>, Vec<Vec<Vec<usize>>>) {
+    let mut runs: Vec<Run<'a>> = Vec::new();
+    let mut index = |run: Run<'a>| {
+        runs.iter().position(|r| *r == run).unwrap_or_else(|| {
+            runs.push(run);
+            runs.len() - 1
+        })
+    };
+    let mut seeds_of = |cell: &'a Cell, spec: &SampleSpec| -> Vec<usize> {
+        let (warmup_cycles, measure_cycles) = (spec.warmup_cycles, spec.measure_cycles);
+        let run = |seed| Run {
+            cell,
+            warmup_cycles,
+            measure_cycles,
+            seed,
+        };
+        spec.seeds().map(|seed| index(run(seed))).collect()
+    };
+    let plan_seeds = plans
+        .iter()
+        .map(|p| p.cells.iter().map(|c| seeds_of(c, &p.spec)).collect())
+        .collect();
+    (runs, plan_seeds)
+}
+
+/// How many runs `plans` ask for, repeats included, and how many of
+/// them are distinct — what [`measure`] would simulate — without
+/// simulating anything.
+pub fn run_counts(plans: &[Plan]) -> (usize, usize) {
+    let (runs, seeds) = schedule(plans);
+    (seeds.iter().flatten().map(Vec::len).sum(), runs.len())
+}
+
+/// The one full-system measurement path. Collects the runs every plan
+/// needs and simulates each distinct one once, all on one [`run_grid`]
+/// pool. Each cell's [`Measured`] is then folded from its own seeds in
+/// seed order (the perf [`Summary`] and the summed statistics), so a
+/// cell reads the same whatever else is measured beside it. Results
+/// come back per plan, in cell order.
+///
+/// # Panics
+///
+/// Panics if a plan with cells asks for zero samples.
+pub fn measure(plans: &[Plan]) -> Vec<Vec<Measured>> {
+    let (runs, seeds) = schedule(plans);
+    let done = run_grid(runs.len(), |i| runs[i].simulate());
+    let fold = |seeds: &Vec<usize>| {
+        let perfs: Vec<f64> = seeds.iter().map(|&r| done[r].perf.mean).collect();
+        let (mut net, mut pra) = (NetStats::new(), PraStats::new());
+        for &r in seeds {
+            net.merge(&done[r].net);
+            pra.merge(&done[r].pra);
         }
-        out.push('\n');
-    }
-    out.push_str(&format!("{:<16}", "GMean"));
-    for r in &ratios {
-        out.push_str(&format!("{:>10.3}", geometric_mean(r)));
-    }
-    out.push('\n');
-    out
+        let perf = Summary::of(&perfs);
+        Measured { perf, net, pra }
+    };
+    seeds
+        .iter()
+        .map(|cells| cells.iter().map(fold).collect())
+        .collect()
 }
 
 /// The quick windows: the figures' default, and (with one sample) the
@@ -206,31 +227,10 @@ pub fn spec_from_env() -> SampleSpec {
             samples: 3,
         },
         Ok("full") => SampleSpec::paper(),
-        _ => usage_exit("NOC_SAMPLES", "quick, mid or full (unset = quick)"),
+        _ => {
+            let got = std::env::var_os("NOC_SAMPLES").unwrap_or_default();
+            eprintln!("bench: NOC_SAMPLES must be quick, mid or full (unset = quick), got {got:?}");
+            std::process::exit(2)
+        }
     }
-}
-
-/// The per-point wall budget in `NOC_POINT_WALL_MS` (unset = 0 = no
-/// budget); anything but a whole number of milliseconds exits with
-/// status 2.
-fn wall_budget_from_env() -> u64 {
-    match std::env::var("NOC_POINT_WALL_MS")
-        .as_deref()
-        .map(str::parse)
-    {
-        Err(VarError::NotPresent) => 0,
-        Ok(Ok(ms)) => ms,
-        _ => usage_exit(
-            "NOC_POINT_WALL_MS",
-            "a whole number of milliseconds (0 or unset = no budget)",
-        ),
-    }
-}
-
-/// Rejects the value of environment variable `var`: names the `valid`
-/// values on stderr and exits with status 2.
-fn usage_exit(var: &str, valid: &str) -> ! {
-    let got = std::env::var_os(var).unwrap_or_default();
-    eprintln!("bench: {var} must be {valid}, got {got:?}");
-    std::process::exit(2)
 }

@@ -1,8 +1,9 @@
 //! `bench::measure` is the one full-system sampling path behind every
 //! paper figure. It must reproduce, seed for seed, what a hand-built
-//! `System::new` over the concrete network type measures.
+//! `System::new` over the concrete network type measures, and a plan
+//! must read the same whatever other plans it is measured beside.
 
-use bench::{measure, Cell, Measured, Organization};
+use bench::{measure, run_counts, Cell, Measured, Organization, Plan};
 use nistats::{SampleSpec, Summary};
 use noc::ideal::IdealNetwork;
 use noc::mesh::MeshNetwork;
@@ -85,7 +86,11 @@ fn measure_matches_hand_built_systems_seed_for_seed() {
         },
         ..Cell::paper(Organization::MeshPra, wl)
     });
-    let measured = measure(&cells, &SPEC);
+    let plan = Plan {
+        cells: cells.clone(),
+        spec: SPEC,
+    };
+    let measured = measure(&[plan]).remove(0);
     assert_eq!(measured.len(), cells.len());
     for (cell, got) in cells.iter().zip(&measured) {
         let what = format!("{:?} {:?}", cell.org, cell.ctrl);
@@ -102,4 +107,65 @@ fn measure_matches_hand_built_systems_seed_for_seed() {
         format!("{:?}", measured[2].pra),
         format!("{:?}", measured[5].pra)
     );
+}
+
+fn debug_of(rows: &[Measured]) -> Vec<String> {
+    rows.iter().map(|m| format!("{m:?}")).collect()
+}
+
+#[test]
+fn overlapping_plans_read_what_each_reads_alone() {
+    let wl = WorkloadKind::WebSearch;
+    let mesh = Cell::paper(Organization::Mesh, wl);
+    let pra = Cell::paper(Organization::MeshPra, wl);
+    let one = SampleSpec { samples: 1, ..SPEC };
+    let plans = [
+        // A repeated cell inside one plan.
+        Plan {
+            cells: vec![mesh.clone(), pra.clone(), mesh.clone()],
+            spec: SPEC,
+        },
+        // Seed 1 of the two-sample cells above.
+        Plan {
+            cells: vec![pra.clone(), mesh.clone()],
+            spec: one,
+        },
+        // The same cell under other windows is another run.
+        Plan {
+            cells: vec![mesh.clone()],
+            spec: SampleSpec {
+                measure_cycles: SPEC.measure_cycles / 2,
+                ..one
+            },
+        },
+        Plan {
+            cells: vec![mesh.clone()],
+            spec: SampleSpec {
+                warmup_cycles: SPEC.warmup_cycles / 2,
+                ..one
+            },
+        },
+        // A plan with nothing to simulate.
+        Plan {
+            cells: Vec::new(),
+            spec: SPEC,
+        },
+    ];
+    assert_eq!(run_counts(&plans), (6 + 2 + 1 + 1, 6));
+    let together = measure(&plans);
+    assert_eq!(together.len(), plans.len());
+    for (plan, got) in plans.iter().zip(&together) {
+        let alone = measure(std::slice::from_ref(plan)).remove(0);
+        assert_eq!(debug_of(got), debug_of(&alone), "{:?}", plan.spec);
+    }
+    assert_eq!(debug_of(&together[0][..1]), debug_of(&together[0][2..]));
+    // A one-sample plan is not a two-sample one: its summary has one
+    // sample and its statistics cover one run.
+    assert_eq!(together[1][1].perf.n, 1);
+    assert_ne!(debug_of(&together[1][1..]), debug_of(&together[0][..1]));
+    for other in &together[2..4] {
+        assert_ne!(debug_of(other), debug_of(&together[1][1..]));
+    }
+    // The hand-built oracle agrees with the shared runs.
+    assert_eq!(debug_of(&together[0][1..2]), debug_of(&[reference(&pra)]));
 }

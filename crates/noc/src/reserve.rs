@@ -733,14 +733,7 @@ impl Datapath for Reserving {
                     node: node as u64,
                 });
             }
-            net.release_cancelled(node, out_port, expired[0].1.packet, &expired);
-            // release_cancelled handles credits/latches per entry but
-            // guards per packet; cover remaining packets.
-            for (_, r) in &expired {
-                if !net.dp.schedules[lane(node, p)].has_packet(r.packet) {
-                    net.dp.clear_guards(node, p, r.packet);
-                }
-            }
+            net.release_cancelled(node, out_port, &expired);
             expired.clear();
         }
         lanes.clear();
@@ -1555,7 +1548,7 @@ impl MeshCore<Reserving> {
         });
         // The reservation was already taken from the schedule; release the
         // resources it held.
-        self.release_cancelled(node, out_port, packet, &[(cycle, resv)]);
+        self.release_cancelled(node, out_port, &[(cycle, resv)]);
         // Cancel across every router the packet has slots on, from the next
         // cycle onward (slots for the current cycle at other routers are
         // earlier flits mid-chain). Cancelled slots were allocated and will
@@ -1585,7 +1578,7 @@ impl MeshCore<Reserving> {
             from_cycle,
             &mut removed,
         );
-        self.release_cancelled(node, out_port, packet, &removed);
+        self.release_cancelled(node, out_port, &removed);
         removed.clear();
         self.dp.removed = removed;
         n
@@ -1629,20 +1622,17 @@ impl MeshCore<Reserving> {
         total
     }
 
-    fn release_cancelled(
-        &mut self,
-        node: usize,
-        out_port: Port,
-        packet: PacketId,
-        removed: &[(Cycle, Reservation)],
-    ) {
+    /// Releases what the `removed` slots of `(node, out_port)` held, each
+    /// under its own packet, and clears the guards of every packet left
+    /// with no slot on the port.
+    fn release_cancelled(&mut self, node: usize, out_port: Port, removed: &[(Cycle, Reservation)]) {
         let p = out_port.index();
         for (_cycle, r) in removed {
             match r.landing {
                 Landing::Vc(lvc) if out_port != Port::Local => {
                     self.routers[node]
                         .out_vc_mut(p, lvc)
-                        .release_reservation(packet, 1);
+                        .release_reservation(r.packet, 1);
                 }
                 Landing::Latch => {
                     // Latch claims are deliberately NOT released here:
@@ -1653,9 +1643,9 @@ impl MeshCore<Reserving> {
                 }
                 _ => {}
             }
-        }
-        if !removed.is_empty() && !self.dp.schedules[lane(node, p)].has_packet(packet) {
-            self.dp.clear_guards(node, p, packet);
+            if !self.dp.schedules[lane(node, p)].has_packet(r.packet) {
+                self.dp.clear_guards(node, p, r.packet);
+            }
         }
     }
 }
@@ -1755,6 +1745,51 @@ mod tests {
         assert_eq!(expired[0].0, 3);
         assert_eq!(s.len(), 1);
         assert!(s.is_reserved(7));
+    }
+
+    #[test]
+    fn expire_releases_every_packets_credits() {
+        let mut n = net();
+        for _ in 0..3 {
+            n.step();
+        }
+        // Two packets' slots on one port, both booked behind the clock,
+        // so one expiry pass removes them together.
+        let east = Port::Dir(Direction::East);
+        for (packet, class, start) in [
+            (PacketId(1), MessageClass::Request, 1),
+            (PacketId(2), MessageClass::Response, 2),
+        ] {
+            n.install_hop(&HopPlan {
+                node: NodeId::new(1),
+                out_port: east,
+                start,
+                packet,
+                len: 1,
+                class,
+                source: FlitSource::Vc {
+                    port: Port::Dir(Direction::West),
+                    vc: class.vc(),
+                },
+                landing: Landing::Vc(class.vc()),
+                reserve: 1,
+            })
+            .unwrap();
+        }
+        for _ in 0..5 {
+            n.step();
+        }
+        assert_eq!(n.stats().wasted_reservations, 2);
+        for vc in [0, 2] {
+            assert_eq!(
+                n.out_vc(NodeId::new(1), east, vc).reserved(),
+                0,
+                "VC {vc} credit released"
+            );
+        }
+        for class in [MessageClass::Request, MessageClass::Response] {
+            assert_eq!(n.guard(NodeId::new(1), east, class).holder(), None);
+        }
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! * [`RingLog`] — bounded in-memory event log;
 //! * [`FlightRecorder`] — per-packet flight records (inject → per-hop
 //!   per-stage timing → eject, with pre-allocated-prefix length);
-//! * [`MetricsRegistry`] — named counters/gauges/exact histograms,
-//!   snapshotable mid-run;
+//! * [`MetricsRegistry`] — named counters and exact histograms;
 //! * [`chrome`] / [`flights_to_csv`] — Chrome/Perfetto `trace_event`
 //!   JSON and compact per-packet CSV exporters;
 //! * [`Recorder`] — the batteries-included sink combining all three
@@ -70,7 +69,7 @@ pub struct Recorder {
     pub log: RingLog,
     /// Per-packet flight assembly.
     pub flights: FlightRecorder,
-    /// Counters, gauges, and histograms.
+    /// Counters and histograms.
     pub metrics: MetricsRegistry,
 }
 

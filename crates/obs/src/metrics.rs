@@ -1,4 +1,4 @@
-//! Named counters, gauges, and exact histograms, snapshotable mid-run.
+//! Named counters and exact histograms.
 //!
 //! Unlike a fixed-bucket histogram with an overflow bucket (where large
 //! percentiles are lower bounds), the histograms here are sparse maps
@@ -7,8 +7,6 @@
 //! where updates are already off the simulator's zero-cost path.
 
 use std::collections::BTreeMap;
-
-use nistats::Json;
 
 /// An exact value-distribution: every observed value keeps its own
 /// count, so quantiles are precise.
@@ -80,41 +78,17 @@ impl SparseHistogram {
         }
         self.max()
     }
-
-    /// Serialises count/mean/min/max and the standard latency quantiles.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let quantile = |q: f64| match self.percentile(q) {
-            Some(v) => Json::UInt(v),
-            None => Json::Null,
-        };
-        Json::object(vec![
-            ("count".to_string(), Json::UInt(self.total)),
-            (
-                "mean".to_string(),
-                self.mean().map_or(Json::Null, Json::Float),
-            ),
-            ("min".to_string(), self.min().map_or(Json::Null, Json::UInt)),
-            ("p50".to_string(), quantile(0.50)),
-            ("p95".to_string(), quantile(0.95)),
-            ("p99".to_string(), quantile(0.99)),
-            ("max".to_string(), self.max().map_or(Json::Null, Json::UInt)),
-        ])
-    }
 }
 
-/// A registry of named counters, gauges, and histograms.
+/// A registry of named counters and histograms.
 ///
 /// Keys are free-form dotted names (`"noc.link_traversals"`). The
-/// registry is `Clone`, and [`MetricsRegistry::snapshot`] is just that
-/// clone — callers can snapshot mid-run and diff later without
-/// disturbing the live registry.
+/// registry is `Clone`, so callers can keep a mid-run copy and diff it
+/// later without disturbing the live registry.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
     histograms: BTreeMap<String, SparseHistogram>,
-    epoch: u32,
 }
 
 impl MetricsRegistry {
@@ -127,11 +101,6 @@ impl MetricsRegistry {
     /// Adds `by` to the named counter (creating it at zero).
     pub fn inc(&mut self, name: &str, by: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += by;
-    }
-
-    /// Sets the named gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        self.gauges.insert(name.to_string(), value);
     }
 
     /// Records `value` into the named histogram (creating it empty).
@@ -148,79 +117,19 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge, if it was ever set.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, if any values were observed.
     #[must_use]
     pub fn histogram(&self, name: &str) -> Option<&SparseHistogram> {
         self.histograms.get(name)
     }
 
-    /// Names and values of all counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// A point-in-time copy of the whole registry.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsRegistry {
-        self.clone()
-    }
-
-    /// Clears every counter, gauge, and histogram and advances the epoch
-    /// number. Benchmarks call this at the warm-up/measurement boundary
-    /// so the registry covers only the measured window; snapshot the
-    /// registry first if the warm-up numbers are worth keeping.
+    /// Clears every counter and histogram. Benchmarks call this at the
+    /// warm-up/measurement boundary so the registry covers only the
+    /// measured window; clone the registry first if the warm-up numbers
+    /// are worth keeping.
     pub fn begin_epoch(&mut self) {
         self.counters.clear();
-        self.gauges.clear();
         self.histograms.clear();
-        self.epoch += 1;
-    }
-
-    /// Which measurement epoch the registry is in (0 until the first
-    /// [`MetricsRegistry::begin_epoch`] call).
-    #[must_use]
-    pub fn epoch(&self) -> u32 {
-        self.epoch
-    }
-
-    /// Serialises the registry: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {...}}`.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), Json::UInt(v)))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, &v)| {
-                let value = if v >= 0 {
-                    #[allow(clippy::cast_sign_loss)]
-                    Json::UInt(v as u64)
-                } else {
-                    Json::Int(v)
-                };
-                (k.clone(), value)
-            })
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.to_json()))
-            .collect();
-        Json::object(vec![
-            ("counters".to_string(), Json::Object(counters)),
-            ("gauges".to_string(), Json::Object(gauges)),
-            ("histograms".to_string(), Json::Object(histograms)),
-        ])
     }
 }
 
@@ -268,61 +177,31 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_snapshot() {
+    fn registry_counters_and_histograms() {
         let mut m = MetricsRegistry::new();
         m.inc("a.count", 2);
         m.inc("a.count", 3);
-        m.set_gauge("b.level", -7);
         m.observe("c.lat", 4);
-        let snap = m.snapshot();
+        let copy = m.clone();
         m.inc("a.count", 10);
-        assert_eq!(snap.counter("a.count"), 5);
+        assert_eq!(copy.counter("a.count"), 5);
         assert_eq!(m.counter("a.count"), 15);
-        assert_eq!(snap.gauge("b.level"), Some(-7));
-        assert_eq!(snap.histogram("c.lat").map(SparseHistogram::count), Some(1));
-        assert_eq!(snap.counter("missing"), 0);
+        assert_eq!(copy.histogram("c.lat").map(SparseHistogram::count), Some(1));
+        assert_eq!(copy.counter("missing"), 0);
     }
 
     #[test]
-    fn begin_epoch_clears_and_advances() {
+    fn begin_epoch_clears() {
         let mut m = MetricsRegistry::new();
         m.inc("a", 5);
-        m.set_gauge("g", 2);
         m.observe("h", 7);
-        assert_eq!(m.epoch(), 0);
-        let warmup = m.snapshot();
+        let warmup = m.clone();
         m.begin_epoch();
-        assert_eq!(m.epoch(), 1);
         assert_eq!(m.counter("a"), 0);
-        assert_eq!(m.gauge("g"), None);
         assert!(m.histogram("h").is_none());
-        // The pre-epoch snapshot keeps the warm-up numbers.
+        // The pre-epoch copy keeps the warm-up numbers.
         assert_eq!(warmup.counter("a"), 5);
-        assert_eq!(warmup.epoch(), 0);
         m.inc("a", 1);
         assert_eq!(m.counter("a"), 1);
-    }
-
-    #[test]
-    fn registry_json_shape() {
-        let mut m = MetricsRegistry::new();
-        m.inc("x", 1);
-        m.set_gauge("g", 3);
-        m.observe("h", 9);
-        let json = m.to_json();
-        assert_eq!(
-            json.get("counters")
-                .and_then(|c| c.get("x"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            json.get("gauges")
-                .and_then(|g| g.get("g"))
-                .and_then(Json::as_u64),
-            Some(3)
-        );
-        let h = json.get("histograms").and_then(|h| h.get("h"));
-        assert_eq!(h.and_then(|h| h.get("p50")).and_then(Json::as_u64), Some(9));
     }
 }

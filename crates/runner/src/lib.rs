@@ -58,7 +58,7 @@ pub use lease::{
 pub use org::{AnyNetwork, Organization};
 pub use point::{
     first_divergence, run_point_full, run_points_full_with, verify_digest_trail, ClassLatency,
-    PointOutcome, PointRecord, PointSpec, WallGuard,
+    PointOutcome, PointRecord, PointSpec,
 };
 pub use pool::{run_tasks, Outcome};
 pub use protocol::{

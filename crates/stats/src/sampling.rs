@@ -4,8 +4,6 @@
 //! independent samples (different seeds / checkpoints) are aggregated
 //! with 95% confidence intervals.
 
-use crate::summary::Summary;
-
 /// A sampling plan.
 ///
 /// The paper's setup: 100 K cycles of detailed warming, then 50 K cycles
@@ -33,15 +31,9 @@ impl SampleSpec {
         }
     }
 
-    /// Runs `sample(seed)` for each sample and summarises the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is zero.
-    pub fn run<F: FnMut(u64) -> f64>(&self, mut sample: F) -> Summary {
-        assert!(self.samples > 0, "at least one sample required");
-        let values: Vec<f64> = (0..self.samples).map(|i| sample(i as u64 + 1)).collect();
-        Summary::of(&values)
+    /// The samples' seeds, `1..=samples`.
+    pub fn seeds(&self) -> std::ops::RangeInclusive<u64> {
+        1..=u64::from(self.samples)
     }
 }
 
@@ -58,40 +50,14 @@ mod tests {
     }
 
     #[test]
-    fn run_aggregates_samples() {
-        let spec = SampleSpec {
-            warmup_cycles: 0,
-            measure_cycles: 0,
-            samples: 4,
-        };
-        let summary = spec.run(|seed| seed as f64);
-        assert_eq!(summary.n, 4);
-        assert!((summary.mean - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn seeds_start_at_one() {
         let spec = SampleSpec {
             warmup_cycles: 0,
             measure_cycles: 0,
-            samples: 1,
+            samples: 3,
         };
-        let mut seen = Vec::new();
-        spec.run(|seed| {
-            seen.push(seed);
-            0.0
-        });
-        assert_eq!(seen, vec![1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one sample")]
-    fn zero_samples_panics() {
-        let spec = SampleSpec {
-            warmup_cycles: 0,
-            measure_cycles: 0,
-            samples: 0,
-        };
-        let _ = spec.run(|_| 0.0);
+        assert_eq!(spec.seeds().collect::<Vec<_>>(), [1, 2, 3]);
+        let none = SampleSpec { samples: 0, ..spec };
+        assert_eq!(none.seeds().count(), 0);
     }
 }

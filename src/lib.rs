@@ -29,7 +29,7 @@
 //! ```
 //!
 //! See `DESIGN.md` for the system inventory, `EXPERIMENTS.md` for the
-//! paper-vs-measured record, and `cargo run -p bench --bin all_figures`
+//! paper-vs-measured record, and `cargo run --release -p bench --bin figures`
 //! to regenerate every table and figure.
 
 #![warn(missing_docs)]
