@@ -1,15 +1,17 @@
 //! Input-side buffering: virtual-channel FIFOs and the PRA latch.
 //!
-//! Each router input port owns one [`VcBuffer`] per message class plus a
-//! single-flit [`InputUnit::latch`] used only by proactively allocated
-//! multi-hop paths (the paper's Figure 4 "Latch" pseudo-VC). The bypass
-//! pseudo-VC has no storage — it is purely combinational and therefore has
-//! no representation here.
+//! Every network keeps all of its virtual-channel FIFOs in one
+//! [`FlitStore`], one lane per (router, input port, VC). Each mesh input
+//! port also owns a single-flit [`InputUnit::latch`] used only by
+//! proactively allocated multi-hop paths (the paper's Figure 4 "Latch"
+//! pseudo-VC). The bypass pseudo-VC has no storage — it is purely
+//! combinational and therefore has no representation here.
 
 use std::collections::VecDeque;
 
-use crate::flit::Flit;
-use crate::types::{Cycle, PacketId};
+use crate::digest::{StateDigest, StateHasher};
+use crate::flit::{Flit, Packet};
+use crate::types::{Cycle, MessageClass, NodeId, PacketId, Port};
 
 /// Error returned when an enqueue would corrupt buffer invariants.
 #[must_use]
@@ -43,88 +45,165 @@ impl std::fmt::Display for BufferError {
 
 impl std::error::Error for BufferError {}
 
-/// A fixed-depth flit FIFO implementing one virtual channel.
+/// The lane of VC `vc` of input port `port` of router `node` in a
+/// network with `vcs` VCs per port: every network lays its per-(router,
+/// port, VC) state out this way, router major, then port, then VC.
+// hot
+#[inline(always)]
+pub(crate) fn vc_lane(vcs: usize, node: usize, port: usize, vc: usize) -> usize {
+    (node * Port::COUNT + port) * vcs + vc
+}
+
+/// The lanes of router `node` under [`vc_lane`]'s layout: one contiguous
+/// run, port major.
+pub(crate) fn router_lanes(vcs: usize, node: usize) -> std::ops::Range<usize> {
+    let first = vc_lane(vcs, node, 0, 0);
+    first..first + Port::COUNT * vcs
+}
+
+/// Every virtual-channel FIFO of one network in one flat ring store.
 ///
-/// Flits live in a flat ring (`slots`/`head`/`len`): the backing store
-/// grows once up to `depth` and is recycled in place forever after, so
-/// steady-state pushes and pops never touch the allocator and indexing
-/// is plain modular arithmetic.
+/// Lane `l` owns slots `l * depth .. (l + 1) * depth` of a single
+/// `Vec<Flit>` and one `(head, len)` ring header in a dense side array,
+/// so a network of any size holds its buffered flits in two heap blocks
+/// and reading a lane's front flit is one multiply and two loads. Ring
+/// indices advance by compare-and-subtract, never by division. The store
+/// is allocated whole at construction and recycled in place forever
+/// after, so steady-state pushes and pops never touch the allocator.
+///
+/// Each lane keeps the FIFO contract of one virtual channel: a fixed
+/// capacity of `depth` flits and contiguous packets (see
+/// [`FlitStore::push`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use noc::buffer::VcBuffer;
+/// use noc::buffer::FlitStore;
 /// use noc::flit::Packet;
 /// use noc::types::{MessageClass, NodeId, PacketId};
 ///
-/// let mut vc = VcBuffer::new(5);
+/// let mut store = FlitStore::new(2, 5);
 /// let p = Packet::new(PacketId(1), NodeId::new(0), NodeId::new(1), MessageClass::Request, 1);
-/// vc.push(p.flit(0))?;
-/// assert_eq!(vc.len(), 1);
-/// assert_eq!(vc.pop().unwrap().packet, PacketId(1));
+/// store.push(1, p.flit(0))?;
+/// assert_eq!((store.len(0), store.len(1)), (0, 1));
+/// assert_eq!(store.pop(1).unwrap().packet, PacketId(1));
 /// # Ok::<(), noc::buffer::BufferError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct VcBuffer {
+pub struct FlitStore {
     depth: usize,
+    /// `lanes * depth` slots; a slot outside its lane's live window holds
+    /// a stale flit that is never read.
     slots: Vec<Flit>,
-    head: usize,
-    len: usize,
+    rings: Vec<Ring>,
 }
 
-impl VcBuffer {
-    /// Creates an empty buffer holding up to `depth` flits.
+/// One lane's ring header: the slot of its front flit, below the
+/// store's depth, and its length, at most the depth. A depth is at most
+/// 255, so both fit a byte.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    head: u8,
+    len: u8,
+}
+
+impl FlitStore {
+    /// Creates `lanes` empty lanes of `depth` flits each.
     ///
     /// # Panics
     ///
     /// Panics if `depth` is zero.
-    pub fn new(depth: usize) -> Self {
+    pub fn new(lanes: usize, depth: u8) -> Self {
         assert!(depth > 0, "VC depth must be at least one flit");
-        VcBuffer {
+        let depth = usize::from(depth);
+        let blank = Packet::new(
+            PacketId(0),
+            NodeId::new(0),
+            NodeId::new(0),
+            MessageClass::Request,
+            1,
+        )
+        .flit(0);
+        FlitStore {
             depth,
-            slots: Vec::with_capacity(depth),
-            head: 0,
-            len: 0,
+            slots: vec![blank; lanes * depth],
+            rings: vec![Ring::default(); lanes],
         }
     }
 
-    /// Physical slot index of logical position `i` (0 = front).
+    /// Slot index of logical position `i < depth` (0 = front) of `lane`.
+    // hot
     #[inline(always)]
-    fn slot(&self, i: usize) -> usize {
-        (self.head + i) % self.depth
+    fn slot(&self, lane: usize, i: usize) -> usize {
+        let mut pos = usize::from(self.rings[lane].head) + i;
+        if pos >= self.depth {
+            pos -= self.depth;
+        }
+        lane * self.depth + pos
     }
 
-    /// Configured capacity in flits.
+    /// Capacity of every lane in flits.
     pub fn depth(&self) -> usize {
         self.depth
     }
 
-    /// Number of buffered flits.
-    pub fn len(&self) -> usize {
-        self.len
+    /// Number of lanes.
+    pub fn lanes(&self) -> usize {
+        self.rings.len()
     }
 
-    /// Whether the buffer holds no flits.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// Number of flits buffered in `lane`.
+    #[inline]
+    pub fn len(&self, lane: usize) -> usize {
+        usize::from(self.rings[lane].len)
     }
 
-    /// Free slots remaining.
-    pub fn free(&self) -> usize {
-        self.depth - self.len
+    /// Whether `lane` holds no flits.
+    #[inline]
+    pub fn is_empty(&self, lane: usize) -> bool {
+        self.rings[lane].len == 0
     }
 
-    /// The flit at the head of the FIFO, if any.
-    pub fn front(&self) -> Option<&Flit> {
-        (self.len > 0).then(|| &self.slots[self.head])
+    /// Free slots remaining in `lane`.
+    #[inline]
+    pub fn free(&self, lane: usize) -> usize {
+        self.depth - self.len(lane)
     }
 
-    /// The most recently enqueued flit, if any.
-    pub fn back(&self) -> Option<&Flit> {
-        (self.len > 0).then(|| &self.slots[self.slot(self.len - 1)])
+    /// Flits buffered across `lanes`.
+    pub fn buffered(&self, lanes: std::ops::Range<usize>) -> usize {
+        self.rings[lanes].iter().map(|r| usize::from(r.len)).sum()
     }
 
-    /// Enqueues a flit, enforcing capacity and packet-contiguity invariants.
+    /// The flit at the front of `lane`, if any.
+    // hot
+    #[inline]
+    pub fn front(&self, lane: usize) -> Option<&Flit> {
+        let ring = self.rings[lane];
+        (ring.len > 0).then(|| &self.slots[lane * self.depth + usize::from(ring.head)])
+    }
+
+    /// The most recently enqueued flit of `lane`, if any.
+    pub fn back(&self, lane: usize) -> Option<&Flit> {
+        let len = self.len(lane);
+        (len > 0).then(|| &self.slots[self.slot(lane, len - 1)])
+    }
+
+    /// Whether `flit` may be enqueued behind the back of `lane` without
+    /// interleaving packets: the lane is empty or ends in a tail, or
+    /// `flit` is the next flit of the packet streaming in.
+    #[inline]
+    pub fn follows(&self, lane: usize, flit: &Flit) -> bool {
+        match self.back(lane) {
+            Some(last) => {
+                last.is_tail() || (last.packet == flit.packet && flit.seq == last.seq + 1)
+            }
+            None => true,
+        }
+    }
+
+    /// Enqueues a flit on `lane`, enforcing capacity and packet
+    /// contiguity.
     ///
     /// Packets must arrive contiguously: once a head flit of a multi-flit
     /// packet is enqueued, only flits of that packet may follow until its
@@ -133,73 +212,83 @@ impl VcBuffer {
     ///
     /// # Errors
     ///
-    /// [`BufferError::Overflow`] if full; [`BufferError::Interleaved`] if
-    /// contiguity would be violated.
-    pub fn push(&mut self, flit: Flit) -> Result<(), BufferError> {
-        if self.len >= self.depth {
+    /// [`BufferError::Overflow`] if the lane is full;
+    /// [`BufferError::Interleaved`] if contiguity would be violated.
+    /// Nothing is enqueued on error.
+    // hot
+    #[inline]
+    pub fn push(&mut self, lane: usize, flit: Flit) -> Result<(), BufferError> {
+        let len = self.len(lane);
+        if len >= self.depth {
             return Err(BufferError::Overflow);
         }
-        if let Some(last) = self.back() {
-            if !last.is_tail() && (last.packet != flit.packet || flit.seq != last.seq + 1) {
-                return Err(BufferError::Interleaved {
-                    streaming: last.packet,
-                    arriving: flit.packet,
-                });
-            }
+        if !self.follows(lane, &flit) {
+            let last = self.back(lane).expect("a lane that refuses is not empty");
+            return Err(BufferError::Interleaved {
+                streaming: last.packet,
+                arriving: flit.packet,
+            });
         }
-        let idx = self.slot(self.len);
-        // The ring grows lazily: physical slots are written strictly in
-        // sequence until all `depth` exist, so the write position is at
-        // most one past the initialized prefix.
-        if idx == self.slots.len() {
-            self.slots.push(flit);
-        } else {
-            self.slots[idx] = flit;
-        }
-        self.len += 1;
+        let idx = self.slot(lane, len);
+        self.slots[idx] = flit;
+        self.rings[lane].len += 1;
         Ok(())
     }
 
-    /// Dequeues the front flit.
-    pub fn pop(&mut self) -> Option<Flit> {
-        if self.len == 0 {
-            return None;
+    /// Dequeues the front flit of `lane`.
+    // hot
+    #[inline]
+    pub fn pop(&mut self, lane: usize) -> Option<Flit> {
+        let flit = *self.front(lane)?;
+        let ring = &mut self.rings[lane];
+        ring.head += 1;
+        if usize::from(ring.head) == self.depth {
+            ring.head = 0;
         }
-        let flit = self.slots[self.head];
-        self.head = (self.head + 1) % self.depth;
-        self.len -= 1;
+        ring.len -= 1;
         Some(flit)
     }
 
-    /// Iterates over buffered flits front to back.
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        (0..self.len).map(|i| &self.slots[self.slot(i)])
+    /// Iterates over the flits of `lane` front to back.
+    pub fn iter(&self, lane: usize) -> impl Iterator<Item = &Flit> {
+        (0..self.len(lane)).map(move |i| &self.slots[self.slot(lane, i)])
     }
 
-    /// Removes every flit of `packet` (used by fault purges) and returns
-    /// how many were removed. Removing a whole packet keeps the remaining
-    /// runs contiguous, so buffer invariants survive. Survivors are
-    /// compacted toward the front of the ring in place.
-    pub fn remove_packet(&mut self, packet: PacketId) -> usize {
-        let before = self.len;
+    /// Removes every flit of `packet` from `lane` (used by fault purges)
+    /// and returns how many were removed. Removing a whole packet keeps
+    /// the remaining runs contiguous, so lane invariants survive.
+    /// Survivors are compacted toward the front of the ring in place.
+    pub fn remove_packet(&mut self, lane: usize, packet: PacketId) -> usize {
+        let before = self.len(lane);
         let mut kept = 0;
-        for i in 0..self.len {
-            let flit = self.slots[self.slot(i)];
+        for i in 0..before {
+            let flit = self.slots[self.slot(lane, i)];
             if flit.packet != packet {
-                let dst = self.slot(kept);
+                let dst = self.slot(lane, kept);
                 self.slots[dst] = flit;
                 kept += 1;
             }
         }
-        self.len = kept;
+        self.rings[lane].len = kept as u8;
         before - kept
+    }
+
+    /// Folds `lane` into `h` as one virtual channel: its depth, its
+    /// length, then its flits front to back.
+    pub fn digest_lane(&self, lane: usize, h: &mut StateHasher) {
+        h.write_usize(self.depth);
+        h.write_usize(self.len(lane));
+        for flit in self.iter(lane) {
+            flit.digest_state(h);
+        }
     }
 }
 
-/// One router input port: per-class VCs plus the PRA latch.
-#[derive(Debug, Clone)]
+/// The PRA latch of one router input port and the cycles it is claimed
+/// for. The port's virtual channels live in the network's
+/// [`FlitStore`].
+#[derive(Debug, Clone, Default)]
 pub struct InputUnit {
-    vcs: Vec<VcBuffer>,
     /// Single-flit temporary storage used by pre-allocated multi-hop paths.
     /// A flit written here during cycle `c` is read during cycle `c + 1`.
     latch: Option<Flit>,
@@ -209,56 +298,6 @@ pub struct InputUnit {
 }
 
 impl InputUnit {
-    /// Creates an input unit with `vcs` virtual channels of `depth` flits.
-    pub fn new(vcs: usize, depth: usize) -> Self {
-        InputUnit {
-            vcs: (0..vcs).map(|_| VcBuffer::new(depth)).collect(),
-            latch: None,
-            latch_claims: VecDeque::new(),
-        }
-    }
-
-    /// Shared access to virtual channel `vc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is out of range.
-    pub fn vc(&self, vc: usize) -> &VcBuffer {
-        &self.vcs[vc]
-    }
-
-    /// Enqueues `flit` on virtual channel `vc` (see [`VcBuffer::push`]).
-    ///
-    /// # Errors
-    ///
-    /// The [`BufferError`] of [`VcBuffer::push`]; nothing is enqueued.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is out of range.
-    pub fn push(&mut self, vc: usize, flit: Flit) -> Result<(), BufferError> {
-        self.vcs[vc].push(flit)
-    }
-
-    /// Dequeues the front flit of virtual channel `vc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is out of range.
-    pub fn pop(&mut self, vc: usize) -> Option<Flit> {
-        self.vcs[vc].pop()
-    }
-
-    /// Removes every flit of `packet` from virtual channel `vc` (see
-    /// [`VcBuffer::remove_packet`]); returns how many were removed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vc` is out of range.
-    pub fn remove_packet(&mut self, vc: usize, packet: PacketId) -> usize {
-        self.vcs[vc].remove_packet(packet)
-    }
-
     /// The flit currently held in the latch, if any.
     pub fn latch(&self) -> Option<&Flit> {
         self.latch.as_ref()
@@ -318,18 +357,31 @@ impl InputUnit {
     pub fn has_latch_claims(&self) -> bool {
         !self.latch_claims.is_empty()
     }
+}
 
-    /// Total flits buffered across all VCs (latch excluded).
-    pub fn buffered_flits(&self) -> usize {
-        self.vcs.iter().map(VcBuffer::len).sum()
+/// Folds the latch and its claims, the part of an input port's state
+/// outside the [`FlitStore`].
+impl StateDigest for InputUnit {
+    fn digest_state(&self, h: &mut StateHasher) {
+        match self.latch {
+            None => h.write_u8(0),
+            Some(flit) => {
+                h.write_u8(1);
+                flit.digest_state(h);
+            }
+        }
+        h.write_usize(self.latch_claims.len());
+        for &(cycle, packet) in &self.latch_claims {
+            h.write_u64(cycle);
+            h.write_u64(packet.0);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::Packet;
-    use crate::types::{MessageClass, NodeId, PacketId};
+    use nistats::rng::Rng;
 
     fn pkt(id: u64, len: u8) -> Packet {
         Packet::new(
@@ -343,61 +395,206 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
-        let mut vc = VcBuffer::new(5);
+        let mut store = FlitStore::new(1, 5);
         let p = pkt(1, 3);
         for f in p.flits() {
-            vc.push(f).unwrap();
+            store.push(0, f).unwrap();
         }
-        let seqs: Vec<_> = std::iter::from_fn(|| vc.pop()).map(|f| f.seq).collect();
+        let seqs: Vec<_> = std::iter::from_fn(|| store.pop(0)).map(|f| f.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2]);
     }
 
     #[test]
     fn overflow_detected() {
-        let mut vc = VcBuffer::new(2);
+        let mut store = FlitStore::new(1, 2);
         let p = pkt(1, 3);
-        vc.push(p.flit(0)).unwrap();
-        vc.push(p.flit(1)).unwrap();
-        assert_eq!(vc.push(p.flit(2)), Err(BufferError::Overflow));
+        store.push(0, p.flit(0)).unwrap();
+        store.push(0, p.flit(1)).unwrap();
+        assert_eq!(store.push(0, p.flit(2)), Err(BufferError::Overflow));
     }
 
     #[test]
     fn interleaving_detected() {
-        let mut vc = VcBuffer::new(5);
+        let mut store = FlitStore::new(1, 5);
         let p = pkt(1, 3);
         let q = pkt(2, 1);
-        vc.push(p.flit(0)).unwrap();
-        assert!(matches!(
-            vc.push(q.flit(0)),
-            Err(BufferError::Interleaved { .. })
-        ));
+        store.push(0, p.flit(0)).unwrap();
+        assert_eq!(
+            store.push(0, q.flit(0)),
+            Err(BufferError::Interleaved {
+                streaming: PacketId(1),
+                arriving: PacketId(2),
+            })
+        );
     }
 
     #[test]
     fn single_flit_may_precede_a_stream() {
-        let mut vc = VcBuffer::new(5);
+        let mut store = FlitStore::new(1, 5);
         let q = pkt(2, 1);
         let p = pkt(1, 2);
-        vc.push(q.flit(0)).unwrap();
-        vc.push(p.flit(0)).unwrap();
-        vc.push(p.flit(1)).unwrap();
-        assert_eq!(vc.len(), 3);
+        store.push(0, q.flit(0)).unwrap();
+        store.push(0, p.flit(0)).unwrap();
+        store.push(0, p.flit(1)).unwrap();
+        assert_eq!(store.len(0), 3);
     }
 
     #[test]
     fn out_of_order_same_packet_detected() {
-        let mut vc = VcBuffer::new(5);
+        let mut store = FlitStore::new(1, 5);
         let p = pkt(1, 3);
-        vc.push(p.flit(0)).unwrap();
+        store.push(0, p.flit(0)).unwrap();
         assert!(matches!(
-            vc.push(p.flit(2)),
+            store.push(0, p.flit(2)),
             Err(BufferError::Interleaved { .. })
         ));
     }
 
     #[test]
+    fn lanes_are_independent() {
+        let mut store = FlitStore::new(3, 2);
+        let (p, q) = (pkt(1, 2), pkt(2, 1));
+        store.push(0, p.flit(0)).unwrap();
+        store.push(2, q.flit(0)).unwrap();
+        store.push(2, p.flit(0)).unwrap();
+        assert_eq!(store.push(2, q.flit(0)), Err(BufferError::Overflow));
+        assert_eq!(store.push(0, p.flit(1)), Ok(()));
+        assert!(store.is_empty(1));
+        assert_eq!(store.buffered(0..3), 4);
+        assert_eq!(store.remove_packet(2, PacketId(2)), 1);
+        assert_eq!(store.front(2).map(|f| f.packet), Some(PacketId(1)));
+        assert_eq!(store.buffered(0..3), 3);
+    }
+
+    /// A lane's contract, modelled by a `VecDeque`: the error (if any)
+    /// a push of `flit` onto `model` must return with `depth` slots.
+    fn expected_push(model: &VecDeque<Flit>, depth: usize, flit: &Flit) -> Option<BufferError> {
+        if model.len() >= depth {
+            return Some(BufferError::Overflow);
+        }
+        match model.back() {
+            Some(last)
+                if !last.is_tail() && (last.packet != flit.packet || flit.seq != last.seq + 1) =>
+            {
+                Some(BufferError::Interleaved {
+                    streaming: last.packet,
+                    arriving: flit.packet,
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// Asserts every observable of `lane` against `model`.
+    fn assert_lane(store: &FlitStore, lane: usize, model: &VecDeque<Flit>, at: &str) {
+        assert_eq!(store.len(lane), model.len(), "len of lane {lane} {at}");
+        assert_eq!(store.is_empty(lane), model.is_empty(), "empty {at}");
+        assert_eq!(store.free(lane), store.depth() - model.len(), "free {at}");
+        assert_eq!(
+            store.front(lane),
+            model.front(),
+            "front of lane {lane} {at}"
+        );
+        assert_eq!(store.back(lane), model.back(), "back of lane {lane} {at}");
+    }
+
+    /// Random push, pop and `remove_packet` sequences on three lanes
+    /// against a `VecDeque` model per lane, at every depth from 1 to 8
+    /// and at the largest, 255. Each depth first walks the ring head
+    /// through every slot and fills the lane to overflow from there, so
+    /// every wrap-around point is exercised; the random phase then mixes
+    /// valid flits, interleaving flits and purges.
+    #[test]
+    fn lanes_match_a_vecdeque_model() {
+        for depth in (1..=8u8).chain([255]) {
+            let d = usize::from(depth);
+            let lanes = 3;
+            let mut store = FlitStore::new(lanes, depth);
+            let mut model: Vec<VecDeque<Flit>> = vec![VecDeque::new(); lanes];
+            let mut rng = Rng::new(u64::from(depth));
+            let mut next_id = 1u64;
+            let check_all = |store: &FlitStore, model: &[VecDeque<Flit>], at: &str| {
+                for (lane, m) in model.iter().enumerate() {
+                    assert_lane(store, lane, m, at);
+                }
+            };
+            // Deterministic walk: from every head position, fill lane 1
+            // with single-flit packets until it overflows, then drain it.
+            for start in 0..d {
+                for _ in 0..=d {
+                    let f = pkt(next_id, 1).flit(0);
+                    next_id += 1;
+                    let want = expected_push(&model[1], d, &f);
+                    assert_eq!(store.push(1, f).err(), want, "depth {depth} head {start}");
+                    if want.is_none() {
+                        model[1].push_back(f);
+                    }
+                    assert!(
+                        store.iter(1).eq(model[1].iter()),
+                        "depth {depth} head {start}"
+                    );
+                    check_all(&store, &model, "while filling");
+                }
+                while let Some(f) = model[1].pop_front() {
+                    assert_eq!(store.pop(1), Some(f), "depth {depth} head {start}");
+                }
+                assert_eq!(store.pop(1), None);
+                // Advance the head one slot for the next start.
+                let f = pkt(next_id, 1).flit(0);
+                next_id += 1;
+                store.push(1, f).unwrap();
+                assert_eq!(store.pop(1), Some(f));
+                check_all(&store, &model, "after the walk step");
+            }
+            // Random phase.
+            for step in 0..40 * d.max(8) {
+                let lane = rng.gen_range_usize(0, lanes);
+                let m = &mut model[lane];
+                let at = format!("depth {depth} step {step} lane {lane}");
+                match rng.gen_range_u8(0, 20) {
+                    0..=10 => {
+                        // Mostly the flit that validly continues the lane;
+                        // sometimes a fresh packet's flit, which interleaves
+                        // behind an unfinished stream.
+                        let flit = match m.back() {
+                            Some(last) if !last.is_tail() && rng.gen_bool(0.8) => {
+                                let mut p = pkt(last.packet.0, last.len_flits);
+                                p.src = last.src;
+                                p.flit(last.seq + 1)
+                            }
+                            _ => {
+                                let len = rng.gen_range_u8(1, 6);
+                                next_id += 1;
+                                pkt(next_id, len).flit(rng.gen_range_u8(0, 2).min(len - 1))
+                            }
+                        };
+                        let want = expected_push(m, d, &flit);
+                        assert_eq!(store.push(lane, flit).err(), want, "{at}");
+                        if want.is_none() {
+                            m.push_back(flit);
+                        }
+                    }
+                    11..=17 => assert_eq!(store.pop(lane), m.pop_front(), "{at}"),
+                    _ => {
+                        let victim = if m.is_empty() || rng.gen_bool(0.2) {
+                            PacketId(next_id + 1)
+                        } else {
+                            m[rng.gen_range_usize(0, m.len())].packet
+                        };
+                        let before = m.len();
+                        m.retain(|f| f.packet != victim);
+                        assert_eq!(store.remove_packet(lane, victim), before - m.len(), "{at}");
+                    }
+                }
+                assert!(store.iter(lane).eq(model[lane].iter()), "{at}");
+                check_all(&store, &model, &at);
+            }
+        }
+    }
+
+    #[test]
     fn latch_single_occupancy() {
-        let mut iu = InputUnit::new(3, 5);
+        let mut iu = InputUnit::default();
         let p = pkt(1, 1);
         iu.latch_store(p.flit(0)).unwrap();
         assert!(iu.latch_store(p.flit(0)).is_err());
@@ -407,7 +604,7 @@ mod tests {
 
     #[test]
     fn latch_claims_conflict_detection() {
-        let mut iu = InputUnit::new(3, 5);
+        let mut iu = InputUnit::default();
         iu.latch_claim(10..13, PacketId(1));
         assert!(!iu.latch_available(12..14, PacketId(2)));
         assert!(iu.latch_available(13..15, PacketId(2)));
@@ -425,42 +622,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one flit")]
     fn zero_depth_rejected() {
-        let _ = VcBuffer::new(0);
-    }
-}
-
-mod digest_impls {
-    use super::{InputUnit, VcBuffer};
-    use crate::digest::{StateDigest, StateHasher};
-
-    impl StateDigest for VcBuffer {
-        fn digest_state(&self, h: &mut StateHasher) {
-            h.write_usize(self.depth);
-            h.write_usize(self.len());
-            for flit in self.iter() {
-                flit.digest_state(h);
-            }
-        }
-    }
-
-    impl StateDigest for InputUnit {
-        fn digest_state(&self, h: &mut StateHasher) {
-            h.write_usize(self.vcs.len());
-            for vc in &self.vcs {
-                vc.digest_state(h);
-            }
-            match self.latch {
-                None => h.write_u8(0),
-                Some(flit) => {
-                    h.write_u8(1);
-                    flit.digest_state(h);
-                }
-            }
-            h.write_usize(self.latch_claims.len());
-            for &(cycle, packet) in &self.latch_claims {
-                h.write_u64(cycle);
-                h.write_u64(packet.0);
-            }
-        }
+        let _ = FlitStore::new(1, 0);
     }
 }

@@ -14,11 +14,12 @@
 //! every flit moves toward its destination every cycle, up to
 //! [`NocConfig::max_hops_per_cycle`] hops, oldest packet first.
 
-use crate::buffer::VcBuffer;
+use crate::buffer::{vc_lane, FlitStore};
 use crate::cancel::CancelToken;
 use crate::config::NocConfig;
 use crate::digest::{StateDigest, StateHasher};
 use crate::flit::{Flit, Packet};
+use crate::mesh::{nonzero_word, ones};
 use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueues};
 use crate::routing::{neighbor, route_port};
 use crate::stats::NetStats;
@@ -51,8 +52,9 @@ use crate::types::{Cycle, Direction, NodeId, Port};
 pub struct IdealNetwork {
     cfg: NocConfig,
     now: Cycle,
-    /// `buffers[node][in_port][class]`.
-    buffers: Vec<Vec<Vec<VcBuffer>>>,
+    /// The input buffers, one lane per `(node, in_port, class)` (see
+    /// [`vc_lane`]).
+    buffers: FlitStore,
     sources: Vec<SourceQueues>,
     reasm: Vec<Reassembly>,
     ledger: DeliveryLedger,
@@ -99,17 +101,7 @@ impl IdealNetwork {
         cfg.validate().expect("invalid NoC configuration");
         let n = cfg.nodes();
         IdealNetwork {
-            buffers: (0..n)
-                .map(|_| {
-                    (0..Port::COUNT)
-                        .map(|_| {
-                            (0..cfg.vcs_per_port)
-                                .map(|_| VcBuffer::new(cfg.vc_depth as usize))
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect(),
+            buffers: FlitStore::new(n * Port::COUNT * cfg.vcs_per_port, cfg.vc_depth),
             sources: (0..n).map(|_| SourceQueues::new()).collect(),
             reasm: (0..n).map(|_| Reassembly::new()).collect(),
             ledger: DeliveryLedger::new(),
@@ -128,6 +120,13 @@ impl IdealNetwork {
         }
     }
 
+    /// The lane of `(node, port, class)` in `buffers`.
+    // hot
+    #[inline(always)]
+    fn lane(&self, node: usize, port: usize, class: usize) -> usize {
+        vc_lane(self.cfg.vcs_per_port, node, port, class)
+    }
+
     // hot
     fn deliver_arrivals(&mut self) {
         let mut arrivals = std::mem::take(&mut self.arrivals);
@@ -141,8 +140,8 @@ impl IdealNetwork {
                     self.ledger.complete(head, self.now, hops, &mut self.stats);
                 }
             } else {
-                self.buffers[node][port][class]
-                    .push(flit)
+                self.buffers
+                    .push(self.lane(node, port, class), flit)
                     .unwrap_or_else(|e| panic!("ideal arrival invariant violated: {e}"));
                 self.buffered[node] += 1;
             }
@@ -152,28 +151,25 @@ impl IdealNetwork {
 
     // hot
     fn inject_from_sources(&mut self) {
-        for node in 0..self.cfg.nodes() {
-            if self.src_pending[node] == 0 {
-                continue;
-            }
-            for class in 0..self.cfg.vcs_per_port {
-                let Some(front) = self.sources[node].queues[class].front() else {
-                    continue;
-                };
-                {
-                    let buf = &self.buffers[node][Port::Local.index()][class];
-                    if buf.free() == 0 || !can_follow(buf, front) {
+        for w in 0..self.src_pending.len().div_ceil(64) {
+            for node in ones(nonzero_word(&self.src_pending, w)).map(|b| w * 64 + b) {
+                for class in 0..self.cfg.vcs_per_port {
+                    let Some(front) = self.sources[node].queues[class].front() else {
+                        continue;
+                    };
+                    let lane = self.lane(node, Port::Local.index(), class);
+                    if self.buffers.free(lane) == 0 || !self.buffers.follows(lane, front) {
                         continue;
                     }
+                    let mut flit = *front;
+                    flit.injected = self.now;
+                    self.sources[node].queues[class].pop_front();
+                    self.buffers
+                        .push(lane, flit)
+                        .expect("space and contiguity checked");
+                    self.src_pending[node] -= 1;
+                    self.buffered[node] += 1;
                 }
-                let mut flit = *front;
-                flit.injected = self.now;
-                self.sources[node].queues[class].pop_front();
-                self.buffers[node][Port::Local.index()][class]
-                    .push(flit)
-                    .expect("space and contiguity checked");
-                self.src_pending[node] -= 1;
-                self.buffered[node] += 1;
             }
         }
     }
@@ -185,15 +181,14 @@ impl IdealNetwork {
         let mut s = std::mem::take(&mut self.scratch);
         // Candidate fronts, sorted by age for deterministic oldest-first
         // service (ideal arbitration).
-        for node in 0..self.cfg.nodes() {
-            if self.buffered[node] == 0 {
-                continue;
-            }
-            for port in 0..Port::COUNT {
-                for class in 0..self.cfg.vcs_per_port {
-                    if let Some(f) = self.buffers[node][port][class].front() {
-                        s.candidates
-                            .push((f.created, f.packet.0, f.seq, node, port, class));
+        for w in 0..self.buffered.len().div_ceil(64) {
+            for node in ones(nonzero_word(&self.buffered, w)).map(|b| w * 64 + b) {
+                for port in 0..Port::COUNT {
+                    for class in 0..self.cfg.vcs_per_port {
+                        if let Some(f) = self.buffers.front(self.lane(node, port, class)) {
+                            s.candidates
+                                .push((f.created, f.packet.0, f.seq, node, port, class));
+                        }
                     }
                 }
             }
@@ -204,21 +199,17 @@ impl IdealNetwork {
         // (node, direction). One buffer read per (node, class) per cycle is
         // implicit (only the front flit is considered).
         let busy_idx = |node: usize, d: Direction| node * 4 + d as usize;
-        let staged_idx = |node: usize, port: usize, class: usize| {
-            (node * Port::COUNT + port) * self.cfg.vcs_per_port + class
-        };
 
         for &(_, _, _, node, port, class) in &s.candidates {
-            let Some(&flit) = self.buffers[node][port][class].front() else {
+            let from = self.lane(node, port, class);
+            let Some(&flit) = self.buffers.front(from) else {
                 continue;
             };
             let here = NodeId::new(node as u16);
             if flit.dest == here {
                 // Loopback (e.g. a core accessing its own LLC slice):
                 // eject straight into the local NI.
-                let flit = self.buffers[node][port][class]
-                    .pop()
-                    .expect("front checked");
+                let flit = self.buffers.pop(from).expect("front checked");
                 self.buffered[node] -= 1;
                 self.stats.local_grants += 1;
                 self.arrivals.push((node, port, class, flit));
@@ -244,7 +235,7 @@ impl IdealNetwork {
                     // otherwise land in must be empty, or it would
                     // overtake queued traffic of its own class.
                     let in_port = incoming_port(path);
-                    if !self.buffers[at.index()][in_port][class].is_empty() {
+                    if !self.buffers.is_empty(self.lane(at.index(), in_port, class)) {
                         break;
                     }
                 }
@@ -262,17 +253,15 @@ impl IdealNetwork {
                 if landing == flit.dest {
                     break;
                 }
-                let in_port = Port::Dir(d0.opposite()).index();
-                let buf = &self.buffers[landing.index()][in_port][class];
-                let k = staged_idx(landing.index(), in_port, class);
+                let k = self.lane(landing.index(), Port::Dir(d0.opposite()).index(), class);
                 let (staged_n, follow_ok) = match s.staged[k] {
                     Some((n, last)) => (
                         n,
                         last.is_tail() || (last.packet == flit.packet && flit.seq == last.seq + 1),
                     ),
-                    None => (0, can_follow(buf, &flit)),
+                    None => (0, self.buffers.follows(k, &flit)),
                 };
-                if buf.free() > staged_n && follow_ok {
+                if self.buffers.free(k) > staged_n && follow_ok {
                     break;
                 }
                 path.pop();
@@ -287,13 +276,11 @@ impl IdealNetwork {
                 s.link_busy[busy_idx(n, d)] = true;
                 self.stats.link_traversals += 1;
             }
-            let flit = self.buffers[node][port][class]
-                .pop()
-                .expect("front checked above");
+            let flit = self.buffers.pop(from).expect("front checked above");
             self.buffered[node] -= 1;
             self.stats.local_grants += 1;
             if landing != flit.dest {
-                let k = staged_idx(landing.index(), land_port, class);
+                let k = self.lane(landing.index(), land_port, class);
                 let staged_n = match s.staged[k] {
                     Some((n, _)) => n,
                     None => {
@@ -321,7 +308,9 @@ impl IdealNetwork {
     #[cfg(debug_assertions)]
     fn assert_activity_counters(&self) {
         for n in 0..self.cfg.nodes() {
-            let held: usize = self.buffers[n].iter().flatten().map(VcBuffer::len).sum();
+            let held = self
+                .buffers
+                .buffered(crate::buffer::router_lanes(self.cfg.vcs_per_port, n));
             debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
             let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
             debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
@@ -334,16 +323,6 @@ impl IdealNetwork {
 fn incoming_port(path: &[(usize, Direction)]) -> usize {
     let (_, d) = *path.last().expect("nonempty path");
     Port::Dir(d.opposite()).index()
-}
-
-/// Whether `flit` may be enqueued behind the current back of `buf` without
-/// interleaving packets.
-fn can_follow(buf: &VcBuffer, flit: &Flit) -> bool {
-    match buf.back() {
-        None => true,
-        Some(last) if last.is_tail() => true,
-        Some(last) => last.packet == flit.packet && flit.seq == last.seq + 1,
-    }
 }
 
 impl Network for IdealNetwork {
@@ -414,12 +393,8 @@ impl Network for IdealNetwork {
 impl StateDigest for IdealNetwork {
     fn digest_state(&self, h: &mut StateHasher) {
         h.write_u64(self.now);
-        for node in &self.buffers {
-            for port in node {
-                for vc in port {
-                    vc.digest_state(h);
-                }
-            }
+        for lane in 0..self.buffers.lanes() {
+            self.buffers.digest_lane(lane, h);
         }
         for src in &self.sources {
             src.digest_state(h);

@@ -19,9 +19,9 @@
 //! [`Reserving`]: crate::reserve::Reserving
 
 use crate::arbiter::RoundRobin;
-use crate::buffer::{BufferError, InputUnit};
+use crate::buffer::{router_lanes, vc_lane, BufferError, FlitStore, InputUnit};
 use crate::cancel::CancelToken;
-use crate::config::{NocConfig, MAX_VCS_PER_PORT};
+use crate::config::NocConfig;
 use crate::credit::OutVc;
 use crate::digest::{StateDigest, StateHasher};
 use crate::faults::{FaultEvent, FaultState, FaultStats};
@@ -50,145 +50,140 @@ pub(crate) fn west_ok_from(in_port: Port) -> bool {
     in_port == Port::Local || in_port == Port::Dir(Direction::East)
 }
 
-/// One mesh router's state.
-///
-/// Per-(port, VC) state is stored struct-of-arrays style in flat vectors
-/// indexed `port * vcs + vc` (see [`Router::pv`]): one contiguous slab
-/// per kind of state instead of a `Vec<Vec<_>>` of heap objects, so the
-/// hot loop walks cache lines with plain index arithmetic.
+/// One mesh router's per-port state, held inline: building a mesh takes
+/// one heap block for all of its routers. Per-(port, VC) state lives in
+/// the core-wide [`VcLanes`].
 #[derive(Debug)]
 pub(crate) struct Router {
-    /// Input units, indexed by [`Port::index`].
-    pub(crate) inputs: Vec<InputUnit>,
-    /// Downstream credit/ownership state, flattened `port * vcs + vc`.
-    out_vcs: Vec<OutVc>,
-    /// Which packet each input VC is currently streaming to which output
-    /// port, flattened `in_port * vcs + vc`.
-    active_out: Vec<Option<ActiveStream>>,
+    /// PRA latches, indexed by [`Port::index`].
+    pub(crate) inputs: [InputUnit; Port::COUNT],
     /// Output ports locked to a multi-flit packet until its tail passes
     /// (no flit-level interleaving on a link mid-packet — the blocking
     /// behaviour the paper's LSD unit exploits).
-    port_lock: Vec<Option<PacketId>>,
+    port_lock: [Option<PacketId>; Port::COUNT],
     /// Per-input-port VC selection arbiters.
-    sa_in: Vec<RoundRobin>,
+    sa_in: [RoundRobin; Port::COUNT],
     /// Per-output-port input selection arbiters.
-    sa_out: Vec<RoundRobin>,
-    /// VCs per port, the stride of the flattened per-(port, VC) arrays.
-    vcs: usize,
+    sa_out: [RoundRobin; Port::COUNT],
     /// Input-VC occupancy mask: bit `port * vcs + vc` is set iff that
     /// VC buffers a flit — derived state, kept exact by
-    /// [`Router::push`], [`Router::pop`] and [`Router::remove_packet`]
-    /// (the only ways a flit enters or leaves an input VC) and excluded
-    /// from the digest. Switch allocation and the LSD stall scan visit
-    /// only its set bits, the request vector a hardware arbiter reads.
+    /// [`MeshCore::push_flit`], [`MeshCore::pop_flit`] and
+    /// [`MeshCore::remove_buffered`] (the only ways a flit enters or
+    /// leaves an input VC) and excluded from the digest. Switch
+    /// allocation and the LSD stall scan visit only its set bits, the
+    /// request vector a hardware arbiter reads.
     pub(crate) occ: u32,
-    /// Active-stream mask: bit `in_port * vcs + vc` is set iff
-    /// `active_out` holds a stream for that VC — derived state, kept in
-    /// sync by [`Router::set_active`] and excluded from the digest.
-    /// Zero proves no stream holds an output port, which lets the LSD
-    /// stall scan skip the router without reading any buffer fronts.
+    /// Active-stream mask: bit `in_port * vcs + vc` is set iff the
+    /// router's `active_out` lane holds a stream for that VC — derived
+    /// state, kept in sync by [`MeshCore::set_active`] and excluded from
+    /// the digest. Zero proves no stream holds an output port, which
+    /// lets the LSD stall scan skip the router without reading any
+    /// buffer fronts.
     pub(crate) streams: u32,
 }
 
 impl Router {
-    fn new(cfg: &NocConfig) -> Self {
-        let vcs = cfg.vcs_per_port;
+    fn new(vcs: usize) -> Self {
         Router {
-            inputs: (0..Port::COUNT)
-                .map(|_| InputUnit::new(vcs, cfg.vc_depth as usize))
-                .collect(),
-            out_vcs: (0..Port::COUNT * vcs)
-                .map(|_| OutVc::new(cfg.vc_depth))
-                .collect(),
-            active_out: vec![None; Port::COUNT * vcs],
-            port_lock: vec![None; Port::COUNT],
-            sa_in: (0..Port::COUNT).map(|_| RoundRobin::new(vcs)).collect(),
-            sa_out: (0..Port::COUNT)
-                .map(|_| RoundRobin::new(Port::COUNT))
-                .collect(),
-            vcs,
+            inputs: Default::default(),
+            port_lock: [None; Port::COUNT],
+            sa_in: std::array::from_fn(|_| RoundRobin::new(vcs)),
+            sa_out: std::array::from_fn(|_| RoundRobin::new(Port::COUNT)),
             occ: 0,
             streams: 0,
         }
     }
+}
 
-    /// Flat index of `(port, vc)` into the per-(port, VC) slabs.
+/// Per-(router, port, VC) state of a whole mesh, one flat slab per kind,
+/// all indexed by the lane `(node * Port::COUNT + port) * vcs + vc` (see
+/// [`VcLanes::lane`]). Router `n`'s lanes are one contiguous run, port
+/// major, so walking a slab visits routers, ports and VCs in the nested
+/// order the digest has always used.
+#[derive(Debug)]
+pub(crate) struct VcLanes {
+    /// VCs per port, the stride of a port's lanes.
+    pub(crate) vcs: usize,
+    /// The input VC buffers.
+    pub(crate) flits: FlitStore,
+    /// Downstream credit/ownership state of the output VCs.
+    out_vcs: Vec<OutVc>,
+    /// Which packet each input VC is currently streaming to which output
+    /// port.
+    active_out: Vec<Option<ActiveStream>>,
+    /// The input port of each bit of a router's per-(port, VC) masks.
+    port_of: [u8; u32::BITS as usize],
+}
+
+impl VcLanes {
+    fn new(cfg: &NocConfig) -> Self {
+        let lanes = cfg.nodes() * Port::COUNT * cfg.vcs_per_port;
+        VcLanes {
+            vcs: cfg.vcs_per_port,
+            flits: FlitStore::new(lanes, cfg.vc_depth),
+            out_vcs: vec![OutVc::new(cfg.vc_depth); lanes],
+            active_out: vec![None; lanes],
+            port_of: std::array::from_fn(|bit| (bit / cfg.vcs_per_port) as u8),
+        }
+    }
+
+    /// The lane of VC `vc` of port `port` of router `node`.
+    // hot
     #[inline(always)]
-    fn pv(&self, port: usize, vc: usize) -> usize {
-        port * self.vcs + vc
+    pub(crate) fn lane(&self, node: usize, port: usize, vc: usize) -> usize {
+        vc_lane(self.vcs, node, port, vc)
+    }
+
+    /// The lanes of router `node`.
+    fn router(&self, node: usize) -> std::ops::Range<usize> {
+        router_lanes(self.vcs, node)
+    }
+
+    /// The front flit of input VC `(port, vc)` of router `node`.
+    // hot
+    #[inline(always)]
+    pub(crate) fn front(&self, node: usize, port: usize, vc: usize) -> Option<&Flit> {
+        self.flits.front(self.lane(node, port, vc))
     }
 
     #[inline(always)]
-    pub(crate) fn out_vc(&self, port: usize, vc: usize) -> &OutVc {
-        &self.out_vcs[self.pv(port, vc)]
+    pub(crate) fn out_vc(&self, node: usize, port: usize, vc: usize) -> &OutVc {
+        &self.out_vcs[self.lane(node, port, vc)]
     }
 
     #[inline(always)]
-    pub(crate) fn out_vc_mut(&mut self, port: usize, vc: usize) -> &mut OutVc {
-        let i = self.pv(port, vc);
+    pub(crate) fn out_vc_mut(&mut self, node: usize, port: usize, vc: usize) -> &mut OutVc {
+        let i = self.lane(node, port, vc);
         &mut self.out_vcs[i]
     }
 
     #[inline(always)]
-    pub(crate) fn active(&self, in_port: usize, vc: usize) -> Option<ActiveStream> {
-        self.active_out[self.pv(in_port, vc)]
+    pub(crate) fn active(&self, node: usize, in_port: usize, vc: usize) -> Option<ActiveStream> {
+        self.active_out[self.lane(node, in_port, vc)]
     }
 
+    /// The bit of `(port, vc)` in a router's per-(port, VC) masks.
+    // hot
     #[inline(always)]
-    fn set_active(&mut self, in_port: usize, vc: usize, stream: Option<ActiveStream>) {
-        let i = self.pv(in_port, vc);
-        if stream.is_some() {
-            self.streams |= 1 << i;
-        } else {
-            self.streams &= !(1 << i);
-        }
-        self.active_out[i] = stream;
+    pub(crate) fn bit(&self, port: usize, vc: usize) -> u32 {
+        1 << (port * self.vcs + vc)
     }
 
-    /// The bits of per-(port, VC) `mask` that belong to `port`, shifted
-    /// down so bit `vc` is that port's VC `vc`.
+    /// The `(port, vc)` of bit `bit` of a router's per-(port, VC)
+    /// masks, without dividing.
+    // hot
+    #[inline(always)]
+    pub(crate) fn port_vc(&self, bit: usize) -> (usize, usize) {
+        let port = usize::from(self.port_of[bit]);
+        (port, bit - port * self.vcs)
+    }
+
+    /// The bits of a router's per-(port, VC) `mask` that belong to
+    /// `port`, shifted down so bit `vc` is that port's VC `vc`.
     // hot
     #[inline(always)]
     pub(crate) fn port_bits(&self, mask: u32, port: usize) -> u32 {
         (mask >> (port * self.vcs)) & ((1 << self.vcs) - 1)
-    }
-
-    /// Sets or clears the occupancy bit of `(port, vc)` from its buffer.
-    // hot
-    #[inline(always)]
-    fn sync_occ(&mut self, port: usize, vc: usize) {
-        let bit = 1 << self.pv(port, vc);
-        if self.inputs[port].vc(vc).is_empty() {
-            self.occ &= !bit;
-        } else {
-            self.occ |= bit;
-        }
-    }
-
-    /// Enqueues `flit` on input VC `(port, vc)` (see [`InputUnit::push`]).
-    // hot
-    #[inline]
-    fn push(&mut self, port: usize, vc: usize, flit: Flit) -> Result<(), BufferError> {
-        self.inputs[port].push(vc, flit)?;
-        self.occ |= 1 << self.pv(port, vc);
-        Ok(())
-    }
-
-    /// Dequeues the front flit of input VC `(port, vc)`.
-    // hot
-    #[inline]
-    pub(crate) fn pop(&mut self, port: usize, vc: usize) -> Option<Flit> {
-        let flit = self.inputs[port].pop(vc);
-        self.sync_occ(port, vc);
-        flit
-    }
-
-    /// Removes every flit of `packet` from input VC `(port, vc)`;
-    /// returns how many were removed.
-    fn remove_packet(&mut self, port: usize, vc: usize, packet: PacketId) -> usize {
-        let removed = self.inputs[port].remove_packet(vc, packet);
-        self.sync_occ(port, vc);
-        removed
     }
 }
 
@@ -203,6 +198,20 @@ pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// Word `w` of the set of nodes whose exact activity counter in
+/// `counts` is non-zero: bit `b` is set iff `counts[w * 64 + b] != 0`.
+/// SMART and the ideal network walk it with [`ones`] so an idle node
+/// costs one bit test, not one loop iteration.
+// hot
+#[inline]
+pub(crate) fn nonzero_word(counts: &[usize], w: usize) -> u64 {
+    counts[w * 64..]
+        .iter()
+        .take(64)
+        .enumerate()
+        .fold(0, |word, (b, &c)| word | u64::from(c != 0) << b)
 }
 
 /// A set of routers as a bitset, one bit per node, walked word by word
@@ -426,6 +435,7 @@ pub struct MeshCore<D> {
     pub(crate) cfg: NocConfig,
     pub(crate) now: Cycle,
     pub(crate) routers: Vec<Router>,
+    pub(crate) lanes: VcLanes,
     pub(crate) sources: Vec<SourceQueues>,
     pub(crate) reasm: Vec<Reassembly>,
     pub(crate) ledger: DeliveryLedger,
@@ -494,7 +504,8 @@ impl<D: Datapath> MeshCore<D> {
             reliable,
             rel_orders: Vec::new(),
             rel_purges: Vec::new(),
-            routers: (0..n).map(|_| Router::new(&cfg)).collect(),
+            routers: (0..n).map(|_| Router::new(cfg.vcs_per_port)).collect(),
+            lanes: VcLanes::new(&cfg),
             sources: (0..n).map(|_| SourceQueues::new()).collect(),
             reasm: (0..n).map(|_| Reassembly::new()).collect(),
             ledger: DeliveryLedger::new(),
@@ -538,7 +549,75 @@ impl<D: Datapath> MeshCore<D> {
 
     /// Read access to downstream-VC credit state.
     pub fn out_vc(&self, node: NodeId, out_port: Port, vc: usize) -> &OutVc {
-        self.routers[node.index()].out_vc(out_port.index(), vc)
+        self.lanes.out_vc(node.index(), out_port.index(), vc)
+    }
+
+    /// Sets or clears the occupancy bit of input VC `(port, vc)` of
+    /// router `node` from its buffer.
+    // hot
+    #[inline(always)]
+    fn sync_occ(&mut self, node: usize, port: usize, vc: usize) {
+        let bit = self.lanes.bit(port, vc);
+        let router = &mut self.routers[node];
+        if self.lanes.flits.is_empty(self.lanes.lane(node, port, vc)) {
+            router.occ &= !bit;
+        } else {
+            router.occ |= bit;
+        }
+    }
+
+    /// Enqueues `flit` on input VC `(port, vc)` of router `node` (see
+    /// [`FlitStore::push`]).
+    // hot
+    #[inline]
+    fn push_flit(
+        &mut self,
+        node: usize,
+        port: usize,
+        vc: usize,
+        flit: Flit,
+    ) -> Result<(), BufferError> {
+        self.lanes
+            .flits
+            .push(self.lanes.lane(node, port, vc), flit)?;
+        self.routers[node].occ |= self.lanes.bit(port, vc);
+        Ok(())
+    }
+
+    /// Dequeues the front flit of input VC `(port, vc)` of router `node`.
+    // hot
+    #[inline]
+    pub(crate) fn pop_flit(&mut self, node: usize, port: usize, vc: usize) -> Option<Flit> {
+        let flit = self.lanes.flits.pop(self.lanes.lane(node, port, vc));
+        self.sync_occ(node, port, vc);
+        flit
+    }
+
+    /// Removes every flit of `packet` from input VC `(port, vc)` of
+    /// router `node`; returns how many were removed.
+    fn remove_buffered(&mut self, node: usize, port: usize, vc: usize, packet: PacketId) -> usize {
+        let removed = self
+            .lanes
+            .flits
+            .remove_packet(self.lanes.lane(node, port, vc), packet);
+        self.sync_occ(node, port, vc);
+        removed
+    }
+
+    /// Records which packet input VC `(in_port, vc)` of router `node`
+    /// streams where, keeping the router's stream mask in step.
+    // hot
+    #[inline(always)]
+    fn set_active(&mut self, node: usize, in_port: usize, vc: usize, stream: Option<ActiveStream>) {
+        let bit = self.lanes.bit(in_port, vc);
+        let router = &mut self.routers[node];
+        if stream.is_some() {
+            router.streams |= bit;
+        } else {
+            router.streams &= !bit;
+        }
+        let lane = self.lanes.lane(node, in_port, vc);
+        self.lanes.active_out[lane] = stream;
     }
 
     // ------------------------------------------------------------------
@@ -575,8 +654,8 @@ impl<D: Datapath> MeshCore<D> {
             }
         }
         for &cr in &returns {
-            self.routers[cr.node]
-                .out_vc_mut(cr.out_port.index(), cr.vc)
+            self.lanes
+                .out_vc_mut(cr.node, cr.out_port.index(), cr.vc)
                 .return_credit();
             self.emit(|| Event::CreditReturn {
                 node: cr.node as u64,
@@ -660,8 +739,7 @@ impl<D: Datapath> MeshCore<D> {
                     self.eject_complete(head, a.node);
                 }
             } else {
-                self.routers[a.node]
-                    .push(a.in_port.index(), a.vc, a.flit)
+                self.push_flit(a.node, a.in_port.index(), a.vc, a.flit)
                     .unwrap_or_else(|e| {
                         panic!(
                             "arrival at n{} port {} vc {} violated buffer invariants: {e}",
@@ -686,16 +764,15 @@ impl<D: Datapath> MeshCore<D> {
                     let Some(front) = self.sources[node].queues[class].front() else {
                         continue;
                     };
-                    let vc = self.routers[node].inputs[Port::Local.index()].vc(class);
-                    if vc.free() == 0 {
+                    let lane = self.lanes.lane(node, Port::Local.index(), class);
+                    if self.lanes.flits.free(lane) == 0 {
                         remaining = true;
                         continue;
                     }
                     let mut flit = *front;
                     flit.injected = self.now;
                     self.sources[node].queues[class].pop_front();
-                    self.routers[node]
-                        .push(Port::Local.index(), class, flit)
+                    self.push_flit(node, Port::Local.index(), class, flit)
                         .expect("free slot was checked");
                     self.buffered_nodes.insert(node);
                     remaining |= !self.sources[node].queues[class].is_empty();
@@ -715,16 +792,14 @@ impl<D: Datapath> MeshCore<D> {
             std::mem::take(&mut self.scratch.grants_free),
         );
         for g in grants.drain(..) {
-            let router = &mut self.routers[g.node];
             let ip = g.in_port.index();
-            match router.inputs[ip].vc(g.vc).front() {
-                Some(f) if f.packet == g.packet && f.seq == g.seq => {}
+            let flit = match self.pop_flit(g.node, ip, g.vc) {
+                Some(f) if f.packet == g.packet && f.seq == g.seq => f,
                 _ => panic!(
                     "granted flit {}#{} vanished from n{} {}:{}",
                     g.packet, g.seq, g.node, g.in_port, g.vc
                 ),
-            }
-            let flit = router.pop(ip, g.vc).expect("front exists");
+            };
             self.dp
                 .granted(g.node, ip, g.vc, g.out_port.index(), &flit, self.now);
             self.finish_traversal(g.node, g.in_port, g.vc, g.out_port, flit);
@@ -771,8 +846,8 @@ impl<D: Datapath> MeshCore<D> {
             }
         }
         if flit.is_tail() {
-            self.routers[node]
-                .out_vc_mut(out_port.index(), vc)
+            self.lanes
+                .out_vc_mut(node, out_port.index(), vc)
                 .release_owner(flit.packet);
         }
     }
@@ -811,12 +886,13 @@ impl<D: Datapath> MeshCore<D> {
     // hot
     fn allocate(&mut self) {
         let next_cycle = self.now + 1;
-        // Stage-1 targets by VC and stage-2 bids by input port. An entry
-        // is read only under a mask bit set after writing it for the
-        // current input port (targets) or router (bids), so entries left
-        // over from earlier ports and routers are never read.
-        let mut targets: [Option<(Port, Flit)>; MAX_VCS_PER_PORT] = [None; MAX_VCS_PER_PORT];
-        let mut bids: [Option<(usize, Port, Flit)>; Port::COUNT] = [None; Port::COUNT];
+        let vcs = self.lanes.vcs;
+        // Stage-1 targets by mask bit and stage-2 bids by input port. An
+        // entry is read only under a mask bit set after writing it for
+        // the current router, so entries left over from earlier routers
+        // are never read.
+        let mut targets = [Port::Local; u32::BITS as usize];
+        let mut bids = [0usize; Port::COUNT];
         for w in 0..self.buffered_nodes.words.len() {
             for node in ones(self.buffered_nodes.words[w]).map(|b| w * 64 + b) {
                 // A router with no buffered flit requests nothing, and an
@@ -829,60 +905,70 @@ impl<D: Datapath> MeshCore<D> {
                     continue;
                 }
                 let here = NodeId::new(node as u16);
-                // Stage 1: each input port nominates one VC and joins the
-                // request mask of that bid's output port.
+                // Stage 1: every occupied input VC, in port-then-VC order,
+                // checks whether its front may bid and toward which
+                // output port.
+                let mut eligible = 0u32;
+                let mut bidders = 0u32;
+                for bit in ones(u64::from(occ)) {
+                    let (ip, vc) = self.lanes.port_vc(bit);
+                    if let Some(target) = Self::eligible_front_at(
+                        &self.cfg,
+                        &mut self.faults,
+                        &mut self.stats,
+                        &self.dp,
+                        &self.routers[node],
+                        &self.lanes,
+                        here,
+                        Port::from_index(ip),
+                        vc,
+                        next_cycle,
+                    ) {
+                        eligible |= 1 << bit;
+                        bidders |= 1 << ip;
+                        targets[bit] = target;
+                    }
+                }
+                // Each input port with an eligible VC nominates one and
+                // joins the request mask of that bid's output port. Class
+                // priority (when configured) narrows the bids to the
+                // highest-priority class with an eligible flit;
+                // round-robin breaks ties inside the class. The default
+                // `None` keeps the class-oblivious arbiter.
                 let mut requests = [0u32; Port::COUNT];
-                for in_port in Port::ALL {
-                    let ip = in_port.index();
-                    let mut eligible = 0u32;
-                    for vc in ones(u64::from(self.routers[node].port_bits(occ, ip))) {
-                        if let Some(target) = Self::eligible_front_at(
-                            &self.cfg,
-                            &mut self.faults,
-                            &mut self.stats,
-                            &self.dp,
-                            &self.routers[node],
-                            here,
-                            in_port,
-                            vc,
-                            next_cycle,
-                        ) {
-                            eligible |= 1 << vc;
-                            targets[vc] = Some(target);
-                        }
-                    }
-                    // Class priority (when configured) narrows the bids to
-                    // the highest-priority class with an eligible flit;
-                    // round-robin breaks ties inside the class. The
-                    // default `None` keeps the class-oblivious arbiter.
+                let mut requested = 0u32;
+                for ip in ones(u64::from(bidders)) {
+                    let mut mask = self.lanes.port_bits(eligible, ip);
                     if let Some(prio) = &self.cfg.class_priority {
-                        eligible = top_priority(eligible, prio, |vc| vc);
+                        mask = top_priority(mask, prio, |vc| vc);
                     }
-                    let Some(vc) = self.routers[node].sa_in[ip].grant_mask(eligible) else {
+                    let Some(vc) = self.routers[node].sa_in[ip].grant_mask(mask) else {
                         continue;
                     };
-                    let (out_port, flit) = targets[vc].expect("eligible target");
-                    bids[ip] = Some((vc, out_port, flit));
-                    requests[out_port.index()] |= 1 << ip;
+                    bids[ip] = vc;
+                    let op = targets[ip * vcs + vc].index();
+                    requests[op] |= 1 << ip;
+                    requested |= 1 << op;
                 }
                 // Stage 2: each requested output port grants one input,
                 // with the same class-priority narrowing.
-                for out_port in Port::ALL {
-                    let op = out_port.index();
+                for op in ones(u64::from(requested)) {
                     let mut req = requests[op];
-                    if req == 0 {
-                        continue;
-                    }
                     if let Some(prio) = &self.cfg.class_priority {
                         req = top_priority(req, prio, |ip| {
-                            bids[ip].expect("requester bid").2.class.vc()
+                            let bid = self.lanes.front(node, ip, bids[ip]);
+                            bid.expect("requester bid").class.vc()
                         });
                     }
                     let Some(win) = self.routers[node].sa_out[op].grant_mask(req) else {
                         continue;
                     };
-                    let (vc, _, flit) = bids[win].expect("winner bid");
-                    self.commit_grant(node, Port::from_index(win), vc, out_port, flit);
+                    // Nothing pops an input VC during allocation, so the
+                    // winner's bid is still its VC's front.
+                    let vc = bids[win];
+                    let flit = *self.lanes.front(node, win, vc).expect("winner bid");
+                    let (in_port, out_port) = (Port::from_index(win), Port::from_index(op));
+                    self.commit_grant(node, in_port, vc, out_port, flit);
                 }
             }
         }
@@ -903,14 +989,15 @@ impl<D: Datapath> MeshCore<D> {
         stats: &mut NetStats,
         dp: &D,
         router: &Router,
+        lanes: &VcLanes,
         here: NodeId,
         in_port: Port,
         vc: usize,
         next_cycle: Cycle,
-    ) -> Option<(Port, Flit)> {
+    ) -> Option<Port> {
         let node = here.index();
-        let flit = *router.inputs[in_port.index()].vc(vc).front()?;
-        let active = router.active(in_port.index(), vc);
+        let flit = *lanes.front(node, in_port.index(), vc)?;
+        let active = lanes.active(node, in_port.index(), vc);
 
         let (out_port, needs_alloc) = match active {
             Some(st) if st.packet == flit.packet && !flit.is_head() => (st.out_port, false),
@@ -951,10 +1038,10 @@ impl<D: Datapath> MeshCore<D> {
 
         if out_port == Port::Local {
             // Ejection: the NI always sinks flits.
-            return Some((out_port, flit));
+            return Some(out_port);
         }
 
-        let out_vc = router.out_vc(p, vc);
+        let out_vc = lanes.out_vc(node, p, vc);
         let ok = if needs_alloc {
             if flit.len_flits > 1 {
                 // Multi-flit head (or an orphaned continuation whose head
@@ -980,14 +1067,14 @@ impl<D: Datapath> MeshCore<D> {
         } else {
             out_vc.can_send(flit.packet)
         };
-        ok.then_some((out_port, flit))
+        ok.then_some(out_port)
     }
 
     // hot
     fn commit_grant(&mut self, node: usize, in_port: Port, vc: usize, out_port: Port, flit: Flit) {
         let p = out_port.index();
         if out_port != Port::Local {
-            let out_vc = self.routers[node].out_vc_mut(p, vc);
+            let out_vc = self.lanes.out_vc_mut(node, p, vc);
             let allocates =
                 flit.len_flits > 1 && (flit.is_head() || out_vc.owner() != Some(flit.packet));
             if allocates {
@@ -1013,7 +1100,7 @@ impl<D: Datapath> MeshCore<D> {
         let next_active = if flit.is_tail() {
             None
         } else {
-            let sent = match self.routers[node].active(in_port.index(), vc) {
+            let sent = match self.lanes.active(node, in_port.index(), vc) {
                 Some(st) if st.packet == flit.packet => st.sent + 1,
                 _ => 1,
             };
@@ -1024,7 +1111,7 @@ impl<D: Datapath> MeshCore<D> {
                 sent,
             })
         };
-        self.routers[node].set_active(in_port.index(), vc, next_active);
+        self.set_active(node, in_port.index(), vc, next_active);
         self.grants.push(Grant {
             node,
             in_port,
@@ -1333,7 +1420,8 @@ impl<D: Datapath> MeshCore<D> {
             for in_port in Port::ALL {
                 let iu = &router.inputs[in_port.index()];
                 for vc in 0..self.cfg.vcs_per_port {
-                    for f in iu.vc(vc).iter() {
+                    let lane = self.lanes.lane(n, in_port.index(), vc);
+                    for f in self.lanes.flits.iter(lane) {
                         map.entry(f.packet)
                             .or_default()
                             .push((n, true, west_ok_from(in_port)));
@@ -1372,8 +1460,8 @@ impl<D: Datapath> MeshCore<D> {
             }
             self.grants.remove(i);
             if g.out_port != Port::Local {
-                self.routers[g.node]
-                    .out_vc_mut(g.out_port.index(), g.vc)
+                self.lanes
+                    .out_vc_mut(g.node, g.out_port.index(), g.vc)
                     .return_credit();
             }
         }
@@ -1388,22 +1476,25 @@ impl<D: Datapath> MeshCore<D> {
         for n in 0..self.cfg.nodes() {
             for in_port in Port::ALL {
                 for vc in 0..self.cfg.vcs_per_port {
-                    for _ in 0..self.routers[n].remove_packet(in_port.index(), vc, id) {
+                    for _ in 0..self.remove_buffered(n, in_port.index(), vc, id) {
                         self.restore_upstream_credit(n, in_port, vc);
                     }
                 }
             }
             // Streams, port locks and ownership.
-            let router = &mut self.routers[n];
             for p in 0..Port::COUNT {
-                if router.port_lock[p] == Some(id) {
-                    router.port_lock[p] = None;
+                if self.routers[n].port_lock[p] == Some(id) {
+                    self.routers[n].port_lock[p] = None;
                 }
                 for vc in 0..self.cfg.vcs_per_port {
-                    if router.active(p, vc).is_some_and(|st| st.packet == id) {
-                        router.set_active(p, vc, None);
+                    if self
+                        .lanes
+                        .active(n, p, vc)
+                        .is_some_and(|st| st.packet == id)
+                    {
+                        self.set_active(n, p, vc, None);
                     }
-                    router.out_vc_mut(p, vc).release_owner(id);
+                    self.lanes.out_vc_mut(n, p, vc).release_owner(id);
                 }
             }
         }
@@ -1450,8 +1541,8 @@ impl<D: Datapath> MeshCore<D> {
         if let Port::Dir(e) = in_port {
             let up = neighbor(&self.cfg, NodeId::new(node as u16), e)
                 .expect("flit arrived from a real neighbor");
-            self.routers[up.index()]
-                .out_vc_mut(Port::Dir(e.opposite()).index(), vc)
+            self.lanes
+                .out_vc_mut(up.index(), Port::Dir(e.opposite()).index(), vc)
                 .return_credit();
         }
     }
@@ -1567,13 +1658,12 @@ impl<D: Datapath> MeshCore<D> {
         }
         let mut present_flits = 0u64;
         for (n, router) in self.routers.iter().enumerate() {
-            for in_port in Port::ALL {
-                let iu = &router.inputs[in_port.index()];
-                present_flits += iu.buffered_flits() as u64;
-                if iu.latch().is_some() {
-                    present_flits += 1;
-                }
-            }
+            present_flits += self.lanes.flits.buffered(self.lanes.router(n)) as u64;
+            present_flits += router
+                .inputs
+                .iter()
+                .filter(|iu| iu.latch().is_some())
+                .count() as u64;
             present_flits += self.reasm[n].accepted_flits();
             present_flits += self.sources[n]
                 .queues
@@ -1632,10 +1722,12 @@ impl<D: Datapath> MeshCore<D> {
                 };
                 let back = Port::Dir(dir.opposite());
                 for vc in 0..self.cfg.vcs_per_port {
-                    let credits =
-                        self.routers[n].out_vc(Port::Dir(dir).index(), vc).credits() as u64;
+                    let credits = self.lanes.out_vc(n, Port::Dir(dir).index(), vc).credits() as u64;
                     let occupancy =
-                        self.routers[nb.index()].inputs[back.index()].vc(vc).len() as u64;
+                        self.lanes
+                            .flits
+                            .len(self.lanes.lane(nb.index(), back.index(), vc))
+                            as u64;
                     let staged = self
                         .arrivals
                         .iter()
@@ -1679,24 +1771,25 @@ impl<D: Datapath> MeshCore<D> {
             self.grants.windows(2).all(|w| w[0].node <= w[1].node),
             "grants out of node order"
         );
+        let vcs = self.lanes.vcs;
         for (n, r) in self.routers.iter().enumerate() {
             for port in 0..Port::COUNT {
-                for vc in 0..r.vcs {
-                    let bit = 1 << r.pv(port, vc);
+                for vc in 0..vcs {
+                    let bit = self.lanes.bit(port, vc);
                     debug_assert_eq!(
                         r.occ & bit != 0,
-                        !r.inputs[port].vc(vc).is_empty(),
+                        self.lanes.front(n, port, vc).is_some(),
                         "occupancy bit of n{n} port {port} vc {vc} is wrong"
                     );
                     debug_assert_eq!(
                         r.streams & bit != 0,
-                        r.active(port, vc).is_some(),
+                        self.lanes.active(n, port, vc).is_some(),
                         "stream bit of n{n} port {port} vc {vc} is wrong"
                     );
                 }
             }
             debug_assert!(
-                r.occ >> (Port::COUNT * r.vcs) == 0 && r.streams >> (Port::COUNT * r.vcs) == 0,
+                r.occ >> (Port::COUNT * vcs) == 0 && r.streams >> (Port::COUNT * vcs) == 0,
                 "n{n} masks hold bits past the last VC"
             );
             debug_assert!(
@@ -1736,9 +1829,7 @@ impl<D: Datapath> MeshCore<D> {
         // Buffered flits and source queues are guaranteed empty by flit
         // conservation once `in_flight` is zero, but they are cheap to
         // confirm and this predicate must never be wrong.
-        self.routers
-            .iter()
-            .all(|r| r.inputs.iter().all(|iu| iu.buffered_flits() == 0))
+        self.lanes.flits.buffered(0..self.lanes.flits.lanes()) == 0
             && self
                 .sources
                 .iter()
@@ -1890,17 +1981,27 @@ impl<D: Datapath> Network for MeshCore<D> {
 impl<D: Datapath> StateDigest for MeshCore<D> {
     fn digest_state(&self, h: &mut StateHasher) {
         h.write_u64(self.now);
+        let vcs = self.lanes.vcs;
         for (n, r) in self.routers.iter().enumerate() {
-            for input in &r.inputs {
+            // Each input port as one unit: its VC count, its VCs, then
+            // its latch and claims.
+            for (port, input) in r.inputs.iter().enumerate() {
+                h.write_usize(vcs);
+                for vc in 0..vcs {
+                    self.lanes
+                        .flits
+                        .digest_lane(self.lanes.lane(n, port, vc), h);
+                }
                 input.digest_state(h);
             }
-            // The flat `port * vcs + vc` layout iterates port-major, which
-            // is exactly the nested order the digest has always used.
-            for vc in &r.out_vcs {
+            // A router's lanes run port-major, which is exactly the
+            // nested order the digest has always used.
+            let lanes = self.lanes.router(n);
+            for vc in &self.lanes.out_vcs[lanes.clone()] {
                 vc.digest_state(h);
             }
-            self.dp.digest_router(n, r.vcs, h);
-            for slot in &r.active_out {
+            self.dp.digest_router(n, vcs, h);
+            for slot in &self.lanes.active_out[lanes] {
                 match slot {
                     None => h.write_u8(0),
                     Some(s) => {

@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 
 use niobs::Event;
 
+use crate::buffer::vc_lane;
 use crate::config::NocConfig;
 use crate::credit::MultiFlitGuard;
 use crate::digest::{StateDigest, StateHasher};
@@ -569,7 +570,7 @@ impl Reserving {
     /// Index of `(node, port p, vc)` in the per-(port, VC) slabs.
     #[inline(always)]
     fn pv(&self, node: usize, p: usize, vc: usize) -> usize {
-        lane(node, p) * self.vcs + vc
+        vc_lane(self.vcs, node, p, vc)
     }
 
     /// Clears `packet`'s guards on every VC of output port `p` of `node`.
@@ -837,7 +838,6 @@ impl MeshCore<Reserving> {
     /// Returns the first [`InstallError`] encountered.
     pub fn check_hop(&self, plan: &HopPlan) -> Result<(), InstallError> {
         let node = plan.node.index();
-        let router = &self.routers[node];
         let p = plan.out_port.index();
         let window = plan.start..plan.start + plan.len as Cycle;
 
@@ -857,7 +857,7 @@ impl MeshCore<Reserving> {
                     // Ejection into the NI: always sinkable.
                     return Ok(());
                 }
-                let out_vc = router.out_vc(p, vc);
+                let out_vc = self.lanes.out_vc(node, p, vc);
                 // All requested credits must be reservable and the stream
                 // must be provably clear by `start`.
                 if out_vc.reserved_for().is_some_and(|h| h != plan.packet) {
@@ -1006,7 +1006,7 @@ impl MeshCore<Reserving> {
         }
         match plan.landing {
             Landing::Vc(lvc) if plan.out_port != Port::Local => {
-                let reserved = self.routers[node].out_vc_mut(p, lvc).try_reserve(
+                let reserved = self.lanes.out_vc_mut(node, p, lvc).try_reserve(
                     plan.packet,
                     plan.reserve,
                     plan.start,
@@ -1056,8 +1056,8 @@ impl MeshCore<Reserving> {
             "ACK found {updated} of {len} slots to convert (callers must check \
              reserved_slots_of first)"
         );
-        self.routers[node.index()]
-            .out_vc_mut(p, class.vc())
+        self.lanes
+            .out_vc_mut(node.index(), p, class.vc())
             .release_reservation(packet, len);
         self.idle = false;
         if landing == Landing::Latch {
@@ -1135,8 +1135,8 @@ impl MeshCore<Reserving> {
         let mut other: [Blocker; Port::COUNT] = [None; Port::COUNT];
         let mut any_due = false;
         for ip in 0..Port::COUNT {
-            for v in ones(u64::from(router.port_bits(router.streams, ip))) {
-                let st = router.active(ip, v).expect("stream mask is exact");
+            for v in ones(u64::from(self.lanes.port_bits(router.streams, ip))) {
+                let st = self.lanes.active(n, ip, v).expect("stream mask is exact");
                 let p = st.out_port.index();
                 let slot = match first[p] {
                     None => &mut first[p],
@@ -1155,11 +1155,8 @@ impl MeshCore<Reserving> {
         }
         for in_port in Port::ALL {
             let ip = in_port.index();
-            for vc in ones(u64::from(router.port_bits(router.occ, ip))) {
-                let front = router.inputs[ip]
-                    .vc(vc)
-                    .front()
-                    .expect("occupancy is exact");
+            for vc in ones(u64::from(self.lanes.port_bits(router.occ, ip))) {
+                let front = self.lanes.front(n, ip, vc).expect("occupancy is exact");
                 if !front.is_head() {
                     continue;
                 }
@@ -1204,7 +1201,6 @@ impl MeshCore<Reserving> {
         stream: ActiveStream,
         out_port: Port,
     ) -> Option<Cycle> {
-        let router = &self.routers[node.index()];
         let remaining = stream.len.saturating_sub(stream.sent);
         if remaining == 0 {
             // Tail already granted: the port frees after the pending
@@ -1212,7 +1208,7 @@ impl MeshCore<Reserving> {
             return Some(self.upcoming_cycle() + 1);
         }
         if out_port != Port::Local {
-            let out_vc = router.out_vc(out_port.index(), blk_vc);
+            let out_vc = self.lanes.out_vc(node.index(), out_port.index(), blk_vc);
             if out_vc.usable_credits(stream.packet) < remaining {
                 return None;
             }
@@ -1227,8 +1223,8 @@ impl MeshCore<Reserving> {
     /// deterministically until `cycle` so PRA allocation can reserve slots
     /// past it.
     pub fn mark_free_after(&mut self, node: NodeId, out_port: Port, vc: usize, cycle: Cycle) {
-        self.routers[node.index()]
-            .out_vc_mut(out_port.index(), vc)
+        self.lanes
+            .out_vc_mut(node.index(), out_port.index(), vc)
             .set_free_after(cycle);
     }
 
@@ -1238,8 +1234,10 @@ impl MeshCore<Reserving> {
     /// the first link is predictable (backlog 0).
     pub fn source_backlog(&self, node: NodeId, class: MessageClass) -> usize {
         let q = self.sources[node.index()].queues[class.vc()].len();
-        let buf = self.routers[node.index()].inputs[Port::Local.index()].vc(class.vc());
-        q + buf.len()
+        let lane = self
+            .lanes
+            .lane(node.index(), Port::Local.index(), class.vc());
+        q + self.lanes.flits.len(lane)
     }
 
     /// Read-only validation that the **entire remaining pre-allocated
@@ -1288,7 +1286,7 @@ impl MeshCore<Reserving> {
                     if cur_out == Port::Local {
                         return ChainCheck::Ok;
                     }
-                    let out_vc = self.routers[cur_node].out_vc(cur_out.index(), lvc);
+                    let out_vc = self.lanes.out_vc(cur_node, cur_out.index(), lvc);
                     return match out_vc.owner() {
                         None => ChainCheck::Ok,
                         Some(p) if p == packet => ChainCheck::Ok,
@@ -1349,7 +1347,7 @@ impl MeshCore<Reserving> {
     /// otherwise is the delivery ledger searched.
     fn find_resv_dest(&self, node: usize, resv: &Reservation) -> Option<NodeId> {
         if let FlitSource::Vc { port, vc } = resv.source {
-            if let Some(f) = self.routers[node].inputs[port.index()].vc(vc).front() {
+            if let Some(f) = self.lanes.front(node, port.index(), vc) {
                 if f.packet == resv.packet {
                     debug_assert_eq!(self.ledger.dest_of(f.packet), Some(f.dest));
                     return Some(f.dest);
@@ -1377,12 +1375,11 @@ impl MeshCore<Reserving> {
         let fetched: Option<(Flit, Port, usize)> = match resv.source {
             FlitSource::Vc { port, vc } => {
                 let read_at = self.dp.grant_read_at[self.dp.pv(node, port.index(), vc)];
-                let router = &mut self.routers[node];
-                match router.inputs[port.index()].vc(vc).front() {
+                match self.lanes.front(node, port.index(), vc) {
                     Some(f)
                         if f.packet == resv.packet && f.seq == resv.seq && read_at != self.now =>
                     {
-                        let f = router.pop(port.index(), vc).expect("front exists");
+                        let f = self.pop_flit(node, port.index(), vc).expect("front exists");
                         Some((f, port, vc))
                     }
                     _ => None,
@@ -1459,7 +1456,7 @@ impl MeshCore<Reserving> {
             match cur_resv.landing {
                 Landing::Vc(lvc) => {
                     // Consume the (reserved) credit and enter the buffer.
-                    let out_vc = self.routers[cur_node].out_vc_mut(cur_out.index(), lvc);
+                    let out_vc = self.lanes.out_vc_mut(cur_node, cur_out.index(), lvc);
                     out_vc.consume_credit(flit.packet);
                     if flit.is_tail() {
                         out_vc.release_owner(flit.packet);
@@ -1630,8 +1627,8 @@ impl MeshCore<Reserving> {
         for (_cycle, r) in removed {
             match r.landing {
                 Landing::Vc(lvc) if out_port != Port::Local => {
-                    self.routers[node]
-                        .out_vc_mut(p, lvc)
+                    self.lanes
+                        .out_vc_mut(node, p, lvc)
                         .release_reservation(r.packet, 1);
                 }
                 Landing::Latch => {

@@ -29,19 +29,19 @@
 //!   control-segment restriction of the paper's PRA network.
 
 use crate::arbiter::RoundRobin;
-use crate::buffer::VcBuffer;
+use crate::buffer::{vc_lane, FlitStore};
 use crate::cancel::CancelToken;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
+use crate::mesh::{nonzero_word, ones};
 use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueues};
 use crate::routing::{neighbor, route_port};
 use crate::stats::NetStats;
 use crate::types::{Cycle, Direction, NodeId, PacketId, Port};
 
-/// Per-(node, class) buffer state.
-#[derive(Debug)]
+/// Per-(node, port, class) buffer bookkeeping beside its FIFO lane.
+#[derive(Debug, Clone, Default)]
 struct BufState {
-    fifo: VcBuffer,
     /// Slots promised to in-flight transfers landing here.
     reserved: u8,
     /// Multi-flit packet currently streaming into this buffer.
@@ -138,9 +138,12 @@ fn mark_path(
 pub struct SmartNetwork {
     cfg: NocConfig,
     now: Cycle,
-    /// `bufs[node][port][class]` (port = input side; `Port::Local` holds
-    /// freshly injected flits).
-    bufs: Vec<Vec<Vec<BufState>>>,
+    /// The input buffers, one lane per `(node, port, class)` (see
+    /// [`vc_lane`]; port = input side, `Port::Local` holds freshly
+    /// injected flits).
+    fifos: FlitStore,
+    /// Each lane's reservations, owner and busy flag.
+    bufs: Vec<BufState>,
     sources: Vec<SourceQueues>,
     reasm: Vec<Reassembly>,
     ledger: DeliveryLedger,
@@ -178,22 +181,8 @@ impl SmartNetwork {
         let n = cfg.nodes();
         let slots = Port::COUNT * cfg.vcs_per_port;
         SmartNetwork {
-            bufs: (0..n)
-                .map(|_| {
-                    (0..Port::COUNT)
-                        .map(|_| {
-                            (0..cfg.vcs_per_port)
-                                .map(|_| BufState {
-                                    fifo: VcBuffer::new(cfg.vc_depth as usize),
-                                    reserved: 0,
-                                    owner: None,
-                                    busy: false,
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect(),
+            fifos: FlitStore::new(n * slots, cfg.vc_depth),
+            bufs: vec![BufState::default(); n * slots],
             sources: (0..n).map(|_| SourceQueues::new()).collect(),
             reasm: (0..n).map(|_| Reassembly::new()).collect(),
             ledger: DeliveryLedger::new(),
@@ -213,6 +202,13 @@ impl SmartNetwork {
         }
     }
 
+    /// The lane of `(node, port, class)` in `fifos` and `bufs`.
+    // hot
+    #[inline(always)]
+    fn lane(&self, node: usize, port: usize, class: usize) -> usize {
+        vc_lane(self.cfg.vcs_per_port, node, port, class)
+    }
+
     // hot
     fn deliver_arrivals(&mut self) {
         let mut arrivals = std::mem::take(&mut self.arrivals);
@@ -226,10 +222,11 @@ impl SmartNetwork {
                     self.ledger.complete(head, self.now, hops, &mut self.stats);
                 }
             } else {
-                let buf = &mut self.bufs[node][port][class];
+                let lane = self.lane(node, port, class);
+                let buf = &mut self.bufs[lane];
                 buf.reserved = buf.reserved.saturating_sub(1);
-                buf.fifo
-                    .push(flit)
+                self.fifos
+                    .push(lane, flit)
                     .unwrap_or_else(|e| panic!("SMART arrival invariant violated: {e}"));
                 self.buffered[node] += 1;
             }
@@ -239,30 +236,27 @@ impl SmartNetwork {
 
     // hot
     fn inject_from_sources(&mut self) {
-        for node in 0..self.cfg.nodes() {
-            if self.src_pending[node] == 0 {
-                continue;
-            }
-            for class in 0..self.cfg.vcs_per_port {
-                let Some(front) = self.sources[node].queues[class].front() else {
-                    continue;
-                };
-                let buf = &mut self.bufs[node][Port::Local.index()][class];
-                if (buf.fifo.free() as u8) <= buf.reserved {
-                    continue;
-                }
-                if let Some(last) = buf.fifo.back() {
-                    if !last.is_tail() && (last.packet != front.packet || front.seq != last.seq + 1)
+        for w in 0..self.src_pending.len().div_ceil(64) {
+            for node in ones(nonzero_word(&self.src_pending, w)).map(|b| w * 64 + b) {
+                for class in 0..self.cfg.vcs_per_port {
+                    let Some(front) = self.sources[node].queues[class].front() else {
+                        continue;
+                    };
+                    let lane = self.lane(node, Port::Local.index(), class);
+                    if (self.fifos.free(lane) as u8) <= self.bufs[lane].reserved
+                        || !self.fifos.follows(lane, front)
                     {
                         continue;
                     }
+                    let mut flit = *front;
+                    flit.injected = self.now;
+                    self.sources[node].queues[class].pop_front();
+                    self.fifos
+                        .push(lane, flit)
+                        .expect("space and contiguity checked");
+                    self.src_pending[node] -= 1;
+                    self.buffered[node] += 1;
                 }
-                let mut flit = *front;
-                flit.injected = self.now;
-                self.sources[node].queues[class].pop_front();
-                buf.fifo.push(flit).expect("space and contiguity checked");
-                self.src_pending[node] -= 1;
-                self.buffered[node] += 1;
             }
         }
     }
@@ -271,16 +265,18 @@ impl SmartNetwork {
     /// traversal stage). Completed transfers release their links.
     // hot
     fn advance_transfers(&mut self) {
+        let vcs = self.cfg.vcs_per_port;
         for (i, t) in self.transfers.iter_mut().enumerate() {
-            let buf = &mut self.bufs[t.node][t.port][t.class];
+            let lane = vc_lane(vcs, t.node, t.port, t.class);
             let front_ok = matches!(
-                buf.fifo.front(),
+                self.fifos.front(lane),
                 Some(f) if f.packet == t.packet && f.seq == t.next_seq
             );
             if !front_ok {
                 continue; // upstream flits not here yet; hold the path
             }
-            let flit = buf.fifo.pop().expect("front checked");
+            let flit = self.fifos.pop(lane).expect("front checked");
+            let buf = &mut self.bufs[lane];
             self.buffered[t.node] -= 1;
             if flit.is_tail() && buf.owner == Some(t.packet) {
                 buf.owner = None;
@@ -294,7 +290,7 @@ impl SmartNetwork {
             t.remaining -= 1;
             if t.remaining == 0 {
                 self.done.push(i);
-                self.bufs[t.node][t.port][t.class].busy = false;
+                buf.busy = false;
                 if let Some((dir, hops)) = t.path {
                     mark_path(&mut self.held, &self.cfg, t.node, dir, hops, false);
                 }
@@ -347,7 +343,8 @@ impl SmartNetwork {
             match landing {
                 Some((land, stop)) => {
                     mark_path(&mut self.held, &self.cfg, r.node, r.dir, stop, true);
-                    let lb = &mut self.bufs[land][in_port][r.class];
+                    let lb = self.lane(land, in_port, r.class);
+                    let lb = &mut self.bufs[lb];
                     lb.reserved += r.len;
                     if r.len > 1 {
                         lb.owner = Some(r.packet);
@@ -365,7 +362,8 @@ impl SmartNetwork {
                 }
                 None => {
                     // Path setup failed: back to switch allocation.
-                    self.bufs[r.node][r.port][r.class].busy = false;
+                    let lane = self.lane(r.node, r.port, r.class);
+                    self.bufs[lane].busy = false;
                 }
             }
         }
@@ -373,8 +371,9 @@ impl SmartNetwork {
     }
 
     fn can_land(&self, node: usize, port: usize, class: usize, packet: PacketId, len: u8) -> bool {
-        let buf = &self.bufs[node][port][class];
-        let free = buf.fifo.free() as u8;
+        let lane = self.lane(node, port, class);
+        let buf = &self.bufs[lane];
+        let free = self.fifos.free(lane) as u8;
         if free < buf.reserved + len {
             return false;
         }
@@ -391,71 +390,68 @@ impl SmartNetwork {
     fn allocate(&mut self) {
         let vcs = self.cfg.vcs_per_port;
         let slots = Port::COUNT * vcs;
-        for node in 0..self.cfg.nodes() {
-            if self.buffered[node] == 0 {
-                // No fronts, no requests: the arbiters would not rotate.
-                continue;
-            }
-            let here = NodeId::new(node as u16);
-            // Collect per-output-direction requests over (in_port, class).
-            self.want.fill(false);
-            for in_port in 0..Port::COUNT {
-                for class in 0..vcs {
-                    let buf = &self.bufs[node][in_port][class];
-                    if buf.busy {
+        // No fronts, no requests: the arbiters would not rotate.
+        for w in 0..self.buffered.len().div_ceil(64) {
+            for node in ones(nonzero_word(&self.buffered, w)).map(|b| w * 64 + b) {
+                let here = NodeId::new(node as u16);
+                // Collect per-output-direction requests over (in_port, class).
+                self.want.fill(false);
+                for in_port in 0..Port::COUNT {
+                    for class in 0..vcs {
+                        let lane = self.lane(node, in_port, class);
+                        if self.bufs[lane].busy {
+                            continue;
+                        }
+                        let Some(front) = self.fifos.front(lane) else {
+                            continue;
+                        };
+                        if !front.is_head() {
+                            // An orphaned continuation cannot happen in SMART:
+                            // transfers always move whole packets.
+                            continue;
+                        }
+                        let port = route_port(&self.cfg, here, front.dest);
+                        self.want[port.index() * slots + in_port * vcs + class] = true;
+                    }
+                }
+                for port in Port::ALL {
+                    let requests = &self.want[port.index() * slots..][..slots];
+                    if !requests.iter().any(|r| *r) {
                         continue;
                     }
-                    let Some(front) = buf.fifo.front() else {
+                    let rr = &mut self.sa_rr[node * 5 + port.index()];
+                    let Some(slot) = rr.grant(requests) else {
                         continue;
                     };
-                    if !front.is_head() {
-                        // An orphaned continuation cannot happen in SMART:
-                        // transfers always move whole packets.
-                        continue;
-                    }
-                    let port = route_port(&self.cfg, here, front.dest);
-                    self.want[port.index() * slots + in_port * vcs + class] = true;
-                }
-            }
-            for port in Port::ALL {
-                let requests = &self.want[port.index() * slots..][..slots];
-                if !requests.iter().any(|r| *r) {
-                    continue;
-                }
-                let rr = &mut self.sa_rr[node * 5 + port.index()];
-                let Some(slot) = rr.grant(requests) else {
-                    continue;
-                };
-                let (in_port, class) = (slot / vcs, slot % vcs);
-                let front = *self.bufs[node][in_port][class]
-                    .fifo
-                    .front()
-                    .expect("bid had a front");
-                self.bufs[node][in_port][class].busy = true;
-                match port {
-                    Port::Local => {
-                        // Ejection: 1 flit/cycle into the NI from next cycle.
-                        self.transfers.push(Transfer {
-                            node,
-                            port: in_port,
-                            class,
-                            packet: front.packet,
-                            next_seq: 0,
-                            remaining: front.len_flits,
-                            path: None,
-                            landing: (node, in_port),
-                        });
-                    }
-                    Port::Dir(dir) => {
-                        self.ssr_stage.push(SsrRequest {
-                            node,
-                            port: in_port,
-                            class,
-                            packet: front.packet,
-                            len: front.len_flits,
-                            dest: front.dest,
-                            dir,
-                        });
+                    let (in_port, class) = (slot / vcs, slot % vcs);
+                    let lane = self.lane(node, in_port, class);
+                    let front = *self.fifos.front(lane).expect("bid had a front");
+                    self.bufs[lane].busy = true;
+                    match port {
+                        Port::Local => {
+                            // Ejection: 1 flit/cycle into the NI from next cycle.
+                            self.transfers.push(Transfer {
+                                node,
+                                port: in_port,
+                                class,
+                                packet: front.packet,
+                                next_seq: 0,
+                                remaining: front.len_flits,
+                                path: None,
+                                landing: (node, in_port),
+                            });
+                        }
+                        Port::Dir(dir) => {
+                            self.ssr_stage.push(SsrRequest {
+                                node,
+                                port: in_port,
+                                class,
+                                packet: front.packet,
+                                len: front.len_flits,
+                                dest: front.dest,
+                                dir,
+                            });
+                        }
                     }
                 }
             }
@@ -468,7 +464,9 @@ impl SmartNetwork {
     #[cfg(debug_assertions)]
     fn assert_activity_counters(&self) {
         for n in 0..self.cfg.nodes() {
-            let held: usize = self.bufs[n].iter().flatten().map(|b| b.fifo.len()).sum();
+            let held = self
+                .fifos
+                .buffered(crate::buffer::router_lanes(self.cfg.vcs_per_port, n));
             debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
             let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
             debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
@@ -731,11 +729,12 @@ mod stress_tests {
             for t in &n.transfers {
                 eprintln!("  transfer pkt {:?} at node {} port {} class {} next_seq {} remaining {} landing {:?} path {:?}",
                     t.packet, t.node, t.port, t.class, t.next_seq, t.remaining, t.landing, t.path);
-                let buf = &n.bufs[t.node][t.port][t.class];
+                let lane = n.lane(t.node, t.port, t.class);
+                let buf = &n.bufs[lane];
                 eprintln!(
                     "    src buf: front {:?} len {} reserved {} owner {:?} busy {}",
-                    buf.fifo.front().map(|f| (f.packet, f.seq)),
-                    buf.fifo.len(),
+                    n.fifos.front(lane).map(|f| (f.packet, f.seq)),
+                    n.fifos.len(lane),
                     buf.reserved,
                     buf.owner,
                     buf.busy
@@ -745,10 +744,12 @@ mod stress_tests {
             for node in 0..64 {
                 for port in 0..5 {
                     for class in 0..3 {
-                        let b = &n.bufs[node][port][class];
-                        if !b.fifo.is_empty() || b.reserved > 0 || b.owner.is_some() || b.busy {
+                        let lane = n.lane(node, port, class);
+                        let b = &n.bufs[lane];
+                        if !n.fifos.is_empty(lane) || b.reserved > 0 || b.owner.is_some() || b.busy
+                        {
                             eprintln!("  buf[{}][{}][{}]: len {} front {:?} reserved {} owner {:?} busy {}",
-                                node, port, class, b.fifo.len(), b.fifo.front().map(|f| (f.packet, f.seq, f.dest)), b.reserved, b.owner, b.busy);
+                                node, port, class, n.fifos.len(lane), n.fifos.front(lane).map(|f| (f.packet, f.seq, f.dest)), b.reserved, b.owner, b.busy);
                         }
                     }
                 }

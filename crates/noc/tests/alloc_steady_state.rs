@@ -4,13 +4,15 @@
 //! A counting `#[global_allocator]` wraps the system allocator; the
 //! count is armed only around the measured stepping loop. The network
 //! first runs real traffic to a full drain, so every reusable buffer
-//! (scratch vectors, arrival/credit queues, VC rings) has reached its
+//! (scratch vectors, arrival/credit queues) has reached its
 //! steady-state capacity. After that, stepping the fabric — with the
 //! mesh's quiescent fast path disabled, so the full phase pipeline executes
 //! every cycle — must never touch the allocator: any `Box::new`,
 //! `vec!`, or growth re-introduced into the hot loop fails this test
 //! with an exact allocation count. A saturated mesh window, whose new
 //! packets legitimately allocate, is held to a recorded budget instead.
+//! Building each network is held to an exact allocation count that does
+//! not grow with the mesh.
 //!
 //! This file holds exactly one `#[test]` on purpose: the libtest harness
 //! runs tests in one process, and a sibling test allocating on another
@@ -23,6 +25,7 @@ use noc::config::NocConfig;
 use noc::ideal::IdealNetwork;
 use noc::mesh::MeshNetwork;
 use noc::network::Network;
+use noc::reserve::ReservingCore;
 use noc::smart::SmartNetwork;
 use noc::traffic::{Pattern, TrafficGen};
 
@@ -59,6 +62,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn steady_state_stepping_never_allocates() {
     let cfg = NocConfig::paper();
+    // Building a network takes a fixed number of heap blocks, whatever
+    // the mesh size: the same count at radix 16 as at the paper's 8.
+    let wide = NocConfig {
+        radix: 16,
+        ..cfg.clone()
+    };
+    for c in [&cfg, &wide] {
+        let built = [
+            ("mesh", construction_allocations(c, MeshNetwork::new)),
+            ("reserving", construction_allocations(c, ReservingCore::new)),
+            ("ideal", construction_allocations(c, IdealNetwork::new)),
+            ("SMART", construction_allocations(c, SmartNetwork::new)),
+        ];
+        assert_eq!(
+            built, CONSTRUCTION_ALLOCATIONS,
+            "heap allocations of building each network at radix {}",
+            c.radix
+        );
+    }
     let counts = [
         ("mesh", idle_allocations(MeshNetwork::new(cfg.clone()))),
         ("SMART", idle_allocations(SmartNetwork::new(cfg.clone()))),
@@ -78,6 +100,12 @@ fn steady_state_stepping_never_allocates() {
          budget of {BUSY_MESH_BUDGET}; switch allocation must not allocate"
     );
 }
+
+/// Heap allocations of building each network: all of a network's
+/// routers share one slab per kind of state, so the count does not grow
+/// with nodes, ports or VCs.
+const CONSTRUCTION_ALLOCATIONS: [(&str, u64); 4] =
+    [("mesh", 11), ("reserving", 15), ("ideal", 9), ("SMART", 11)];
 
 /// Allocations of [`busy_mesh_allocations`]' window as measured before
 /// switch allocation moved to occupancy masks. The window creates
@@ -109,6 +137,17 @@ fn busy_mesh_allocations() -> u64 {
         delivered.clear();
     }
     ARMED.store(false, Ordering::SeqCst);
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Counts the heap allocations of building one network of `cfg`.
+fn construction_allocations<N>(cfg: &NocConfig, build: fn(NocConfig) -> N) -> u64 {
+    let cfg = cfg.clone();
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let net = build(cfg);
+    ARMED.store(false, Ordering::SeqCst);
+    drop(net);
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 

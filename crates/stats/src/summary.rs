@@ -53,16 +53,6 @@ impl Summary {
             ci95,
         }
     }
-
-    /// Relative 95% confidence half-width (`ci95 / mean`); the paper
-    /// targets < 4% error at 95% confidence.
-    pub fn relative_error(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci95 / self.mean.abs()
-        }
-    }
 }
 
 /// Two-sided 95% critical value of Student's t for `dof` degrees of
@@ -124,7 +114,6 @@ mod tests {
         assert_eq!(s.mean, 3.5);
         assert_eq!(s.stddev, 0.0);
         assert_eq!(s.ci95, 0.0);
-        assert_eq!(s.relative_error(), 0.0);
     }
 
     #[test]

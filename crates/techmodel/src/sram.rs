@@ -37,11 +37,6 @@ impl SramModel {
     pub fn slice_power_w(&self, mb: f64) -> f64 {
         self.power_w_per_mb * mb
     }
-
-    /// The PRA window length: the data-lookup stage of the serial lookup.
-    pub fn pra_window_cycles(&self) -> u32 {
-        self.data_cycles
-    }
 }
 
 impl Default for SramModel {
@@ -61,6 +56,5 @@ mod tests {
         let per_slice_mb = 8.0 / 64.0;
         assert!((s.slice_area_mm2(per_slice_mb) - 0.4).abs() < 1e-12);
         assert!((s.slice_power_w(8.0) - 4.0).abs() < 1e-12);
-        assert_eq!(s.pra_window_cycles(), 4);
     }
 }
