@@ -20,7 +20,8 @@ use crate::config::NocConfig;
 use crate::digest::{StateDigest, StateHasher};
 use crate::flit::{Flit, Packet};
 use crate::mesh::{nonzero_word, ones};
-use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueues};
+use crate::network::{Delivered, Network};
+use crate::ni::Ni;
 use crate::routing::{neighbor, route_port};
 use crate::stats::NetStats;
 use crate::types::{Cycle, Direction, NodeId, Port};
@@ -55,18 +56,16 @@ pub struct IdealNetwork {
     /// The input buffers, one lane per `(node, in_port, class)` (see
     /// [`vc_lane`]).
     buffers: FlitStore,
-    sources: Vec<SourceQueues>,
-    reasm: Vec<Reassembly>,
-    ledger: DeliveryLedger,
+    /// The tiles' network interfaces.
+    ni: Ni,
     /// Flits that finished their wire traversal this cycle, buffered at the
     /// start of the next (end-of-cycle latching): `(node, in_port, class,
     /// flit)`.
     arrivals: Vec<(usize, usize, usize, Flit)>,
-    /// Exact activity counters: flits held in each node's input buffers
-    /// and in its NI source queues. A node whose count is zero has no
-    /// front to move and nothing to inject, so the phases skip it.
+    /// Exact activity counters: flits held in each node's input
+    /// buffers. A node whose count is zero has no front to move, so the
+    /// candidate scan skips it.
     buffered: Vec<usize>,
-    src_pending: Vec<usize>,
     /// Working buffers of [`IdealNetwork::advance_flits`], reused every
     /// cycle. Empty between steps, so excluded from the digest.
     scratch: AdvanceScratch,
@@ -102,12 +101,9 @@ impl IdealNetwork {
         let n = cfg.nodes();
         IdealNetwork {
             buffers: FlitStore::new(n * Port::COUNT * cfg.vcs_per_port, cfg.vc_depth),
-            sources: (0..n).map(|_| SourceQueues::new()).collect(),
-            reasm: (0..n).map(|_| Reassembly::new()).collect(),
-            ledger: DeliveryLedger::new(),
+            ni: Ni::new(&cfg),
             arrivals: Vec::new(),
             buffered: vec![0; n],
-            src_pending: vec![0; n],
             scratch: AdvanceScratch {
                 link_busy: vec![false; n * 4],
                 staged: vec![None; n * Port::COUNT * cfg.vcs_per_port],
@@ -132,13 +128,7 @@ impl IdealNetwork {
         let mut arrivals = std::mem::take(&mut self.arrivals);
         for (node, port, class, flit) in arrivals.drain(..) {
             if flit.dest.index() == node {
-                if let Some(head) = self.reasm[node].accept(flit) {
-                    let hops = self
-                        .cfg
-                        .coord(head.src)
-                        .manhattan(self.cfg.coord(head.dest));
-                    self.ledger.complete(head, self.now, hops, &mut self.stats);
-                }
+                self.ni.eject(node, flit, self.now, &mut self.stats);
             } else {
                 self.buffers
                     .push(self.lane(node, port, class), flit)
@@ -151,27 +141,19 @@ impl IdealNetwork {
 
     // hot
     fn inject_from_sources(&mut self) {
-        for w in 0..self.src_pending.len().div_ceil(64) {
-            for node in ones(nonzero_word(&self.src_pending, w)).map(|b| w * 64 + b) {
-                for class in 0..self.cfg.vcs_per_port {
-                    let Some(front) = self.sources[node].queues[class].front() else {
-                        continue;
-                    };
-                    let lane = self.lane(node, Port::Local.index(), class);
-                    if self.buffers.free(lane) == 0 || !self.buffers.follows(lane, front) {
-                        continue;
-                    }
-                    let mut flit = *front;
-                    flit.injected = self.now;
-                    self.sources[node].queues[class].pop_front();
-                    self.buffers
-                        .push(lane, flit)
-                        .expect("space and contiguity checked");
-                    self.src_pending[node] -= 1;
-                    self.buffered[node] += 1;
+        let buffered = &mut self.buffered;
+        self.ni.inject_into(
+            self.now,
+            &mut self.buffers,
+            self.cfg.vcs_per_port,
+            |node, _, free| {
+                if free == 0 {
+                    return false;
                 }
-            }
-        }
+                buffered[node] += 1;
+                true
+            },
+        );
     }
 
     /// Moves every front flit up to `max_hops_per_cycle` hops, oldest
@@ -303,8 +285,7 @@ impl IdealNetwork {
     }
 
     /// Debug-build check that the activity counters are exact: each
-    /// node's `buffered` count equals the flits in its input buffers and
-    /// its `src_pending` count the flits in its NI source queues.
+    /// node's `buffered` count equals the flits in its input buffers.
     #[cfg(debug_assertions)]
     fn assert_activity_counters(&self) {
         for n in 0..self.cfg.nodes() {
@@ -312,8 +293,6 @@ impl IdealNetwork {
                 .buffers
                 .buffered(crate::buffer::router_lanes(self.cfg.vcs_per_port, n));
             debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
-            let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
-            debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
         }
     }
 }
@@ -335,14 +314,7 @@ impl Network for IdealNetwork {
     }
 
     fn inject(&mut self, packet: Packet) {
-        let mut packet = packet;
-        if packet.created == 0 {
-            packet.created = self.now;
-        }
-        self.stats.record_injected(packet.class);
-        self.ledger.register(packet);
-        self.src_pending[packet.src.index()] += usize::from(packet.len_flits);
-        self.sources[packet.src.index()].enqueue_packet(&packet);
+        self.ni.inject(packet, self.now, &mut self.stats);
     }
 
     // hot
@@ -360,15 +332,17 @@ impl Network for IdealNetwork {
     }
 
     fn drain_delivered(&mut self) -> Vec<Delivered> {
-        self.ledger.drain()
+        let mut out = Vec::new();
+        self.drain_delivered_into(&mut out);
+        out
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
-        self.ledger.drain_into(out);
+        self.ni.drain_into(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.ledger.in_flight()
+        self.ni.in_flight()
     }
 
     fn stats(&self) -> &NetStats {
@@ -396,13 +370,7 @@ impl StateDigest for IdealNetwork {
         for lane in 0..self.buffers.lanes() {
             self.buffers.digest_lane(lane, h);
         }
-        for src in &self.sources {
-            src.digest_state(h);
-        }
-        for reasm in &self.reasm {
-            reasm.digest_state(h);
-        }
-        self.ledger.digest_state(h);
+        self.ni.digest_state(h);
         h.write_usize(self.arrivals.len());
         for &(node, port, class, flit) in &self.arrivals {
             h.write_usize(node);

@@ -54,6 +54,7 @@ pub mod flit;
 pub mod ideal;
 pub mod mesh;
 pub mod network;
+pub(crate) mod ni;
 pub mod reliable;
 pub mod reserve;
 pub mod routing;

@@ -26,7 +26,8 @@ use crate::credit::OutVc;
 use crate::digest::{StateDigest, StateHasher};
 use crate::faults::{FaultEvent, FaultState, FaultStats};
 use crate::flit::{Flit, Packet};
-use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueues};
+use crate::network::{Delivered, Network};
+use crate::ni::Ni;
 use crate::reliable::{
     escalation_action, EjectNote, EscalationAction, RelOrder, ReliableLayer, ReliableStats,
 };
@@ -67,7 +68,8 @@ pub(crate) struct Router {
     sa_out: [RoundRobin; Port::COUNT],
     /// Input-VC occupancy mask: bit `port * vcs + vc` is set iff that
     /// VC buffers a flit — derived state, kept exact by
-    /// [`MeshCore::push_flit`], [`MeshCore::pop_flit`] and
+    /// [`MeshCore::push_flit`], the NI injection hook of
+    /// `MeshCore::inject_from_sources`, [`MeshCore::pop_flit`] and
     /// [`MeshCore::remove_buffered`] (the only ways a flit enters or
     /// leaves an input VC) and excluded from the digest. Switch
     /// allocation and the LSD stall scan visit only its set bits, the
@@ -200,10 +202,10 @@ pub(crate) fn ones(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Word `w` of the set of nodes whose exact activity counter in
+/// Word `w` of the set of nodes whose exact `buffered` flit counter in
 /// `counts` is non-zero: bit `b` is set iff `counts[w * 64 + b] != 0`.
-/// SMART and the ideal network walk it with [`ones`] so an idle node
-/// costs one bit test, not one loop iteration.
+/// SMART and the ideal network walk it with [`ones`] so a node with empty
+/// input buffers costs one bit test, not one loop iteration.
 // hot
 #[inline]
 pub(crate) fn nonzero_word(counts: &[usize], w: usize) -> u64 {
@@ -222,24 +224,24 @@ pub(crate) struct NodeSet {
 }
 
 impl NodeSet {
-    fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         NodeSet {
             words: vec![0; nodes.div_ceil(64)],
         }
     }
 
     #[inline(always)]
-    fn insert(&mut self, node: usize) {
+    pub(crate) fn insert(&mut self, node: usize) {
         self.words[node / 64] |= 1 << (node % 64);
     }
 
     #[inline(always)]
-    fn remove(&mut self, node: usize) {
+    pub(crate) fn remove(&mut self, node: usize) {
         self.words[node / 64] &= !(1 << (node % 64));
     }
 
     #[cfg(debug_assertions)]
-    fn contains(&self, node: usize) -> bool {
+    pub(crate) fn contains(&self, node: usize) -> bool {
         self.words[node / 64] >> (node % 64) & 1 == 1
     }
 }
@@ -436,9 +438,8 @@ pub struct MeshCore<D> {
     pub(crate) now: Cycle,
     pub(crate) routers: Vec<Router>,
     pub(crate) lanes: VcLanes,
-    pub(crate) sources: Vec<SourceQueues>,
-    pub(crate) reasm: Vec<Reassembly>,
-    pub(crate) ledger: DeliveryLedger,
+    /// The tiles' network interfaces.
+    pub(crate) ni: Ni,
     pub(crate) grants: Vec<Grant>,
     pub(crate) arrivals: Vec<Arrival>,
     pub(crate) credit_returns: Vec<CreditReturn>,
@@ -478,9 +479,6 @@ pub struct MeshCore<D> {
     /// (while presence may be stale). Skipping an absent node is
     /// therefore bit-exact, never a behaviour change.
     pub(crate) buffered_nodes: NodeSet,
-    /// Same contract for NI source-queue occupancy (inserted on inject,
-    /// removed lazily by `inject_from_sources`).
-    source_nodes: NodeSet,
     /// Observability handle; detached by default (every hook is then a
     /// single branch).
     obs: niobs::ObsHandle,
@@ -506,9 +504,7 @@ impl<D: Datapath> MeshCore<D> {
             rel_purges: Vec::new(),
             routers: (0..n).map(|_| Router::new(cfg.vcs_per_port)).collect(),
             lanes: VcLanes::new(&cfg),
-            sources: (0..n).map(|_| SourceQueues::new()).collect(),
-            reasm: (0..n).map(|_| Reassembly::new()).collect(),
-            ledger: DeliveryLedger::new(),
+            ni: Ni::new(&cfg),
             grants: Vec::new(),
             arrivals: Vec::new(),
             credit_returns: Vec::new(),
@@ -519,7 +515,6 @@ impl<D: Datapath> MeshCore<D> {
             skip_ahead: true,
             idle: false,
             buffered_nodes: NodeSet::new(n),
-            source_nodes: NodeSet::new(n),
             dp: D::new(&cfg),
             cfg,
             now: 0,
@@ -684,16 +679,7 @@ impl<D: Datapath> MeshCore<D> {
                 .and_then(|rel| rel.note_ejected(head.packet));
             match note {
                 Some(EjectNote::Commit { original }) => {
-                    let hops = self
-                        .cfg
-                        .coord(head.src)
-                        .manhattan(self.cfg.coord(head.dest));
-                    if original == head.packet {
-                        self.ledger.complete(head, self.now, hops, &mut self.stats);
-                    } else {
-                        self.ledger
-                            .complete_as(head, original, self.now, hops, &mut self.stats);
-                    }
+                    self.ni.complete(head, original, self.now, &mut self.stats);
                     self.emit(|| Event::PacketEjected {
                         packet: original.0,
                         node: node as u64,
@@ -703,7 +689,7 @@ impl<D: Datapath> MeshCore<D> {
                 Some(EjectNote::Suppress) => {
                     // The reassembler already consumed the flits; drop
                     // the copy's ledger entry without a delivery record.
-                    let _ = self.ledger.forget(head.packet);
+                    let _ = self.ni.purge(head.packet);
                     self.emit(|| Event::DuplicateSuppressed {
                         packet: head.packet.0,
                         node: node as u64,
@@ -715,11 +701,8 @@ impl<D: Datapath> MeshCore<D> {
                 None => {}
             }
         }
-        let hops = self
-            .cfg
-            .coord(head.src)
-            .manhattan(self.cfg.coord(head.dest));
-        self.ledger.complete(head, self.now, hops, &mut self.stats);
+        self.ni
+            .complete(head, head.packet, self.now, &mut self.stats);
         self.emit(|| Event::PacketEjected {
             packet: head.packet.0,
             node: node as u64,
@@ -735,7 +718,7 @@ impl<D: Datapath> MeshCore<D> {
         for a in arrivals.drain(..) {
             if a.in_port == Port::Local && a.flit.dest.index() == a.node {
                 // Ejected flit: reassemble at the NI.
-                if let Some(head) = self.reasm[a.node].accept(a.flit) {
+                if let Some(head) = self.ni.accept(a.node, a.flit) {
                     self.eject_complete(head, a.node);
                 }
             } else {
@@ -757,31 +740,21 @@ impl<D: Datapath> MeshCore<D> {
     /// their own port into the router's local input unit).
     // hot
     fn inject_from_sources(&mut self) {
-        for w in 0..self.source_nodes.words.len() {
-            for node in ones(self.source_nodes.words[w]).map(|b| w * 64 + b) {
-                let mut remaining = false;
-                for class in 0..3 {
-                    let Some(front) = self.sources[node].queues[class].front() else {
-                        continue;
-                    };
-                    let lane = self.lanes.lane(node, Port::Local.index(), class);
-                    if self.lanes.flits.free(lane) == 0 {
-                        remaining = true;
-                        continue;
-                    }
-                    let mut flit = *front;
-                    flit.injected = self.now;
-                    self.sources[node].queues[class].pop_front();
-                    self.push_flit(node, Port::Local.index(), class, flit)
-                        .expect("free slot was checked");
-                    self.buffered_nodes.insert(node);
-                    remaining |= !self.sources[node].queues[class].is_empty();
+        let local = self.lanes.bit(Port::Local.index(), 0);
+        let (routers, buffered_nodes) = (&mut self.routers, &mut self.buffered_nodes);
+        self.ni.inject_into(
+            self.now,
+            &mut self.lanes.flits,
+            self.lanes.vcs,
+            |node, class, free| {
+                if free == 0 {
+                    return false;
                 }
-                if !remaining {
-                    self.source_nodes.remove(node);
-                }
-            }
-        }
+                routers[node].occ |= local << class;
+                buffered_nodes.insert(node);
+                true
+            },
+        );
     }
 
     /// Executes reactive grants decided in the previous cycle.
@@ -1259,9 +1232,7 @@ impl<D: Datapath> MeshCore<D> {
             }
         }
         self.idle = false;
-        self.ledger.register(copy);
-        self.source_nodes.insert(copy.src.index());
-        self.sources[copy.src.index()].enqueue_packet(&copy);
+        self.ni.enqueue(copy);
         true
     }
 
@@ -1345,7 +1316,7 @@ impl<D: Datapath> MeshCore<D> {
     ) -> Vec<PacketId> {
         let locs = self.flit_locations();
         let mut doomed = Vec::new();
-        for p in self.ledger.iter_in_flight() {
+        for p in self.ni.in_flight_packets() {
             if dying_node == Some(p.dest.index()) {
                 doomed.push(p.id);
                 continue;
@@ -1409,12 +1380,8 @@ impl<D: Datapath> MeshCore<D> {
     /// port it sits at.
     fn flit_locations(&self) -> BTreeMap<PacketId, Vec<(usize, bool, bool)>> {
         let mut map: BTreeMap<PacketId, Vec<(usize, bool, bool)>> = BTreeMap::new();
-        for (n, sq) in self.sources.iter().enumerate() {
-            for q in &sq.queues {
-                for f in q {
-                    map.entry(f.packet).or_default().push((n, false, true));
-                }
-            }
+        for (n, f) in self.ni.queued_flits() {
+            map.entry(f.packet).or_default().push((n, false, true));
         }
         for (n, router) in self.routers.iter().enumerate() {
             for in_port in Port::ALL {
@@ -1465,12 +1432,6 @@ impl<D: Datapath> MeshCore<D> {
                     .return_credit();
             }
         }
-        // Source queues: flits not yet in the fabric hold no credits.
-        for sq in &mut self.sources {
-            for q in &mut sq.queues {
-                q.retain(|f| f.packet != id);
-            }
-        }
         // Buffered flits. A flit buffered at a directional input occupies
         // a slot the upstream router paid a credit for.
         for n in 0..self.cfg.nodes() {
@@ -1510,12 +1471,12 @@ impl<D: Datapath> MeshCore<D> {
             self.arrivals.remove(i);
             self.restore_upstream_credit(a.node, a.in_port, a.vc);
         }
-        // Ledger, partial reassembly, loss accounting. With the
-        // reliability overlay on, a purge is absorbed: the layer arms a
-        // fast retransmit (NACK-on-purge) instead of the fault counters
-        // recording a permanent loss.
-        if let Some(p) = self.ledger.forget(id) {
-            self.reasm[p.dest.index()].forget(id);
+        // The NI's ledger, source queues (flits not yet in the fabric
+        // hold no credits) and partial reassembly, then loss accounting.
+        // With the reliability overlay on, a purge is absorbed: the
+        // layer arms a fast retransmit (NACK-on-purge) instead of the
+        // fault counters recording a permanent loss.
+        if let Some(p) = self.ni.purge(id) {
             let absorbed = self
                 .reliable
                 .as_mut()
@@ -1556,7 +1517,7 @@ impl<D: Datapath> MeshCore<D> {
         let mut doomed = Vec::new();
         {
             let f = self.faults.as_ref().expect("faults active");
-            for p in self.ledger.iter_in_flight() {
+            for p in self.ni.in_flight_packets() {
                 let dest_dead = f.router_dead(p.dest.index());
                 let unroutable = locs.get(&p.id).is_some_and(|entries| {
                     entries.iter().any(|&(n, _, cw)| {
@@ -1652,7 +1613,7 @@ impl<D: Datapath> MeshCore<D> {
     fn audit_now(&self) -> AuditReport {
         let mut expected_flits = 0u64;
         let mut oldest_packet_age = 0u64;
-        for p in self.ledger.iter_in_flight() {
+        for p in self.ni.in_flight_packets() {
             expected_flits += p.len_flits as u64;
             oldest_packet_age = oldest_packet_age.max(self.now.saturating_sub(p.created));
         }
@@ -1664,19 +1625,14 @@ impl<D: Datapath> MeshCore<D> {
                 .iter()
                 .filter(|iu| iu.latch().is_some())
                 .count() as u64;
-            present_flits += self.reasm[n].accepted_flits();
-            present_flits += self.sources[n]
-                .queues
-                .iter()
-                .map(|q| q.len() as u64)
-                .sum::<u64>();
         }
+        present_flits += self.ni.held_flits();
         present_flits += self.arrivals.len() as u64;
 
         // The reliability overlay tracks packets the ledger no longer
         // sees: a purged copy awaiting retransmission is a "gap" —
         // still in flight end to end, with zero flits in the fabric.
-        let mut packets_in_flight = self.ledger.in_flight();
+        let mut packets_in_flight = self.ni.in_flight();
         let rel_stats = self.reliable.as_ref().map(|r| r.stats());
         if let Some(rel) = &self.reliable {
             packets_in_flight += rel.extra_in_flight();
@@ -1758,9 +1714,9 @@ impl<D: Datapath> MeshCore<D> {
     }
 
     /// Debug-build check of the activity-flag contract: a node missing
-    /// from `buffered_nodes` or `source_nodes` must *prove* the absence
-    /// of the state it gates (a stale member is allowed, a wrong absence
-    /// would silently skip work). The node order of `grants`, which the
+    /// from `buffered_nodes` must *prove* the absence of the state it
+    /// gates (a stale member is allowed, a wrong absence would silently
+    /// skip work). The node order of `grants`, which the
     /// reservation install check searches, must hold too. The per-router
     /// `occ` and `streams` masks allow no slack at all: every bit must
     /// equal the state it mirrors. The reserving datapath checks its own
@@ -1796,14 +1752,6 @@ impl<D: Datapath> MeshCore<D> {
                 self.buffered_nodes.contains(n) || r.occ == 0,
                 "n{n} missing from buffered_nodes while input VCs hold flits"
             );
-            debug_assert!(
-                self.source_nodes.contains(n)
-                    || self.sources[n]
-                        .queues
-                        .iter()
-                        .all(std::collections::VecDeque::is_empty),
-                "n{n} missing from source_nodes while NI queues hold flits"
-            );
         }
     }
 
@@ -1818,7 +1766,7 @@ impl<D: Datapath> MeshCore<D> {
     fn is_quiescent(&self) -> bool {
         if self.faults.is_some()
             || self.reliable.is_some()
-            || self.ledger.in_flight() != 0
+            || !self.ni.is_idle()
             || !self.grants.is_empty()
             || !self.arrivals.is_empty()
             || !self.credit_returns.is_empty()
@@ -1826,14 +1774,10 @@ impl<D: Datapath> MeshCore<D> {
         {
             return false;
         }
-        // Buffered flits and source queues are guaranteed empty by flit
-        // conservation once `in_flight` is zero, but they are cheap to
-        // confirm and this predicate must never be wrong.
+        // Buffered flits are guaranteed absent by flit conservation once
+        // nothing is in flight, but they are cheap to confirm and this
+        // predicate must never be wrong.
         self.lanes.flits.buffered(0..self.lanes.flits.lanes()) == 0
-            && self
-                .sources
-                .iter()
-                .all(|s| s.queues.iter().all(std::collections::VecDeque::is_empty))
     }
 }
 
@@ -1862,11 +1806,7 @@ impl<D: Datapath> Network for MeshCore<D> {
                 return;
             }
         }
-        let mut packet = packet;
-        if packet.created == 0 {
-            packet.created = self.now;
-        }
-        self.stats.record_injected(packet.class);
+        let packet = self.ni.inject(packet, self.now, &mut self.stats);
         self.emit(|| Event::PacketInjected {
             packet: packet.id.0,
             src: packet.src.index() as u64,
@@ -1875,9 +1815,6 @@ impl<D: Datapath> Network for MeshCore<D> {
             len: packet.len_flits,
         });
         self.idle = false;
-        self.ledger.register(packet);
-        self.source_nodes.insert(packet.src.index());
-        self.sources[packet.src.index()].enqueue_packet(&packet);
         if let Some(rel) = self.reliable.as_mut() {
             rel.track(&packet, self.now);
         }
@@ -1926,7 +1863,7 @@ impl<D: Datapath> Network for MeshCore<D> {
     // hot
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
         let start = out.len();
-        self.ledger.drain_into(out);
+        self.ni.drain_into(out);
         D::delivered(self, &out[start..]);
     }
 
@@ -1940,7 +1877,7 @@ impl<D: Datapath> Network for MeshCore<D> {
     fn in_flight(&self) -> usize {
         // Gaps — tracked packets whose every copy was purged — are
         // still in flight end to end: a retransmission is pending.
-        self.ledger.in_flight()
+        self.ni.in_flight()
             + self
                 .reliable
                 .as_ref()
@@ -2020,13 +1957,7 @@ impl<D: Datapath> StateDigest for MeshCore<D> {
                 rr.digest_state(h);
             }
         }
-        for src in &self.sources {
-            src.digest_state(h);
-        }
-        for reasm in &self.reasm {
-            reasm.digest_state(h);
-        }
-        self.ledger.digest_state(h);
+        self.ni.digest_state(h);
         h.write_usize(self.grants.len());
         for g in &self.grants {
             h.write_usize(g.node);

@@ -1,17 +1,17 @@
-//! The [`Network`] abstraction and the shared network-interface model.
+//! The [`Network`] abstraction.
 //!
-//! Every organisation (mesh, SMART, Mesh+PRA, ideal) implements
+//! Every organisation (mesh, SMART, Mesh+PRA, FRFC, ideal) implements
 //! [`Network`], so the system model and the benchmark harness are generic
 //! over the interconnect. Clients inject whole [`Packet`]s; the network
 //! delivers them as [`Delivered`] records once the last flit reaches the
-//! destination network interface.
-
-use std::collections::{BTreeMap, VecDeque};
+//! destination network interface. The network interface itself — source
+//! queues, reassembly and the delivery ledger — is one type all of them
+//! hold, `noc::ni::Ni` (crate-private).
 
 use crate::config::NocConfig;
-use crate::flit::{Flit, Packet};
+use crate::flit::Packet;
 use crate::stats::NetStats;
-use crate::types::{Cycle, NodeId, PacketId};
+use crate::types::Cycle;
 
 /// A packet that completed its journey.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,316 +156,5 @@ pub trait Network {
             out.extend(self.drain_delivered());
         }
         out
-    }
-}
-
-/// Source-side NI state: unbounded per-class queues of flits awaiting
-/// space in the local input VCs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SourceQueues {
-    /// One FIFO per message class (indexed by VC).
-    pub(crate) queues: [VecDeque<Flit>; 3],
-}
-
-impl SourceQueues {
-    pub(crate) fn new() -> Self {
-        SourceQueues::default()
-    }
-
-    /// Enqueues all flits of `packet` in order on its class queue.
-    pub(crate) fn enqueue_packet(&mut self, packet: &Packet) {
-        let q = &mut self.queues[packet.class.vc()];
-        for mut flit in packet.flits() {
-            flit.created = packet.created;
-            q.push_back(flit);
-        }
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pending_flits(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
-    }
-}
-
-/// Destination-side NI state: reassembles flits into packets.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Reassembly {
-    partial: BTreeMap<PacketId, (u8, Flit)>,
-}
-
-impl Reassembly {
-    pub(crate) fn new() -> Self {
-        Reassembly::default()
-    }
-
-    /// Accepts an ejected flit; returns the head flit and hop count when
-    /// the packet completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if flits of the same packet arrive out of order (a routing
-    /// or flow-control bug).
-    pub(crate) fn accept(&mut self, flit: Flit) -> Option<Flit> {
-        let entry = self.partial.entry(flit.packet).or_insert((0, flit));
-        assert_eq!(
-            entry.0, flit.seq,
-            "flit {} of packet {} arrived out of order (expected seq {})",
-            flit.seq, flit.packet, entry.0
-        );
-        entry.0 += 1;
-        if entry.0 == flit.len_flits {
-            let (_, head) = self.partial.remove(&flit.packet).expect("entry exists");
-            Some(head)
-        } else {
-            None
-        }
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn pending(&self) -> usize {
-        self.partial.len()
-    }
-
-    /// Total flits already accepted into partial reassemblies (for the
-    /// conservation audit: accepted flits left the fabric but their
-    /// packets are still registered).
-    pub(crate) fn accepted_flits(&self) -> u64 {
-        self.partial.values().map(|(n, _)| *n as u64).sum()
-    }
-
-    /// Discards a partial reassembly (fault purge); returns how many
-    /// flits it had accepted.
-    pub(crate) fn forget(&mut self, packet: PacketId) -> u64 {
-        self.partial.remove(&packet).map_or(0, |(n, _)| n as u64)
-    }
-}
-
-/// Book-keeping shared by all network implementations: original packet
-/// descriptors (to return tags on delivery) and delivery staging.
-#[derive(Debug, Default)]
-pub(crate) struct DeliveryLedger {
-    packets: BTreeMap<PacketId, Packet>,
-    delivered: Vec<Delivered>,
-}
-
-impl DeliveryLedger {
-    pub(crate) fn new() -> Self {
-        DeliveryLedger::default()
-    }
-
-    pub(crate) fn register(&mut self, packet: Packet) {
-        self.packets.insert(packet.id, packet);
-    }
-
-    /// Destination of a registered (still in-flight) packet.
-    pub(crate) fn dest_of(&self, packet: PacketId) -> Option<NodeId> {
-        self.packets.get(&packet).map(|p| p.dest)
-    }
-
-    pub(crate) fn in_flight(&self) -> usize {
-        self.packets.len()
-    }
-
-    /// Completes `packet_id`, recording stats and staging the delivery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the packet was never registered (double delivery).
-    pub(crate) fn complete(&mut self, head: Flit, now: Cycle, hops: u32, stats: &mut NetStats) {
-        let packet = self
-            .packets
-            .remove(&head.packet)
-            .expect("delivered packet must be registered exactly once");
-        stats.record_delivered(
-            packet.class,
-            packet.len_flits,
-            packet.created,
-            head.injected,
-            now,
-            hops,
-        );
-        self.delivered.push(Delivered {
-            packet,
-            delivered: now,
-            hops,
-        });
-    }
-
-    /// Completes a retransmission copy under the identity of its
-    /// original packet: the copy's registration is consumed (it carries
-    /// the original's `created` cycle, so latency accounting is
-    /// end-to-end honest) and the staged [`Delivered`] record reports
-    /// the **original** id, exactly as if the first flight had landed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copy was never registered.
-    pub(crate) fn complete_as(
-        &mut self,
-        head: Flit,
-        original: PacketId,
-        now: Cycle,
-        hops: u32,
-        stats: &mut NetStats,
-    ) {
-        let mut packet = self
-            .packets
-            .remove(&head.packet)
-            .expect("delivered copy must be registered exactly once");
-        packet.id = original;
-        stats.record_delivered(
-            packet.class,
-            packet.len_flits,
-            packet.created,
-            head.injected,
-            now,
-            hops,
-        );
-        self.delivered.push(Delivered {
-            packet,
-            delivered: now,
-            hops,
-        });
-    }
-
-    pub(crate) fn drain(&mut self) -> Vec<Delivered> {
-        std::mem::take(&mut self.delivered)
-    }
-
-    /// Moves all staged deliveries into `out`, preserving order and
-    /// leaving the internal staging buffer (and its capacity) in place.
-    pub(crate) fn drain_into(&mut self, out: &mut Vec<Delivered>) {
-        out.append(&mut self.delivered);
-    }
-
-    /// Unregisters a packet without delivering it (fault purge).
-    pub(crate) fn forget(&mut self, packet: PacketId) -> Option<Packet> {
-        self.packets.remove(&packet)
-    }
-
-    /// Iterates over registered (in-flight) packets.
-    pub(crate) fn iter_in_flight(&self) -> impl Iterator<Item = &Packet> {
-        self.packets.values()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::types::{MessageClass, NodeId as N};
-
-    fn pkt(id: u64, len: u8) -> Packet {
-        Packet::new(
-            PacketId(id),
-            N::new(0),
-            N::new(5),
-            MessageClass::Response,
-            len,
-        )
-        .at(3)
-    }
-
-    #[test]
-    fn source_queue_order() {
-        let mut sq = SourceQueues::new();
-        sq.enqueue_packet(&pkt(1, 3));
-        sq.enqueue_packet(&pkt(2, 1).with_tag(9));
-        assert_eq!(sq.pending_flits(), 4);
-        let q = &sq.queues[MessageClass::Response.vc()];
-        let ids: Vec<_> = q.iter().map(|f| (f.packet.0, f.seq)).collect();
-        assert_eq!(ids, vec![(1, 0), (1, 1), (1, 2), (2, 0)]);
-    }
-
-    #[test]
-    fn reassembly_completes_on_tail() {
-        let mut r = Reassembly::new();
-        let p = pkt(1, 3);
-        assert!(r.accept(p.flit(0)).is_none());
-        assert!(r.accept(p.flit(1)).is_none());
-        let head = r.accept(p.flit(2)).unwrap();
-        assert_eq!(head.packet, PacketId(1));
-        assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn reassembly_rejects_reordered_flits() {
-        let mut r = Reassembly::new();
-        let p = pkt(1, 3);
-        r.accept(p.flit(0));
-        r.accept(p.flit(2));
-    }
-
-    #[test]
-    fn ledger_round_trip() {
-        let mut ledger = DeliveryLedger::new();
-        let mut stats = NetStats::new();
-        let p = pkt(7, 1).with_tag(123);
-        ledger.register(p);
-        assert_eq!(ledger.in_flight(), 1);
-        let mut head = p.flit(0);
-        head.injected = 4;
-        ledger.complete(head, 20, 5, &mut stats);
-        let d = ledger.drain();
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].packet.tag, 123);
-        assert_eq!(d[0].delivered, 20);
-        assert_eq!(d[0].hops, 5);
-        assert_eq!(stats.delivered(), 1);
-        assert_eq!(ledger.in_flight(), 0);
-        assert!(ledger.drain().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "registered exactly once")]
-    fn double_delivery_panics() {
-        let mut ledger = DeliveryLedger::new();
-        let mut stats = NetStats::new();
-        let p = pkt(7, 1);
-        ledger.register(p);
-        ledger.complete(p.flit(0), 20, 5, &mut stats);
-        ledger.complete(p.flit(0), 21, 5, &mut stats);
-    }
-}
-
-mod digest_impls {
-    use super::{DeliveryLedger, Reassembly, SourceQueues};
-    use crate::digest::{StateDigest, StateHasher};
-
-    impl StateDigest for SourceQueues {
-        fn digest_state(&self, h: &mut StateHasher) {
-            for q in &self.queues {
-                h.write_usize(q.len());
-                for flit in q {
-                    flit.digest_state(h);
-                }
-            }
-        }
-    }
-
-    impl StateDigest for Reassembly {
-        fn digest_state(&self, h: &mut StateHasher) {
-            h.write_usize(self.partial.len());
-            for (&packet, &(accepted, head)) in &self.partial {
-                h.write_u64(packet.0);
-                h.write_u8(accepted);
-                head.digest_state(h);
-            }
-        }
-    }
-
-    impl StateDigest for DeliveryLedger {
-        fn digest_state(&self, h: &mut StateHasher) {
-            h.write_usize(self.packets.len());
-            for packet in self.packets.values() {
-                packet.digest_state(h);
-            }
-            h.write_usize(self.delivered.len());
-            for d in &self.delivered {
-                d.packet.digest_state(h);
-                h.write_u64(d.delivered);
-                h.write_u64(u64::from(d.hops));
-            }
-        }
     }
 }

@@ -1233,7 +1233,7 @@ impl MeshCore<Reserving> {
     /// control plane only launches source pre-allocation when the path to
     /// the first link is predictable (backlog 0).
     pub fn source_backlog(&self, node: NodeId, class: MessageClass) -> usize {
-        let q = self.sources[node.index()].queues[class.vc()].len();
+        let q = self.ni.backlog(node.index(), class);
         let lane = self
             .lanes
             .lane(node.index(), Port::Local.index(), class.vc());
@@ -1349,12 +1349,12 @@ impl MeshCore<Reserving> {
         if let FlitSource::Vc { port, vc } = resv.source {
             if let Some(f) = self.lanes.front(node, port.index(), vc) {
                 if f.packet == resv.packet {
-                    debug_assert_eq!(self.ledger.dest_of(f.packet), Some(f.dest));
+                    debug_assert_eq!(self.ni.dest_of(f.packet), Some(f.dest));
                     return Some(f.dest);
                 }
             }
         }
-        self.ledger.dest_of(resv.packet)
+        self.ni.dest_of(resv.packet)
     }
 
     // hot
@@ -1432,7 +1432,7 @@ impl MeshCore<Reserving> {
                 debug_assert!(matches!(cur_resv.landing, Landing::Vc(_)));
                 // Pre-allocated ejection: the crossbar is preset, so the
                 // flit reaches the NI within this cycle (no staging).
-                if let Some(head) = self.reasm[cur_node].accept(flit) {
+                if let Some(head) = self.ni.accept(cur_node, flit) {
                     self.eject_complete(head, cur_node);
                 }
                 self.after_reserved_slot(cur_node, cur_out, &flit);

@@ -34,7 +34,8 @@ use crate::cancel::CancelToken;
 use crate::config::NocConfig;
 use crate::flit::{Flit, Packet};
 use crate::mesh::{nonzero_word, ones};
-use crate::network::{Delivered, DeliveryLedger, Network, Reassembly, SourceQueues};
+use crate::network::{Delivered, Network};
+use crate::ni::Ni;
 use crate::routing::{neighbor, route_port};
 use crate::stats::NetStats;
 use crate::types::{Cycle, Direction, NodeId, PacketId, Port};
@@ -144,19 +145,16 @@ pub struct SmartNetwork {
     fifos: FlitStore,
     /// Each lane's reservations, owner and busy flag.
     bufs: Vec<BufState>,
-    sources: Vec<SourceQueues>,
-    reasm: Vec<Reassembly>,
-    ledger: DeliveryLedger,
+    /// The tiles' network interfaces.
+    ni: Ni,
     ssr_stage: Vec<SsrRequest>,
     transfers: Vec<Transfer>,
     arrivals: Vec<(usize, usize, usize, Flit, bool)>,
     sa_rr: Vec<RoundRobin>,
-    /// Exact activity counters: flits held in each node's input buffers
-    /// and in its NI source queues. A node whose count is zero has no
-    /// fronts to bid with and nothing to inject, so the phases skip it
-    /// without changing any grant.
+    /// Exact activity counters: flits held in each node's input
+    /// buffers. A node whose count is zero has no fronts to bid with, so
+    /// switch allocation skips it without changing any grant.
     buffered: Vec<usize>,
-    src_pending: Vec<usize>,
     /// `held[link_index(node, dir)]`: the link is part of an established
     /// transfer's path. Set when the path is set up, cleared when the
     /// transfer completes; paths never share a link.
@@ -183,15 +181,12 @@ impl SmartNetwork {
         SmartNetwork {
             fifos: FlitStore::new(n * slots, cfg.vc_depth),
             bufs: vec![BufState::default(); n * slots],
-            sources: (0..n).map(|_| SourceQueues::new()).collect(),
-            reasm: (0..n).map(|_| Reassembly::new()).collect(),
-            ledger: DeliveryLedger::new(),
+            ni: Ni::new(&cfg),
             ssr_stage: Vec::new(),
             transfers: Vec::new(),
             arrivals: Vec::new(),
             sa_rr: (0..n * 5).map(|_| RoundRobin::new(slots)).collect(),
             buffered: vec![0; n],
-            src_pending: vec![0; n],
             held: vec![false; n * 4],
             want: vec![false; Port::COUNT * slots],
             done: Vec::new(),
@@ -214,13 +209,7 @@ impl SmartNetwork {
         let mut arrivals = std::mem::take(&mut self.arrivals);
         for (node, port, class, flit, eject) in arrivals.drain(..) {
             if eject {
-                if let Some(head) = self.reasm[node].accept(flit) {
-                    let hops = self
-                        .cfg
-                        .coord(head.src)
-                        .manhattan(self.cfg.coord(head.dest));
-                    self.ledger.complete(head, self.now, hops, &mut self.stats);
-                }
+                self.ni.eject(node, flit, self.now, &mut self.stats);
             } else {
                 let lane = self.lane(node, port, class);
                 let buf = &mut self.bufs[lane];
@@ -236,29 +225,18 @@ impl SmartNetwork {
 
     // hot
     fn inject_from_sources(&mut self) {
-        for w in 0..self.src_pending.len().div_ceil(64) {
-            for node in ones(nonzero_word(&self.src_pending, w)).map(|b| w * 64 + b) {
-                for class in 0..self.cfg.vcs_per_port {
-                    let Some(front) = self.sources[node].queues[class].front() else {
-                        continue;
-                    };
-                    let lane = self.lane(node, Port::Local.index(), class);
-                    if (self.fifos.free(lane) as u8) <= self.bufs[lane].reserved
-                        || !self.fifos.follows(lane, front)
-                    {
-                        continue;
-                    }
-                    let mut flit = *front;
-                    flit.injected = self.now;
-                    self.sources[node].queues[class].pop_front();
-                    self.fifos
-                        .push(lane, flit)
-                        .expect("space and contiguity checked");
-                    self.src_pending[node] -= 1;
-                    self.buffered[node] += 1;
+        let vcs = self.cfg.vcs_per_port;
+        let (bufs, buffered) = (&self.bufs, &mut self.buffered);
+        self.ni
+            .inject_into(self.now, &mut self.fifos, vcs, |node, class, free| {
+                // Slots promised to landing transfers are not free.
+                let lane = vc_lane(vcs, node, Port::Local.index(), class);
+                if free as u8 <= bufs[lane].reserved {
+                    return false;
                 }
-            }
-        }
+                buffered[node] += 1;
+                true
+            });
     }
 
     /// Moves one flit per active transfer (the single-cycle multi-tile
@@ -459,8 +437,7 @@ impl SmartNetwork {
     }
 
     /// Debug-build check that the activity counters are exact: each
-    /// node's `buffered` count equals the flits in its input buffers and
-    /// its `src_pending` count the flits in its NI source queues.
+    /// node's `buffered` count equals the flits in its input buffers.
     #[cfg(debug_assertions)]
     fn assert_activity_counters(&self) {
         for n in 0..self.cfg.nodes() {
@@ -468,8 +445,6 @@ impl SmartNetwork {
                 .fifos
                 .buffered(crate::buffer::router_lanes(self.cfg.vcs_per_port, n));
             debug_assert_eq!(self.buffered[n], held, "buffered[{n}] out of step");
-            let queued: usize = self.sources[n].queues.iter().map(|q| q.len()).sum();
-            debug_assert_eq!(self.src_pending[n], queued, "src_pending[{n}] out of step");
         }
     }
 }
@@ -484,14 +459,7 @@ impl Network for SmartNetwork {
     }
 
     fn inject(&mut self, packet: Packet) {
-        let mut packet = packet;
-        if packet.created == 0 {
-            packet.created = self.now;
-        }
-        self.stats.record_injected(packet.class);
-        self.ledger.register(packet);
-        self.src_pending[packet.src.index()] += usize::from(packet.len_flits);
-        self.sources[packet.src.index()].enqueue_packet(&packet);
+        self.ni.inject(packet, self.now, &mut self.stats);
     }
 
     // hot
@@ -511,15 +479,17 @@ impl Network for SmartNetwork {
     }
 
     fn drain_delivered(&mut self) -> Vec<Delivered> {
-        self.ledger.drain()
+        let mut out = Vec::new();
+        self.drain_delivered_into(&mut out);
+        out
     }
 
     fn drain_delivered_into(&mut self, out: &mut Vec<Delivered>) {
-        self.ledger.drain_into(out);
+        self.ni.drain_into(out);
     }
 
     fn in_flight(&self) -> usize {
-        self.ledger.in_flight()
+        self.ni.in_flight()
     }
 
     fn stats(&self) -> &NetStats {
@@ -719,56 +689,12 @@ mod stress_tests {
         }
         n.drain_delivered();
         n.run_to_drain(20_000);
-        if n.in_flight() > 0 {
-            eprintln!(
-                "stuck: {} packets in flight at cycle {}",
-                n.in_flight(),
-                n.now()
-            );
-            eprintln!("active transfers: {}", n.transfers.len());
-            for t in &n.transfers {
-                eprintln!("  transfer pkt {:?} at node {} port {} class {} next_seq {} remaining {} landing {:?} path {:?}",
-                    t.packet, t.node, t.port, t.class, t.next_seq, t.remaining, t.landing, t.path);
-                let lane = n.lane(t.node, t.port, t.class);
-                let buf = &n.bufs[lane];
-                eprintln!(
-                    "    src buf: front {:?} len {} reserved {} owner {:?} busy {}",
-                    n.fifos.front(lane).map(|f| (f.packet, f.seq)),
-                    n.fifos.len(lane),
-                    buf.reserved,
-                    buf.owner,
-                    buf.busy
-                );
-            }
-            eprintln!("ssr stage: {}", n.ssr_stage.len());
-            for node in 0..64 {
-                for port in 0..5 {
-                    for class in 0..3 {
-                        let lane = n.lane(node, port, class);
-                        let b = &n.bufs[lane];
-                        if !n.fifos.is_empty(lane) || b.reserved > 0 || b.owner.is_some() || b.busy
-                        {
-                            eprintln!("  buf[{}][{}][{}]: len {} front {:?} reserved {} owner {:?} busy {}",
-                                node, port, class, n.fifos.len(lane), n.fifos.front(lane).map(|f| (f.packet, f.seq, f.dest)), b.reserved, b.owner, b.busy);
-                        }
-                    }
-                }
-            }
-            for node in 0..64usize {
-                for class in 0..3 {
-                    let q = &n.sources[node].queues[class];
-                    if !q.is_empty() {
-                        eprintln!(
-                            "  srcq[{}][{}]: {} flits, front {:?}",
-                            node,
-                            class,
-                            q.len(),
-                            q.front().map(|f| (f.packet, f.seq))
-                        );
-                    }
-                }
-            }
-            panic!("stuck");
-        }
+        assert_eq!(
+            n.in_flight(),
+            0,
+            "packets stuck at cycle {} with {} active transfers",
+            n.now(),
+            n.transfers.len()
+        );
     }
 }

@@ -102,10 +102,11 @@ fn steady_state_stepping_never_allocates() {
 }
 
 /// Heap allocations of building each network: all of a network's
-/// routers share one slab per kind of state, so the count does not grow
-/// with nodes, ports or VCs.
+/// routers share one slab per kind of state, and its network interface
+/// two (per-node queues and reassembly, the source-occupancy bitset), so
+/// the count does not grow with nodes, ports or VCs.
 const CONSTRUCTION_ALLOCATIONS: [(&str, u64); 4] =
-    [("mesh", 11), ("reserving", 15), ("ideal", 9), ("SMART", 11)];
+    [("mesh", 10), ("reserving", 14), ("ideal", 8), ("SMART", 10)];
 
 /// Allocations of [`busy_mesh_allocations`]' window as measured before
 /// switch allocation moved to occupancy masks. The window creates

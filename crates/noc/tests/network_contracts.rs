@@ -2,18 +2,19 @@
 //! trait semantics, class isolation, fairness, saturation behaviour, and
 //! configuration generality (radix, VC depth, hops-per-cycle).
 
-use noc::config::{NocConfig, NocConfigBuilder};
+use noc::config::{NocConfig, NocConfigBuilder, MAX_VCS_PER_PORT, MIN_VCS_PER_PORT};
 use noc::flit::Packet;
 use noc::ideal::IdealNetwork;
 use noc::mesh::MeshNetwork;
-use noc::network::Network;
+use noc::network::{Delivered, Network};
+use noc::reserve::ReservingCore;
 use noc::smart::SmartNetwork;
 use noc::traffic::{Pattern, TrafficGen};
 use noc::types::{MessageClass, NodeId, PacketId};
 use noc::zeroload::smart_latency;
 
 /// `run_to_drain` needs `Self: Sized`; a helper for trait objects.
-fn drain(net: &mut dyn Network, max_cycles: u64) -> Vec<noc::network::Delivered> {
+fn drain(net: &mut dyn Network, max_cycles: u64) -> Vec<Delivered> {
     let mut out = Vec::new();
     let deadline = net.now() + max_cycles;
     while net.in_flight() > 0 && net.now() < deadline {
@@ -26,6 +27,7 @@ fn drain(net: &mut dyn Network, max_cycles: u64) -> Vec<noc::network::Delivered>
 fn orgs(cfg: &NocConfig) -> Vec<(&'static str, Box<dyn Network>)> {
     vec![
         ("mesh", Box::new(MeshNetwork::new(cfg.clone()))),
+        ("reserving", Box::new(ReservingCore::new(cfg.clone()))),
         ("smart", Box::new(SmartNetwork::new(cfg.clone()))),
         ("ideal", Box::new(IdealNetwork::new(cfg.clone()))),
     ]
@@ -85,6 +87,31 @@ fn deep_vcs_and_long_packets() {
         ));
         let d = drain(net.as_mut(), 2_000);
         assert_eq!(d.len(), 1, "{name}");
+    }
+}
+
+#[test]
+fn every_supported_vc_count_carries_every_class() {
+    // The NI has one source queue per class whatever the VC count, so
+    // injection must walk classes, not VCs; extra VCs per port sit idle.
+    for vcs in MIN_VCS_PER_PORT..=MAX_VCS_PER_PORT {
+        let cfg = NocConfigBuilder::new()
+            .vcs_per_port(vcs)
+            .build()
+            .expect("valid");
+        for (name, mut net) in orgs(&cfg) {
+            for (i, class) in MessageClass::ALL.into_iter().enumerate() {
+                net.inject(Packet::new(
+                    PacketId(i as u64 + 1),
+                    NodeId::new(0),
+                    NodeId::new(27),
+                    class,
+                    1,
+                ));
+            }
+            let d = drain(net.as_mut(), 2_000);
+            assert_eq!(d.len(), 3, "{name} with {vcs} VCs per port");
+        }
     }
 }
 
@@ -213,25 +240,80 @@ fn stats_cycles_track_steps() {
 
 #[test]
 fn max_latency_and_hops_accounting() {
+    // The reserving core with nothing booked is the mesh, cycle for cycle.
     let cfg = NocConfig::paper();
-    let mut net = MeshNetwork::new(cfg);
-    net.inject(Packet::new(
-        PacketId(1),
-        NodeId::new(0),
-        NodeId::new(63),
-        MessageClass::Request,
-        1,
-    ));
-    net.inject(Packet::new(
-        PacketId(2),
-        NodeId::new(0),
-        NodeId::new(1),
-        MessageClass::Request,
-        1,
-    ));
-    let d = net.run_to_drain(1_000);
-    assert_eq!(d.len(), 2);
-    let s = net.stats();
-    assert_eq!(s.total_hops, 14 + 1);
-    assert_eq!(s.max_latency, 31); // the 14-hop packet
+    let nets: [(&str, Box<dyn Network>); 2] = [
+        ("mesh", Box::new(MeshNetwork::new(cfg.clone()))),
+        ("reserving", Box::new(ReservingCore::new(cfg))),
+    ];
+    for (name, mut net) in nets {
+        net.inject(Packet::new(
+            PacketId(1),
+            NodeId::new(0),
+            NodeId::new(63),
+            MessageClass::Request,
+            1,
+        ));
+        net.inject(Packet::new(
+            PacketId(2),
+            NodeId::new(0),
+            NodeId::new(1),
+            MessageClass::Request,
+            1,
+        ));
+        let d = drain(net.as_mut(), 1_000);
+        assert_eq!(d.len(), 2, "{name}");
+        let s = net.stats();
+        assert_eq!(s.total_hops, 14 + 1, "{name}");
+        assert_eq!(s.max_latency, 31, "{name}: the 14-hop packet");
+    }
+}
+
+#[test]
+fn network_interface_stamps_counts_hops_and_drains_alike() {
+    // The same packets on two instances of each organisation: one drained
+    // with `drain_delivered`, the other with `drain_delivered_into`.
+    let cfg = NocConfig::paper();
+    let packets = [
+        (0u16, 63u16, MessageClass::Request, 1u8),
+        (9, 9, MessageClass::Response, 5),
+        (7, 56, MessageClass::Response, 5),
+        (36, 3, MessageClass::Coherence, 1),
+        (63, 8, MessageClass::Request, 1),
+    ];
+    for ((name, mut by_vec), (_, mut into)) in orgs(&cfg).into_iter().zip(orgs(&cfg)) {
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        for _ in 0..3 {
+            by_vec.step();
+            into.step();
+        }
+        for (id, &(src, dest, class, len)) in packets.iter().enumerate() {
+            let p = Packet::new(
+                PacketId(id as u64 + 1),
+                NodeId::new(src),
+                NodeId::new(dest),
+                class,
+                len,
+            );
+            by_vec.inject(p);
+            into.inject(p);
+        }
+        while (by_vec.in_flight() > 0 || into.in_flight() > 0) && by_vec.now() < 2_000 {
+            by_vec.step();
+            into.step();
+            a.extend(by_vec.drain_delivered());
+            into.drain_delivered_into(&mut b);
+        }
+        assert_eq!(a.len(), packets.len(), "{name} delivered everything");
+        assert_eq!(a, b, "{name}: both drains give the same records in order");
+        for d in &a {
+            assert_eq!(
+                d.packet.created, 3,
+                "{name}: created 0 is stamped at inject"
+            );
+            let (s, t) = (cfg.coord(d.packet.src), cfg.coord(d.packet.dest));
+            assert_eq!(d.hops, s.manhattan(t), "{name}: hops of {}", d.packet.id);
+        }
+    }
 }
