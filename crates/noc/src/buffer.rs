@@ -1,17 +1,12 @@
-//! Input-side buffering: virtual-channel FIFOs and the PRA latch.
+//! Input-side buffering: the virtual-channel FIFOs.
 //!
 //! Every network keeps all of its virtual-channel FIFOs in one
-//! [`FlitStore`], one lane per (router, input port, VC). Each mesh input
-//! port also owns a single-flit [`InputUnit::latch`] used only by
-//! proactively allocated multi-hop paths (the paper's Figure 4 "Latch"
-//! pseudo-VC). The bypass pseudo-VC has no storage — it is purely
-//! combinational and therefore has no representation here.
-
-use std::collections::VecDeque;
+//! [`FlitStore`], one lane per (router, input port, VC), laid out by
+//! [`vc_lane`].
 
 use crate::digest::{StateDigest, StateHasher};
 use crate::flit::{Flit, Packet};
-use crate::types::{Cycle, MessageClass, NodeId, PacketId, Port};
+use crate::types::{MessageClass, NodeId, PacketId, Port};
 
 /// Error returned when an enqueue would corrupt buffer invariants.
 #[must_use]
@@ -284,104 +279,11 @@ impl FlitStore {
     }
 }
 
-/// The PRA latch of one router input port and the cycles it is claimed
-/// for. The port's virtual channels live in the network's
-/// [`FlitStore`].
-#[derive(Debug, Clone, Default)]
-pub struct InputUnit {
-    /// Single-flit temporary storage used by pre-allocated multi-hop paths.
-    /// A flit written here during cycle `c` is read during cycle `c + 1`.
-    latch: Option<Flit>,
-    /// Cycles for which the latch has been promised to a pre-allocated
-    /// packet: `(cycle, packet)` pairs kept sorted by cycle.
-    latch_claims: VecDeque<(Cycle, PacketId)>,
-}
-
-impl InputUnit {
-    /// The flit currently held in the latch, if any.
-    pub fn latch(&self) -> Option<&Flit> {
-        self.latch.as_ref()
-    }
-
-    /// Stores `flit` in the latch.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flit back if the latch is already occupied (a
-    /// pre-allocation bookkeeping bug; callers treat this as fatal).
-    pub fn latch_store(&mut self, flit: Flit) -> Result<(), Flit> {
-        if self.latch.is_some() {
-            return Err(flit);
-        }
-        self.latch = Some(flit);
-        Ok(())
-    }
-
-    /// Removes and returns the latched flit.
-    pub fn latch_take(&mut self) -> Option<Flit> {
-        self.latch.take()
-    }
-
-    /// Whether the latch is free over `cycles` and can be claimed for
-    /// `packet`. Existing claims by the same packet do not conflict.
-    pub fn latch_available(&self, cycles: std::ops::Range<Cycle>, packet: PacketId) -> bool {
-        self.latch_claims
-            .iter()
-            .all(|&(c, p)| p == packet || !cycles.contains(&c))
-    }
-
-    /// Claims the latch for `packet` over `cycles`.
-    pub fn latch_claim(&mut self, cycles: std::ops::Range<Cycle>, packet: PacketId) {
-        for c in cycles {
-            self.latch_claims.push_back((c, packet));
-        }
-        self.latch_claims
-            .make_contiguous()
-            .sort_unstable_by_key(|&(c, _)| c);
-    }
-
-    /// Releases claims for `packet` at cycles at or after `from`.
-    pub fn latch_release(&mut self, packet: PacketId, from: Cycle) {
-        self.latch_claims
-            .retain(|&(c, p)| !(p == packet && c >= from));
-    }
-
-    /// Drops claims older than `now` (already in the past).
-    pub fn latch_expire(&mut self, now: Cycle) {
-        while matches!(self.latch_claims.front(), Some(&(c, _)) if c < now) {
-            self.latch_claims.pop_front();
-        }
-    }
-
-    /// Whether any latch claims are outstanding (past or future).
-    pub fn has_latch_claims(&self) -> bool {
-        !self.latch_claims.is_empty()
-    }
-}
-
-/// Folds the latch and its claims, the part of an input port's state
-/// outside the [`FlitStore`].
-impl StateDigest for InputUnit {
-    fn digest_state(&self, h: &mut StateHasher) {
-        match self.latch {
-            None => h.write_u8(0),
-            Some(flit) => {
-                h.write_u8(1);
-                flit.digest_state(h);
-            }
-        }
-        h.write_usize(self.latch_claims.len());
-        for &(cycle, packet) in &self.latch_claims {
-            h.write_u64(cycle);
-            h.write_u64(packet.0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nistats::rng::Rng;
+    use std::collections::VecDeque;
 
     fn pkt(id: u64, len: u8) -> Packet {
         Packet::new(
@@ -590,33 +492,6 @@ mod tests {
                 check_all(&store, &model, &at);
             }
         }
-    }
-
-    #[test]
-    fn latch_single_occupancy() {
-        let mut iu = InputUnit::default();
-        let p = pkt(1, 1);
-        iu.latch_store(p.flit(0)).unwrap();
-        assert!(iu.latch_store(p.flit(0)).is_err());
-        assert_eq!(iu.latch_take().unwrap().packet, PacketId(1));
-        assert!(iu.latch().is_none());
-    }
-
-    #[test]
-    fn latch_claims_conflict_detection() {
-        let mut iu = InputUnit::default();
-        iu.latch_claim(10..13, PacketId(1));
-        assert!(!iu.latch_available(12..14, PacketId(2)));
-        assert!(iu.latch_available(13..15, PacketId(2)));
-        assert!(
-            iu.latch_available(10..13, PacketId(1)),
-            "same packet never conflicts"
-        );
-        iu.latch_release(PacketId(1), 11);
-        assert!(iu.latch_available(11..14, PacketId(2)));
-        assert!(!iu.latch_available(10..11, PacketId(2)));
-        iu.latch_expire(11);
-        assert!(iu.latch_available(0..100, PacketId(2)));
     }
 
     #[test]

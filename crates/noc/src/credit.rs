@@ -2,18 +2,16 @@
 //!
 //! Every router output port tracks, per downstream virtual channel:
 //!
-//! * **credits** — free flit slots in the downstream buffer,
+//! * **credits** — free flit slots in the downstream buffer, and
 //! * **ownership** — which multi-flit packet is currently streaming into
-//!   the downstream VC (wormhole contiguity), and
-//! * **reservations** — credits and future use promised to a proactively
-//!   allocated packet (PRA), unavailable to other traffic.
+//!   the downstream VC (wormhole contiguity).
 //!
 //! Single-flit packets never take ownership: they are atomic and cannot
-//! interleave, which is exactly why the paper lets short packets keep using
-//! an output port whose message class is flagged for a proactively
-//! allocated multi-flit packet.
+//! interleave. A router datapath that keeps some credits from some
+//! packets holds that state itself and asks [`OutVc::usable`] what is
+//! left.
 
-use crate::types::{Cycle, PacketId};
+use crate::types::PacketId;
 
 /// Credit/ownership state for one downstream virtual channel, viewed from
 /// the upstream router's output port.
@@ -23,15 +21,6 @@ pub struct OutVc {
     credits: u8,
     /// Multi-flit packet currently streaming into the downstream VC.
     owner: Option<PacketId>,
-    /// Credits promised to a proactively allocated packet.
-    reserved: u8,
-    /// Packet the reservation belongs to.
-    reserved_for: Option<PacketId>,
-    /// When `owner` is draining deterministically (all remaining flits
-    /// buffered locally with sufficient credits), the cycle after which the
-    /// VC is guaranteed free. Used by PRA allocation to grant future slots
-    /// past the current stream.
-    free_after: Option<Cycle>,
 }
 
 impl OutVc {
@@ -42,9 +31,6 @@ impl OutVc {
             depth,
             credits: depth,
             owner: None,
-            reserved: 0,
-            reserved_for: None,
-            free_after: None,
         }
     }
 
@@ -53,19 +39,9 @@ impl OutVc {
         self.depth
     }
 
-    /// Raw credit count (free downstream slots, reserved or not).
+    /// Free downstream slots.
     pub fn credits(&self) -> u8 {
         self.credits
-    }
-
-    /// Credits reserved for a proactively allocated packet.
-    pub fn reserved(&self) -> u8 {
-        self.reserved
-    }
-
-    /// The packet holding the reservation, if any.
-    pub fn reserved_for(&self) -> Option<PacketId> {
-        self.reserved_for
     }
 
     /// The multi-flit packet currently streaming into the downstream VC.
@@ -73,62 +49,46 @@ impl OutVc {
         self.owner
     }
 
-    /// Credits usable by `packet` right now: reserved credits are only
-    /// usable by the reservation holder.
-    pub fn usable_credits(&self, packet: PacketId) -> u8 {
-        if self.reserved_for == Some(packet) {
-            self.credits
-        } else {
-            self.credits.saturating_sub(self.reserved)
-        }
+    /// Credits a sender may use when `withheld` of them are kept from it.
+    // hot
+    #[inline(always)]
+    pub fn usable(&self, withheld: u8) -> u8 {
+        self.credits.saturating_sub(withheld)
     }
 
-    /// Whether `packet` may send a flit into the downstream VC this cycle
-    /// under normal (reactive) allocation. Heads of multi-flit packets must
-    /// additionally pass [`OutVc::can_allocate`].
-    pub fn can_send(&self, packet: PacketId) -> bool {
-        self.usable_credits(packet) > 0
+    /// Whether multi-flit `packet` may claim the VC: it is unowned or
+    /// already streams `packet`.
+    // hot
+    #[inline(always)]
+    pub fn claimable_by(&self, packet: PacketId) -> bool {
+        self.owner.is_none() || self.owner == Some(packet)
     }
 
-    /// Whether a *head* flit of `packet` (multi-flit) may claim the VC.
-    pub fn can_allocate(&self, packet: PacketId) -> bool {
-        (self.owner.is_none() || self.owner == Some(packet)) && self.can_send(packet)
-    }
-
-    /// Claims VC ownership for a multi-flit packet.
+    /// Claims VC ownership for a multi-flit packet; returns whether the
+    /// owner changed.
     ///
     /// # Panics
     ///
     /// Panics if the VC is owned by a different packet (allocator bug).
-    pub fn allocate(&mut self, packet: PacketId) {
+    pub fn allocate(&mut self, packet: PacketId) -> bool {
         assert!(
-            self.owner.is_none() || self.owner == Some(packet),
+            self.claimable_by(packet),
             "VC already owned by {:?} while allocating {packet}",
             self.owner
         );
-        if self.owner != Some(packet) {
-            // A drain prediction recorded for a previous owner must not
-            // outlive it.
-            self.free_after = None;
-        }
+        let changed = self.owner != Some(packet);
         self.owner = Some(packet);
+        changed
     }
 
-    /// Consumes one credit as a flit of `packet` departs. Reserved credits
-    /// are consumed first when the sender holds the reservation.
+    /// Consumes one credit as a flit departs.
     ///
     /// # Panics
     ///
     /// Panics on credit underflow (flow-control bug).
-    pub fn consume_credit(&mut self, packet: PacketId) {
+    pub fn consume_credit(&mut self) {
         assert!(self.credits > 0, "credit underflow");
         self.credits -= 1;
-        if self.reserved_for == Some(packet) && self.reserved > 0 {
-            self.reserved -= 1;
-            if self.reserved == 0 {
-                self.reserved_for = None;
-            }
-        }
     }
 
     /// Returns one credit (the downstream buffer freed a slot).
@@ -144,110 +104,14 @@ impl OutVc {
         self.credits += 1;
     }
 
-    /// Releases ownership when the tail flit has been sent.
-    pub fn release_owner(&mut self, packet: PacketId) {
-        if self.owner == Some(packet) {
+    /// Releases ownership if `packet` holds it (its tail has been sent);
+    /// returns whether it did.
+    pub fn release_owner(&mut self, packet: PacketId) -> bool {
+        let held = self.owner == Some(packet);
+        if held {
             self.owner = None;
-            self.free_after = None;
         }
-    }
-
-    /// Attempts to reserve `count` credits for a proactively allocated
-    /// `packet` whose first flit will depart at `start`.
-    ///
-    /// Reservation succeeds when no other packet holds a reservation, the
-    /// unreserved credits cover `count`, and the VC is either unowned or
-    /// owned by a stream known (via [`OutVc::set_free_after`]) to finish
-    /// before `start`. Ownership itself is *not* taken here — the
-    /// port-level [`MultiFlitGuard`] keeps competing multi-flit heads away
-    /// while still admitting single-flit packets, exactly as the paper's
-    /// per-message-class flag does.
-    ///
-    /// Returns `true` on success.
-    pub fn try_reserve(&mut self, packet: PacketId, count: u8, start: Cycle) -> bool {
-        if let Some(holder) = self.reserved_for {
-            if holder != packet {
-                return false;
-            }
-        }
-        let owner_ok = match self.owner {
-            None => true,
-            Some(p) if p == packet => true,
-            Some(_) => multi_flit_owner_clears_by(self.free_after, start),
-        };
-        if !owner_ok {
-            return false;
-        }
-        if self.credits.saturating_sub(self.reserved) < count {
-            return false;
-        }
-        self.reserved += count;
-        self.reserved_for = Some(packet);
-        true
-    }
-
-    /// Releases `count` reserved credits of `packet` (ACK received: the
-    /// landing moved further downstream, or the packet completed).
-    pub fn release_reservation(&mut self, packet: PacketId, count: u8) {
-        if self.reserved_for == Some(packet) {
-            self.reserved = self.reserved.saturating_sub(count);
-            if self.reserved == 0 {
-                self.reserved_for = None;
-            }
-        }
-    }
-
-    /// Records that the current owner drains deterministically and the VC
-    /// is free for traversals at cycles `>= cycle`.
-    pub fn set_free_after(&mut self, cycle: Cycle) {
-        self.free_after = Some(cycle);
-    }
-
-    /// The recorded deterministic-drain horizon, if any.
-    pub fn free_after(&self) -> Option<Cycle> {
-        self.free_after
-    }
-}
-
-fn multi_flit_owner_clears_by(free_after: Option<Cycle>, start: Cycle) -> bool {
-    matches!(free_after, Some(c) if c <= start)
-}
-
-/// Per-output-port guard preventing two multi-flit packets from
-/// interleaving when one of them holds a proactive reservation
-/// (the paper's "special flag corresponding to the message class").
-#[derive(Debug, Clone, Default)]
-pub struct MultiFlitGuard {
-    holder: Option<PacketId>,
-}
-
-impl MultiFlitGuard {
-    /// Creates a clear guard.
-    pub fn new() -> Self {
-        MultiFlitGuard::default()
-    }
-
-    /// Whether a multi-flit `packet` may use the port's message class.
-    /// Single-flit packets bypass the guard entirely.
-    pub fn admits(&self, packet: PacketId) -> bool {
-        self.holder.is_none() || self.holder == Some(packet)
-    }
-
-    /// The packet holding the guard, if any.
-    pub fn holder(&self) -> Option<PacketId> {
-        self.holder
-    }
-
-    /// Sets the guard for `packet`.
-    pub fn set(&mut self, packet: PacketId) {
-        self.holder = Some(packet);
-    }
-
-    /// Clears the guard if held by `packet`.
-    pub fn clear(&mut self, packet: PacketId) {
-        if self.holder == Some(packet) {
-            self.holder = None;
-        }
+        held
     }
 }
 
@@ -262,26 +126,27 @@ mod tests {
     fn fresh_vc_is_fully_credited() {
         let vc = OutVc::new(5);
         assert_eq!(vc.credits(), 5);
-        assert!(vc.can_allocate(P));
-        assert!(vc.can_send(P));
+        assert!(vc.claimable_by(P));
+        assert_eq!(vc.usable(0), 5);
+        assert_eq!(vc.usable(7), 0, "withholding saturates");
     }
 
     #[test]
     fn credit_consume_return_round_trip() {
         let mut vc = OutVc::new(2);
-        vc.consume_credit(P);
-        vc.consume_credit(P);
-        assert!(!vc.can_send(P));
+        vc.consume_credit();
+        vc.consume_credit();
+        assert_eq!(vc.usable(0), 0);
         vc.return_credit();
-        assert!(vc.can_send(P));
+        assert_eq!(vc.usable(0), 1);
     }
 
     #[test]
     #[should_panic(expected = "underflow")]
     fn credit_underflow_panics() {
         let mut vc = OutVc::new(1);
-        vc.consume_credit(P);
-        vc.consume_credit(P);
+        vc.consume_credit();
+        vc.consume_credit();
     }
 
     #[test]
@@ -294,98 +159,18 @@ mod tests {
     #[test]
     fn ownership_blocks_other_multiflit_heads() {
         let mut vc = OutVc::new(5);
-        vc.allocate(P);
-        assert!(!vc.can_allocate(Q));
-        assert!(vc.can_allocate(P));
-        vc.release_owner(P);
-        assert!(vc.can_allocate(Q));
-    }
-
-    #[test]
-    fn reservation_hides_credits_from_others() {
-        let mut vc = OutVc::new(5);
-        assert!(vc.try_reserve(P, 5, 10));
-        assert_eq!(vc.usable_credits(Q), 0);
-        assert_eq!(vc.usable_credits(P), 5);
-        assert!(!vc.can_send(Q));
-        assert!(vc.can_send(P));
-    }
-
-    #[test]
-    fn partial_reservation_leaves_credits_for_singles() {
-        let mut vc = OutVc::new(5);
-        assert!(vc.try_reserve(P, 3, 10));
-        assert_eq!(vc.usable_credits(Q), 2);
-    }
-
-    #[test]
-    fn reservation_fails_when_credits_short() {
-        let mut vc = OutVc::new(5);
-        vc.consume_credit(Q);
-        assert!(!vc.try_reserve(P, 5, 10));
-        assert!(vc.try_reserve(P, 4, 10));
-    }
-
-    #[test]
-    fn reservation_fails_against_unknown_owner_drain() {
-        let mut vc = OutVc::new(5);
-        vc.allocate(Q);
-        assert!(!vc.try_reserve(P, 2, 10));
-        vc.set_free_after(8);
-        assert!(vc.try_reserve(P, 2, 10));
-    }
-
-    #[test]
-    fn reservation_respects_owner_drain_deadline() {
-        let mut vc = OutVc::new(5);
-        vc.allocate(Q);
-        vc.set_free_after(12);
-        assert!(!vc.try_reserve(P, 2, 10), "drain finishes after start");
-    }
-
-    #[test]
-    fn consume_drains_own_reservation_first() {
-        let mut vc = OutVc::new(5);
-        assert!(vc.try_reserve(P, 2, 10));
-        vc.consume_credit(P);
-        vc.consume_credit(P);
-        assert_eq!(vc.reserved(), 0);
-        assert_eq!(vc.reserved_for(), None);
-        assert_eq!(vc.credits(), 3);
-    }
-
-    #[test]
-    fn release_reservation_restores_availability() {
-        let mut vc = OutVc::new(5);
-        assert!(vc.try_reserve(P, 5, 10));
-        vc.release_reservation(P, 5);
-        assert_eq!(vc.usable_credits(Q), 5);
-        assert!(vc.can_allocate(Q));
-    }
-
-    #[test]
-    fn second_reservation_by_other_packet_fails() {
-        let mut vc = OutVc::new(5);
-        assert!(vc.try_reserve(P, 2, 10));
-        assert!(!vc.try_reserve(Q, 1, 20));
-    }
-
-    #[test]
-    fn guard_admits_singles_holder_and_blocks_others() {
-        let mut g = MultiFlitGuard::new();
-        assert!(g.admits(P));
-        g.set(P);
-        assert!(g.admits(P));
-        assert!(!g.admits(Q));
-        g.clear(Q);
-        assert!(!g.admits(Q), "clear by non-holder is a no-op");
-        g.clear(P);
-        assert!(g.admits(Q));
+        assert!(vc.allocate(P), "a new owner");
+        assert!(!vc.allocate(P), "the same owner again");
+        assert!(!vc.claimable_by(Q));
+        assert!(vc.claimable_by(P));
+        assert!(!vc.release_owner(Q), "only the owner releases");
+        assert!(vc.release_owner(P));
+        assert!(vc.claimable_by(Q));
     }
 }
 
 mod digest_impls {
-    use super::{MultiFlitGuard, OutVc};
+    use super::OutVc;
     use crate::digest::{StateDigest, StateHasher};
 
     impl StateDigest for OutVc {
@@ -393,15 +178,6 @@ mod digest_impls {
             h.write_u8(self.depth);
             h.write_u8(self.credits);
             h.write_opt_u64(self.owner.map(|p| p.0));
-            h.write_u8(self.reserved);
-            h.write_opt_u64(self.reserved_for.map(|p| p.0));
-            h.write_opt_u64(self.free_after);
-        }
-    }
-
-    impl StateDigest for MultiFlitGuard {
-        fn digest_state(&self, h: &mut StateHasher) {
-            h.write_opt_u64(self.holder.map(|p| p.0));
         }
     }
 }

@@ -19,7 +19,7 @@
 //! [`Reserving`]: crate::reserve::Reserving
 
 use crate::arbiter::RoundRobin;
-use crate::buffer::{router_lanes, vc_lane, BufferError, FlitStore, InputUnit};
+use crate::buffer::{router_lanes, vc_lane, BufferError, FlitStore};
 use crate::cancel::CancelToken;
 use crate::config::NocConfig;
 use crate::credit::OutVc;
@@ -53,11 +53,10 @@ pub(crate) fn west_ok_from(in_port: Port) -> bool {
 
 /// One mesh router's per-port state, held inline: building a mesh takes
 /// one heap block for all of its routers. Per-(port, VC) state lives in
-/// the core-wide [`VcLanes`].
+/// the core-wide [`VcLanes`]; whatever a [`Datapath`] adds to a router
+/// lives in the datapath.
 #[derive(Debug)]
 pub(crate) struct Router {
-    /// PRA latches, indexed by [`Port::index`].
-    pub(crate) inputs: [InputUnit; Port::COUNT],
     /// Output ports locked to a multi-flit packet until its tail passes
     /// (no flit-level interleaving on a link mid-packet — the blocking
     /// behaviour the paper's LSD unit exploits).
@@ -87,7 +86,6 @@ pub(crate) struct Router {
 impl Router {
     fn new(vcs: usize) -> Self {
         Router {
-            inputs: Default::default(),
             port_lock: [None; Port::COUNT],
             sa_in: std::array::from_fn(|_| RoundRobin::new(vcs)),
             sa_out: std::array::from_fn(|_| RoundRobin::new(Port::COUNT)),
@@ -327,6 +325,40 @@ pub trait Datapath: Sized + std::fmt::Debug {
     /// Builds the datapath state for a mesh of `cfg`.
     fn new(cfg: &NocConfig) -> Self;
 
+    /// Credits of output VC `vc` of port `p` of router `node` kept from
+    /// `packet`.
+    fn withheld(&self, _node: usize, _p: usize, _vc: usize, _packet: PacketId) -> u8 {
+        0
+    }
+
+    /// A flit of `packet` consumed one credit of output VC `vc` of port
+    /// `p` of router `node`.
+    fn credit_consumed(&mut self, _node: usize, _p: usize, _vc: usize, _packet: PacketId) {}
+
+    /// Output VC `vc` of port `p` of router `node` took a new owner or
+    /// released its owner.
+    fn owner_changed(&mut self, _node: usize, _p: usize, _vc: usize) {}
+
+    /// Calls `visit(node, in_port, flit)` for every flit parked in the
+    /// latch of an input port.
+    fn latched_flits(&self, _visit: impl FnMut(usize, Port, &Flit)) {}
+
+    /// Folds what input port `port` of router `node` holds beyond its
+    /// VCs into `h`: by default an empty latch with no claims.
+    fn digest_input(&self, _node: usize, _port: usize, h: &mut StateHasher) {
+        h.write_u8(0);
+        h.write_usize(0);
+    }
+
+    /// Folds output VC `vc` of port `p` of router `node` beyond its
+    /// credits and owner into `h`: by default no reserved credits, no
+    /// holder and no drain horizon.
+    fn digest_out_vc(&self, _node: usize, _p: usize, _vc: usize, h: &mut StateHasher) {
+        h.write_u8(0);
+        h.write_opt_u64(None);
+        h.write_opt_u64(None);
+    }
+
     /// Whether output port `p` of router `node` refuses a reactive bid
     /// of `packet` for a traversal at `cycle`.
     fn refuses(
@@ -540,11 +572,6 @@ impl<D: Datapath> MeshCore<D> {
     /// may only target cycles `>= upcoming_cycle()`.
     pub fn upcoming_cycle(&self) -> Cycle {
         self.now + 1
-    }
-
-    /// Read access to downstream-VC credit state.
-    pub fn out_vc(&self, node: NodeId, out_port: Port, vc: usize) -> &OutVc {
-        self.lanes.out_vc(node.index(), out_port.index(), vc)
     }
 
     /// Sets or clears the occupancy bit of input VC `(port, vc)` of
@@ -818,10 +845,14 @@ impl<D: Datapath> MeshCore<D> {
                 });
             }
         }
-        if flit.is_tail() {
-            self.lanes
-                .out_vc_mut(node, out_port.index(), vc)
-                .release_owner(flit.packet);
+        let p = out_port.index();
+        if flit.is_tail()
+            && self
+                .lanes
+                .out_vc_mut(node, p, vc)
+                .release_owner(flit.packet)
+        {
+            self.dp.owner_changed(node, p, vc);
         }
     }
 
@@ -1015,30 +1046,29 @@ impl<D: Datapath> MeshCore<D> {
         }
 
         let out_vc = lanes.out_vc(node, p, vc);
+        let usable = out_vc.usable(dp.withheld(node, p, vc, flit.packet));
         let ok = if needs_alloc {
             if flit.len_flits > 1 {
                 // Multi-flit head (or an orphaned continuation whose head
                 // went ahead on a pre-allocated path): needs ownership and
                 // the datapath's blessing.
+                let free = out_vc.claimable_by(flit.packet) && usable > 0;
                 let admitted = dp.admits(node, p, vc, flit.packet);
-                if !admitted && out_vc.can_allocate(flit.packet) {
+                if free && !admitted {
                     stats.blocked_by_reservation_cycles += 1;
                 }
-                admitted && out_vc.can_allocate(flit.packet)
+                free && admitted
             } else {
-                // Single-flit packet: atomic, no ownership, guard-exempt.
-                let free = out_vc.owner().is_none() && out_vc.can_send(flit.packet);
-                if !free
-                    && out_vc.owner().is_none()
-                    && out_vc.credits() > 0
-                    && !out_vc.can_send(flit.packet)
-                {
+                // Single-flit packet: atomic, no ownership, guard-exempt;
+                // only withheld credits can hold it back.
+                let unowned = out_vc.owner().is_none();
+                if unowned && usable == 0 && out_vc.credits() > 0 {
                     stats.blocked_by_reservation_cycles += 1;
                 }
-                free
+                unowned && usable > 0
             }
         } else {
-            out_vc.can_send(flit.packet)
+            usable > 0
         };
         ok.then_some(out_port)
     }
@@ -1050,10 +1080,11 @@ impl<D: Datapath> MeshCore<D> {
             let out_vc = self.lanes.out_vc_mut(node, p, vc);
             let allocates =
                 flit.len_flits > 1 && (flit.is_head() || out_vc.owner() != Some(flit.packet));
-            if allocates {
-                out_vc.allocate(flit.packet);
+            if allocates && out_vc.allocate(flit.packet) {
+                self.dp.owner_changed(node, p, vc);
             }
-            out_vc.consume_credit(flit.packet);
+            out_vc.consume_credit();
+            self.dp.credit_consumed(node, p, vc, flit.packet);
             if allocates {
                 self.emit(|| Event::VcAllocated {
                     packet: flit.packet.0,
@@ -1383,9 +1414,8 @@ impl<D: Datapath> MeshCore<D> {
         for (n, f) in self.ni.queued_flits() {
             map.entry(f.packet).or_default().push((n, false, true));
         }
-        for (n, router) in self.routers.iter().enumerate() {
+        for n in 0..self.cfg.nodes() {
             for in_port in Port::ALL {
-                let iu = &router.inputs[in_port.index()];
                 for vc in 0..self.cfg.vcs_per_port {
                     let lane = self.lanes.lane(n, in_port.index(), vc);
                     for f in self.lanes.flits.iter(lane) {
@@ -1394,13 +1424,13 @@ impl<D: Datapath> MeshCore<D> {
                             .push((n, true, west_ok_from(in_port)));
                     }
                 }
-                if let Some(f) = iu.latch() {
-                    map.entry(f.packet)
-                        .or_default()
-                        .push((n, true, west_ok_from(in_port)));
-                }
             }
         }
+        self.dp.latched_flits(|n, in_port, f| {
+            map.entry(f.packet)
+                .or_default()
+                .push((n, true, west_ok_from(in_port)));
+        });
         for a in &self.arrivals {
             map.entry(a.flit.packet)
                 .or_default()
@@ -1455,7 +1485,9 @@ impl<D: Datapath> MeshCore<D> {
                     {
                         self.set_active(n, p, vc, None);
                     }
-                    self.lanes.out_vc_mut(n, p, vc).release_owner(id);
+                    if self.lanes.out_vc_mut(n, p, vc).release_owner(id) {
+                        self.dp.owner_changed(n, p, vc);
+                    }
                 }
             }
         }
@@ -1617,15 +1649,8 @@ impl<D: Datapath> MeshCore<D> {
             expected_flits += p.len_flits as u64;
             oldest_packet_age = oldest_packet_age.max(self.now.saturating_sub(p.created));
         }
-        let mut present_flits = 0u64;
-        for (n, router) in self.routers.iter().enumerate() {
-            present_flits += self.lanes.flits.buffered(self.lanes.router(n)) as u64;
-            present_flits += router
-                .inputs
-                .iter()
-                .filter(|iu| iu.latch().is_some())
-                .count() as u64;
-        }
+        let mut present_flits = self.lanes.flits.buffered(0..self.lanes.flits.lanes()) as u64;
+        self.dp.latched_flits(|_, _, _| present_flits += 1);
         present_flits += self.ni.held_flits();
         present_flits += self.arrivals.len() as u64;
 
@@ -1921,24 +1946,26 @@ impl<D: Datapath> StateDigest for MeshCore<D> {
         let vcs = self.lanes.vcs;
         for (n, r) in self.routers.iter().enumerate() {
             // Each input port as one unit: its VC count, its VCs, then
-            // its latch and claims.
-            for (port, input) in r.inputs.iter().enumerate() {
+            // what the datapath keeps at it.
+            for port in 0..Port::COUNT {
                 h.write_usize(vcs);
                 for vc in 0..vcs {
                     self.lanes
                         .flits
                         .digest_lane(self.lanes.lane(n, port, vc), h);
                 }
-                input.digest_state(h);
+                self.dp.digest_input(n, port, h);
             }
-            // A router's lanes run port-major, which is exactly the
-            // nested order the digest has always used.
-            let lanes = self.lanes.router(n);
-            for vc in &self.lanes.out_vcs[lanes.clone()] {
-                vc.digest_state(h);
+            for port in 0..Port::COUNT {
+                for vc in 0..vcs {
+                    self.lanes.out_vc(n, port, vc).digest_state(h);
+                    self.dp.digest_out_vc(n, port, vc, h);
+                }
             }
             self.dp.digest_router(n, vcs, h);
-            for slot in &self.lanes.active_out[lanes] {
+            // A router's lanes run port-major, which is exactly the
+            // nested order the digest has always used.
+            for slot in &self.lanes.active_out[self.lanes.router(n)] {
                 match slot {
                     None => h.write_u8(0),
                     Some(s) => {

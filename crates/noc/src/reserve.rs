@@ -19,13 +19,13 @@
 //! executes reservations, latches and bypasses, and refuses reactive
 //! traffic on reserved timeslots.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use niobs::Event;
 
 use crate::buffer::vc_lane;
 use crate::config::NocConfig;
-use crate::credit::MultiFlitGuard;
+use crate::credit::OutVc;
 use crate::digest::{StateDigest, StateHasher};
 use crate::flit::Flit;
 use crate::mesh::{ones, west_ok_from, ActiveStream, Arrival, Datapath, MeshCore};
@@ -496,6 +496,144 @@ struct ResvLoc {
     cycle: Cycle,
 }
 
+/// The latch of one router input port (the paper's Figure 4 "Latch"
+/// pseudo-VC) and the cycles it is claimed for. The bypass pseudo-VC is
+/// combinational and has no storage.
+#[derive(Debug, Clone, Default)]
+struct Latch {
+    /// A flit written here during cycle `c` is read during cycle `c + 1`.
+    flit: Option<Flit>,
+    /// Cycles the latch is promised to a pre-allocated packet:
+    /// `(cycle, packet)` pairs kept sorted by cycle.
+    claims: VecDeque<(Cycle, PacketId)>,
+}
+
+impl Latch {
+    /// Stores `flit`, or hands it back if the latch is occupied (a
+    /// claim bookkeeping bug; callers treat this as fatal).
+    fn store(&mut self, flit: Flit) -> Result<(), Flit> {
+        if self.flit.is_some() {
+            return Err(flit);
+        }
+        self.flit = Some(flit);
+        Ok(())
+    }
+
+    /// Whether the latch is free over `cycles` for `packet`. Claims of
+    /// the same packet do not conflict.
+    fn available(&self, cycles: std::ops::Range<Cycle>, packet: PacketId) -> bool {
+        self.claims
+            .iter()
+            .all(|&(c, p)| p == packet || !cycles.contains(&c))
+    }
+
+    /// Claims the latch for `packet` over `cycles`.
+    fn claim(&mut self, cycles: std::ops::Range<Cycle>, packet: PacketId) {
+        for c in cycles {
+            self.claims.push_back((c, packet));
+        }
+        self.claims
+            .make_contiguous()
+            .sort_unstable_by_key(|&(c, _)| c);
+    }
+
+    /// Releases `packet`'s claims at cycles at or after `from`.
+    fn release(&mut self, packet: PacketId, from: Cycle) {
+        self.claims.retain(|&(c, p)| !(p == packet && c >= from));
+    }
+
+    /// Drops claims before `now`.
+    fn expire(&mut self, now: Cycle) {
+        while matches!(self.claims.front(), Some(&(c, _)) if c < now) {
+            self.claims.pop_front();
+        }
+    }
+}
+
+/// The reservation side of one output VC: downstream credits promised
+/// to a pre-allocated packet, and the drain horizon of the VC's current
+/// owner.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReservedCredits {
+    /// Credits promised to `reserved_for`, unusable by anyone else.
+    reserved: u8,
+    /// Packet the reservation belongs to.
+    reserved_for: Option<PacketId>,
+    /// When the owner drains deterministically (all remaining flits
+    /// buffered locally with sufficient credits), the first cycle the VC
+    /// is free, so a reservation may start past the current stream.
+    /// Cleared whenever the owner changes.
+    free_after: Option<Cycle>,
+}
+
+impl ReservedCredits {
+    /// Credits of the VC kept from `packet`.
+    // hot
+    #[inline(always)]
+    fn withheld_from(&self, packet: PacketId) -> u8 {
+        if self.reserved_for == Some(packet) {
+            0
+        } else {
+            self.reserved
+        }
+    }
+
+    /// The admission rule of a downstream reservation: `packet` may book
+    /// `count` credits of `out_vc` for a stream whose head departs at
+    /// `start` when no other packet holds a reservation, the unreserved
+    /// credits cover `count`, and the VC is unowned, owned by `packet`,
+    /// or owned by a stream known to drain by `start`. Ownership itself
+    /// is not taken: the port's [`MultiFlitGuard`] keeps competing
+    /// multi-flit heads away while still admitting single-flit packets,
+    /// as the paper's per-message-class flag does.
+    fn admits(&self, out_vc: &OutVc, packet: PacketId, count: u8, start: Cycle) -> bool {
+        self.reserved_for.is_none_or(|h| h == packet)
+            && out_vc.usable(self.reserved) >= count
+            && (out_vc.claimable_by(packet) || self.free_after.is_some_and(|c| c <= start))
+    }
+
+    /// Books `count` more credits for `packet`, which must have passed
+    /// [`ReservedCredits::admits`].
+    fn reserve(&mut self, packet: PacketId, count: u8) {
+        self.reserved += count;
+        self.reserved_for = Some(packet);
+    }
+
+    /// Releases `count` of `packet`'s credits (its landing moved further
+    /// downstream, its flits used them, or it was cancelled).
+    fn release(&mut self, packet: PacketId, count: u8) {
+        if self.reserved_for == Some(packet) {
+            self.reserved = self.reserved.saturating_sub(count);
+            if self.reserved == 0 {
+                self.reserved_for = None;
+            }
+        }
+    }
+}
+
+/// Per-output-VC guard keeping other multi-flit packets from
+/// interleaving with one that holds a proactive reservation (the paper's
+/// "special flag corresponding to the message class"). Single-flit
+/// packets bypass it.
+#[derive(Debug, Clone, Copy, Default)]
+struct MultiFlitGuard {
+    holder: Option<PacketId>,
+}
+
+impl MultiFlitGuard {
+    /// Whether multi-flit `packet` may use the VC.
+    fn admits(self, packet: PacketId) -> bool {
+        self.holder.is_none_or(|h| h == packet)
+    }
+
+    /// Clears the guard if `packet` holds it.
+    fn clear(&mut self, packet: PacketId) {
+        if self.holder == Some(packet) {
+            self.holder = None;
+        }
+    }
+}
+
 /// Index of output port `p` of router `node` in the per-port slabs.
 #[inline(always)]
 fn lane(node: usize, p: usize) -> usize {
@@ -506,21 +644,43 @@ fn lane(node: usize, p: usize) -> usize {
 /// timeslots, latches, bypass paths and downstream credits for
 /// pre-allocated packets and moves their flits through preset crossbars.
 ///
-/// Only the reserving core has the install API; the plain mesh has no
-/// reservation state to book:
+/// Only the reserving core has the install API, latches and reserved
+/// credits:
 ///
 /// ```
 /// # use noc::{config::NocConfig, mesh::MeshCore, reserve::{HopPlan, Reserving}};
+/// # use noc::types::{NodeId, PacketId, Port};
 /// # fn book(plan: &HopPlan) {
-/// let _ = MeshCore::<Reserving>::new(NocConfig::paper()).install_hop(plan);
+/// let mut net = MeshCore::<Reserving>::new(NocConfig::paper());
+/// let _ = net.install_hop(plan);
+/// let _ = net.latch_available(NodeId::new(0), Port::Local, 0..1, PacketId(1));
+/// let _ = net.reserved_credits(NodeId::new(0), Port::Local, 0);
 /// # }
 /// ```
+///
+/// The plain mesh has no reservation state to book,
 ///
 /// ```compile_fail
 /// # use noc::{config::NocConfig, mesh::MeshNetwork, reserve::HopPlan};
 /// # fn book(plan: &HopPlan) {
 /// let _ = MeshNetwork::new(NocConfig::paper()).install_hop(plan);
 /// # }
+/// ```
+///
+/// nor latches to probe:
+///
+/// ```compile_fail
+/// # use noc::{config::NocConfig, mesh::MeshNetwork, types::{NodeId, PacketId, Port}};
+/// let net = MeshNetwork::new(NocConfig::paper());
+/// let _ = net.latch_available(NodeId::new(0), Port::Local, 0..1, PacketId(1));
+/// ```
+///
+/// nor reserved credits to read:
+///
+/// ```compile_fail
+/// # use noc::{config::NocConfig, mesh::MeshNetwork, types::{NodeId, Port}};
+/// let net = MeshNetwork::new(NocConfig::paper());
+/// let _ = net.reserved_credits(NodeId::new(0), Port::Local, 0);
 /// ```
 #[derive(Debug)]
 pub struct Reserving {
@@ -529,8 +689,12 @@ pub struct Reserving {
     /// PRA timeslot tables, one per output port, flattened
     /// `node * Port::COUNT + port`.
     schedules: Vec<OutputSchedule>,
-    /// Multi-flit interleaving guards, flattened
+    /// The input latches, flattened `node * Port::COUNT + port`.
+    latches: Vec<Latch>,
+    /// Reserved credits and drain horizons of the output VCs, flattened
     /// `(node * Port::COUNT + port) * vcs + vc`.
+    credits: Vec<ReservedCredits>,
+    /// Multi-flit interleaving guards, flattened like `credits`.
     guards: Vec<MultiFlitGuard>,
     /// Cycle each input VC's front was last read by a reactive grant,
     /// flattened like `guards` by input port — derived state, excluded
@@ -588,9 +752,9 @@ impl Datapath for Reserving {
         Reserving {
             vcs: cfg.vcs_per_port,
             schedules: (0..ports).map(|_| OutputSchedule::new()).collect(),
-            guards: (0..ports * cfg.vcs_per_port)
-                .map(|_| MultiFlitGuard::new())
-                .collect(),
+            latches: vec![Latch::default(); ports],
+            credits: vec![ReservedCredits::default(); ports * cfg.vcs_per_port],
+            guards: vec![MultiFlitGuard::default(); ports * cfg.vcs_per_port],
             grant_read_at: vec![0; ports * cfg.vcs_per_port],
             resv_index: BTreeMap::new(),
             loc_pool: Vec::new(),
@@ -627,6 +791,35 @@ impl Datapath for Reserving {
     // hot
     fn admits(&self, node: usize, p: usize, vc: usize, packet: PacketId) -> bool {
         self.guards[self.pv(node, p, vc)].admits(packet)
+    }
+
+    // hot
+    fn withheld(&self, node: usize, p: usize, vc: usize, packet: PacketId) -> u8 {
+        self.credits[self.pv(node, p, vc)].withheld_from(packet)
+    }
+
+    /// Reserved credits drain first when their holder sends.
+    // hot
+    fn credit_consumed(&mut self, node: usize, p: usize, vc: usize, packet: PacketId) {
+        let i = self.pv(node, p, vc);
+        if self.credits[i].reserved > 0 {
+            self.credits[i].release(packet, 1);
+        }
+    }
+
+    /// A drain horizon recorded for an owner must not outlive it.
+    // hot
+    fn owner_changed(&mut self, node: usize, p: usize, vc: usize) {
+        let i = self.pv(node, p, vc);
+        self.credits[i].free_after = None;
+    }
+
+    fn latched_flits(&self, mut visit: impl FnMut(usize, Port, &Flit)) {
+        for (i, latch) in self.latches.iter().enumerate() {
+            if let Some(f) = &latch.flit {
+                visit(i / Port::COUNT, Port::from_index(i % Port::COUNT), f);
+            }
+        }
     }
 
     // hot
@@ -693,8 +886,9 @@ impl Datapath for Reserving {
             let node = usize::from(e.node);
             match e.slot() {
                 Some(p) => net.dp.schedules[lane(node, p.index())].holds_before(net.now + 1),
-                None => net.routers[node].inputs[e.latch().expect("latch lane").index()]
-                    .has_latch_claims(),
+                None => !net.dp.latches[lane(node, e.latch().expect("latch lane").index())]
+                    .claims
+                    .is_empty(),
             }
         });
         net.dp.leftover = leftover;
@@ -719,7 +913,7 @@ impl Datapath for Reserving {
             let node = usize::from(e.node);
             let Some(out_port) = e.slot() else {
                 let in_port = e.latch().expect("a lane is a slot or a latch");
-                net.routers[node].inputs[in_port.index()].latch_expire(net.now);
+                net.dp.latches[lane(node, in_port.index())].expire(net.now);
                 continue;
             };
             let p = out_port.index();
@@ -748,11 +942,11 @@ impl Datapath for Reserving {
         // Timeslots and reserved credits; the latches hold no credits
         // (a chain returned the buffer credit when it read them out).
         net.cancel_packet_from(packet, 0, 0);
-        for iu in net.routers.iter_mut().flat_map(|r| r.inputs.iter_mut()) {
-            if iu.latch().is_some_and(|f| f.packet == packet) {
-                iu.latch_take();
+        for latch in &mut net.dp.latches {
+            if latch.flit.is_some_and(|f| f.packet == packet) {
+                latch.flit = None;
             }
-            iu.latch_release(packet, 0);
+            latch.release(packet, 0);
         }
         for g in &mut net.dp.guards {
             g.clear(packet);
@@ -775,10 +969,18 @@ impl Datapath for Reserving {
         net.dp.resv_index.is_empty()
             && net.dp.schedules.iter().all(OutputSchedule::is_empty)
             && net
-                .routers
+                .dp
+                .latches
                 .iter()
-                .flat_map(|r| &r.inputs)
-                .all(|iu| !iu.has_latch_claims() && iu.latch().is_none())
+                .all(|l| l.claims.is_empty() && l.flit.is_none())
+    }
+
+    fn digest_input(&self, node: usize, port: usize, h: &mut StateHasher) {
+        self.latches[lane(node, port)].digest_state(h);
+    }
+
+    fn digest_out_vc(&self, node: usize, p: usize, vc: usize, h: &mut StateHasher) {
+        self.credits[self.pv(node, p, vc)].digest_state(h);
     }
 
     fn digest_router(&self, node: usize, _vcs: usize, h: &mut StateHasher) {
@@ -857,31 +1059,17 @@ impl MeshCore<Reserving> {
                     // Ejection into the NI: always sinkable.
                     return Ok(());
                 }
-                let out_vc = self.lanes.out_vc(node, p, vc);
-                // All requested credits must be reservable and the stream
-                // must be provably clear by `start`.
-                if out_vc.reserved_for().is_some_and(|h| h != plan.packet) {
-                    return Err(InstallError::NoDownstreamBuffer);
-                }
-                let already = if out_vc.reserved_for() == Some(plan.packet) {
-                    out_vc.reserved()
+                let admitted = self.dp.credits[self.dp.pv(node, p, vc)].admits(
+                    self.lanes.out_vc(node, p, vc),
+                    plan.packet,
+                    plan.reserve,
+                    plan.start,
+                );
+                if admitted {
+                    Ok(())
                 } else {
-                    0
-                };
-                if out_vc.credits().saturating_sub(out_vc.reserved() - already)
-                    < plan.reserve + already
-                {
-                    return Err(InstallError::NoDownstreamBuffer);
+                    Err(InstallError::NoDownstreamBuffer)
                 }
-                match out_vc.owner() {
-                    None => {}
-                    Some(o) if o == plan.packet => {}
-                    Some(_) if out_vc.free_after().is_none_or(|c| c > plan.start) => {
-                        return Err(InstallError::NoDownstreamBuffer);
-                    }
-                    Some(_) => {}
-                }
-                Ok(())
             }
             Landing::Latch | Landing::Bypass => {
                 let dir = plan
@@ -893,9 +1081,9 @@ impl MeshCore<Reserving> {
                 // A bypass continues through the downstream router's own
                 // reservation (installed as part of the same segment),
                 // which carries the resource checks.
-                let iu = &self.routers[next.index()].inputs[Port::Dir(dir.opposite()).index()];
+                let latch = &self.dp.latches[lane(next.index(), Port::Dir(dir.opposite()).index())];
                 if plan.landing == Landing::Bypass
-                    || iu.latch_available(window.start..window.end + 1, plan.packet)
+                    || latch.available(window.start..window.end + 1, plan.packet)
                 {
                     Ok(())
                 } else {
@@ -944,7 +1132,7 @@ impl MeshCore<Reserving> {
         let next = neighbor(&self.cfg, node, dir).expect("landing stays on mesh");
         let in_port = Port::Dir(dir.opposite());
         let claim = window.start..window.end + 1;
-        self.routers[next.index()].inputs[in_port.index()].latch_claim(claim.clone(), packet);
+        self.dp.latches[lane(next.index(), in_port.index())].claim(claim.clone(), packet);
         for cycle in claim {
             self.note_due(DueEntry::latch_at(cycle, next.index(), in_port));
         }
@@ -1006,18 +1194,14 @@ impl MeshCore<Reserving> {
         }
         match plan.landing {
             Landing::Vc(lvc) if plan.out_port != Port::Local => {
-                let reserved = self.lanes.out_vc_mut(node, p, lvc).try_reserve(
-                    plan.packet,
-                    plan.reserve,
-                    plan.start,
-                );
-                debug_assert!(reserved, "checked reservation must succeed");
+                let i = self.dp.pv(node, p, lvc);
+                self.dp.credits[i].reserve(plan.packet, plan.reserve);
             }
             Landing::Latch => self.claim_latch(plan.node, plan.out_port, window, plan.packet),
             _ => {}
         }
         let g = self.dp.pv(node, p, vc);
-        self.dp.guards[g].set(plan.packet);
+        self.dp.guards[g].holder = Some(plan.packet);
         self.idle = false;
         self.emit(|| Event::ReservationInstalled {
             packet: plan.packet.0,
@@ -1056,9 +1240,8 @@ impl MeshCore<Reserving> {
             "ACK found {updated} of {len} slots to convert (callers must check \
              reserved_slots_of first)"
         );
-        self.lanes
-            .out_vc_mut(node.index(), p, class.vc())
-            .release_reservation(packet, len);
+        let i = self.dp.pv(node.index(), p, class.vc());
+        self.dp.credits[i].release(packet, len);
         self.idle = false;
         if landing == Landing::Latch {
             self.claim_latch(node, out_port, window, packet);
@@ -1074,7 +1257,13 @@ impl MeshCore<Reserving> {
         window: std::ops::Range<Cycle>,
         packet: PacketId,
     ) -> bool {
-        self.routers[node.index()].inputs[in_port.index()].latch_available(window, packet)
+        self.dp.latches[lane(node.index(), in_port.index())].available(window, packet)
+    }
+
+    /// Credits of output VC `vc` of `(node, out_port)` reserved for a
+    /// pre-allocated packet.
+    pub fn reserved_credits(&self, node: NodeId, out_port: Port, vc: usize) -> u8 {
+        self.dp.credits[self.dp.pv(node.index(), out_port.index(), vc)].reserved
     }
 
     /// Whether `packet` holds any outstanding reservation anywhere in the
@@ -1208,8 +1397,9 @@ impl MeshCore<Reserving> {
             return Some(self.upcoming_cycle() + 1);
         }
         if out_port != Port::Local {
-            let out_vc = self.lanes.out_vc(node.index(), out_port.index(), blk_vc);
-            if out_vc.usable_credits(stream.packet) < remaining {
+            let (n, p) = (node.index(), out_port.index());
+            let withheld = self.dp.withheld(n, p, blk_vc, stream.packet);
+            if self.lanes.out_vc(n, p, blk_vc).usable(withheld) < remaining {
                 return None;
             }
         }
@@ -1223,9 +1413,8 @@ impl MeshCore<Reserving> {
     /// deterministically until `cycle` so PRA allocation can reserve slots
     /// past it.
     pub fn mark_free_after(&mut self, node: NodeId, out_port: Port, vc: usize, cycle: Cycle) {
-        self.lanes
-            .out_vc_mut(node.index(), out_port.index(), vc)
-            .set_free_after(cycle);
+        let i = self.dp.pv(node.index(), out_port.index(), vc);
+        self.dp.credits[i].free_after = Some(cycle);
     }
 
     /// Injection backlog of `(node, class)`: flits still queued in the NI
@@ -1386,10 +1575,10 @@ impl MeshCore<Reserving> {
                 }
             }
             FlitSource::Latch { from } => {
-                let iu = &mut self.routers[node].inputs[Port::Dir(from).index()];
-                match iu.latch() {
+                let latch = &mut self.dp.latches[lane(node, Port::Dir(from).index())];
+                match latch.flit {
                     Some(f) if f.packet == resv.packet && f.seq == resv.seq => {
-                        let f = iu.latch_take().expect("latch holds flit");
+                        latch.flit = None;
                         Some((f, Port::Dir(from), usize::MAX))
                     }
                     _ => None,
@@ -1456,14 +1645,17 @@ impl MeshCore<Reserving> {
             match cur_resv.landing {
                 Landing::Vc(lvc) => {
                     // Consume the (reserved) credit and enter the buffer.
-                    let out_vc = self.lanes.out_vc_mut(cur_node, cur_out.index(), lvc);
-                    out_vc.consume_credit(flit.packet);
-                    if flit.is_tail() {
-                        out_vc.release_owner(flit.packet);
-                    }
+                    let p = cur_out.index();
+                    let out_vc = self.lanes.out_vc_mut(cur_node, p, lvc);
+                    out_vc.consume_credit();
                     // A head of several flits is never a tail.
+                    let owner_changed = (flit.is_tail() && out_vc.release_owner(flit.packet))
+                        || (flit.is_head() && flit.len_flits > 1 && out_vc.allocate(flit.packet));
+                    self.dp.credit_consumed(cur_node, p, lvc, flit.packet);
+                    if owner_changed {
+                        self.dp.owner_changed(cur_node, p, lvc);
+                    }
                     if flit.is_head() && flit.len_flits > 1 {
-                        out_vc.allocate(flit.packet);
                         self.emit(|| Event::VcAllocated {
                             packet: flit.packet.0,
                             node: cur_node as u64,
@@ -1481,8 +1673,8 @@ impl MeshCore<Reserving> {
                     return;
                 }
                 Landing::Latch => {
-                    self.routers[next.index()].inputs[next_in.index()]
-                        .latch_store(flit)
+                    self.dp.latches[lane(next.index(), next_in.index())]
+                        .store(flit)
                         .unwrap_or_else(|_| {
                             panic!("latch at {next} occupied despite claim bookkeeping")
                         });
@@ -1627,9 +1819,8 @@ impl MeshCore<Reserving> {
         for (_cycle, r) in removed {
             match r.landing {
                 Landing::Vc(lvc) if out_port != Port::Local => {
-                    self.lanes
-                        .out_vc_mut(node, p, lvc)
-                        .release_reservation(r.packet, 1);
+                    let i = self.dp.pv(node, p, lvc);
+                    self.dp.credits[i].release(r.packet, 1);
                 }
                 Landing::Latch => {
                     // Latch claims are deliberately NOT released here:
@@ -1662,9 +1853,9 @@ mod tests {
             &self.dp.schedules[lane(node.index(), out_port.index())]
         }
 
-        /// The multi-flit guard of `(node, out_port, class)`.
-        fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> &MultiFlitGuard {
-            &self.dp.guards[self.dp.pv(node.index(), out_port.index(), class.vc())]
+        /// The holder of the multi-flit guard of `(node, out_port, class)`.
+        fn guard(&self, node: NodeId, out_port: Port, class: MessageClass) -> Option<PacketId> {
+            self.dp.guards[self.dp.pv(node.index(), out_port.index(), class.vc())].holder
         }
     }
 
@@ -1779,13 +1970,13 @@ mod tests {
         assert_eq!(n.stats().wasted_reservations, 2);
         for vc in [0, 2] {
             assert_eq!(
-                n.out_vc(NodeId::new(1), east, vc).reserved(),
+                n.reserved_credits(NodeId::new(1), east, vc),
                 0,
                 "VC {vc} credit released"
             );
         }
         for class in [MessageClass::Request, MessageClass::Response] {
-            assert_eq!(n.guard(NodeId::new(1), east, class).holder(), None);
+            assert_eq!(n.guard(NodeId::new(1), east, class), None);
         }
     }
 
@@ -1868,8 +2059,7 @@ mod tests {
             .schedule(NodeId::new(1), Port::Dir(Direction::East))
             .is_reserved(10));
         assert_eq!(
-            n.out_vc(NodeId::new(1), Port::Dir(Direction::East), 2)
-                .reserved(),
+            n.reserved_credits(NodeId::new(1), Port::Dir(Direction::East), 2),
             5
         );
         assert_eq!(
@@ -1877,8 +2067,7 @@ mod tests {
                 NodeId::new(1),
                 Port::Dir(Direction::East),
                 MessageClass::Response
-            )
-            .holder(),
+            ),
             Some(PacketId(99))
         );
         // Conflicting plan by another packet fails.
@@ -1914,8 +2103,7 @@ mod tests {
         let s = n.stats();
         assert_eq!(s.wasted_reservations, 2, "both slots expired unused");
         assert_eq!(
-            n.out_vc(NodeId::new(1), Port::Dir(Direction::East), 2)
-                .reserved(),
+            n.reserved_credits(NodeId::new(1), Port::Dir(Direction::East), 2),
             0,
             "reserved credits released"
         );
@@ -1924,8 +2112,7 @@ mod tests {
                 NodeId::new(1),
                 Port::Dir(Direction::East),
                 MessageClass::Response
-            )
-            .holder(),
+            ),
             None,
             "guard released"
         );
@@ -2049,6 +2236,210 @@ mod tests {
         assert_eq!(d.len(), 2);
     }
 
+    /// Output VC 0 of port 0 of router 0 as the reserving core sees it:
+    /// the core's credits and owner, and the datapath's reservation side.
+    struct OneVc {
+        out: OutVc,
+        dp: Reserving,
+    }
+
+    impl OneVc {
+        fn new(depth: u8) -> Self {
+            OneVc {
+                out: OutVc::new(depth),
+                dp: Reserving::new(&NocConfig::paper()),
+            }
+        }
+
+        fn usable(&self, packet: PacketId) -> u8 {
+            self.out.usable(self.dp.withheld(0, 0, 0, packet))
+        }
+
+        fn try_reserve(&mut self, packet: PacketId, count: u8, start: Cycle) -> bool {
+            let ok = self.dp.credits[0].admits(&self.out, packet, count, start);
+            if ok {
+                self.dp.credits[0].reserve(packet, count);
+            }
+            ok
+        }
+
+        fn consume(&mut self, packet: PacketId) {
+            self.out.consume_credit();
+            self.dp.credit_consumed(0, 0, 0, packet);
+        }
+
+        fn allocate(&mut self, packet: PacketId) {
+            if self.out.allocate(packet) {
+                self.dp.owner_changed(0, 0, 0);
+            }
+        }
+
+        fn set_free_after(&mut self, cycle: Cycle) {
+            self.dp.credits[0].free_after = Some(cycle);
+        }
+    }
+
+    #[test]
+    fn reservation_hides_credits_from_others() {
+        let mut v = OneVc::new(5);
+        assert!(v.try_reserve(P, 5, 10));
+        assert_eq!(v.usable(Q), 0);
+        assert_eq!(v.usable(P), 5);
+    }
+
+    #[test]
+    fn partial_reservation_leaves_credits_for_singles() {
+        let mut v = OneVc::new(5);
+        assert!(v.try_reserve(P, 3, 10));
+        assert_eq!(v.usable(Q), 2);
+    }
+
+    #[test]
+    fn reservation_fails_when_credits_short() {
+        let mut v = OneVc::new(5);
+        v.consume(Q);
+        assert!(!v.try_reserve(P, 5, 10));
+        assert!(v.try_reserve(P, 4, 10));
+    }
+
+    #[test]
+    fn reservation_fails_against_unknown_owner_drain() {
+        let mut v = OneVc::new(5);
+        v.allocate(Q);
+        assert!(!v.try_reserve(P, 2, 10));
+        v.set_free_after(8);
+        assert!(v.try_reserve(P, 2, 10));
+    }
+
+    #[test]
+    fn reservation_respects_owner_drain_deadline() {
+        let mut v = OneVc::new(5);
+        v.allocate(Q);
+        v.set_free_after(12);
+        assert!(!v.try_reserve(P, 2, 10), "drain finishes after start");
+    }
+
+    #[test]
+    fn drain_horizon_dies_with_its_owner() {
+        let mut v = OneVc::new(5);
+        v.allocate(Q);
+        v.set_free_after(8);
+        v.allocate(Q);
+        assert_eq!(v.dp.credits[0].free_after, Some(8), "same owner keeps it");
+        assert!(v.out.release_owner(Q));
+        v.dp.owner_changed(0, 0, 0);
+        assert_eq!(v.dp.credits[0].free_after, None);
+    }
+
+    #[test]
+    fn consume_drains_own_reservation_first() {
+        let mut v = OneVc::new(5);
+        assert!(v.try_reserve(P, 2, 10));
+        v.consume(P);
+        v.consume(P);
+        assert_eq!(v.dp.credits[0].reserved, 0);
+        assert_eq!(v.dp.credits[0].reserved_for, None);
+        assert_eq!(v.out.credits(), 3);
+    }
+
+    #[test]
+    fn release_reservation_restores_availability() {
+        let mut v = OneVc::new(5);
+        assert!(v.try_reserve(P, 5, 10));
+        v.dp.credits[0].release(P, 5);
+        assert_eq!(v.usable(Q), 5);
+        assert!(v.out.claimable_by(Q));
+    }
+
+    #[test]
+    fn second_reservation_by_other_packet_fails() {
+        let mut v = OneVc::new(5);
+        assert!(v.try_reserve(P, 2, 10));
+        assert!(!v.try_reserve(Q, 1, 20));
+    }
+
+    #[test]
+    fn guard_admits_singles_holder_and_blocks_others() {
+        let mut g = MultiFlitGuard::default();
+        assert!(g.admits(P));
+        g.holder = Some(P);
+        assert!(g.admits(P));
+        assert!(!g.admits(Q));
+        g.clear(Q);
+        assert!(!g.admits(Q), "clear by non-holder is a no-op");
+        g.clear(P);
+        assert!(g.admits(Q));
+    }
+
+    #[test]
+    fn latch_single_occupancy() {
+        let mut latch = Latch::default();
+        let p = pkt(1, 0, 1, MessageClass::Response, 1);
+        latch.store(p.flit(0)).unwrap();
+        assert!(latch.store(p.flit(0)).is_err());
+        assert_eq!(latch.flit.take().unwrap().packet, P);
+        assert!(latch.flit.is_none());
+    }
+
+    #[test]
+    fn latch_claims_conflict_detection() {
+        let mut latch = Latch::default();
+        latch.claim(10..13, P);
+        assert!(!latch.available(12..14, Q));
+        assert!(latch.available(13..15, Q));
+        assert!(latch.available(10..13, P), "same packet never conflicts");
+        latch.release(P, 11);
+        assert!(latch.available(11..14, Q));
+        assert!(!latch.available(10..11, Q));
+        latch.expire(11);
+        assert!(latch.available(0..100, Q));
+    }
+
+    /// A flit parked in a latch between two single-hop cycles is still in
+    /// flight: the audit must find it there.
+    #[test]
+    fn latched_flits_are_accounted_for() {
+        let mut n = MeshCore::<Reserving>::new(NocConfig {
+            max_hops_per_cycle: 1,
+            ..NocConfig::paper()
+        });
+        n.inject(pkt(1, 0, 2, MessageClass::Request, 1));
+        let east = Port::Dir(Direction::East);
+        let hop = |node, start, source, landing| HopPlan {
+            node: NodeId::new(node),
+            out_port: east,
+            start,
+            packet: P,
+            len: 1,
+            class: MessageClass::Request,
+            source,
+            landing,
+            reserve: 1,
+        };
+        let local = FlitSource::Vc {
+            port: Port::Local,
+            vc: 0,
+        };
+        let from_west = FlitSource::Latch {
+            from: Direction::West,
+        };
+        n.install_hop(&hop(0, 2, local, Landing::Latch)).unwrap();
+        n.install_hop(&hop(1, 3, from_west, Landing::Vc(0)))
+            .unwrap();
+        n.step();
+        n.step();
+        let west = lane(1, Port::Dir(Direction::West).index());
+        assert_eq!(n.dp.latches[west].flit.map(|f| f.packet), Some(P));
+        let report = n.audit().expect("the mesh audits");
+        assert_eq!((report.expected_flits, report.present_flits), (1, 1));
+        let mut dog = crate::watchdog::Watchdog::new(Default::default());
+        dog.observe(&report);
+        assert!(dog.is_quiet(), "{:?}", dog.violations());
+        let d = n.run_to_drain(100);
+        assert_eq!(d.len(), 1);
+        assert_eq!(n.stats().wasted_reservations, 0);
+    }
+
     #[test]
     fn source_backlog_visibility() {
         let mut n = net();
@@ -2062,8 +2453,39 @@ mod tests {
 }
 
 mod digest_impls {
-    use super::OutputSchedule;
+    use super::{Latch, MultiFlitGuard, OutputSchedule, ReservedCredits};
     use crate::digest::{StateDigest, StateHasher};
+
+    impl StateDigest for Latch {
+        fn digest_state(&self, h: &mut StateHasher) {
+            match self.flit {
+                None => h.write_u8(0),
+                Some(flit) => {
+                    h.write_u8(1);
+                    flit.digest_state(h);
+                }
+            }
+            h.write_usize(self.claims.len());
+            for &(cycle, packet) in &self.claims {
+                h.write_u64(cycle);
+                h.write_u64(packet.0);
+            }
+        }
+    }
+
+    impl StateDigest for ReservedCredits {
+        fn digest_state(&self, h: &mut StateHasher) {
+            h.write_u8(self.reserved);
+            h.write_opt_u64(self.reserved_for.map(|p| p.0));
+            h.write_opt_u64(self.free_after);
+        }
+    }
+
+    impl StateDigest for MultiFlitGuard {
+        fn digest_state(&self, h: &mut StateHasher) {
+            h.write_opt_u64(self.holder.map(|p| p.0));
+        }
+    }
 
     impl StateDigest for OutputSchedule {
         fn digest_state(&self, h: &mut StateHasher) {

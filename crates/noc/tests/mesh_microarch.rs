@@ -199,8 +199,7 @@ fn cancel_releases_everything_and_traffic_flows_again() {
     net.cancel_packet_from(PacketId(42), 0, 0);
     assert!(!net.has_reservations(PacketId(42)));
     assert_eq!(
-        net.out_vc(NodeId::new(1), Port::Dir(Direction::East), 2)
-            .reserved(),
+        net.reserved_credits(NodeId::new(1), Port::Dir(Direction::East), 2),
         0
     );
     // A multi-flit response can immediately use the port.
