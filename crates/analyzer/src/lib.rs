@@ -54,7 +54,8 @@ pub mod protocol;
 pub mod reliable;
 pub mod routing;
 pub mod segments;
-pub mod wcla;
+#[cfg(test)]
+mod wcla;
 
 pub use cdg::{Cdg, Channel, DependencyCycle};
 pub use faultplans::{
@@ -66,7 +67,6 @@ pub use protocol::{Model, ModelBounds, Semantics};
 pub use reliable::{check_reliable_protocol, RelBounds, RelInvariant, RelReport, RelViolation};
 pub use routing::{CheckerboardAdaptive, RouteError, RoutingSpec, WestFirstDetour, XyRouting};
 pub use segments::{verify_segment_schedule, SegmentSummary, SegmentViolation};
-pub use wcla::{analyze_scenario, ScenarioBounds};
 
 use noc::config::NocConfig;
 

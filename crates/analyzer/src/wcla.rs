@@ -1,78 +1,59 @@
-//! Worst-case latency analysis wrapper and its property suite.
+//! Worst-case latency analysis property suite (compiled for tests only).
 //!
 //! The bound arithmetic lives in [`noc::wcla`] (so the sweep runner can
 //! gate points without a dependency cycle); this module is the
 //! *verification* layer:
 //!
-//! * [`analyze_scenario`] derives the flow set of a synthetic workload
+//! * `analyze_scenario` derives the flow set of a synthetic workload
 //!   (pattern × bounded injection process × rate × response mix),
 //!   re-proves the routing deadlock-free via the channel-dependency
 //!   graph before trusting its contention sets, and returns per-class
 //!   worst-case bounds.
-//! * The test suite is the conservativeness proof-by-fuzzing the ISSUE
-//!   contract asks for: seeded MMPP/on-off scenarios across radices
-//!   4–8, every message class, mesh and PRA organisations — asserting
-//!   the *simulated* worst latency never exceeds the analytical bound,
-//!   and that the deliberately-unsound [`noc::wcla::naive_bound`] bug
-//!   double *is* exceeded (so the suite can tell a sound bound from a
+//! * The test suite is the conservativeness proof-by-fuzzing: seeded
+//!   MMPP/on-off scenarios across radices 4–8, every message class,
+//!   mesh and PRA organisations — asserting the *simulated* worst
+//!   latency never exceeds the analytical bound, and that the
+//!   deliberately-unsound [`noc::wcla::naive_bound`] bug double *is*
+//!   exceeded (so the suite can tell a sound bound from a
 //!   plausible-but-tight one).
 
 use noc::config::NocConfig;
 use noc::traffic::{InjectionProcess, Pattern};
 use noc::types::MessageClass;
-pub use noc::wcla::{
-    analyze_flows, flows_for_pattern, naive_bound, FlowBound, FlowSpec, Link, WclaError,
-    WclaReport, UTILIZATION_LIMIT,
-};
+use noc::wcla::{analyze_flows, flows_for_pattern, WclaError};
 
 use crate::routing::XyRouting;
 use crate::verify_routing;
 
-/// Per-class worst-case bounds for one synthetic scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioBounds {
-    /// The derived flow set.
-    pub flows: Vec<FlowSpec>,
-    /// The full per-flow report.
-    pub report: WclaReport,
-    /// Worst bound per message class (indexed by VC; `None` when the
-    /// scenario carries no traffic of the class).
-    pub per_class: [Option<u64>; 3],
-}
-
 /// Derives the flow set of `(pattern, process, rate,
 /// response_fraction)` on `cfg`, verifies the XY routing the contention
-/// sets are built over is deadlock-free, and computes per-class
-/// worst-case latency bounds.
+/// sets are built over is deadlock-free, and returns the worst-case
+/// latency bound per message class (indexed by VC; `None` when the
+/// scenario carries no traffic of the class).
 ///
 /// # Errors
 ///
 /// Propagates [`WclaError`] from the flow derivation and analysis;
 /// routing-verification failures surface as [`WclaError::BadFlow`]
 /// (the contention sets would be meaningless over broken routing).
-pub fn analyze_scenario(
+fn analyze_scenario(
     cfg: &NocConfig,
     pattern: Pattern,
     process: InjectionProcess,
     rate: f64,
     response_fraction: f64,
-) -> Result<ScenarioBounds, WclaError> {
+) -> Result<[Option<u64>; 3], WclaError> {
     verify_routing(cfg, &XyRouting).map_err(|e| WclaError::BadFlow {
         index: 0,
         message: format!("routing verification failed: {e}"),
     })?;
     let flows = flows_for_pattern(cfg, pattern, process, rate, response_fraction)?;
     let report = analyze_flows(cfg, &flows)?;
-    let per_class = [
+    Ok([
         report.class_bound(&flows, MessageClass::Request),
         report.class_bound(&flows, MessageClass::Coherence),
         report.class_bound(&flows, MessageClass::Response),
-    ];
-    Ok(ScenarioBounds {
-        flows,
-        report,
-        per_class,
-    })
+    ])
 }
 
 #[cfg(test)]
@@ -82,6 +63,7 @@ mod tests {
     use noc::network::Network;
     use noc::traffic::TrafficGen;
     use noc::types::NodeId;
+    use noc::wcla::naive_bound;
     use runner::org::Organization;
 
     /// One fuzz scenario: a bounded-burst workload on one mesh radix.
@@ -217,7 +199,7 @@ mod tests {
                         if observed == 0 {
                             continue;
                         }
-                        let bound = bounds.per_class[vc].unwrap_or_else(|| {
+                        let bound = bounds[vc].unwrap_or_else(|| {
                             panic!("{}: class vc{vc} delivered but has no bound", s.name)
                         });
                         assert!(
@@ -268,7 +250,7 @@ mod tests {
             .expect("response flows exist");
         let sound = analyze_scenario(&cfg, s.pattern, s.process, s.rate, s.response_fraction)
             .expect("sound analysis");
-        let sound_rsp = sound.per_class[MessageClass::Response.vc()].expect("response bound");
+        let sound_rsp = sound[MessageClass::Response.vc()].expect("response bound");
 
         let mut refutations = 0;
         for seed in [101u64, 211] {

@@ -15,7 +15,7 @@ use noc::types::{MessageClass, NodeId, PacketId};
 use pra::ControlConfig;
 use sysmodel::SystemParams;
 use techmodel::{performance_density, ChipModel, NocAreaBreakdown, NocOrganization, NocPower};
-use workloads::{WorkloadKind, WorkloadProfileBuilder};
+use workloads::WorkloadKind;
 
 use crate::{AnyNetwork, Cell, Measured, Organization, Plan, QUICK};
 
@@ -656,7 +656,10 @@ fn load_sweep_plan(_: &SampleSpec) -> Plan {
     let cells = SCALES
         .iter()
         .flat_map(|&scale| {
-            let profile = WorkloadProfileBuilder::from(wl).scale_misses(scale).build();
+            let mut profile = wl.profile();
+            profile.i_mpki *= scale;
+            profile.d_mpki *= scale;
+            profile.assert_valid();
             LOAD_ORGS.map(|org| Cell {
                 profile,
                 ..Cell::paper(org, wl)

@@ -230,20 +230,20 @@ impl ControlPlane for Waves {
     }
 }
 
-/// Analytic zero-load latency of a fully reserved FRFC transfer: one
-/// cycle of injection, one cycle per hop, serialization, and a direct
-/// pre-allocated ejection (delivered within the final slot cycle).
-pub fn frfc_latency(cfg: &NocConfig, src: NodeId, dest: NodeId, len_flits: u8) -> Cycle {
-    let hops = cfg.coord(src).manhattan(cfg.coord(dest)) as Cycle;
-    1 + hops + (len_flits as Cycle - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use noc::flit::Packet;
     use noc::network::Network;
     use noc::zeroload::{mesh_latency, pra_best_latency};
+
+    /// Analytic zero-load latency of a fully reserved FRFC transfer: one
+    /// cycle of injection, one cycle per hop, serialization, and a direct
+    /// pre-allocated ejection (delivered within the final slot cycle).
+    fn frfc_latency(cfg: &NocConfig, src: NodeId, dest: NodeId, len_flits: u8) -> Cycle {
+        let hops = cfg.coord(src).manhattan(cfg.coord(dest)) as Cycle;
+        1 + hops + (len_flits as Cycle - 1)
+    }
 
     fn pkt(id: u64, src: u16, dest: u16, class: MessageClass, len: u8) -> Packet {
         Packet::new(

@@ -204,18 +204,6 @@ impl NocConfig {
         }
         Ok(())
     }
-
-    /// Average minimal hop count over all distinct source/destination pairs
-    /// (≈ 5.33 for the 8×8 mesh).
-    pub fn average_hops(&self) -> f64 {
-        let k = self.radix as f64;
-        // Mean Manhattan distance between two uniform random points on a
-        // k×k grid, excluding src == dest pairs.
-        let mean_1d = (k * k - 1.0) / (3.0 * k);
-        let total_pairs = (k * k) * (k * k);
-        let self_pairs = k * k;
-        2.0 * mean_1d * total_pairs / (total_pairs - self_pairs)
-    }
 }
 
 impl Default for NocConfig {
@@ -333,15 +321,6 @@ mod tests {
     #[test]
     fn paper_config_is_valid() {
         NocConfig::paper().validate().unwrap();
-    }
-
-    #[test]
-    fn paper_average_hops_matches_known_value() {
-        let cfg = NocConfig::paper();
-        // 8x8 mesh: mean distance including self pairs is 2*(63/24) = 5.25;
-        // excluding self pairs: 5.25 * 4096/4032 ≈ 5.333.
-        let avg = cfg.average_hops();
-        assert!((avg - 5.333).abs() < 0.01, "got {avg}");
     }
 
     #[test]

@@ -121,7 +121,6 @@ impl FaultEvent {
 /// let plan = FaultPlan::new(42)
 ///     .transient_rate_ppb(100_000) // 1e-4 faults per link per cycle
 ///     .with_event(FaultEvent::RouterDown { at: 500, node: NodeId::new(27) });
-/// assert!(!plan.is_trivial());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -154,11 +153,6 @@ impl FaultPlan {
     pub fn with_event(mut self, event: FaultEvent) -> Self {
         self.events.push(event);
         self
-    }
-
-    /// Whether the plan injects no faults at all.
-    pub fn is_trivial(&self) -> bool {
-        self.transient_link_ppb == 0 && self.events.is_empty()
     }
 }
 

@@ -48,7 +48,6 @@ impl FlitKind {
 ///     5,
 /// );
 /// assert_eq!(p.len_flits, 5);
-/// assert!(p.is_multi_flit());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
@@ -104,11 +103,6 @@ impl Packet {
     pub fn with_tag(mut self, tag: u64) -> Self {
         self.tag = tag;
         self
-    }
-
-    /// Whether the packet occupies more than one flit.
-    pub const fn is_multi_flit(&self) -> bool {
-        self.len_flits > 1
     }
 
     /// The kind of the flit at position `seq` within this packet.
@@ -209,7 +203,6 @@ mod tests {
         let f = p.flit(0);
         assert_eq!(f.kind, FlitKind::Single);
         assert!(f.is_head() && f.is_tail());
-        assert!(!p.is_multi_flit());
     }
 
     #[test]
@@ -226,7 +219,6 @@ mod tests {
                 FlitKind::Tail
             ]
         );
-        assert!(p.is_multi_flit());
     }
 
     #[test]

@@ -235,30 +235,6 @@ impl NetStats {
         Some(self.latency_histogram.len() as u64)
     }
 
-    /// Like [`NetStats::latency_percentile`], restricted to packets of
-    /// `class`; `None` when the class delivered nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantile` is outside `[0, 1]`.
-    pub fn latency_percentile_of(&self, class: MessageClass, quantile: f64) -> Option<u64> {
-        assert!((0.0..=1.0).contains(&quantile), "quantile within [0, 1]");
-        let total = self.packets_delivered[class.vc()];
-        if total == 0 {
-            return None;
-        }
-        let hist = &self.latency_histogram_by_class[class.vc()];
-        let target = (quantile * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (lat, n) in hist.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                return Some(lat as u64);
-            }
-        }
-        Some(hist.len() as u64)
-    }
-
     /// Fraction of in-network time spent blocked behind proactively
     /// reserved resources (Section V.B's ≈0.01% figure).
     pub fn reservation_blocking_fraction(&self) -> f64 {
@@ -343,22 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn per_class_percentiles_and_max() {
+    fn per_class_maxima() {
         let mut s = NetStats::new();
         for lat in [5u64, 5, 5, 50] {
             s.record_delivered(MessageClass::Request, 1, 0, 0, lat, 1);
         }
         s.record_delivered(MessageClass::Response, 5, 0, 0, 200, 3);
-        assert_eq!(s.latency_percentile_of(MessageClass::Request, 0.5), Some(5));
-        assert_eq!(
-            s.latency_percentile_of(MessageClass::Request, 1.0),
-            Some(50)
-        );
-        assert_eq!(
-            s.latency_percentile_of(MessageClass::Response, 0.99),
-            Some(200)
-        );
-        assert_eq!(s.latency_percentile_of(MessageClass::Coherence, 0.5), None);
         assert_eq!(s.max_latency_by_class[MessageClass::Request.vc()], 50);
         assert_eq!(s.max_latency_by_class[MessageClass::Response.vc()], 200);
         assert_eq!(s.max_latency, 200);
@@ -385,17 +351,12 @@ mod tests {
         assert_eq!(s.flits_delivered, [0; 3]);
         assert_eq!(s.total_latency_by_class, [0; 3]);
         assert_eq!(s.max_latency_by_class, [0; 3]);
-        assert_eq!(s.latency_percentile_of(MessageClass::Response, 0.99), None);
         assert!(s
             .latency_histogram_by_class
             .iter()
             .all(|h| h.iter().all(|&n| n == 0)));
         // Post-reset deliveries open a clean window.
         s.record_delivered(MessageClass::Response, 5, 0, 0, 12, 2);
-        assert_eq!(
-            s.latency_percentile_of(MessageClass::Response, 0.99),
-            Some(12)
-        );
         assert_eq!(s.max_latency_by_class[MessageClass::Response.vc()], 12);
     }
 
@@ -439,10 +400,6 @@ mod tests {
         m.merge(&busy(1, 20));
         assert_eq!(m.max_latency, 60);
         assert_eq!(m.max_latency_by_class, [30, 31, 60]);
-        assert_eq!(
-            m.latency_percentile_of(MessageClass::Response, 0.5),
-            Some(40)
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The system-level evaluation drives the networks from the `sysmodel`
 //! crate; the generators here serve unit/integration tests, latency-vs-load
-//! curves and the micro-benchmarks.
+//! curves and perfbench.
 //!
 //! Beyond the steady-state Bernoulli source the paper evaluates, the
 //! generator supports bursty *injection processes* ([`InjectionProcess`]):

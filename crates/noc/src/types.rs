@@ -224,11 +224,6 @@ impl Direction {
             Direction::West => (-1, 0),
         }
     }
-
-    /// Whether this direction moves along the X dimension.
-    pub const fn is_x(self) -> bool {
-        matches!(self, Direction::East | Direction::West)
-    }
 }
 
 impl fmt::Display for Direction {

@@ -254,30 +254,6 @@ impl Event {
             Event::LlcWindow { .. } => "llc_window",
         }
     }
-
-    /// The packet id the event refers to, when the event belongs to a
-    /// data packet's own flight.
-    ///
-    /// Control-plane events (which reference a data packet but happen on
-    /// the control network) return `None`; flight records only stitch
-    /// together the data timeline.
-    #[must_use]
-    pub fn data_packet(&self) -> Option<u64> {
-        match *self {
-            Event::PacketInjected { packet, .. }
-            | Event::PacketEjected { packet, .. }
-            | Event::PacketDropped { packet, .. }
-            | Event::PacketRetransmitted { packet, .. }
-            | Event::DuplicateSuppressed { packet, .. }
-            | Event::FaultEscalated { packet, .. }
-            | Event::SwitchGrant { packet, .. }
-            | Event::LinkTraverse { packet, .. }
-            | Event::VcAllocated { packet, .. }
-            | Event::ReservationInstalled { packet, .. }
-            | Event::ReservationWasted { packet, .. } => Some(packet),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -300,12 +276,10 @@ mod tests {
         };
         assert_eq!(a.name(), "packet_injected");
         assert_eq!(b.name(), "credit_return");
-        assert_eq!(a.data_packet(), Some(1));
-        assert_eq!(b.data_packet(), None);
     }
 
     #[test]
-    fn reliability_events_have_names_and_packets() {
+    fn reliability_events_have_names() {
         let r = Event::PacketRetransmitted {
             packet: 4,
             copy: 1 << 63,
@@ -317,9 +291,5 @@ mod tests {
         assert_eq!(r.name(), "packet_retransmitted");
         assert_eq!(s.name(), "duplicate_suppressed");
         assert_eq!(e.name(), "fault_escalated");
-        // All three belong to the original packet's data flight.
-        for ev in [r, s, e] {
-            assert_eq!(ev.data_packet(), Some(4));
-        }
     }
 }

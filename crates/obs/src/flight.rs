@@ -63,12 +63,6 @@ impl FlightRecord {
     pub fn prealloc_prefix(&self) -> usize {
         self.hops.iter().take_while(|h| h.reserved).count()
     }
-
-    /// Whether the flight reached a terminal state (ejected or dropped).
-    #[must_use]
-    pub fn is_terminal(&self) -> bool {
-        self.ejected.is_some() || self.dropped.is_some()
-    }
 }
 
 /// Assembles flight records from the event stream.
@@ -188,12 +182,6 @@ impl FlightRecorder {
     #[must_use]
     pub fn completed(&self) -> &[FlightRecord] {
         &self.completed
-    }
-
-    /// Flights injected but not yet ejected or dropped.
-    #[must_use]
-    pub fn active_len(&self) -> usize {
-        self.active.len()
     }
 
     /// Finished flights discarded because the retention cap was hit.
@@ -338,7 +326,7 @@ mod tests {
         assert_eq!(done.hops[2].grant, Some(13));
         assert_eq!(done.hops[0].grant, None);
         assert_eq!(done.latency(), Some(6));
-        assert_eq!(r.active_len(), 0);
+        assert!(r.active.is_empty());
     }
 
     #[test]
@@ -357,7 +345,6 @@ mod tests {
         assert_eq!(r.completed().len(), 1);
         assert_eq!(r.discarded(), 1);
         assert!(r.completed()[0].dropped.is_some());
-        assert!(r.completed()[0].is_terminal());
     }
 
     #[test]

@@ -59,17 +59,6 @@ impl ObsHandle {
         self.sink = Some(sink);
     }
 
-    /// Detaches the current sink, if any.
-    pub fn detach(&mut self) {
-        self.sink = None;
-    }
-
-    /// Whether a sink is attached (i.e. whether `emit` will dispatch).
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Records the event built by `make`, if a sink is attached.
     ///
     /// `make` runs only on the attached path; with no sink this is a
@@ -113,7 +102,6 @@ mod tests {
             Event::InjectionRefused { node: 0 }
         });
         assert!(!built, "closure must not run without a sink");
-        assert!(!handle.is_enabled());
     }
 
     #[test]
@@ -121,10 +109,7 @@ mod tests {
         let sink = Rc::new(RefCell::new(Counting { seen: Vec::new() }));
         let mut handle = ObsHandle::disabled();
         handle.attach(sink.clone());
-        assert!(handle.is_enabled());
         handle.emit(42, || Event::InjectionRefused { node: 9 });
-        handle.detach();
-        handle.emit(43, || Event::InjectionRefused { node: 9 });
         let seen = &sink.borrow().seen;
         assert_eq!(seen.len(), 1);
         assert_eq!(seen[0].0, 42);

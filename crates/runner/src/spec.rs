@@ -438,13 +438,6 @@ impl SweepSpec {
         self
     }
 
-    /// Sets the retry policy (builder style).
-    pub fn retries(mut self, max_retries: u32, backoff_ms: u64) -> Self {
-        self.max_retries = max_retries;
-        self.backoff_ms = backoff_ms;
-        self
-    }
-
     /// Sets the digest sampling interval (builder style); 0 disables.
     pub fn digest_every(mut self, interval: u64) -> Self {
         self.digest_interval = interval;

@@ -158,11 +158,6 @@ impl Rng {
     pub fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
         self.gen_range_u64(lo as u64, hi as u64) as usize
     }
-
-    /// Derives an independent child generator (for per-entity streams).
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
@@ -251,13 +246,5 @@ mod tests {
     fn empty_range_panics() {
         let mut rng = Rng::new(1);
         let _ = rng.below(0);
-    }
-
-    #[test]
-    fn fork_gives_independent_streams() {
-        let mut parent = Rng::new(99);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 }

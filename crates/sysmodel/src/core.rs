@@ -76,11 +76,6 @@ impl CoreModel {
         self.stall_cycles
     }
 
-    /// Whether the core is blocked on an instruction fetch.
-    pub fn is_fetch_stalled(&self) -> bool {
-        self.ifetch_stalled
-    }
-
     /// Outstanding data misses.
     pub fn outstanding_data(&self) -> u8 {
         self.outstanding_data
@@ -217,7 +212,7 @@ mod tests {
             }
         }
         assert!(fetched, "media streaming must fetch-miss eventually");
-        assert!(c.is_fetch_stalled());
+        assert!(c.ifetch_stalled);
         // Stalled: zero commit for as long as the response is outstanding.
         for _ in 0..50 {
             issues.clear();

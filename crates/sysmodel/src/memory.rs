@@ -13,10 +13,6 @@ pub struct MemoryChannel {
     line_cycles: u64,
     /// Cycle at which the channel next becomes free.
     free_at: Cycle,
-    /// Completions scheduled: `(ready_cycle, txid)`.
-    completions: Vec<(Cycle, u64)>,
-    served: u64,
-    busy_cycles: u64,
 }
 
 impl MemoryChannel {
@@ -27,46 +23,15 @@ impl MemoryChannel {
             latency,
             line_cycles,
             free_at: 0,
-            completions: Vec::new(),
-            served: 0,
-            busy_cycles: 0,
         }
     }
 
     /// Enqueues a line fetch arriving at `now`; returns the cycle its
     /// data will be ready to leave the controller.
-    pub fn enqueue(&mut self, txid: u64, now: Cycle) -> Cycle {
+    pub fn enqueue(&mut self, now: Cycle) -> Cycle {
         let start = self.free_at.max(now);
         self.free_at = start + self.line_cycles;
-        self.busy_cycles += self.line_cycles;
-        let ready = start + self.latency;
-        self.completions.push((ready, txid));
-        self.served += 1;
-        ready
-    }
-
-    /// Transactions whose data is ready at `now`.
-    pub fn completions_at(&mut self, now: Cycle) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.completions.retain(|&(ready, txid)| {
-            if ready == now {
-                out.push(txid);
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    /// Lines served so far.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
-
-    /// Total cycles of channel occupancy (bandwidth accounting).
-    pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+        start + self.latency
     }
 }
 
@@ -77,31 +42,22 @@ mod tests {
     #[test]
     fn uncontended_access_pays_latency_only() {
         let mut mc = MemoryChannel::new(90, 10);
-        let ready = mc.enqueue(1, 100);
-        assert_eq!(ready, 190);
-        assert_eq!(mc.completions_at(189), Vec::<u64>::new());
-        assert_eq!(mc.completions_at(190), vec![1]);
+        assert_eq!(mc.enqueue(100), 190);
     }
 
     #[test]
     fn back_to_back_accesses_queue_on_bandwidth() {
         let mut mc = MemoryChannel::new(90, 10);
-        assert_eq!(mc.enqueue(1, 100), 190);
-        assert_eq!(
-            mc.enqueue(2, 100),
-            200,
-            "second line starts 10 cycles later"
-        );
-        assert_eq!(mc.enqueue(3, 100), 210);
-        assert_eq!(mc.served(), 3);
-        assert_eq!(mc.busy_cycles(), 30);
+        assert_eq!(mc.enqueue(100), 190);
+        assert_eq!(mc.enqueue(100), 200, "second line starts 10 cycles later");
+        assert_eq!(mc.enqueue(100), 210);
     }
 
     #[test]
     fn idle_gaps_do_not_accumulate_service() {
         let mut mc = MemoryChannel::new(90, 10);
-        mc.enqueue(1, 100);
+        mc.enqueue(100);
         // Long idle gap; the next access starts immediately on arrival.
-        assert_eq!(mc.enqueue(2, 500), 590);
+        assert_eq!(mc.enqueue(500), 590);
     }
 }

@@ -277,11 +277,7 @@ impl<N: Network> System<N> {
                     let tx = self.txs[&txid];
                     let mc = self.params.mc_for(txid).index();
                     debug_assert_eq!(mc, d.packet.dest.index());
-                    let ready = self
-                        .channels
-                        .get_mut(&mc)
-                        .expect("MC exists")
-                        .enqueue(txid, t);
+                    let ready = self.channels.get_mut(&mc).expect("MC exists").enqueue(t);
                     if self.params.announce_fills && ready > t {
                         // DRAM timing is deterministic: the controller can
                         // announce the fill as far ahead as the access

@@ -33,11 +33,6 @@ impl WireModel {
         }
     }
 
-    /// Delay in picoseconds over `mm` millimetres.
-    pub fn delay_ps(&self, mm: f64) -> f64 {
-        self.delay_ps_per_mm * mm
-    }
-
     /// How many millimetres a signal covers within one clock period at
     /// `freq_ghz`.
     pub fn reach_mm_per_cycle(&self, freq_ghz: f64) -> f64 {
@@ -84,13 +79,6 @@ mod tests {
         // One 128-bit flit over 1.85 mm: 128 * 1.85 * 50 fJ ≈ 11.8 pJ.
         let e = w.energy_j(128, 1.85);
         assert!((e - 11.84e-12).abs() < 0.1e-12, "{e}");
-    }
-
-    #[test]
-    fn delay_is_linear() {
-        let w = WireModel::paper();
-        assert_eq!(w.delay_ps(2.0), 170.0);
-        assert_eq!(w.delay_ps(0.0), 0.0);
     }
 
     #[test]

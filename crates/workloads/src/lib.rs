@@ -21,7 +21,5 @@
 pub mod profile;
 pub mod stream;
 
-pub use profile::{
-    BurstShape, WorkloadKind, WorkloadProfile, WorkloadProfileBuilder, WORKLOAD_KEYS,
-};
+pub use profile::{BurstShape, WorkloadKind, WorkloadProfile, WORKLOAD_KEYS};
 pub use stream::{CoreStream, InstrEvent};

@@ -324,127 +324,3 @@ mod tests {
         }
     }
 }
-
-/// Builder for custom [`WorkloadProfile`]s (parameter studies and
-/// calibration sweeps).
-///
-/// # Examples
-///
-/// ```
-/// use workloads::{WorkloadKind, WorkloadProfileBuilder};
-///
-/// let profile = WorkloadProfileBuilder::from(WorkloadKind::WebSearch)
-///     .ilp(1.8)
-///     .i_mpki(30.0)
-///     .llc_hit_ratio(0.9)
-///     .build();
-/// assert_eq!(profile.ilp, 1.8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct WorkloadProfileBuilder {
-    profile: WorkloadProfile,
-}
-
-impl WorkloadProfileBuilder {
-    /// Starts from a named workload's calibrated profile.
-    pub fn from(kind: WorkloadKind) -> Self {
-        WorkloadProfileBuilder {
-            profile: kind.profile(),
-        }
-    }
-
-    /// Sets the unstalled commit rate (instructions per cycle).
-    pub fn ilp(mut self, ilp: f64) -> Self {
-        self.profile.ilp = ilp;
-        self
-    }
-
-    /// Sets the maximum overlapped outstanding data misses.
-    pub fn mlp(mut self, mlp: u8) -> Self {
-        self.profile.mlp = mlp;
-        self
-    }
-
-    /// Sets the L1-I misses per kilo-instruction.
-    pub fn i_mpki(mut self, v: f64) -> Self {
-        self.profile.i_mpki = v;
-        self
-    }
-
-    /// Sets the L1-D misses per kilo-instruction.
-    pub fn d_mpki(mut self, v: f64) -> Self {
-        self.profile.d_mpki = v;
-        self
-    }
-
-    /// Sets the LLC hit ratio.
-    pub fn llc_hit_ratio(mut self, v: f64) -> Self {
-        self.profile.llc_hit_ratio = v;
-        self
-    }
-
-    /// Sets the coherence messages per kilo-instruction.
-    pub fn coherence_per_kilo_instr(mut self, v: f64) -> Self {
-        self.profile.coherence_per_kilo_instr = v;
-        self
-    }
-
-    /// Scales both miss rates by `factor` (load sweeps).
-    pub fn scale_misses(mut self, factor: f64) -> Self {
-        self.profile.i_mpki *= factor;
-        self.profile.d_mpki *= factor;
-        self
-    }
-
-    /// Validates and returns the profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any parameter is outside its physical range (see
-    /// [`WorkloadProfile::assert_valid`]).
-    pub fn build(self) -> WorkloadProfile {
-        self.profile.assert_valid();
-        self.profile
-    }
-}
-
-#[cfg(test)]
-mod builder_tests {
-    use super::*;
-
-    #[test]
-    fn builder_overrides_fields() {
-        let p = WorkloadProfileBuilder::from(WorkloadKind::DataServing)
-            .ilp(2.2)
-            .mlp(7)
-            .i_mpki(3.0)
-            .d_mpki(4.0)
-            .llc_hit_ratio(0.5)
-            .coherence_per_kilo_instr(0.1)
-            .build();
-        assert_eq!(p.ilp, 2.2);
-        assert_eq!(p.mlp, 7);
-        assert_eq!(p.i_mpki, 3.0);
-        assert_eq!(p.d_mpki, 4.0);
-        assert_eq!(p.llc_hit_ratio, 0.5);
-        assert_eq!(p.kind, WorkloadKind::DataServing);
-    }
-
-    #[test]
-    fn scale_misses_is_multiplicative() {
-        let base = WorkloadKind::WebSearch.profile();
-        let p = WorkloadProfileBuilder::from(WorkloadKind::WebSearch)
-            .scale_misses(0.5)
-            .build();
-        assert!((p.i_mpki - base.i_mpki * 0.5).abs() < 1e-12);
-        assert!((p.d_mpki - base.d_mpki * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "ILP within the 3-way core")]
-    fn builder_rejects_invalid_ilp() {
-        let _ = WorkloadProfileBuilder::from(WorkloadKind::WebSearch)
-            .ilp(9.0)
-            .build();
-    }
-}

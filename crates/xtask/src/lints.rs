@@ -60,6 +60,20 @@
 //!   lint runs wherever it appears; today that is the per-cycle phase
 //!   functions in `crates/noc`. Audited sites are suppressed with the
 //!   same `det:allow(<lint>)` mechanism as the determinism lints.
+//!
+//! Plus one **cross-file rule**, run by [`dead_api`] rather than per
+//! file, so `lint_tree` never reports it:
+//!
+//! * **dead-api** — every `pub` fn, method, struct, enum, trait, type
+//!   alias, const, static and named field under `crates/*/src` must be
+//!   named as an identifier somewhere outside its own file's
+//!   `#[cfg(test)]` code: in any workspace source, test, bench or
+//!   example, or in `perfbench/src`. Inline format arguments
+//!   (`"{NAME}"`) count; doc comments and `pub use` re-exports do not.
+//!   Matching is by name, so write-only state stays invisible to it. An
+//!   item that must stay goes in [`DEAD_API_ALLOW`] as `(file, name,
+//!   reason)`; an entry that is used again or names no item fails the
+//!   rule, so the list cannot go stale.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -734,31 +748,15 @@ fn attrs_before_contain(t: &[Token], mut i: usize, want: &str) -> bool {
     }
 }
 
-/// Lints one file from disk.
-///
-/// # Errors
-///
-/// Propagates the I/O error if the file cannot be read.
-pub fn lint_file(path: &Path) -> io::Result<Vec<Violation>> {
-    let src = fs::read_to_string(path)?;
-    Ok(lint_source(path, &src))
-}
-
-/// Recursively lints every `.rs` file under `dir`, skipping `tests`,
-/// `benches` and `target` directories (integration tests are test code
-/// by definition).
-///
-/// # Errors
-///
-/// Propagates the first I/O error from the directory walk.
-pub fn lint_tree(dir: &Path) -> io::Result<Vec<Violation>> {
+/// Every `.rs` file under `dir`, skipping `tests`, `benches` and
+/// `target` subdirectories (integration tests are test code by
+/// definition).
+fn rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
     while let Some(d) = stack.pop() {
-        let mut entries: Vec<_> = fs::read_dir(&d)?.collect::<Result<_, _>>()?;
-        entries.sort_by_key(std::fs::DirEntry::path);
-        for e in entries {
-            let p = e.path();
+        for e in fs::read_dir(&d)? {
+            let p = e?.path();
             if p.is_dir() {
                 let skip = p
                     .file_name()
@@ -767,12 +765,189 @@ pub fn lint_tree(dir: &Path) -> io::Result<Vec<Violation>> {
                     stack.push(p);
                 }
             } else if p.extension().is_some_and(|x| x == "rs") {
-                out.extend(lint_file(&p)?);
+                out.push(p);
             }
         }
     }
+    out.sort();
+    Ok(out)
+}
+
+/// Recursively lints every `.rs` file under `dir` (see [`rs_files`]).
+///
+/// # Errors
+///
+/// Propagates the first I/O error from the directory walk.
+pub fn lint_tree(dir: &Path) -> io::Result<Vec<Violation>> {
+    let mut out = Vec::new();
+    for p in rs_files(dir)? {
+        out.extend(lint_source(&p, &fs::read_to_string(&p)?));
+    }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
+}
+
+/// Public items `dead-api` must not report, as `(file relative to the
+/// workspace root, item name, why it stays)`. An entry whose item is
+/// used, or names no `pub` item of that file, is itself a finding.
+pub const DEAD_API_ALLOW: [(&str, &str, &str); 2] = [
+    (
+        "crates/sysmodel/src/system.rs",
+        "attach_watchdog",
+        "backs the full-system invariant test watchdog_stays_quiet_on_healthy_mesh",
+    ),
+    (
+        "crates/xtask/fixtures/dead_api_crate/src/lib.rs",
+        "kept_for_the_allow_list",
+        "the dead-api fixture's allow-listed item",
+    ),
+];
+
+/// One `pub` item definition: file, line, item keyword, name.
+type ApiDef = (PathBuf, u32, &'static str, String);
+
+/// The `pub` item definitions in `t` (`pub(…)` is not public API, and
+/// `pub use` re-exports define nothing) and every identifier it uses
+/// outside those definitions and outside `pub use` statements,
+/// including inline format arguments (`"{NAME}"`).
+fn api_scan(t: &[Token], file: &Path) -> (Vec<ApiDef>, BTreeSet<String>) {
+    const ITEMS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+    const QUALIFIERS: [&str; 3] = ["unsafe", "async", "extern"];
+    let is = |j: usize, f: &dyn Fn(&Token) -> bool| t.get(j).is_some_and(f);
+    let (mut defs, mut uses) = (Vec::new(), BTreeSet::new());
+    let mut i = 0usize;
+    while i < t.len() {
+        if t[i].is_ident("pub") && !is(i + 1, &|x| x.is_punct('(')) {
+            let mut j = i + 1;
+            if is(j, &|x| x.is_ident("use")) {
+                while j < t.len() && !t[j].is_punct(';') {
+                    j += 1;
+                }
+                i = j + 1;
+                continue;
+            }
+            // `pub const unsafe fn`, `pub extern "C" fn`: `const` only
+            // qualifies when a fn follows.
+            let qualifier = |x: &Token| QUALIFIERS.iter().any(|q| x.is_ident(q));
+            while is(j, &|x| x.kind == TokenKind::Str || qualifier(x))
+                || (is(j, &|x| x.is_ident("const"))
+                    && is(j + 1, &|x| x.is_ident("fn") || qualifier(x)))
+            {
+                j += 1;
+            }
+            let kind = match ITEMS.iter().find(|k| is(j, &|x| x.is_ident(k))) {
+                Some(item) => Some((
+                    *item,
+                    j + 1 + usize::from(is(j + 1, &|x| x.is_ident("mut"))),
+                )),
+                None if is(j + 1, &|x| x.is_punct(':')) && !is(j + 2, &|x| x.is_punct(':')) => {
+                    Some(("field", j))
+                }
+                None => None,
+            };
+            if let Some((kind, n)) =
+                kind.filter(|&(_, n)| is(n, &|x| x.kind == TokenKind::Ident && x.text != "_"))
+            {
+                defs.push((file.to_path_buf(), t[n].line, kind, t[n].text.clone()));
+                i = n + 1;
+                continue;
+            }
+        }
+        match t[i].kind {
+            TokenKind::Ident => {
+                uses.insert(t[i].text.clone());
+            }
+            TokenKind::Str => {
+                let body = string_body(&t[i].text).unwrap_or("");
+                uses.extend(parse_placeholders(body).into_iter().map(|p| p.name));
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    (defs, uses)
+}
+
+/// The cross-file **dead-api** rule: every `pub` fn, method, struct,
+/// enum, trait, type alias, const, static and named field defined under
+/// `def_dirs` whose name appears as an identifier nowhere in
+/// `search_dirs` outside the defining file's `#[cfg(test)]` code (and
+/// outside the definition itself). Matching is by name, so an item
+/// sharing its name with anything used survives; doc comments and
+/// `pub use` re-exports are not uses. [`DEAD_API_ALLOW`] entries under
+/// a `def_dirs` tree (paths relative to `root`) suppress their item, and
+/// are reported when stale.
+///
+/// # Errors
+///
+/// Propagates the first I/O error from the directory walks.
+pub fn dead_api(
+    root: &Path,
+    def_dirs: &[PathBuf],
+    search_dirs: &[PathBuf],
+    allow: &[(&str, &str, &str)],
+) -> io::Result<Vec<Violation>> {
+    let (mut defs, mut own_uses, mut all_uses) = (Vec::new(), Vec::new(), Vec::new());
+    for d in def_dirs {
+        for p in rs_files(d)? {
+            let (found, uses) = api_scan(&strip_test_code(&tokenize(&fs::read_to_string(&p)?)), &p);
+            defs.extend(found);
+            own_uses.push((p, uses));
+        }
+    }
+    for d in search_dirs {
+        for p in rs_files(d)? {
+            let uses = api_scan(&tokenize(&fs::read_to_string(&p)?), &p).1;
+            all_uses.push((p, uses));
+        }
+    }
+    let used = |file: &Path, name: &str| {
+        own_uses.iter().any(|(f, u)| f == file && u.contains(name))
+            || all_uses.iter().any(|(f, u)| f != file && u.contains(name))
+    };
+    let rel = |p: &Path| p.strip_prefix(root).unwrap_or(p).to_path_buf();
+    let mut out = Vec::new();
+    for (file, line, kind, name) in &defs {
+        let allowed = allow
+            .iter()
+            .any(|(f, n, _)| rel(file) == Path::new(f) && n == name);
+        if !allowed && !used(file, name) {
+            let msg = format!("pub {kind} `{name}` has no caller outside this file's tests; delete it or list it in DEAD_API_ALLOW with a reason");
+            push(&mut out, file, *line, "dead-api", msg);
+        }
+    }
+    for (f, n, _) in allow {
+        if !def_dirs.iter().any(|d| Path::new(f).starts_with(rel(d))) {
+            continue; // outside this run's trees
+        }
+        let def = defs
+            .iter()
+            .find(|(file, _, _, name)| rel(file) == Path::new(f) && name == n);
+        let stale = match def {
+            None => "names no pub item of that file",
+            Some((file, ..)) if used(file, n) => "names an item that has callers",
+            Some(_) => continue,
+        };
+        let msg = format!("stale DEAD_API_ALLOW entry `{n}`: it {stale}; remove the entry");
+        push(
+            &mut out,
+            &root.join(f),
+            def.map_or(1, |d| d.1),
+            "dead-api",
+            msg,
+        );
+    }
+    out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
+    Ok(out)
+}
+
+/// Every workspace member directory under `crates/`, sorted.
+fn members(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut members: Vec<PathBuf> = fs::read_dir(root.join("crates"))?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<io::Result<_>>()?;
+    members.sort();
+    Ok(members)
 }
 
 /// The source directories `cargo xtask check` lints: the facade crate's
@@ -785,26 +960,34 @@ pub fn lint_tree(dir: &Path) -> io::Result<Vec<Violation>> {
 /// # Errors
 ///
 /// Propagates I/O errors from enumerating `crates/`.
-pub fn workspace_src_dirs(workspace_root: &Path) -> io::Result<Vec<PathBuf>> {
-    let mut dirs = Vec::new();
-    for root_tree in ["src", "tests", "examples"] {
-        let d = workspace_root.join(root_tree);
-        if d.is_dir() {
-            dirs.push(d);
-        }
-    }
-    let crates = workspace_root.join("crates");
-    if crates.is_dir() {
-        let mut entries: Vec<_> = fs::read_dir(&crates)?.collect::<Result<_, _>>()?;
-        entries.sort_by_key(std::fs::DirEntry::path);
-        for e in entries {
-            let src = e.path().join("src");
-            if src.is_dir() {
-                dirs.push(src);
-            }
-        }
-    }
-    Ok(dirs)
+pub fn workspace_src_dirs(root: &Path) -> io::Result<Vec<PathBuf>> {
+    let roots = ["src", "tests", "examples"].map(|t| root.join(t));
+    let srcs = members(root)?.into_iter().map(|m| m.join("src"));
+    Ok(roots
+        .into_iter()
+        .chain(srcs)
+        .filter(|d| d.is_dir())
+        .collect())
+}
+
+/// The trees [`dead_api`] reads for the workspace, as `(definitions,
+/// search)`: definitions come from every member's `src/`; the search
+/// adds every member's `tests/`, `benches/` and `examples/`, the root
+/// `src/`, `tests/` and `examples/`, and `perfbench/src` (read, never
+/// linted).
+///
+/// # Errors
+///
+/// Propagates I/O errors from enumerating `crates/`.
+pub fn workspace_api_dirs(root: &Path) -> io::Result<(Vec<PathBuf>, Vec<PathBuf>)> {
+    let members = members(root)?;
+    let defs = members.iter().map(|m| m.join("src")).filter(|d| d.is_dir());
+    let search = members
+        .iter()
+        .flat_map(|m| ["src", "tests", "benches", "examples"].map(|t| m.join(t)))
+        .chain(["src", "tests", "examples", "perfbench/src"].map(|t| root.join(t)))
+        .filter(|d| d.is_dir());
+    Ok((defs.collect(), search.collect()))
 }
 
 #[cfg(test)]
@@ -1106,6 +1289,36 @@ fn step(&mut self) {
     let b = Box::new(err);
 }";
         assert!(lints_of(src).is_empty());
+    }
+
+    #[test]
+    fn api_scan_sees_public_items_and_their_uses() {
+        let src = "\
+pub const fn a() {} pub(crate) fn hidden() {} pub const unsafe extern \"C\" fn b() {}
+pub static mut C: u8 = 0; pub const D: u8 = 0; pub const _: () = ();
+pub struct E(pub u32, pub std::num::Wrapping<u8>); pub struct F { pub g: u8, h: u8 }
+pub use x::{y, z};
+fn body() { println!(\"{w} {{not_this}}\"); v.map(a); }";
+        let (defs, uses) = api_scan(&tokenize(src), Path::new("mem.rs"));
+        let names: Vec<_> = defs.iter().map(|d| (d.2, d.3.as_str())).collect();
+        assert_eq!(
+            names,
+            [
+                ("fn", "a"),
+                ("fn", "b"),
+                ("static", "C"),
+                ("const", "D"),
+                ("struct", "E"),
+                ("struct", "F"),
+                ("field", "g")
+            ]
+        );
+        for used in ["w", "a", "map", "hidden", "h"] {
+            assert!(uses.contains(used), "{used}");
+        }
+        for unused in ["y", "z", "not_this", "C", "g"] {
+            assert!(!uses.contains(unused), "{unused}");
+        }
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! `cargo xtask` — workspace maintenance commands.
 
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use xtask::lints::{lint_tree, workspace_src_dirs};
+use xtask::lints::{
+    dead_api, lint_tree, workspace_api_dirs, workspace_src_dirs, Violation, DEAD_API_ALLOW,
+};
 
 fn usage() -> ExitCode {
     eprintln!("usage: cargo xtask <command>");
@@ -138,39 +141,41 @@ fn workspace_root() -> PathBuf {
         .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
 }
 
+/// Runs the per-file lints over each source tree, then the cross-file
+/// `dead-api` rule: over the workspace, or with `DIR` as both its
+/// definition and its search tree.
 fn check(dir: Option<PathBuf>) -> ExitCode {
-    let dirs = match dir {
-        Some(d) => vec![d],
-        None => match workspace_src_dirs(&workspace_root()) {
-            Ok(dirs) => dirs,
-            Err(e) => {
-                eprintln!("xtask check: cannot enumerate workspace: {e}");
-                return ExitCode::from(2);
+    let root = workspace_root();
+    let run = || -> io::Result<(usize, Vec<Violation>)> {
+        let (dirs, (defs, search)) = match &dir {
+            Some(d) => {
+                let d = std::env::current_dir()?.join(d);
+                (vec![d.clone()], (vec![d.clone()], vec![d]))
             }
-        },
-    };
-    let mut total = 0usize;
-    let mut files = 0usize;
-    for d in &dirs {
-        match lint_tree(d) {
-            Ok(violations) => {
-                for v in &violations {
-                    println!("{v}");
-                }
-                total += violations.len();
-                files += 1;
-            }
-            Err(e) => {
-                eprintln!("xtask check: {}: {e}", d.display());
-                return ExitCode::from(2);
-            }
+            None => (workspace_src_dirs(&root)?, workspace_api_dirs(&root)?),
+        };
+        let mut violations = Vec::new();
+        for d in &dirs {
+            violations.extend(lint_tree(d)?);
         }
-    }
-    if total == 0 {
-        println!("xtask check: {files} source trees clean");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("xtask check: {total} violation(s)");
-        ExitCode::FAILURE
+        violations.extend(dead_api(&root, &defs, &search, &DEAD_API_ALLOW)?);
+        Ok((dirs.len(), violations))
+    };
+    match run() {
+        Ok((trees, violations)) if violations.is_empty() => {
+            println!("xtask check: {trees} source trees clean");
+            ExitCode::SUCCESS
+        }
+        Ok((_, violations)) => {
+            for v in &violations {
+                println!("{v}");
+            }
+            eprintln!("xtask check: {} violation(s)", violations.len());
+            ExitCode::FAILURE
+        }
+        Err(e) => {
+            eprintln!("xtask check: cannot read the source trees: {e}");
+            ExitCode::from(2)
+        }
     }
 }
